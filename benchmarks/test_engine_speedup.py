@@ -9,16 +9,23 @@ workload (BERT-large encoder, forward + backward):
   scalar reference loop, with the process-level memo disabled and each
   sweep consumed the way the figure/selection layers consume it (best
   configuration + full distribution statistics).
+
+It also guards the bulk kernel config sampler against the scalar one on
+the fused graph's capped spaces at ``cap=20000``.
 """
 
 from __future__ import annotations
 
 import time
+from math import prod
 
 from repro.autotuner.tuner import sweep_op_reference
 from repro.autotuner.violin import summarize
-from repro.engine import clear_sweep_memo
+from repro.engine import clear_sweep_memo, kernel_index_array
 from repro.engine.sweep import sweep_op as engine_sweep_op
+from repro.fusion import apply_paper_fusion
+from repro.ir.operator import OpClass
+from repro.layouts.configspace import kernel_config_indices, kernel_space
 from repro.transformer.graph_builder import build_encoder_graph
 
 CAP = 2000
@@ -82,3 +89,40 @@ def test_engine_speedup_full_graph(benchmark, env, cost):
     )
     assert [s.num_configs for s in eng_sweeps] == [s.num_configs for s in ref_sweeps]
     assert speedup >= 5.0, f"engine only {speedup:.1f}x faster than reference"
+
+
+def test_kernel_sampling_speedup(env):
+    """>= 2x for the bulk sampler over the scalar one at cap=20000.
+
+    Every distinct capped knob space of the fused encoder fwd+bwd graph,
+    drawn both ways; the rows must agree exactly.
+    """
+    graph = apply_paper_fusion(
+        build_encoder_graph(qkv_fusion="qkv", include_backward=True), env
+    )
+    spaces = set()
+    for op in graph.ops:
+        if op.is_view or op.op_class is OpClass.TENSOR_CONTRACTION:
+            continue
+        layouts, vecs, warps = kernel_space(op, env)
+        sizes = tuple(len(c) for c in layouts) + (len(vecs), len(warps))
+        if prod(sizes) > 20000:
+            spaces.add(sizes)
+
+    t0 = time.perf_counter()
+    scalar = [list(kernel_config_indices(s, cap=20000, seed=7)) for s in spaces]
+    t_scalar = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    bulk = [kernel_index_array(s, cap=20000, seed=7) for s in spaces]
+    t_bulk = time.perf_counter() - t0
+
+    speedup = t_scalar / t_bulk
+    print(
+        f"\n=== Kernel config sampling (fused encoder fwd+bwd, cap=20000) ===\n"
+        f"  {len(spaces)} distinct capped spaces\n"
+        f"  scalar: {t_scalar:6.2f} s\n"
+        f"  bulk:   {t_bulk:6.2f} s  ({speedup:.1f}x)"
+    )
+    for rows, arr in zip(scalar, bulk):
+        assert arr.tolist() == [list(r) for r in rows]
+    assert speedup >= 2.0, f"bulk sampler only {speedup:.1f}x faster than scalar"

@@ -9,7 +9,9 @@ scalar loop with a batched pipeline:
 1. :mod:`repro.engine.space` enumerates a config space once into
    structure-of-arrays form (layout indices, vector/warp dims, algorithm,
    tensor-core flags) using the exact enumeration order of
-   :mod:`repro.layouts.configspace`;
+   :mod:`repro.layouts.configspace`; capped kernel spaces are subsampled
+   by :mod:`repro.engine.sampling`, which replays the scalar sampler's
+   random draws in bulk;
 2. :mod:`repro.engine.batched` evaluates the roofline formula
    ``launch + max(flop/(peak·eff_c), bytes/(bw·eff_m))`` over NumPy arrays,
    hoisting all per-(op, env) work out of the loop while staying
@@ -32,6 +34,7 @@ route through here; the scalar reference stays available as
 """
 
 from .memo import clear_sweep_memo, memo_key, sweep_memo_stats
+from .sampling import kernel_index_array
 from .space import (
     ContractionSpace,
     KernelSpace,
@@ -81,6 +84,7 @@ __all__ = [
     "evaluate_contraction",
     "evaluate_kernel",
     "get_sweep_store",
+    "kernel_index_array",
     "load_or_compute_payload",
     "memo_key",
     "pack_payload_bytes",

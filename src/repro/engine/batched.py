@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,30 +122,98 @@ def kernel_jitter_units(space: KernelSpace) -> np.ndarray:
     strings and the index rows — never on dim *sizes* — so a delta
     re-sweep reuses the persisted array instead of re-hashing every key.
     ``crc32 / 2**32`` is exact in float64, so the round trip through a
-    stored payload is bit-identical.
+    stored payload is bit-identical.  The keys are never built: each is a
+    concatenation of per-knob choice strings, and :func:`_crc32_rows`
+    hashes all of them at once from the few distinct strings.
     """
     op = space.op
     idx = space.idx
-    in_strs = [
-        [str(l) for l in choices] for choices in space.layout_choices[: len(op.inputs)]
+    n_in = len(op.inputs)
+    operands = [
+        ([str(l) for l in choices], idx[:, o])
+        for o, choices in enumerate(space.layout_choices)
     ]
-    out_strs = [
-        [str(l) for l in choices] for choices in space.layout_choices[len(op.inputs):]
+
+    def joined(slots):  # "/".join over operand slots
+        parts = []
+        for o, slot in enumerate(slots):
+            if o:
+                parts.append("/")
+            parts.append(slot)
+        return parts
+
+    key = [
+        f"kernel|{op.name}|in:", *joined(operands[:n_in]),
+        "|out:", *joined(operands[n_in:]),
+        "|vec:", ([str(v) for v in space.vec_choices], idx[:, -2]),
+        "|warp:", ([str(w) for w in space.warp_choices], idx[:, -1]),
+        "|algo:-1|tc:1",
     ]
-    vec_strs = [str(v) for v in space.vec_choices]
-    warp_strs = [str(w) for w in space.warp_choices]
-    name = op.name
-    crc32 = zlib.crc32
-    units = np.empty(space.num_configs)
-    for i, row in enumerate(idx.tolist()):
-        ins = "/".join(s[row[o]] for o, s in enumerate(in_strs))
-        outs = "/".join(s[row[len(in_strs) + o]] for o, s in enumerate(out_strs))
-        key = (
-            f"kernel|{name}|in:{ins}|out:{outs}|vec:{vec_strs[row[-2]]}"
-            f"|warp:{warp_strs[row[-1]]}|algo:-1|tc:1"
-        )
-        units[i] = crc32(key.encode())
-    return units / 2**32
+    return _crc32_rows(key, space.num_configs) / 2**32
+
+
+_ONES = 0xFFFFFFFF
+
+
+@lru_cache(maxsize=64)
+def _crc32_zeros_tables(n: int) -> np.ndarray:
+    """``(4, 256)`` byte tables of the CRC-32 register map "feed ``n`` zero bytes".
+
+    The map is linear over GF(2), so its value on any register is the XOR
+    of its values on the register's four bytes.  zlib's ``crc32(data, v)``
+    runs the register from ``v ^ 0xFFFFFFFF`` and returns it inverted.
+    """
+    basis = np.array(
+        [zlib.crc32(bytes(n), (1 << b) ^ _ONES) ^ _ONES for b in range(32)],
+        dtype=np.uint32,
+    )
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1 == 1
+    return np.stack(
+        [
+            np.bitwise_xor.reduce(np.where(bits, basis[8 * i: 8 * i + 8], 0), axis=1)
+            for i in range(4)
+        ]
+    ).astype(np.uint32)
+
+
+def _crc32_rows(parts: list, n: int) -> np.ndarray:
+    """``zlib.crc32`` of ``n`` byte strings given as concatenated parts.
+
+    A part is a ``str`` shared by every row or a ``(choices, column)``
+    pair: row ``i`` continues with ``choices[column[i]]``.  Appending
+    ``data`` to a message moves the register from ``r`` to
+    ``Z(r) ^ R(data)``, where ``Z`` feeds ``len(data)`` zero bytes (one
+    table lookup per register byte) and ``R(data)`` is the register ``data``
+    alone leaves from zero — one zlib call per distinct string.
+    """
+    reg = np.full(n, _ONES, dtype=np.uint32)
+    shared = ""  # text every row continues with, folded into the next choice
+    for part in parts:
+        if isinstance(part, str):
+            shared += part
+        else:
+            choices, col = part
+            _append(reg, [shared + c for c in choices], col)
+            shared = ""
+    if shared:
+        _append(reg, [shared], np.zeros(n, dtype=np.intp))
+    return reg ^ _ONES
+
+
+def _append(reg: np.ndarray, choices: list[str], col: np.ndarray) -> None:
+    """Advance CRC-32 registers in place: row ``i`` appends ``choices[col[i]]``."""
+    data = [c.encode() for c in choices]
+    alone = np.array([zlib.crc32(d, _ONES) ^ _ONES for d in data], dtype=np.uint32)
+    lengths = [len(d) for d in data]
+    distinct = set(lengths)
+    for length in distinct:
+        # All rows when every choice has this length (layout choices do).
+        rows = slice(None) if len(distinct) == 1 else np.array(lengths)[col] == length
+        r = reg[rows]
+        t = _crc32_zeros_tables(length)
+        reg[rows] = (
+            t[0][r & 0xFF] ^ t[1][(r >> 8) & 0xFF] ^ t[2][(r >> 16) & 0xFF] ^ t[3][r >> 24]
+        ) ^ alone[col[rows]]
 
 
 def evaluate_kernel(

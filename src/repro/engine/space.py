@@ -11,30 +11,28 @@ choice tables:
 * memory-bound kernels: one layout-index column per operand plus columns
   for the vectorization and warp-reduce dimension choices.
 
-Enumeration order is taken verbatim from
-:mod:`repro.layouts.configspace` (`contraction_triples`,
-`kernel_config_indices`), which is what lets the engine's stable sort
-reproduce the reference sweep's tie-breaking exactly.  ``OpConfig`` objects
-are only built lazily, on measurement access.
+Enumeration order matches :mod:`repro.layouts.configspace`: contraction
+triples come verbatim from `contraction_triples`, and kernel index rows
+from :func:`repro.engine.sampling.kernel_index_array`, the vectorized twin
+of `kernel_config_indices`.  Equal order is what lets the engine's stable
+sort reproduce the reference sweep's tie-breaking exactly.  ``OpConfig``
+objects are only built lazily, on measurement access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
 from repro.ir.dims import DimEnv
 from repro.ir.operator import OpSpec
 from repro.layouts.config import NUM_GEMM_ALGORITHMS, OpConfig
-from repro.layouts.configspace import (
-    contraction_triples,
-    kernel_config_indices,
-    kernel_space,
-)
+from repro.layouts.configspace import contraction_triples, kernel_space
 from repro.layouts.gemm_mapping import GemmShape, _shape_from_structure
 from repro.layouts.layout import Layout
+
+from .sampling import kernel_index_array
 
 __all__ = [
     "ContractionSpace",
@@ -155,19 +153,10 @@ def enumerate_kernel_space(
     """Enumerate a kernel's (possibly subsampled) configs into arrays."""
     layout_choices, vec_choices, warp_choices = kernel_space(op, env)
     sizes = [len(c) for c in layout_choices] + [len(vec_choices), len(warp_choices)]
-    total = prod(sizes)
-    if cap is None or total <= cap:
-        # Row-major unravel reproduces itertools.product order.
-        idx = np.stack(
-            np.unravel_index(np.arange(total, dtype=np.int64), sizes), axis=1
-        )
-    else:
-        flats = list(kernel_config_indices(sizes, cap=cap, seed=seed))
-        idx = np.array(flats, dtype=np.int64)
     return KernelSpace(
         op=op,
         layout_choices=layout_choices,
         vec_choices=vec_choices,
         warp_choices=warp_choices,
-        idx=idx,
+        idx=kernel_index_array(sizes, cap=cap, seed=seed),
     )

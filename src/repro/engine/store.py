@@ -330,7 +330,7 @@ def compute_payload_delta(
     tables, index rows, GEMM structures, jitter units — and only the
     size-dependent arrays (flops, bytes, times, sort) are recomputed, so
     the result is bit-identical to a cold :func:`compute_payload` while
-    skipping the feasibility scan, the sampling loop and the jitter
+    skipping the feasibility scan, the config sampling and the jitter
     hashing.  Raises :class:`CacheMismatch` when ``base`` is not actually
     a usable twin (wrong kind, wrong structural digest, missing skeleton);
     callers fall back to a cold sweep.  ``structural`` optionally passes

@@ -112,9 +112,11 @@ def kernel_config_indices(
 
     Exhaustive row-major enumeration when the product fits under ``cap``;
     otherwise a deterministic uniform subsample of exactly ``cap`` distinct
-    tuples, always starting with the all-default point.  Both the scalar
-    reference sweep and the batched engine consume this generator, so their
-    config ordering — and hence their stable-sorted results — agree exactly.
+    tuples, always starting with the all-default point.  The scalar
+    reference sweep consumes this generator; the batched engine draws the
+    same rows in bulk with :func:`repro.engine.sampling.kernel_index_array`,
+    so their config ordering — and hence their stable-sorted results —
+    agree exactly.  A change to the draws here must be mirrored there.
     """
     total = 1
     for s in sizes:

@@ -5,6 +5,8 @@ Randomizes operator shapes, dimension sizes and sampling knobs, and checks
 * ``repro.engine`` sweeps are **bit-identical** to the scalar
   ``sweep_op_reference`` (same configs in the same order, same
   ``KernelTime`` components, exact float equality — no tolerances);
+* the engine's bulk sampler replays the scalar sampler's draws exactly,
+  for any knob sizes, cap and seed;
 * ``SweepResult`` structural invariants hold on engine-built sweeps:
   measurements sorted ascending, ``quantile_us`` monotone in the quantile,
   ``spread >= 1``.
@@ -12,16 +14,19 @@ Randomizes operator shapes, dimension sizes and sampling knobs, and checks
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autotuner.tuner import sweep_op_reference
+from repro.engine import kernel_index_array
 from repro.engine.sweep import sweep_op as engine_sweep_op
 from repro.hardware.cost_model import CostModel
 from repro.ir.dims import DimEnv
 from repro.ir.iteration_space import IterationSpace
 from repro.ir.operator import OpClass, OpSpec
 from repro.ir.tensor import TensorSpec
+from repro.layouts.configspace import kernel_config_indices
 from repro.ops.contraction import contraction_spec
 
 COST = CostModel()
@@ -134,3 +139,15 @@ def test_memoized_sweep_is_shared_and_identical(params):
     second = engine_sweep_op(op, env, COST, cap=cap, seed=seed)
     assert first is second  # process-level memo returns the same object
     _assert_bit_identical(sweep_op_reference(op, env, COST, cap=cap, seed=seed), first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 24, 120]), min_size=1, max_size=7),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=-(2**40), max_value=2**40),
+)
+def test_bulk_sampler_replays_scalar_draws(sizes, cap, seed):
+    rows = list(kernel_config_indices(sizes, cap=cap, seed=seed))
+    expected = np.array(rows, dtype=np.int64).reshape(len(rows), len(sizes))
+    assert np.array_equal(kernel_index_array(sizes, cap=cap, seed=seed), expected)
