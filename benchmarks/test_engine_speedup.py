@@ -22,7 +22,7 @@ from math import prod
 from repro.autotuner.tuner import sweep_op_reference
 from repro.autotuner.violin import summarize
 from repro.engine import clear_sweep_memo, kernel_index_array
-from repro.engine.sweep import sweep_op as engine_sweep_op
+from repro.engine.scheduler import sweep_op as engine_sweep_op
 from repro.fusion import apply_paper_fusion
 from repro.ir.operator import OpClass
 from repro.layouts.configspace import kernel_config_indices, kernel_space

@@ -80,7 +80,7 @@ def sweep_problem_sizes(
     """Measure Ours vs PyTorch across a (batch, seq) grid.
 
     Each grid point sweeps its graphs through the engine scheduler; the
-    two-tier sweep cache makes repeated grids cheap and ``jobs``
+    engine's sweep cache tiers make repeated grids cheap and ``jobs``
     parallelizes the cold points' sweeps.
     """
     cost = cost or CostModel()

@@ -12,7 +12,7 @@ Two implementations produce the same result:
 * :func:`sweep_op` routes through the batched engine
   (:mod:`repro.engine`): the config space is enumerated once into arrays,
   the roofline is evaluated vectorized, measurements materialize lazily and
-  whole sweeps are memoized process-wide.
+  evaluated payloads are cached in memory and, optionally, on disk.
 * :func:`sweep_op_reference` is the original scalar per-config loop, kept
   as the semantic contract: the engine must be **bit-identical** to it
   (tier-1 and the property suite pin this).
@@ -275,9 +275,10 @@ def sweep_op(
 ) -> SweepResult:
     """Measure every feasible configuration of one operator (batched engine).
 
-    Bit-identical to :func:`sweep_op_reference`; memoized process-wide.
+    Bit-identical to :func:`sweep_op_reference`; resolved through the
+    engine's cache tiers.
     """
-    from repro.engine.sweep import sweep_op as _engine_sweep_op
+    from repro.engine.scheduler import sweep_op as _engine_sweep_op
 
     return _engine_sweep_op(op, env, cost, cap=cap, seed=seed)
 
@@ -321,7 +322,7 @@ def sweep_graph(
     """Sweep every non-view operator of a graph; keyed by op name.
 
     Routes through the engine scheduler: structurally identical operators
-    share one sweep, results persist in the two-tier sweep cache, and cold
+    share one sweep, results persist in the engine's cache tiers, and cold
     sweeps run on ``jobs`` worker processes (``None`` defers to
     ``REPRO_JOBS``; results are identical at any job count).
     """

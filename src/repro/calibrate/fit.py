@@ -1,6 +1,6 @@
 """Fit a candidate cost model to retained measurements, deterministically.
 
-The fit deliberately never touches the sweep engine: the engine's memo
+The fit deliberately never touches the sweep engine: the engine's L1
 and L2 store are keyed by the *served* model version, and scoring a
 candidate through them would poison both.  Instead, targets come from
 :func:`repro.baselines.frameworks.framework_graph` (graph construction +

@@ -16,7 +16,7 @@ Sweep caching and parallelism::
     python -m repro table5 --sweep-store ~/.cache/repro-sweeps --jobs 4
 
 ``--sweep-store DIR`` persists every evaluated sweep on disk (the L2 tier
-under the in-process memo), so later invocations skip re-sweeping; the
+under the in-process payload L1), so later invocations skip re-sweeping; the
 ``REPRO_SWEEP_STORE`` environment variable sets the same default.
 ``--jobs N`` fans cold whole-graph sweeps over N worker processes
 (``REPRO_JOBS`` sets the default; 0 means one per CPU).  Neither option
@@ -784,12 +784,6 @@ def main(argv: list[str] | None = None) -> int:
              "the vectorized fast path (same results; also "
              "REPRO_CONFIGSEL_FAST=0)",
     )
-    parser.add_argument(
-        "--no-delta-sweep", action="store_true",
-        help="always evaluate cold on an exact-digest store miss instead "
-             "of delta re-sweeping from a structural twin (same results; "
-             "also REPRO_DELTA_SWEEP=0)",
-    )
     service = parser.add_argument_group("tuning service (serve / query)")
     service.add_argument(
         "--host", default="127.0.0.1", help="serve: bind address"
@@ -902,10 +896,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.configsel.selector import FAST_ENV_VAR
 
         os.environ[FAST_ENV_VAR] = "0"
-    if args.no_delta_sweep:
-        from repro.engine import set_delta_enabled
-
-        set_delta_enabled(False)
     if args.sweep_store is not None:
         from repro.engine import set_sweep_store
 

@@ -17,23 +17,25 @@ scalar loop with a batched pipeline:
    hoisting all per-(op, env) work out of the loop while staying
    **bit-identical** to the scalar cost model (tier-1 pins
    ``sweep_op`` == ``sweep_op_reference``);
-3. :mod:`repro.engine.sweep` stable-sorts the totals, materializes
-   ``ConfigMeasurement`` objects lazily, and caches whole sweeps in two
-   tiers: the process-level memo (:mod:`repro.engine.memo`, L1) over a
+3. :mod:`repro.engine.store` packages the stable-sorted result as a
+   serializable payload, and :mod:`repro.engine.sweep` materializes
+   ``ConfigMeasurement`` objects from it lazily;
+4. :mod:`repro.engine.scheduler` resolves every sweep through one tier
+   chain: a byte-bounded payload L1 (:mod:`repro.engine.memo`) over the
    persistent content-addressed store (:mod:`repro.engine.store`, L2,
    enabled with ``REPRO_SWEEP_STORE`` / ``--sweep-store``), both keyed by
-   ``COST_MODEL_VERSION``;
-4. :mod:`repro.engine.scheduler` sweeps whole graphs: structurally
-   identical operators are deduplicated up front and cold sweeps fan out
-   over a process pool (``jobs`` / ``REPRO_JOBS``), merging byte-for-byte
-   equal to the serial path.
+   a digest that embeds ``COST_MODEL_VERSION``, then a delta re-sweep from
+   a stored structural twin, then a cold evaluation.  Whole graphs are
+   deduplicated by digest up front and cold sweeps fan out over a process
+   pool (``jobs`` / ``REPRO_JOBS``), merging byte-for-byte equal to the
+   serial path.
 
 All sweep consumers (`repro.autotuner.tuner.sweep_op` / ``sweep_graph``)
 route through here; the scalar reference stays available as
 ``repro.autotuner.tuner.sweep_op_reference``.
 """
 
-from .memo import clear_sweep_memo, memo_key, sweep_memo_stats
+from .memo import clear_sweep_memo, sweep_memo_stats
 from .sampling import kernel_index_array
 from .space import (
     ContractionSpace,
@@ -55,17 +57,14 @@ from .store import (
     sweep_store_stats,
     write_payload_npz,
 )
-from .scheduler import resolve_jobs, set_default_jobs, sweep_graph
-from .sweep import (
-    PreSortedMeasurements,
+from .scheduler import (
     contraction_time_split,
-    delta_enabled,
-    delta_payload_from_store,
-    load_or_compute_payload,
-    set_delta_enabled,
-    sweep_from_payload,
+    resolve_jobs,
+    set_default_jobs,
+    sweep_graph,
     sweep_op,
 )
+from .sweep import PreSortedMeasurements, delta_payload_from_store, sweep_from_payload
 
 __all__ = [
     "BatchedTimes",
@@ -77,7 +76,6 @@ __all__ = [
     "compute_payload",
     "compute_payload_delta",
     "contraction_time_split",
-    "delta_enabled",
     "delta_payload_from_store",
     "enumerate_contraction_space",
     "enumerate_kernel_space",
@@ -85,13 +83,10 @@ __all__ = [
     "evaluate_kernel",
     "get_sweep_store",
     "kernel_index_array",
-    "load_or_compute_payload",
-    "memo_key",
     "pack_payload_bytes",
     "read_payload_npz",
     "resolve_jobs",
     "set_default_jobs",
-    "set_delta_enabled",
     "set_sweep_store",
     "structural_sweep_digest",
     "sweep_digest",

@@ -1,34 +1,51 @@
-"""Whole-graph sweep scheduling: dedup, two-tier cache, process fan-out.
+"""Sweep resolution: the one tier chain, dedup and process fan-out.
 
-``sweep_graph`` is the single entry point every whole-graph consumer (the
-tuner/violins, the framework baselines, the configuration selector, the
-figure and sensitivity sweeps) routes through.  For each non-view operator
-it resolves, in order:
+Every sweep payload the program serves is resolved by :func:`resolve`, the
+only place the cache tiers are written out:
 
-1. **L1** — the in-process memo (:mod:`repro.engine.memo`);
-2. **dedup** — operators with the same content digest
-   (:func:`repro.engine.store.sweep_digest`) are evaluated once.
-   Contraction digests are name-free, so structurally identical GEMMs
-   (``q_proj``/``k_proj``/``v_proj``, N stacked encoder layers) pay for a
-   single sweep;
-3. **L2** — the persistent store, when one is active;
-4. **cold evaluation** — remaining digests are batch-evaluated, fanned out
-   over a ``ProcessPoolExecutor`` when ``jobs > 1``.
+1. **L1** — a byte-bounded payload LRU keyed by sweep digest
+   (:mod:`repro.engine.memo`): the engine's own, or the one a tuning
+   daemon passes in;
+2. **L2** — the persistent store, when one is active.  An entry that fails
+   validation (``CacheMismatch``) is a miss: it is recomputed and
+   overwritten, never reused;
+3. **the caller's evaluator**, on a store miss.  Locally
+   (:func:`local_evaluator`) that is a delta re-sweep from a structural
+   twin in the store, else a cold batched evaluation, fanned out over a
+   ``ProcessPoolExecutor`` when ``jobs > 1``; the fleet coordinator
+   passes a remote fetch instead;
+4. **save** — every evaluated payload is written to the store and the L1.
 
-Workers return serializable payloads (the same form the store persists),
-and the parent merges them in graph order, so the result is byte-for-byte
-equal to the serial path no matter the job count — ``jobs`` changes
-wall-clock, never results.  ``jobs=None`` defers to ``set_default_jobs``
-(the CLI's ``--jobs``) and then the ``REPRO_JOBS`` environment variable;
-``jobs <= 0`` means one worker per CPU.
+It returns each digest's payload with the tier that served it.
+:func:`sweep_op`, :func:`sweep_graph` and :func:`contraction_time_split`
+are the engine's entry points into it; the daemon's ``/v1/sweep`` and the
+coordinator's jobs call it with a single-flight guard, so concurrent
+callers of one digest evaluate once.
+
+``sweep_graph`` deduplicates first: operators with the same content digest
+(:func:`repro.engine.store.sweep_digest`) resolve once.  Contraction
+digests are name-free, so structurally identical GEMMs
+(``q_proj``/``k_proj``/``v_proj``, N stacked encoder layers) pay for a
+single sweep.  Pool workers return serializable payloads (the same form
+the store persists), and each operator's sweep is rebuilt from its
+payload in graph order, so the result is byte-for-byte equal to the serial
+path no matter the job count — ``jobs`` changes wall-clock, never results.
+``jobs=None`` defers to ``set_default_jobs`` (the CLI's ``--jobs``) and
+then the ``REPRO_JOBS`` environment variable; ``jobs <= 0`` means one
+worker per CPU.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from collections import Counter
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from typing import Callable
+
+import numpy as np
 
 from repro import obs
 from repro.autotuner.cache import CacheMismatch
@@ -38,22 +55,26 @@ from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
 
-from .memo import memo_get, memo_key, memo_put
+from .memo import ENGINE_L1, BoundedCache
 from .store import SweepStore, compute_payload, get_sweep_store, sweep_digest
-from .sweep import delta_payload_from_store, sweep_from_payload, sweep_op
+from .sweep import delta_payload_from_store, sweep_from_payload
 
 __all__ = [
     "DISABLE_STORE",
+    "contraction_time_split",
     "graph_sweep_jobs",
+    "local_evaluator",
+    "resolve",
     "resolve_jobs",
     "set_default_jobs",
     "sweep_graph",
+    "sweep_op",
 ]
 
 #: Environment variable giving the default worker count (CLI: ``--jobs``).
 JOBS_ENV_VAR = "REPRO_JOBS"
 
-#: Sentinel for ``sweep_graph(store=...)``: run store-free even when a
+#: Sentinel for the entry points' ``store=``: run store-free even when a
 #: process-wide store is active (``store=None`` means "use the active one").
 DISABLE_STORE = object()
 
@@ -237,6 +258,198 @@ def graph_sweep_jobs(
     return op_digests, representatives
 
 
+def _store(store: SweepStore | None | object) -> SweepStore | None:
+    """The store an entry point's ``store=`` argument selects."""
+    if store is DISABLE_STORE:
+        return None
+    return get_sweep_store() if store is None else store  # type: ignore[return-value]
+
+
+#: ``evaluate(misses) -> {digest: (payload, tier)}``: what :func:`resolve`
+#: runs for the digests neither the L1 nor the store holds.
+Evaluator = Callable[[dict], dict]
+
+
+def resolve(
+    reps: Mapping[str, object],
+    *,
+    l1: BoundedCache,
+    store: SweepStore | None,
+    evaluate: Evaluator,
+    single_flight: Callable | None = None,
+) -> dict[str, tuple[object, str]]:
+    """Resolve digests through the tier chain: L1 → L2 → ``evaluate`` → save.
+
+    ``reps`` maps each distinct digest to what ``evaluate`` needs to
+    produce it (a representative operator).  Returns ``{digest: (value,
+    tier)}`` in ``reps`` order; the tier is ``"l1"``, ``"l2"``,
+    ``"coalesced"`` or the one ``evaluate`` reports (``"delta"`` /
+    ``"computed"``).  Digests that miss both caches are evaluated in one
+    ``evaluate`` call (which is how a cold graph fans out over the pool),
+    then saved to the store and put in the L1 before this returns.
+
+    ``single_flight(digest, lead) -> (value, leader)`` (a
+    :meth:`~repro.service.coalesce.SingleFlight.do`) resolves each L1 miss
+    under a per-digest flight instead: concurrent callers of one digest
+    evaluate once, and followers report ``"coalesced"``.  With
+    ``store=None`` the values need not be payloads (the daemon caches whole
+    responses this way).
+    """
+    resolved: dict[str, tuple[object, str]] = {}
+    misses: dict[str, object] = {}
+    for digest, rep in reps.items():
+        value = l1.get(digest)
+        if value is None:
+            misses[digest] = rep
+        else:
+            resolved[digest] = value, "l1"
+
+    def below_l1(batch: dict[str, object]) -> dict[str, tuple[object, str]]:
+        out: dict[str, tuple[object, str]] = {}
+        rest: dict[str, object] = {}
+        for digest, rep in batch.items():
+            try:
+                payload = None if store is None else store.load(digest)
+            except CacheMismatch:
+                payload = None  # recomputed and overwritten below
+            if payload is None:
+                rest[digest] = rep
+            else:
+                l1.put(digest, payload)
+                out[digest] = payload, "l2"
+        if rest:
+            for digest, (payload, tier) in evaluate(rest).items():
+                if store is not None:
+                    store.save(digest, payload)
+                # Into the L1 before a flight retires: a request arriving
+                # after the flight ends must find the value there.
+                l1.put(digest, payload)
+                out[digest] = payload, tier
+        return out
+
+    if single_flight is None:
+        resolved.update(below_l1(misses))
+    else:
+        for digest, rep in misses.items():
+
+            def lead(digest=digest, rep=rep):
+                # Re-check: a previous flight may have filled the L1 since
+                # the miss above (record=False: that miss was counted).
+                value = l1.get(digest, record=False)
+                if value is not None:
+                    return value, "l1"
+                return below_l1({digest: rep})[digest]
+
+            (value, tier), leader = single_flight(digest, lead)
+            resolved[digest] = value, tier if leader else "coalesced"
+    return {digest: resolved[digest] for digest in reps}
+
+
+def local_evaluator(
+    env: DimEnv,
+    gpu: GPUSpec,
+    *,
+    cap: int | None,
+    seed: int,
+    store: SweepStore | None,
+    jobs: int = 1,
+) -> Evaluator:
+    """The engine's own evaluator for :func:`resolve`: delta, then cold.
+
+    Each missed digest is first delta-re-swept from a structural twin in
+    ``store`` (same op, other dim sizes), which saves the enumeration; the
+    rest are evaluated cold, in parallel when ``jobs > 1`` and the batch
+    is big enough to amortize a process pool.
+    """
+
+    def evaluate(misses: dict[str, OpSpec]) -> dict[str, tuple[dict, str]]:
+        out: dict[str, tuple[dict, str]] = {}
+        cold: dict[str, OpSpec] = {}
+        for digest, op in misses.items():
+            payload = None if store is None else delta_payload_from_store(
+                op, env, gpu, cap=cap, seed=seed, store=store
+            )
+            if payload is None:
+                cold[digest] = op
+            else:
+                out[digest] = payload, "delta"
+        computed = _compute_payloads(
+            list(cold.values()), env, gpu, cap=cap, seed=seed, jobs=jobs
+        )
+        out.update((d, (p, "computed")) for d, p in zip(cold, computed))
+        return out
+
+    return evaluate
+
+
+def _resolve_op(
+    op: OpSpec,
+    env: DimEnv,
+    gpu: GPUSpec,
+    *,
+    cap: int | None,
+    seed: int,
+    store: SweepStore | None | object,
+) -> dict:
+    """One operator's payload through the engine L1 and the tier chain."""
+    store = _store(store)
+    digest = sweep_digest(op, env, gpu, cap=cap, seed=seed)
+    resolved = resolve(
+        {digest: op},
+        l1=ENGINE_L1,
+        store=store,
+        evaluate=local_evaluator(env, gpu, cap=cap, seed=seed, store=store),
+    )
+    return resolved[digest][0]
+
+
+def sweep_op(
+    op: OpSpec,
+    env: DimEnv,
+    cost: CostModel | None = None,
+    *,
+    cap: int | None = 2000,
+    seed: int = 0x5EED,
+    memo: bool = True,
+    store: SweepStore | None | object = None,
+):
+    """Batched equivalent of the scalar exhaustive sweep.
+
+    Bit-identical to :func:`repro.autotuner.tuner.sweep_op_reference`.  With
+    ``memo=True`` (default) the payload is resolved through the tier chain
+    (engine L1, then the store when one is active); ``memo=False``
+    bypasses every tier and evaluates cold.  ``store`` overrides the
+    process-active store for this call (:data:`DISABLE_STORE`: none).
+    """
+    cost = cost or CostModel()
+    if not memo:
+        payload = compute_payload(op, env, cost.gpu, cap=cap, seed=seed)
+    else:
+        payload = _resolve_op(op, env, cost.gpu, cap=cap, seed=seed, store=store)
+    return sweep_from_payload(op, payload)
+
+
+def contraction_time_split(
+    op: OpSpec,
+    env: DimEnv,
+    cost: CostModel | None = None,
+    *,
+    store: SweepStore | None | object = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A contraction sweep's sorted totals, split by requested TC mode.
+
+    Returns ``(tc_totals_us, fp16_totals_us)``, each ascending — the two
+    distributions of a Fig.-4 tile.  The payload-layout knowledge
+    (``sorted_totals`` is permuted by ``order``, ``tc_flags`` is in
+    evaluation order) stays inside the engine.
+    """
+    cost = cost or CostModel()
+    payload = _resolve_op(op, env, cost.gpu, cap=None, seed=0, store=store)
+    totals = payload["sorted_totals"]
+    tc_mask = payload["tc_flags"][payload["order"]]
+    return totals[tc_mask], totals[~tc_mask]
+
+
 def sweep_graph(
     graph: DataflowGraph,
     env: DimEnv,
@@ -247,16 +460,18 @@ def sweep_graph(
     memo: bool = True,
     jobs: int | None = None,
     store: SweepStore | None | object = None,
+    l1: BoundedCache | None = None,
 ):
     """Sweep every non-view operator of a graph; keyed by op name.
 
     Byte-for-byte equal to sweeping each operator serially with
-    :func:`repro.engine.sweep.sweep_op`, but deduplicated, two-tier cached
-    and (for ``jobs > 1``) evaluated in parallel worker processes.
-    ``memo=False`` bypasses every cache *and* the dedup/fan-out machinery —
-    the pinned serial, store-free path.  ``store=None`` resolves the
-    process-active store; pass :data:`DISABLE_STORE` to force a store-free
-    run even when one is active.
+    :func:`sweep_op`, but deduplicated by digest, resolved through the tier
+    chain in one batch and (for ``jobs > 1``) evaluated in parallel worker
+    processes.  ``memo=False`` bypasses every tier *and* the dedup/fan-out
+    machinery — the pinned serial, store-free path.  ``store=None``
+    resolves the process-active store; pass :data:`DISABLE_STORE` to force
+    a store-free run even when one is active.  ``l1`` is the payload L1 to
+    resolve through (default: the engine's).
     """
     cost = cost or CostModel()
     ops = [op for op in graph.ops if not op.is_view]
@@ -266,72 +481,29 @@ def sweep_graph(
             for op in ops
         }
     gpu = cost.gpu
-    if store is DISABLE_STORE:
-        store = None
-    elif store is None:
-        store = get_sweep_store()
+    store = _store(store)
 
     with obs.span("engine.sweep_graph", ops=len(ops)) as graph_span:
-        results: dict[str, object] = {}
-        groups: dict[str, list[tuple[OpSpec, object]]] = {}  # digest -> members
-        for op in ops:
-            key = memo_key(op, env, gpu, cap=cap, seed=seed)
-            sweep = memo_get(key)
-            if sweep is not None:
-                results[op.name] = sweep
-                continue
-            digest = sweep_digest(op, env, gpu, cap=cap, seed=seed)
-            groups.setdefault(digest, []).append((op, key))
-
-        payloads: dict[str, dict] = {}
-        cold: list[str] = []
-        delta_hits = 0
-        for digest, members in groups.items():
-            payload = None
-            if store is not None:
-                try:
-                    payload = store.load(digest)
-                except CacheMismatch:
-                    payload = None  # recompute and overwrite below
-                if payload is None:
-                    # Exact miss: a structural twin (same op, different dim
-                    # sizes) still saves the enumeration — delta re-sweep and
-                    # persist under the exact digest before cold fan-out.
-                    rep = members[0][0]
-                    payload = delta_payload_from_store(
-                        rep, env, gpu, cap=cap, seed=seed, store=store
-                    )
-                    if payload is not None:
-                        delta_hits += 1
-                        store.save(digest, payload)
-            if payload is None:
-                cold.append(digest)
-            else:
-                payloads[digest] = payload
-
-        if cold:
-            representatives = [groups[d][0][0] for d in cold]
-            computed = _compute_payloads(
-                representatives, env, gpu, cap=cap, seed=seed,
+        op_digests, reps = graph_sweep_jobs(graph, env, gpu, cap=cap, seed=seed)
+        resolved = resolve(
+            reps,
+            l1=ENGINE_L1 if l1 is None else l1,
+            store=store,
+            evaluate=local_evaluator(
+                env, gpu, cap=cap, seed=seed, store=store,
                 jobs=resolve_jobs(jobs),
-            )
-            for digest, payload in zip(cold, computed):
-                payloads[digest] = payload
-                if store is not None:
-                    store.save(digest, payload)
-
-        graph_span.set_attr("memo_hits", len(results))
-        graph_span.set_attr("distinct_digests", len(groups))
-        graph_span.set_attr(
-            "l2_hits", len(groups) - len(cold) - delta_hits
+            ),
         )
-        graph_span.set_attr("delta_hits", delta_hits)
-        graph_span.set_attr("cold", len(cold))
-
-        for digest, members in groups.items():
-            payload = payloads[digest]
-            for op, key in members:
-                sweep = sweep_from_payload(op, payload)
-                memo_put(key, sweep)
-                results[op.name] = sweep
-        return {op.name: results[op.name] for op in ops}
+        tiers = Counter(tier for _, tier in resolved.values())
+        graph_span.set_attr(
+            "memo_hits",
+            sum(resolved[d][1] == "l1" for d in op_digests.values()),
+        )
+        graph_span.set_attr("distinct_digests", len(reps) - tiers["l1"])
+        graph_span.set_attr("l2_hits", tiers["l2"])
+        graph_span.set_attr("delta_hits", tiers["delta"])
+        graph_span.set_attr("cold", tiers["computed"])
+        return {
+            op.name: sweep_from_payload(op, resolved[op_digests[op.name]][0])
+            for op in ops
+        }

@@ -1,6 +1,6 @@
-"""Persistent sweep store: the on-disk L2 under the in-process memo (L1).
+"""Persistent sweep store: the on-disk L2 under the in-process payload L1.
 
-The memo in :mod:`repro.engine.memo` dies with the interpreter, so every
+The L1 in :mod:`repro.engine.memo` dies with the interpreter, so every
 process — the CLI, the examples, the nightly benchmark run — used to start
 cold.  This module makes sweeps durable: each evaluated sweep is written to
 a content-addressed file whose name is a **stable digest** of everything
@@ -22,7 +22,7 @@ out of the canonicalization:
 * **Version invalidation.**  ``COST_MODEL_VERSION`` is part of the digest
   *and* embedded in every payload; bumping it (see the rule in
   :mod:`repro.hardware.cost_model`) orphans every stored entry, exactly as
-  it flushes the L1 memo and the JSON artifacts of
+  it orphans every L1 entry and rejects the JSON artifacts of
   :mod:`repro.autotuner.cache`.
 
 Payloads are ``.npz`` files holding the *evaluation-order* timing arrays,
@@ -898,7 +898,7 @@ class SweepStore:
 
 
 # ---------------------------------------------------------------------------
-# The process-active store (L2 under the memo)
+# The process-active store (L2 under the payload L1)
 # ---------------------------------------------------------------------------
 
 _UNSET = object()

@@ -1,24 +1,19 @@
-"""The batched sweep driver: arrays in, lazily materialized sweeps out.
-
-``sweep_op`` evaluates one operator's whole configuration space with the
-batched roofline (:mod:`repro.engine.batched`), stable-sorts the totals,
-and wraps the result in the ordinary
-:class:`~repro.autotuner.tuner.SweepResult` API.  Individual
-:class:`~repro.autotuner.tuner.ConfigMeasurement` objects are only built
-when a consumer actually touches them — ``sweep.best`` materializes one
-object, a violin summary none at all (it reads the sorted time array).
+"""Payloads in, lazily materialized sweeps out.
 
 Evaluation is factored through serializable *payloads*
 (:mod:`repro.engine.store`): the same arrays flow from a fresh batched
-evaluation, from the on-disk L2 store, or back from a scheduler worker
-process, and ``sweep_from_payload`` turns any of them into a sweep — so
-every path is bit-identical by construction.
+evaluation (:mod:`repro.engine.batched`), from the on-disk L2 store, from
+the in-process L1 (:mod:`repro.engine.memo`), back from a scheduler worker
+process or off the wire, and :func:`sweep_from_payload` turns any of them
+into the ordinary :class:`~repro.autotuner.tuner.SweepResult` API.
+Individual :class:`~repro.autotuner.tuner.ConfigMeasurement` objects are
+only built when a consumer actually touches them — ``sweep.best``
+materializes one object, a violin summary none at all (it reads the sorted
+time array) — so every path is bit-identical by construction.
 
-Caching is two-tier: the in-process memo (:mod:`repro.engine.memo`, L1)
-in front of the persistent content-addressed store
-(:mod:`repro.engine.store`, L2, enabled via ``REPRO_SWEEP_STORE`` or
-``set_sweep_store``).  ``memo=False`` bypasses both tiers and recomputes
-cold — the pinned "serial, store-free engine path".
+:func:`delta_payload_from_store` is the delta tier: it re-times a stored
+structural twin's skeleton at new dim sizes.  Which tier serves a sweep is
+decided in one place, the resolver of :mod:`repro.engine.scheduler`.
 
 Results are bit-identical to :func:`repro.autotuner.tuner.sweep_op_reference`
 — same measurements, same order — which tier-1 pins.
@@ -26,68 +21,29 @@ Results are bit-identical to :func:`repro.autotuner.tuner.sweep_op_reference`
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from typing import Callable
 
 import numpy as np
 
-from repro import obs
 from repro.autotuner.cache import CacheMismatch
-from repro.hardware.cost_model import CostModel, KernelTime
+from repro.hardware.cost_model import KernelTime
 from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
 from repro.ir.operator import OpSpec
 
-from .memo import (
-    clear_sweep_memo,
-    memo_get,
-    memo_key,
-    memo_put,
-    payload_memo_get,
-    payload_memo_put,
-    sweep_memo_stats,
-)
 from .store import (
     SweepStore,
-    compute_payload,
     compute_payload_delta,
-    get_sweep_store,
     space_from_payload,
     structural_sweep_digest,
-    sweep_digest,
 )
 
 __all__ = [
-    "sweep_op",
-    "sweep_from_payload",
-    "load_or_compute_payload",
+    "PreSortedMeasurements",
     "delta_payload_from_store",
-    "delta_enabled",
-    "set_delta_enabled",
-    "contraction_time_split",
-    "clear_sweep_memo",
-    "sweep_memo_stats",
+    "sweep_from_payload",
 ]
-
-#: Environment variable gating the delta re-sweep path ("0"/"false" disables).
-DELTA_ENV_VAR = "REPRO_DELTA_SWEEP"
-
-_delta_override: bool | None = None
-
-
-def set_delta_enabled(enabled: bool | None) -> None:
-    """Force the delta re-sweep path on/off; ``None`` re-reads the env var."""
-    global _delta_override
-    _delta_override = enabled
-
-
-def delta_enabled() -> bool:
-    """Whether structural-twin delta re-sweeps are enabled (default: yes)."""
-    if _delta_override is not None:
-        return _delta_override
-    raw = os.environ.get(DELTA_ENV_VAR, "").strip().lower()
-    return raw not in ("0", "false", "no", "off")
 
 
 def delta_payload_from_store(
@@ -104,12 +60,12 @@ def delta_payload_from_store(
     Probes the store's structural sidecar for a payload that differs from
     this sweep only in dim sizes and re-evaluates its persisted skeleton at
     the new sizes (:func:`compute_payload_delta`) — bit-identical to a cold
-    sweep, minus the enumeration work.  Returns ``None`` when the path is
-    disabled, no twin exists, or the twin turns out unusable; the caller
-    falls back to a cold sweep.  Does **not** save the result: callers
-    persist it under the new exact digest themselves.
+    sweep, minus the enumeration work.  Returns ``None`` when there is no
+    store, no twin exists, or the twin turns out unusable; the caller
+    falls back to a cold sweep.  Does **not** save the result: the
+    resolver persists it under the new exact digest.
     """
-    if store is None or not delta_enabled():
+    if store is None:
         return None
     structural = structural_sweep_digest(op, env, gpu, cap=cap, seed=seed)
     base = store.load_structural(structural)
@@ -190,7 +146,9 @@ class PreSortedMeasurements(Sequence):
         maps each measurement — in sorted order — to its index in
         ``vocabs[s]``.  Derived straight from the enumerated space plus the
         sort permutation, so no measurement objects are built.  ``None``
-        when the sequence was constructed without a space.
+        when the sequence was constructed without a space.  The ids take
+        the narrowest unsigned dtype their vocabulary fits: every sweep
+        rebuilt from a cached payload holds its own copy.
         """
         if self._space is None or self._order is None:
             return None
@@ -198,7 +156,9 @@ class PreSortedMeasurements(Sequence):
 
         space, order = self._space, self._order
         if isinstance(space, ContractionSpace):
-            ids = space.triple_idx[order]
+            ids = space.triple_idx[order].astype(
+                np.min_scalar_type(len(space.triples))
+            )
             vocabs = [
                 [t[0] for t in space.triples],
                 [t[1] for t in space.triples],
@@ -206,8 +166,8 @@ class PreSortedMeasurements(Sequence):
             ]
             return vocabs, [ids, ids, ids]
         vocabs = [list(choices) for choices in space.layout_choices]
-        idx = space.idx
-        return vocabs, [idx[order, o] for o in range(space.num_operands)]
+        dtype = np.min_scalar_type(max(map(len, vocabs)))
+        return vocabs, list(np.take(space.idx.T.astype(dtype), order, axis=1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (PreSortedMeasurements, list)):
@@ -252,108 +212,3 @@ def sweep_from_payload(op: OpSpec, payload: dict):
         len(order), build, sorted_totals, space=space, order=order
     )
     return SweepResult(op=op, measurements=measurements)
-
-
-def load_or_compute_payload(
-    op: OpSpec,
-    env: DimEnv,
-    gpu: GPUSpec,
-    *,
-    cap: int | None,
-    seed: int,
-    store: SweepStore | None = None,
-) -> dict:
-    """L2 lookup with delta-re-sweep and compute-and-persist fallbacks.
-
-    Resolution order on an exact miss: first try a structural twin
-    (:func:`delta_payload_from_store`), then a cold batched evaluation;
-    either result is persisted under the exact digest.  A mismatched or
-    corrupt store entry (``CacheMismatch``) is recomputed and overwritten,
-    never reused.  With no store configured this is a plain batched
-    evaluation.
-    """
-    store = store if store is not None else get_sweep_store()
-    if store is None:
-        return compute_payload(op, env, gpu, cap=cap, seed=seed)
-    digest = sweep_digest(op, env, gpu, cap=cap, seed=seed)
-    with obs.span(
-        "engine.payload", op=op.name, digest=digest
-    ) as payload_span:
-        try:
-            payload = store.load(digest)
-            tier = "l2"
-        except CacheMismatch:
-            payload = None
-        if payload is None:
-            payload = delta_payload_from_store(
-                op, env, gpu, cap=cap, seed=seed, store=store
-            )
-            tier = "delta"
-            if payload is None:
-                payload = compute_payload(op, env, gpu, cap=cap, seed=seed)
-                tier = "computed"
-            store.save(digest, payload)
-        payload_span.set_attr("resolve.tier", tier)
-    return payload
-
-
-def contraction_time_split(
-    op: OpSpec,
-    env: DimEnv,
-    cost: CostModel | None = None,
-    *,
-    store: SweepStore | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A contraction sweep's sorted totals, split by requested TC mode.
-
-    Returns ``(tc_totals_us, fp16_totals_us)``, each ascending — the two
-    distributions of a Fig.-4 tile.  Served through the L2 store when one
-    is active; the payload-layout knowledge (``sorted_totals`` is permuted
-    by ``order``, ``tc_flags`` is in evaluation order) stays inside the
-    engine.
-    """
-    cost = cost or CostModel()
-    digest = sweep_digest(op, env, cost.gpu, cap=None, seed=0)
-    payload = payload_memo_get(digest)
-    if payload is None:
-        payload = load_or_compute_payload(
-            op, env, cost.gpu, cap=None, seed=0, store=store
-        )
-        payload_memo_put(digest, payload)
-    totals = payload["sorted_totals"]
-    tc_mask = payload["tc_flags"][payload["order"]]
-    return totals[tc_mask], totals[~tc_mask]
-
-
-def sweep_op(
-    op: OpSpec,
-    env: DimEnv,
-    cost: CostModel | None = None,
-    *,
-    cap: int | None = 2000,
-    seed: int = 0x5EED,
-    memo: bool = True,
-    store: SweepStore | None = None,
-):
-    """Batched equivalent of the scalar exhaustive sweep.
-
-    Bit-identical to :func:`repro.autotuner.tuner.sweep_op_reference`.  With
-    ``memo=True`` (default) results are shared process-wide (L1) and, when a
-    store is active, persisted across processes (L2); ``memo=False``
-    bypasses both tiers.  ``store`` overrides the process-active store for
-    this call.
-    """
-    cost = cost or CostModel()
-    if not memo:
-        return sweep_from_payload(
-            op, compute_payload(op, env, cost.gpu, cap=cap, seed=seed)
-        )
-    key = memo_key(op, env, cost.gpu, cap=cap, seed=seed)
-    sweep = memo_get(key)
-    if sweep is None:
-        payload = load_or_compute_payload(
-            op, env, cost.gpu, cap=cap, seed=seed, store=store
-        )
-        sweep = sweep_from_payload(op, payload)
-        memo_put(key, sweep)
-    return sweep

@@ -65,7 +65,7 @@ class AlgebraicFusionResult:
 def _best_time_us(cost: CostModel, op: OpSpec, env: DimEnv) -> float:
     """Best time over the contraction's configuration space.
 
-    Routes through the batched engine (two-tier cached, bit-identical to
+    Routes through the batched engine (cache-tiered, bit-identical to
     the scalar per-config minimum): the sweep's measurements arrive sorted,
     so the best time is its head.
     """

@@ -31,7 +31,7 @@ __all__ = ["KernelTime", "CostModel", "COST_MODEL_VERSION"]
 
 #: Version tag of the analytic cost model (roofline formula, efficiency
 #: constants, jitter keying, enumeration semantics).  Persisted sweep
-#: artifacts and the process-level sweep memo embed the *served* version
+#: artifacts and the in-process payload L1 embed the *served* version
 #: (:func:`repro.hardware.params.active_cost_model_version`); a mismatch
 #: means cached numbers were produced by a different model and must be
 #: re-measured, not silently reused.

@@ -14,7 +14,7 @@ Two invariants keep the rest of the system honest:
   reference property suites pin this without modification.
 * Any *other* params value serves under a **derived version tag**
   (``"1-cal-<digest12>"``), never under the default integer version.
-  Every cache digest, memo key and wire key embeds the served version, so
+  Every cache digest, L1 key and wire key embeds the served version, so
   installing a candidate atomically orphans all default-model artifacts
   through the existing ``CacheMismatch`` path — and rolling back is
   metadata-only, because the old version's entries were never touched.
@@ -197,7 +197,7 @@ def active_cost_model_version() -> int | str:
 
     The integer :data:`DEFAULT_VERSION` under default params; a derived
     string tag (``"1-cal-<hex12>"``) after a candidate promotion.  Every
-    memo key, store digest, wire key and registry entry embeds this value,
+    L1 key, store digest, wire key and registry entry embeds this value,
     which is what makes promotion an atomic whole-cache invalidation.
     """
     return _active[1]

@@ -1,24 +1,24 @@
-"""Request coalescing: single-flight evaluation and the bounded L1 cache.
+"""Request coalescing: single-flight evaluation for the tuning daemon.
 
 A tuning daemon's hot failure mode is the *thundering herd*: N clients ask
 for the same (expensive, deterministic) sweep at once and a naive server
 evaluates it N times.  :class:`SingleFlight` guarantees that concurrent
 callers of one key trigger exactly one evaluation — the first caller in
 becomes the **leader** and computes; everyone else parks on an event and
-receives the leader's result (or its exception).
+receives the leader's result (or its exception).  The engine's resolver
+(:func:`repro.engine.scheduler.resolve`) takes it as its per-digest guard.
 
-:class:`BoundedCache` is the service's in-memory tier: a plain LRU over
-digest-keyed payloads.  The engine's process memo is deliberately
-unbounded (batch runs die quickly); a daemon must not be, so the service
-keeps its own capped cache and leaves the engine memo out of its request
-path.
+:class:`BoundedCache` is the engine's LRU (:mod:`repro.engine.memo`),
+re-exported here: each daemon holds one byte-bounded payload L1 of it and
+one entry-bounded cache of whole ``/v1/optimize`` responses.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Callable, TypeVar
+
+from repro.engine.memo import BoundedCache
 
 __all__ = ["BoundedCache", "SingleFlight"]
 
@@ -95,61 +95,3 @@ class SingleFlight:
                 del self._flights[key]
             flight.done.set()
         return flight.value, True  # type: ignore[return-value]
-
-
-class BoundedCache:
-    """A thread-safe LRU mapping with an entry cap (the service's L1)."""
-
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._items: OrderedDict[str, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: str, *, record: bool = True):
-        """The cached value, refreshed to most-recently-used; else None.
-
-        ``record=False`` skips the hit/miss counters — for internal
-        re-checks that would otherwise double-count one request.
-        """
-        with self._lock:
-            try:
-                value = self._items[key]
-            except KeyError:
-                if record:
-                    self.misses += 1
-                return None
-            self._items.move_to_end(key)
-            if record:
-                self.hits += 1
-            return value
-
-    def put(self, key: str, value) -> None:
-        with self._lock:
-            self._items[key] = value
-            self._items.move_to_end(key)
-            while len(self._items) > self.max_entries:
-                self._items.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._items.clear()
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._items),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }

@@ -229,9 +229,16 @@ class FleetService(TuningService):
 
         The job list is the scheduler's own dedup decomposition
         (:func:`graph_sweep_jobs`), so the fleet evaluates exactly what a
-        local run would — once per distinct digest — and each job still
-        rides the coordinator's full L1/L2 tier chain (a warm store never
-        touches the network).
+        local run would — once per distinct digest.  Each job rides the
+        engine's tier chain with the coordinator's own evaluator: L1 → L2
+        → remote worker → local cold fallback (:meth:`_fleet_payload`), so
+        a warm store never touches the network.
+
+        The coordinator never delta-re-sweeps locally.  A delta needs only
+        a structural twin in the coordinator's store, and after one batch
+        at a base shape the store holds a twin of every job of every
+        other shape: a local delta would then serve every job and the
+        fleet would stop sharding.
         """
         op_digests, reps = graph_sweep_jobs(
             graph, req.env, req.gpu, cap=req.cap, seed=req.seed
@@ -246,7 +253,13 @@ class FleetService(TuningService):
                 "fleet.job", parent=batch_span, op=op.name, digest=digest
             ):
                 payload = self._resolve(
-                    digest, lambda: self._fleet_payload(digest, op, req)
+                    digest,
+                    op,
+                    lambda _: {
+                        digest: (self._fleet_payload(digest, op, req), "computed")
+                    },
+                    l1=self.cache,
+                    store=self.store,
                 )
             return digest, payload
 
@@ -303,12 +316,11 @@ class FleetService(TuningService):
                 selection = None
             select_s = perf_counter() - t0
             self.metrics.record_optimize_breakdown(sweep_s, select_s)
-            self._bound_engine_memo()
             return optimize_response_from_sweeps(
                 graph, sweeps, digest=digest, selection=selection
             )
 
-        return self._resolve(digest, _compute, use_store=False)
+        return self._cached_response(digest, _compute)
 
     def handle_fleet_register(self, body: dict) -> dict:
         worker_id, url, ready, version = parse_fleet_register(body)

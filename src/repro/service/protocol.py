@@ -23,6 +23,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
+from repro.engine.store import _op_dims
 from repro.hardware.params import active_cost_model_version
 from repro.hardware.spec import A100, V100, GPUSpec
 from repro.ir.dims import DimEnv, bert_large_dims
@@ -352,12 +353,6 @@ def parse_sweep_request(body: dict) -> SweepRequest:
         seed=_parse_seed(body),
         top_k=min(top_k, MAX_TOP_K),
     )
-
-
-def _op_dims(op: OpSpec) -> set[str]:
-    from repro.engine.store import _op_dims as _store_op_dims
-
-    return _store_op_dims(op)
 
 
 def sweep_request_digest(req: SweepRequest) -> str:

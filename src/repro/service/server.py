@@ -3,10 +3,11 @@
 Endpoints (all JSON, canonical serialization):
 
 * ``POST /v1/sweep`` — best configurations + predicted times for one
-  operator.  Resolution order per request digest: bounded in-memory cache
-  (L1) → in-flight coalescing (single-flight) → persistent store (L2) →
-  delta re-sweep from a structural L2 twin → cold batched evaluation;
-  every request is attributed to exactly one tier in ``/metrics``.
+  operator, resolved by the engine's one tier chain
+  (:func:`repro.engine.scheduler.resolve`): the daemon's payload L1 →
+  in-flight coalescing (single-flight) → persistent store (L2) → delta
+  re-sweep from a structural L2 twin → cold batched evaluation; every
+  request is attributed to exactly one tier in ``/metrics``.
   Responses carry a strong ``ETag``; a request presenting it back via
   ``If-None-Match`` gets ``304 Not Modified`` with an empty body, before
   any resolution work.  ``Accept: application/x-repro-npz`` opts into the
@@ -14,7 +15,8 @@ Endpoints (all JSON, canonical serialization):
   streamed zero-copy from the store file when one exists.
 * ``POST /v1/optimize`` — a whole-graph tuned schedule through the
   parallel scheduler (:func:`repro.engine.scheduler.sweep_graph`), with
-  the same coalescing over a request-level digest.
+  the same coalescing over a request-level digest and a cache of whole
+  responses.
 * ``POST /v1/register`` — validate-then-store a schedule into the
   content-addressed registry: either a pre-built entry (``{"entry":
   ...}``, whose claimed costs are recomputed and must agree bit-exactly)
@@ -48,11 +50,12 @@ client's ``traceparent`` header when present, so a traced request through
 the fleet yields one connected cross-process tree.  With tracing off
 (the default) the span machinery is a shared no-op object.
 
-The request path never touches the engine's unbounded process memo: sweep
-payloads live in the service's :class:`~repro.service.coalesce.BoundedCache`.
-Whole-graph optimization does route through the scheduler (which memoizes
-per-op sweeps in L1), so the service clears the engine memo whenever it
-grows past ``memo_limit`` entries — a long-lived daemon stays bounded.
+Each service holds one payload L1 of its own (byte-bounded, see
+:mod:`repro.engine.memo`) and resolves its ``/v1/sweep``, its
+``/v1/optimize`` graph sweeps and, on a coordinator, its fleet jobs
+through it, so a digest one endpoint resolved is an L1 hit for the others
+and services sharing a process stay isolated.  Whole ``/v1/optimize``
+responses live in a second, entry-bounded LRU of the same class.
 """
 
 from __future__ import annotations
@@ -62,15 +65,20 @@ import shutil
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json import JSONDecodeError, loads
 from time import monotonic, perf_counter, time
 from typing import BinaryIO
 
 from repro import __version__, obs
-from repro.autotuner.cache import CacheMismatch
-from repro.engine.memo import clear_sweep_memo, sweep_memo_stats
-from repro.engine.scheduler import DISABLE_STORE, sweep_graph
+from repro.engine.memo import BoundedCache, new_payload_cache
+from repro.engine.scheduler import (
+    DISABLE_STORE,
+    local_evaluator,
+    resolve,
+    sweep_graph,
+)
 from repro.engine.store import (
     PAYLOAD_FORMAT,
     SweepStore,
@@ -78,13 +86,13 @@ from repro.engine.store import (
     get_sweep_store,
     pack_payload_bytes,
 )
-from repro.engine.sweep import delta_payload_from_store, sweep_from_payload
+from repro.engine.sweep import sweep_from_payload
 from repro.hardware.cost_model import CostModel
 from repro.hardware.params import active_cost_model_version
 from repro.obs.export import trace_tree
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, wants_prometheus
 
-from .coalesce import BoundedCache, SingleFlight
+from .coalesce import SingleFlight
 from .fleet.faults import FaultInjector
 from .metrics import ServiceMetrics
 from .protocol import (
@@ -129,6 +137,9 @@ MAX_OPTIMIZE_CAP = 20_000
 #: failing its own request — a hung leader must not park waiters forever.
 FLIGHT_TIMEOUT_S = 600.0
 
+#: Entry bound of the cache of whole ``/v1/optimize`` responses.
+RESPONSE_CACHE_ENTRIES = 1024
+
 _UNSET = object()
 
 
@@ -170,8 +181,6 @@ class TuningService:
         store: SweepStore | None | object = _UNSET,
         registry=_UNSET,
         jobs: int | None = None,
-        cache_entries: int = 1024,
-        memo_limit: int = 4096,
         faults: FaultInjector | None | object = _UNSET,
         warm: bool = True,
         calibration_dir=_UNSET,
@@ -192,8 +201,9 @@ class TuningService:
             faults = FaultInjector.from_env()
         self.faults: FaultInjector | None = faults  # type: ignore[assignment]
         self.jobs = jobs
-        self.memo_limit = memo_limit
-        self.cache = BoundedCache(cache_entries)
+        #: The payload L1 every sweep this service resolves goes through.
+        self.cache = new_payload_cache()
+        self.responses = BoundedCache(RESPONSE_CACHE_ENTRIES)
         self.flights = SingleFlight()
         self.metrics = ServiceMetrics()
         # How this process labels its spans/metrics in a fleet trace; the
@@ -240,68 +250,38 @@ class TuningService:
         )
 
     # -- tiered resolution ---------------------------------------------------
-    def _resolve(self, digest: str, compute, *, use_store: bool = True, delta=None):
-        """Resolve one digest through L1 → in-flight → L2 → delta → evaluation.
+    def _resolve(self, digest: str, rep, evaluate, *, l1, store):
+        """One digest through the engine's tier chain, single-flighted.
 
-        ``compute`` runs at most once across all concurrent callers of
-        ``digest``; the chosen tier is recorded in the metrics.
-        ``delta`` (optional) is tried between the L2 miss and the cold
-        evaluation: it may rebuild the payload from a structurally
-        identical stored sweep, returning ``None`` when it cannot.
-        ``use_store=False`` skips the L2 step for values that are not store
-        payloads (whole optimize responses).
+        ``evaluate`` runs at most once across all concurrent callers of
+        ``digest``; the tier that served this request is recorded in the
+        metrics and on the current span.
         """
-        value = self.cache.get(digest)
-        if value is not None:
-            self.metrics.record_tier("l1")
-            obs.set_attr("resolve.tier", "l1")
-            return value
-        store = self.store if use_store else None
-
-        def _lead():
-            # Re-check L1: this caller may have missed the cache before a
-            # prior leader's put and only now entered a fresh flight.
-            # (record=False: the fast path already counted this request.)
-            payload = self.cache.get(digest, record=False)
-            if payload is not None:
-                return payload, "l1"
-            tier = "l2"
-            if store is not None:
-                try:
-                    payload = store.load(digest)
-                except CacheMismatch:
-                    payload = None  # recompute and overwrite
-            if payload is None and delta is not None:
-                payload = delta()
-                if payload is not None:
-                    tier = "delta"
-            if payload is None:
-                payload = compute()
-                tier = "computed"
-            if tier in ("delta", "computed") and store is not None:
-                # Delta results persist under the *exact* digest too — the
-                # next same-size request is a plain L2 hit, and the entry
-                # becomes a structural base for further perturbations.
-                store.save(digest, payload)
-            # Populate L1 *before* the flight retires: a request arriving
-            # between flight retirement and a later cache.put would find
-            # neither and lead a second evaluation.
-            self.cache.put(digest, payload)
-            return payload, tier
-
-        (value, tier), leader = self.flights.do(
-            digest, _lead, timeout=FLIGHT_TIMEOUT_S
-        )
-        if not leader:
-            tier = "coalesced"
+        value, tier = resolve(
+            {digest: rep},
+            l1=l1,
+            store=store,
+            evaluate=evaluate,
+            single_flight=partial(self.flights.do, timeout=FLIGHT_TIMEOUT_S),
+        )[digest]
         self.metrics.record_tier(tier)
         obs.set_attr("resolve.tier", tier)
         return value
 
-    def _bound_engine_memo(self) -> None:
-        """Keep the engine's (unbounded) L1 memo finite in a daemon."""
-        if sweep_memo_stats()["size"] > self.memo_limit:
-            clear_sweep_memo()
+    def _cached_response(self, digest: str, compute) -> dict:
+        """A whole response body through the response cache, single-flighted.
+
+        The value is a response, not a store payload, so there is no L2;
+        the response's per-sweep work is shared with ``/v1/sweep`` through
+        the payload L1 and the store inside the sweeps ``compute`` runs.
+        """
+        return self._resolve(
+            digest,
+            None,
+            lambda _: {digest: (compute(), "computed")},
+            l1=self.responses,
+            store=None,
+        )
 
     # -- endpoint bodies -----------------------------------------------------
     def _resolve_sweep(self, req, digest: str) -> dict:
@@ -320,13 +300,12 @@ class TuningService:
             )
         payload = self._resolve(
             digest,
-            lambda: compute_payload(
-                req.op, req.env, req.gpu, cap=req.cap, seed=req.seed
+            req.op,
+            local_evaluator(
+                req.env, req.gpu, cap=req.cap, seed=req.seed, store=self.store
             ),
-            delta=lambda: delta_payload_from_store(
-                req.op, req.env, req.gpu, cap=req.cap, seed=req.seed,
-                store=self.store,
-            ),
+            l1=self.cache,
+            store=self.store,
         )
         self._maybe_canary(req, digest, payload)
         return payload
@@ -463,6 +442,7 @@ class TuningService:
                 # A storeless service must stay storeless: store=None would
                 # fall back to the process-active store inside sweep_graph.
                 store=self.store if self.store is not None else DISABLE_STORE,
+                l1=self.cache,
             )
             sweep_s = perf_counter() - t0
             # Global configuration selection on the swept graph (the
@@ -478,16 +458,11 @@ class TuningService:
                 selection = None
             select_s = perf_counter() - t0
             self.metrics.record_optimize_breakdown(sweep_s, select_s)
-            self._bound_engine_memo()
             return optimize_response_from_sweeps(
                 graph, sweeps, digest=digest, selection=selection
             )
 
-        # The cached value here is the whole response body (not a store
-        # payload), so L2 is skipped; the response's per-sweep work is
-        # still shared with /v1/sweep through the L2 store digests inside
-        # sweep_graph.
-        return self._resolve(digest, _compute, use_store=False)
+        return self._cached_response(digest, _compute)
 
     # -- schedule registry ---------------------------------------------------
     def handle_register(self, body: dict) -> dict:
@@ -565,6 +540,7 @@ class TuningService:
             seed=req.seed,
             jobs=self.jobs,
             store=self.store if self.store is not None else DISABLE_STORE,
+            l1=self.cache,
         )
         try:
             selection = select_configurations(
@@ -574,7 +550,6 @@ class TuningService:
             raise ProtocolError(
                 f"model {req.model!r} admits no global selection: {exc}"
             ) from exc
-        self._bound_engine_memo()
         return build_entry(
             graph,
             req.env,

@@ -14,8 +14,14 @@ from repro.autotuner.tuner import (
 )
 from repro.engine import clear_sweep_memo, sweep_memo_stats
 from repro.engine.sweep import PreSortedMeasurements
-from repro.engine.sweep import sweep_op as engine_sweep_op
+from repro.engine.scheduler import sweep_op as engine_sweep_op
 from repro.hardware.cost_model import COST_MODEL_VERSION, CostModel, KernelTime
+from repro.hardware.params import (
+    DEFAULT_PARAMS,
+    install_params,
+    params_from_wire,
+    reset_active_params,
+)
 from repro.ir.dims import bert_large_dims, small_test_dims
 from repro.ir.tensor import TensorSpec
 from repro.layouts.config import OpConfig
@@ -64,35 +70,68 @@ class TestEngineIdentity:
 
 
 class TestMemo:
+    """The engine's payload L1: sweeps are rebuilt, payloads are shared."""
+
     def test_memo_returns_same_object(self):
         clear_sweep_memo()
         op = _bias_op()
         first = engine_sweep_op(op, ENV, COST, cap=120)
         second = engine_sweep_op(op, ENV, COST, cap=120)
-        assert first is second
         stats = sweep_memo_stats()
-        assert stats["hits"] >= 1 and stats["size"] >= 1
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["entries"] == 1 and stats["size"] > 0
+        # A fresh SweepResult over the one cached payload's arrays.
+        assert first is not second
+        assert (
+            first.measurements.totals_array()
+            is second.measurements.totals_array()
+        )
+        assert first.times_us() == second.times_us()
 
     def test_memo_distinguishes_env(self):
         clear_sweep_memo()
         op = _bias_op()
         a = engine_sweep_op(op, ENV, COST, cap=120)
         b = engine_sweep_op(op, small_test_dims(), COST, cap=120)
-        assert a is not b
+        assert sweep_memo_stats()["hits"] == 0
+        assert a.measurements.totals_array() is not b.measurements.totals_array()
 
     def test_memo_distinguishes_kernel_cap(self):
         clear_sweep_memo()
         op = _bias_op()
         a = engine_sweep_op(op, ENV, COST, cap=60)
         b = engine_sweep_op(op, ENV, COST, cap=120)
-        assert a is not b and a.num_configs != b.num_configs
+        assert sweep_memo_stats()["hits"] == 0
+        assert a.num_configs != b.num_configs
 
     def test_contraction_memo_ignores_cap(self):
         clear_sweep_memo()
         op = contraction_spec("lin", "ui,ibj->ubj", ("w", "x"), "y")
         a = engine_sweep_op(op, ENV, COST, cap=60)
         b = engine_sweep_op(op, ENV, COST, cap=2000)
-        assert a is b  # contraction sweeps are exhaustive; cap never applies
+        # Contraction sweeps are exhaustive; cap never applies.
+        assert sweep_memo_stats()["hits"] == 1
+        assert a.measurements.totals_array() is b.measurements.totals_array()
+
+    def test_promote_and_rollback_change_every_key(self):
+        clear_sweep_memo()
+        op = _bias_op()
+        default = engine_sweep_op(op, ENV, COST, cap=120)
+        candidate = params_from_wire({**DEFAULT_PARAMS.to_wire(), "jitter": 0.2})
+        install_params(candidate)
+        try:
+            promoted = engine_sweep_op(op, ENV, COST, cap=120)
+            # A new key: evaluated under the candidate, not served from L1.
+            assert sweep_memo_stats()["hits"] == 0
+            reference = sweep_op_reference(op, ENV, COST, cap=120)
+            assert promoted.times_us() == reference.times_us()
+            assert promoted.times_us() != default.times_us()
+        finally:
+            reset_active_params()
+        # Rollback: the default model's key, and its entry, are back.
+        back = engine_sweep_op(op, ENV, COST, cap=120)
+        assert sweep_memo_stats()["hits"] == 1
+        assert back.measurements.totals_array() is default.measurements.totals_array()
 
 
 class TestLaziness:

@@ -16,6 +16,8 @@ import time
 
 import pytest
 
+from repro.engine.scheduler import graph_sweep_jobs
+from repro.engine.store import SweepStore, structural_sweep_digest
 from repro.ir.dims import bert_large_dims
 from repro.service.client import ServiceError, TuningClient
 from repro.service.fleet.coordinator import FleetService, make_fleet_server
@@ -29,9 +31,12 @@ from repro.service.fleet.hashring import HashRing
 from repro.service.fleet.registry import WorkerRegistry
 from repro.service.protocol import (
     ProtocolError,
+    build_request_graph,
     fleet_register_wire,
+    optimize_request_wire,
     parse_fleet_heartbeat,
     parse_fleet_register,
+    parse_optimize_request,
 )
 from repro.service.server import TuningService, serve_background
 
@@ -481,6 +486,42 @@ class TestCoordinator:
             info = client.fleet_status()["workers"]["hang"]
             assert info["counters"]["timeout"] > 0
             assert info["quarantine_reason"] == "timeout"
+
+    def test_structural_twins_in_the_store_still_shard(
+        self, tmp_path, single_node_bytes
+    ):
+        # The coordinator's tier chain has no delta tier: a store holding a
+        # structural twin of every job (the same graph at another shape)
+        # must not turn the jobs into local delta re-sweeps.
+        twin_env = bert_large_dims(seq=513)
+        store = SweepStore(tmp_path)
+        coord = _fleet(store=store)
+        with serve_background(_storeless()) as u1, \
+                serve_background(_storeless()) as u2, \
+                serve_background(coord, factory=make_fleet_server) as cu:
+            client = TuningClient(cu)
+            self._register(client, w1=u1, w2=u2)
+            client.optimize_batch_raw(
+                model="mha", include_backward=False, env=twin_env, cap=CAP
+            )
+            req = parse_optimize_request(optimize_request_wire(
+                model="mha", include_backward=False, env=ENV, cap=CAP
+            ))
+            _, reps = graph_sweep_jobs(
+                build_request_graph(req), ENV, req.gpu, cap=CAP, seed=req.seed
+            )
+            assert all(
+                store.load_structural(structural_sweep_digest(
+                    op, ENV, req.gpu, cap=CAP, seed=req.seed
+                )) is not None
+                for op in reps.values()
+            )
+            remote = client.metrics()["fleet"]["events"]["job_remote"]
+            assert _batch_raw(client) == single_node_bytes
+            metrics = client.metrics()
+            assert metrics["fleet"]["events"]["job_remote"] - remote == len(reps)
+            assert metrics["resolve_tiers"]["delta"] == 0
+            assert store.stats()["delta_hits"] == 0
 
     def test_zero_workers_degrades_to_local_engine(self, single_node_bytes):
         coord = _fleet()

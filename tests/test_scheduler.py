@@ -7,6 +7,9 @@ entry), cache-tier interplay, and job-count resolution.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro.engine.scheduler as sched_mod
@@ -17,6 +20,7 @@ from repro.engine import (
     set_default_jobs,
     set_sweep_store,
     sweep_graph,
+    sweep_memo_stats,
     sweep_op,
 )
 from repro.engine.store import SweepStore
@@ -132,9 +136,14 @@ class TestCacheTiers:
     def test_second_call_hits_the_memo(self):
         g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
         first = sweep_graph(g, ENV, COST, cap=CAP)
+        misses = sweep_memo_stats()["misses"]
         second = sweep_graph(g, ENV, COST, cap=CAP)
+        assert sweep_memo_stats()["misses"] == misses  # every digest an L1 hit
         for name in first:
-            assert first[name] is second[name]
+            assert (
+                first[name].measurements.totals_array()
+                is second[name].measurements.totals_array()
+            )
 
     def test_warm_store_serves_a_cold_process(self, tmp_path):
         g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
@@ -269,3 +278,25 @@ class TestSerialFallback:
         g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
         sweeps = sweep_graph(g, ENV, COST, cap=CAP, jobs=1)
         assert len(sweeps) > 0
+
+
+class TestOneChain:
+    """CI guard: the tier chain is written out once, in the scheduler."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+    CALL = re.compile(r"(?<!def )(delta_payload_from_store|store\.load|store\.save)\(")
+
+    def _calls(self) -> dict[str, list[str]]:
+        calls: dict[str, list[str]] = {}
+        for path in sorted(self.SRC.rglob("*.py")):
+            rel = path.relative_to(self.SRC).as_posix()
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for match in self.CALL.finditer(line):
+                    calls.setdefault(rel, []).append(f"{lineno}: {match.group(1)}")
+        return calls
+
+    def test_only_the_scheduler_loads_saves_or_deltas(self):
+        calls = self._calls()
+        assert set(calls) == {"engine/scheduler.py"}, calls
+        # One L2 read, one save and one delta attempt: one chain.
+        assert len(calls["engine/scheduler.py"]) == 3, calls

@@ -9,6 +9,8 @@ to one derived from a fresh scalar ``sweep_op_reference`` sweep.
 from __future__ import annotations
 
 import json
+import random
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +19,8 @@ import pytest
 
 from repro import __version__
 from repro.autotuner.tuner import sweep_op_reference
-from repro.engine import clear_sweep_memo, sweep_digest
+from repro.engine import clear_sweep_memo, sweep_digest, sweep_memo_stats
+from repro.engine.memo import PAYLOAD_L1_BYTES, new_payload_cache, payload_nbytes
 from repro.engine.store import SweepStore, compute_payload
 from repro.fusion import apply_paper_fusion
 from repro.hardware.cost_model import COST_MODEL_VERSION, CostModel
@@ -327,7 +330,7 @@ class TestSingleFlight:
 
 class TestBoundedCache:
     def test_lru_eviction_order(self):
-        cache = BoundedCache(max_entries=2)
+        cache = BoundedCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh: "b" is now the LRU entry
@@ -337,7 +340,7 @@ class TestBoundedCache:
         assert cache.evictions == 1
 
     def test_put_overwrite_does_not_evict(self):
-        cache = BoundedCache(max_entries=2)
+        cache = BoundedCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)
@@ -352,9 +355,70 @@ class TestBoundedCache:
         cache.put("a", 1)
         cache.get("a")
         assert cache.stats() == {
-            "entries": 1, "max_entries": 8, "hits": 1, "misses": 1,
+            "entries": 1, "size": 1, "capacity": 8, "hits": 1, "misses": 1,
             "evictions": 0,
         }
+
+    def test_byte_bound_evicts_lru_first_and_is_never_exceeded(self):
+        cache = BoundedCache(100, weigh=len)
+        cache.put("a", b"x" * 40)
+        cache.put("b", b"x" * 40)
+        assert cache.get("a") is not None  # "b" is now the LRU entry
+        cache.put("c", b"x" * 40)  # 120 bytes: evicting "b" alone fits
+        assert cache.get("b") is None
+        assert cache.get("a") is not None and cache.get("c") is not None
+        assert cache.stats()["size"] == 80
+        cache.put("d", b"x" * 90)  # evicts "a", then "c"
+        assert len(cache) == 1 and cache.stats()["size"] == 90
+        assert cache.evictions == 3
+        cache.put("huge", b"x" * 101)  # heavier than the bound: not cached
+        assert cache.get("huge") is None
+        assert cache.get("d") is not None and cache.stats()["size"] == 90
+        cache.put("d", b"x" * 101)  # a too-heavy overwrite drops the key
+        assert cache.get("d") is None and cache.stats()["size"] == 0
+
+    def test_payload_l1_is_bounded_in_array_bytes(self):
+        op, _ = _ops()
+        payload = compute_payload(op, ENV, GPU, cap=CAP, seed=0)
+        cache = new_payload_cache()
+        cache.put("p", payload)
+        stats = cache.stats()
+        assert stats["capacity"] == PAYLOAD_L1_BYTES
+        assert stats["size"] == payload_nbytes(payload) == sum(
+            v.nbytes for v in payload.values() if hasattr(v, "nbytes")
+        )
+
+    def test_concurrent_get_and_put(self):
+        keys = [f"k{i}" for i in range(40)]
+        value = {k: k.encode() * (i % 7 + 1) for i, k in enumerate(keys)}
+        cache = BoundedCache(60, weigh=len)
+        rounds, threads = 2000, 8
+
+        def worker(t: int) -> None:
+            rng = random.Random(t)
+            for _ in range(rounds):
+                k = rng.choice(keys)
+                got = cache.get(k)
+                if got is None:
+                    cache.put(k, value[k])
+                else:
+                    assert got == value[k]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(worker, t) for t in range(threads)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == rounds * threads
+        held = [cache.get(k, record=False) for k in keys]
+        assert stats["entries"] == sum(v is not None for v in held)
+        assert stats["size"] == sum(len(v) for v in held if v is not None)
+        assert stats["size"] <= stats["capacity"]
 
 
 class TestServiceMetrics:
@@ -431,9 +495,9 @@ class TestTieredResolution:
             calls.append(1)
             return {"x": 1}
 
-        assert svc._resolve("d1", compute) == {"x": 1}
+        assert svc._cached_response("d1", compute) == {"x": 1}
         assert svc.metrics.tier_counts()["computed"] == 1
-        assert svc._resolve("d1", compute) == {"x": 1}
+        assert svc._cached_response("d1", compute) == {"x": 1}
         assert svc.metrics.tier_counts()["l1"] == 1
         assert len(calls) == 1
 
@@ -503,11 +567,22 @@ class TestTieredResolution:
         assert svc.metrics.snapshot()["optimize_breakdown"]["computed"] == 1
 
     def test_engine_memo_stays_bounded(self):
-        from repro.engine.memo import sweep_memo_stats
-
-        svc = TuningService(store=None, memo_limit=0)
-        svc.handle_optimize({"model": "mha", "include_backward": False, "cap": CAP})
-        assert sweep_memo_stats()["size"] == 0  # cleared past the limit
+        # The daemon resolves through its own byte-bounded payload L1 and
+        # leaves the engine's empty; a bound that binds evicts instead of
+        # growing, and the response is unchanged.
+        body = {"model": "mha", "include_backward": False, "cap": CAP}
+        svc = TuningService(store=None)
+        resp = svc.handle_optimize(body)
+        assert sweep_memo_stats()["entries"] == 0
+        full = svc.cache.stats()
+        assert full["capacity"] == PAYLOAD_L1_BYTES
+        assert 0 < full["size"] <= full["capacity"]
+        small = TuningService(store=None)
+        small.cache = BoundedCache(full["size"] // 2, weigh=payload_nbytes)
+        assert small.handle_optimize(body) == resp
+        stats = small.cache.stats()
+        assert stats["evictions"] > 0
+        assert stats["size"] <= full["size"] // 2
 
     def test_oversized_sweep_request_rejected_not_attempted(self):
         # The AIB fused kernel's uncapped space is ~1e10 configurations;
@@ -833,23 +908,6 @@ class TestDeltaTier:
         svc2 = TuningService(store=SweepStore(tmp_path), registry=None)
         svc2.handle_sweep(sweep_request_wire(op, perturbed, cap=CAP, seed=31))
         assert svc2.metrics.tier_counts()["l2"] == 1
-
-    def test_delta_disabled_falls_back_to_cold(self, tmp_path):
-        from repro.engine import set_delta_enabled
-
-        op, _ = _ops()
-        store = SweepStore(tmp_path)
-        svc = TuningService(store=store, registry=None)
-        svc.handle_sweep(sweep_request_wire(op, bert_large_dims(), cap=CAP, seed=32))
-        set_delta_enabled(False)
-        try:
-            svc.handle_sweep(
-                sweep_request_wire(op, bert_large_dims(seq=513), cap=CAP, seed=32)
-            )
-        finally:
-            set_delta_enabled(None)
-        tiers = svc.metrics.tier_counts()
-        assert tiers["delta"] == 0 and tiers["computed"] == 2
 
 
 class TestClientErrorSurfacing:

@@ -27,7 +27,9 @@ from repro.engine.store import (
     compute_payload,
     get_sweep_store,
 )
-from repro.engine.sweep import load_or_compute_payload, sweep_from_payload
+from repro.engine.memo import new_payload_cache
+from repro.engine.scheduler import local_evaluator, resolve
+from repro.engine.sweep import sweep_from_payload
 from repro.hardware.cost_model import CostModel
 from repro.hardware.spec import A100
 from repro.ir.dims import DimEnv, bert_large_dims
@@ -52,6 +54,15 @@ def _isolate_store_and_memo():
 def _ops():
     g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
     return g.op("q_proj"), g.op("softmax")
+
+
+def _resolve(op, env, store, *, cap, seed):
+    """``(payload, tier)`` of one sweep through the tier chain, fresh L1."""
+    digest = sweep_digest(op, env, GPU, cap=cap, seed=seed)
+    evaluate = local_evaluator(env, GPU, cap=cap, seed=seed, store=store)
+    return resolve(
+        {digest: op}, l1=new_payload_cache(), store=store, evaluate=evaluate
+    )[digest]
 
 
 def _assert_bit_identical(a, b):
@@ -258,9 +269,8 @@ class TestRejection:
     def test_bad_entries_are_recomputed_and_overwritten(self, tmp_path):
         contraction, store, digest = self._saved(tmp_path)
         store.path_for(digest).write_bytes(b"garbage")
-        payload = load_or_compute_payload(
-            contraction, ENV, GPU, cap=100, seed=0, store=store
-        )
+        payload, tier = _resolve(contraction, ENV, store, cap=100, seed=0)
+        assert tier == "computed"
         _assert_bit_identical(
             sweep_op_reference(contraction, ENV, COST, cap=100, seed=0),
             sweep_from_payload(contraction, payload),
@@ -482,7 +492,7 @@ class TestStructuralIndex:
 class TestDeltaResweep:
     """The delta tier: rebuild a perturbed-size payload from a twin."""
 
-    def test_load_or_compute_uses_the_delta_path(self, tmp_path):
+    def test_twin_in_the_store_yields_a_delta_payload(self, tmp_path):
         from repro.engine.sweep import delta_payload_from_store
 
         contraction, _ = _ops()
@@ -510,7 +520,8 @@ class TestDeltaResweep:
         d512 = sweep_digest(contraction, env512, GPU, cap=100, seed=6)
         d513 = sweep_digest(contraction, env513, GPU, cap=100, seed=6)
         store.save(d512, compute_payload(contraction, env512, GPU, cap=100, seed=6))
-        load_or_compute_payload(contraction, env513, GPU, cap=100, seed=6, store=store)
+        _, tier = _resolve(contraction, env513, store, cap=100, seed=6)
+        assert tier == "delta"
         assert store.stats()["delta_hits"] == 1
         assert store.path_for(d513).exists()
         # And round-trips exactly through a plain exact-digest load.
@@ -518,34 +529,6 @@ class TestDeltaResweep:
             sweep_op_reference(contraction, env513, COST, cap=100, seed=6),
             sweep_from_payload(contraction, store.load(d513)),
         )
-
-    def test_delta_disabled_by_env_and_override(self, tmp_path, monkeypatch):
-        from repro.engine.sweep import (
-            DELTA_ENV_VAR,
-            delta_enabled,
-            delta_payload_from_store,
-            set_delta_enabled,
-        )
-
-        contraction, _ = _ops()
-        store = SweepStore(tmp_path)
-        env512 = bert_large_dims(seq=512)
-        env513 = bert_large_dims(seq=513)
-        d512 = sweep_digest(contraction, env512, GPU, cap=100, seed=8)
-        store.save(d512, compute_payload(contraction, env512, GPU, cap=100, seed=8))
-        monkeypatch.setenv(DELTA_ENV_VAR, "0")
-        assert not delta_enabled()
-        assert delta_payload_from_store(
-            contraction, env513, GPU, cap=100, seed=8, store=store
-        ) is None
-        set_delta_enabled(True)  # explicit override beats the env var
-        try:
-            assert delta_enabled()
-            assert delta_payload_from_store(
-                contraction, env513, GPU, cap=100, seed=8, store=store
-            ) is not None
-        finally:
-            set_delta_enabled(None)
 
     def test_knob_change_is_not_a_structural_twin(self, tmp_path):
         from repro.engine.sweep import delta_payload_from_store
