@@ -1,16 +1,18 @@
-"""Configsel fast-path acceptance: bit-identity and wall-clock speedup.
+"""Configsel acceptance: bit-identity with the scalar reference and speedup.
 
-Pins the vectorized configuration-selection pipeline's two contracts,
+Pins the vectorized configuration-selection pipeline's two contracts
+against the scalar reference pipeline in ``repro/configsel/reference.py``,
 mirroring ``benchmarks/test_engine_speedup.py`` for the sweep engine:
 
-* ``select_configurations(fast=True)`` produces a **bit-identical**
+* ``select_configurations`` produces a **bit-identical**
   ``SelectedConfiguration`` (chosen configurations, inserted transposes,
-  chain cost) to the scalar reference (``fast=False``) on every graph of
-  the tier-1 matrix — fused/unfused encoder, fused MHA, the GPT decoder,
-  and the Sec. VI-C alternate dims;
-* at encoder scale the fast path is at least 5x faster wall-clock than
-  the scalar reference, with each side handed *fresh* (unmaterialized)
-  engine sweeps the way a cold ``optimize`` run hands them out.
+  chain cost) to the reference pipeline (``fast=False``) on every graph of
+  the tier-1 matrix — fused/unfused encoder, fused MHA, the GPT decoder, and
+  the Sec. VI-C alternate dims;
+* at encoder scale the production pipeline is at least 5x faster
+  wall-clock than the reference, with each side handed *fresh*
+  (unmaterialized) engine sweeps the way a cold ``optimize`` run hands
+  them out.
 """
 
 from __future__ import annotations

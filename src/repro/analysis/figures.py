@@ -199,7 +199,7 @@ def fig6_config_graph_stats(
     """Build the Fig.-6 configuration graph and report its shape + SSSP cost."""
     from repro.configsel.chain import primary_chain
     from repro.engine import sweep_graph
-    from repro.configsel.selector import _SOURCE, _TARGET, build_config_graph
+    from repro.configsel.reference import _SOURCE, _TARGET, build_config_graph
     from repro.configsel.sssp import shortest_path, shortest_path_networkx
     from repro.fusion.encoder_kernels import apply_paper_fusion
     from repro.transformer.graph_builder import build_encoder_graph

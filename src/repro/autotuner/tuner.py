@@ -30,7 +30,6 @@ from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
 from repro.layouts.config import OpConfig
 from repro.layouts.configspace import contraction_configs, kernel_configs
-from repro.layouts.layout import Layout
 
 __all__ = [
     "ConfigMeasurement",
@@ -64,14 +63,6 @@ class SweepResult:
         # Engine-built sweeps arrive pre-sorted (their sequence's sort() is
         # a no-op); plain lists are sorted here as before.
         self.measurements.sort(key=lambda m: m.total_us)
-        self._layout_index: (
-            tuple[
-                dict[tuple, ConfigMeasurement],
-                dict[tuple, ConfigMeasurement],
-                dict[tuple, ConfigMeasurement],
-            ]
-            | None
-        ) = None
         self._pair_minima: dict[tuple[int, int], dict] = {}
         self._totals_arr: np.ndarray | None = None
         self._operand_arrays: tuple[list, list] | None = None
@@ -190,52 +181,15 @@ class SweepResult:
         return self.worst.total_us / self.best.total_us
 
     # -- layout-conditioned minima (for the configuration graph) ---------------
-    def _ensure_layout_index(self):
-        """Build the per-layout minima index on first use.
-
-        One pass over the (sorted) measurements: the first measurement seen
-        for each key is its fastest.  Turns the repeated linear scans of the
-        configuration-selection layer into dict lookups.
-        """
-        if self._layout_index is None:
-            by_pair: dict[tuple, ConfigMeasurement] = {}
-            by_in: dict[tuple, ConfigMeasurement] = {}
-            by_out: dict[tuple, ConfigMeasurement] = {}
-            for m in self.measurements:
-                c = m.config
-                by_pair.setdefault((c.input_layouts, c.output_layouts), m)
-                by_in.setdefault(c.input_layouts, m)
-                by_out.setdefault(c.output_layouts, m)
-            self._layout_index = (by_pair, by_in, by_out)
-        return self._layout_index
-
-    def best_for_layouts(
-        self, input_layouts: tuple[Layout, ...] | None, output_layouts: tuple[Layout, ...] | None
-    ) -> ConfigMeasurement | None:
-        """Fastest configuration matching the given layout constraints.
-
-        ``None`` constraints are wildcards.  Returns None if no measured
-        configuration matches.
-        """
-        if not self.measurements:
-            return None
-        if input_layouts is None and output_layouts is None:
-            return self.measurements[0]
-        by_pair, by_in, by_out = self._ensure_layout_index()
-        if input_layouts is None:
-            return by_out.get(tuple(output_layouts))
-        if output_layouts is None:
-            return by_in.get(tuple(input_layouts))
-        return by_pair.get((tuple(input_layouts), tuple(output_layouts)))
-
     def layout_pair_minima(
         self, in_index: int, out_index: int
     ) -> dict[tuple[tuple[str, ...], tuple[str, ...]], float]:
         """Minimum runtime per (input[in_index], output[out_index]) layout pair.
 
         One cached pass over the sorted measurements (first hit per key is
-        the minimum); the configuration-selection graph reads these minima
-        per chain boundary instead of re-scanning every measurement.
+        the minimum); the explicit Fig.-6 configuration graph
+        (:func:`repro.configsel.reference.build_config_graph`) reads these
+        minima per chain boundary instead of re-scanning every measurement.
         """
         key = (in_index, out_index)
         cached = self._pair_minima.get(key)
@@ -248,21 +202,6 @@ class SweepResult:
                     cached[pair] = m.total_us
             self._pair_minima[key] = cached
         return cached
-
-    def best_with_operand_layout(
-        self, operand_index: int, layout: Layout, *, output: bool = False
-    ) -> ConfigMeasurement | None:
-        """Fastest configuration whose given operand uses ``layout``."""
-        for m in self.measurements:
-            layouts = m.config.output_layouts if output else m.config.input_layouts
-            if operand_index >= len(layouts):
-                # Operand arity can differ across algorithms/fusion variants;
-                # skip configs that don't carry this operand instead of
-                # giving up on the whole (sorted) list.
-                continue
-            if layouts[operand_index] == layout:
-                return m
-        return None
 
 
 def sweep_op(

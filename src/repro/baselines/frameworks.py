@@ -59,14 +59,13 @@ def framework_schedule(
     include_backward: bool = True,
     cap: int | None = 600,
     jobs: int | None = None,
-    fast: bool | None = None,
 ) -> Schedule:
     """Build the policy's graph and time it (Tables IV and V)."""
     cost = cost or CostModel()
     graph = framework_graph(
         policy, env, model=model, include_backward=include_backward
     )
-    return build_schedule(graph, policy, env, cost, cap=cap, jobs=jobs, fast=fast)
+    return build_schedule(graph, policy, env, cost, cap=cap, jobs=jobs)
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,6 @@ def build_schedule(
     cap: int | None = 600,
     seed: int = 0x5EED,
     jobs: int | None = None,
-    fast: bool | None = None,
     register=None,
 ) -> Schedule:
     """Time every kernel of ``graph`` under the framework's policy.
@@ -126,9 +125,8 @@ def build_schedule(
     :func:`repro.baselines.frameworks.framework_schedule` for the full
     pipeline from the policy alone).  Whole-graph sweeps route through the
     engine scheduler; ``jobs`` fans cold sweeps out over worker processes
-    without changing any result.  ``fast`` picks the configuration-selection
-    pipeline (vectorized by default, scalar reference with ``fast=False`` /
-    ``REPRO_CONFIGSEL_FAST=0``); both produce bit-identical schedules.
+    without changing any result.  ``"selected"``-mode policies take their
+    layouts from :func:`~repro.configsel.selector.select_configurations`.
     ``register`` (a :class:`~repro.registry.ScheduleRegistry` or ``True``
     for the process-active one) persists the ``"selected"``-mode selection
     in the schedule registry; other layout modes have no global selection
@@ -141,7 +139,7 @@ def build_schedule(
         if sweeps is None:
             sweeps = sweep_graph(graph, env, cost, cap=cap, seed=seed, jobs=jobs)
         sel: SelectedConfiguration = select_configurations(
-            graph, env, cost, sweeps=sweeps, cap=cap, seed=seed, fast=fast,
+            graph, env, cost, sweeps=sweeps, cap=cap, seed=seed,
             register=register,
         )
         for op in graph.ops:

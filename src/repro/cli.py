@@ -22,10 +22,10 @@ under the in-process payload L1), so later invocations skip re-sweeping; the
 (``REPRO_JOBS`` sets the default; 0 means one per CPU).  Neither option
 changes any reported number — results are bit-identical.
 
-Configuration selection runs on the vectorized fast path (layered
-min-plus SSSP + batched inference) by default; ``--no-fast-select`` (or
-``REPRO_CONFIGSEL_FAST=0``) falls back to the scalar reference.  The two
-are bit-identical, so this is a debugging knob, not a results knob.
+Configuration selection runs one pipeline: layered min-plus SSSP plus
+batched inference.  Its scalar reference (:mod:`repro.configsel.reference`)
+is not a CLI option; ``repro validate --deep`` reselects every registered
+schedule through both and reports any disagreement.
 
 Tuning as a service::
 
@@ -778,12 +778,6 @@ def main(argv: list[str] | None = None) -> int:
         help="directory of the persistent sweep store "
              "(default: REPRO_SWEEP_STORE or disabled)",
     )
-    parser.add_argument(
-        "--no-fast-select", action="store_true",
-        help="run the scalar reference configuration selection instead of "
-             "the vectorized fast path (same results; also "
-             "REPRO_CONFIGSEL_FAST=0)",
-    )
     service = parser.add_argument_group("tuning service (serve / query)")
     service.add_argument(
         "--host", default="127.0.0.1", help="serve: bind address"
@@ -890,12 +884,6 @@ def main(argv: list[str] | None = None) -> int:
         help="rollout: abandon the canary candidate",
     )
     args = parser.parse_args(argv)
-    if args.no_fast_select:
-        import os
-
-        from repro.configsel.selector import FAST_ENV_VAR
-
-        os.environ[FAST_ENV_VAR] = "0"
     if args.sweep_store is not None:
         from repro.engine import set_sweep_store
 

@@ -4,11 +4,9 @@ from .chain import ChainError, ChainStep, primary_chain, project_layout
 from .refinement import RefinementResult, refine_selection
 from .selector import (
     ChainMatrices,
-    FAST_ENV_VAR,
     SelectedConfiguration,
     TransposeInsertion,
     build_chain_matrices,
-    build_config_graph,
     select_configurations,
 )
 from .sssp import (
@@ -22,7 +20,6 @@ from .sssp import (
 __all__ = [
     "ChainError",
     "ChainMatrices",
-    "FAST_ENV_VAR",
     "RefinementResult",
     "refine_selection",
     "ChainStep",
@@ -31,7 +28,6 @@ __all__ = [
     "SelectedConfiguration",
     "TransposeInsertion",
     "build_chain_matrices",
-    "build_config_graph",
     "primary_chain",
     "project_layout",
     "select_configurations",

@@ -9,34 +9,30 @@ remaining operators (backward, dW, residual side chains) from the pinned
 activation layouts, inserting explicit transposes where no compatible
 configuration exists.
 
-Two selection pipelines produce the same result, mirroring the
-``sweep_op`` / ``sweep_op_reference`` contract of the sweep engine:
+:func:`select_configurations` is one skeleton over five per-step
+operations (a :class:`Pipeline`): solve the chain, pick a chain config,
+best coherent GEMM, best consistent kernel, and transpose alternative.
+This module holds the vectorized five: each chain step becomes a dense
+``(n_layouts_in, n_layouts_out)`` min-plus cost matrix
+(:func:`build_chain_matrices`), the chain is solved with one broadcast
+relaxation per layer (:func:`~repro.configsel.sssp.shortest_path_layered`),
+and remaining-operator inference runs as masked argmins over the sweep's
+array views (:meth:`~repro.autotuner.tuner.SweepResult.totals_array` /
+``operand_layout_arrays``) instead of per-measurement Python loops.
 
-* the **scalar reference**: explicit :class:`~repro.configsel.sssp.ConfigGraph`
-  nodes and edges, node-by-node relaxation, and Python scans over every
-  sweep measurement — slow but obviously faithful;
-* the **vectorized fast path** (default; disable with
-  ``REPRO_CONFIGSEL_FAST=0`` or ``fast=False``): each chain step becomes a
-  dense ``(n_layouts_in, n_layouts_out)`` min-plus cost matrix
-  (:func:`build_chain_matrices`), the chain is solved with one broadcast
-  relaxation per layer (:func:`~repro.configsel.sssp.shortest_path_layered`),
-  and remaining-operator inference runs as masked argmins over the sweep's
-  array views (:meth:`~repro.autotuner.tuner.SweepResult.totals_array` /
-  ``operand_layout_arrays``) instead of per-measurement Python loops.
-
-The fast path is **bit-identical** to the scalar reference: chosen
+The scalar reference five live in :mod:`repro.configsel.reference`
+(``fast=False``), mirroring the ``sweep_op`` / ``sweep_op_reference``
+contract of the sweep engine.  The two are **bit-identical**: chosen
 configurations, inserted transposes and the chain cost are equal object
-for object (tier-1 and ``benchmarks/test_configsel_speedup.py`` pin this
-across the full graph matrix).  Ties resolve identically because scalar
-scans keep the first minimum in sorted-measurement order and ``np.argmin``
-does the same, and every floating-point sum is associated in the same
-order on both sides.
+for object.  Ties resolve identically because scalar scans keep the first
+minimum in sorted-measurement order and ``np.argmin`` does the same, and
+every floating-point sum is associated in the same order on both sides.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,32 +47,16 @@ from repro.ir.tensor import TensorSpec
 from repro.layouts.layout import Layout, all_layouts
 
 from .chain import ChainStep, primary_chain, project_layout
-from .sssp import ConfigGraph, SSSPError, shortest_path, shortest_path_layered
+from .sssp import SSSPError, shortest_path_layered
 
 __all__ = [
     "SelectedConfiguration",
     "TransposeInsertion",
     "select_configurations",
-    "build_config_graph",
     "build_chain_matrices",
     "ChainMatrices",
-    "FAST_ENV_VAR",
+    "Pipeline",
 ]
-
-_SOURCE = ("source",)
-_TARGET = ("target",)
-
-#: Environment escape hatch: set to ``0`` to run the scalar reference
-#: selection end-to-end (the CLI's ``--no-fast-select`` sets this).
-FAST_ENV_VAR = "REPRO_CONFIGSEL_FAST"
-
-
-def _fast_enabled(fast: bool | None) -> bool:
-    if fast is not None:
-        return fast
-    return os.environ.get(FAST_ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +132,30 @@ class SelectedConfiguration:
         return total
 
 
+class Pipeline(NamedTuple):
+    """The five per-step operations :func:`select_configurations` runs.
+
+    The vectorized five live here; :data:`repro.configsel.reference.PIPELINE`
+    holds the scalar five with the same signatures.
+    """
+
+    #: ``(graph, chain, sweeps, env, cost) -> (chain cost, boundary
+    #: layouts per step, chain transposes)``.
+    solve_chain: Callable
+    #: ``(op, sweep, step, lin, lnext, out_spec, next_spec, pinned, env,
+    #: cost) -> ConfigMeasurement`` honoring the SSSP boundary layouts.
+    chain_pick: Callable
+    #: ``(op, sweep, pinned, env, cost) -> ConfigMeasurement | None``.
+    best_coherent: Callable
+    #: ``(op, sweep, pinned) -> ConfigMeasurement | None``.
+    best_consistent: Callable
+    #: ``(op, sweep, pinned, env, cost) -> (config | None, transposes,
+    #: kernel + transpose cost)``.
+    transpose_alt: Callable
+
+
 # ---------------------------------------------------------------------------
-# Chain graph: dense matrices (fast) and explicit DAG (scalar reference)
+# Chain graph: dense min-plus matrices
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -184,8 +186,9 @@ def build_chain_matrices(
     For each step, every measurement contributes its ``total_us`` to the
     ``(in layout, projected out layout)`` cell it occupies and each cell
     keeps its minimum — the same per-layout-pair minima the scalar
-    ``build_config_graph`` derives measurement by measurement, computed
-    here with one NumPy gather/scatter per step.
+    :func:`~repro.configsel.reference.build_config_graph` derives
+    measurement by measurement, computed here with one NumPy
+    gather/scatter per step.
     """
     boundaries = [
         tuple(all_layouts(graph.container(step.in_tensor).dims)) for step in chain
@@ -241,129 +244,12 @@ def build_chain_matrices(
     )
 
 
-def build_config_graph(
+def _solve_chain_fast(
     graph: DataflowGraph,
     chain: list[ChainStep],
     sweeps: dict[str, SweepResult],
     env: DimEnv,
     cost: CostModel,
-) -> ConfigGraph:
-    """The layered Fig.-6 DAG: layout nodes per chain boundary, operator
-    edges weighted by layout-conditioned minima, and transpose edges.
-
-    This is the scalar reference construction (dict-keyed per-layout-pair
-    minima, one edge at a time).  Edges are inserted in ``all_layouts``
-    enumeration order so the in-edge order of every node — which is what
-    :func:`~repro.configsel.sssp.shortest_path` breaks distance ties with —
-    matches the row order of :func:`build_chain_matrices` exactly.
-    """
-    cg = ConfigGraph()
-    cg.add_node(_SOURCE)
-    cg.add_node(_TARGET)
-
-    def boundary_layouts(step_idx: int) -> list[Layout]:
-        step = chain[step_idx]
-        spec = graph.container(step.in_tensor)
-        return list(all_layouts(spec.dims))
-
-    # Each boundary is split into an arrival and a departure column so that
-    # transpose edges (arrival layout -> departure layout) keep the graph a
-    # DAG; operator edges leave departures and enter the next arrival.
-    def arr(step_idx: int, layout: Layout):
-        return ("t", step_idx, layout.dims)
-
-    def dep(step_idx: int, layout: Layout):
-        return ("dep", step_idx, layout.dims)
-
-    # Source: the layer input's layout is free to choose.
-    for l in boundary_layouts(0):
-        cg.add_edge(_SOURCE, arr(0, l), 0.0)
-
-    for idx, step in enumerate(chain):
-        sweep = sweeps[step.op_name]
-        out_spec = graph.container(step.out_tensor)
-        next_spec = graph.container(chain[idx + 1].in_tensor) if idx + 1 < len(chain) else None
-
-        # Transpose edges within this boundary (0-cost to stay put).
-        in_spec = graph.container(step.in_tensor)
-        t_time = _transpose_us(cost, in_spec, env)
-        layouts = boundary_layouts(idx)
-        for a in layouts:
-            cg.add_edge(arr(idx, a), dep(idx, a), 0.0)
-            for b in layouts:
-                if a != b:
-                    cg.add_edge(arr(idx, a), dep(idx, b), t_time)
-
-        # Operator edges: (in layout at this boundary) -> (projected out
-        # layout at the next boundary), weighted by the layout-conditioned
-        # minimum runtime.  The per-(in, out)-layout minima come from the
-        # sweep's precomputed index; projection then runs once per distinct
-        # layout pair rather than once per measurement.
-        grouped: dict[tuple[tuple[str, ...], tuple[str, ...] | None], float] = {}
-        for (lin_dims, lout_dims), t_us in sweep.layout_pair_minima(
-            step.in_index, step.out_index
-        ).items():
-            if next_spec is not None:
-                lout = Layout(lout_dims)
-                projected = (
-                    lout
-                    if step.out_tensor == chain[idx + 1].in_tensor
-                    else project_layout(lout, out_spec, next_spec)
-                )
-                if projected is None:
-                    continue
-                key = (lin_dims, projected.dims)
-            else:
-                key = (lin_dims, None)
-            if key not in grouped or t_us < grouped[key]:
-                grouped[key] = t_us
-        if not grouped:
-            raise SSSPError(f"no usable configurations for chain op {step.op_name!r}")
-        in_pos = {l.dims: k for k, l in enumerate(layouts)}
-        out_pos = (
-            {l.dims: k for k, l in enumerate(boundary_layouts(idx + 1))}
-            if next_spec is not None
-            else {}
-        )
-        for (lin_dims, lout_dims), w in sorted(
-            grouped.items(),
-            key=lambda kv: (in_pos[kv[0][0]], out_pos.get(kv[0][1], 0)),
-        ):
-            src = dep(idx, Layout(lin_dims))
-            dst = _TARGET if lout_dims is None else arr(idx + 1, Layout(lout_dims))
-            cg.add_edge(src, dst, w)
-    return cg
-
-
-def _decode_path(
-    chain: list[ChainStep], path: list
-) -> tuple[list[tuple[Layout, Layout | None]], list[tuple[int, Layout, Layout]]]:
-    """Decode the SSSP path.
-
-    Returns per-step ``(consumed layout, produced arrival layout or None)``
-    plus the chain transposes as ``(step index, from, to)`` triples.
-    """
-    arrivals: dict[int, Layout] = {}
-    departures: dict[int, Layout] = {}
-    for nd in path:
-        if isinstance(nd, tuple) and len(nd) == 3:
-            kind, idx, dims = nd
-            if kind == "t":
-                arrivals[idx] = Layout(dims)
-            elif kind == "dep":
-                departures[idx] = Layout(dims)
-    steps: list[tuple[Layout, Layout | None]] = []
-    transposes: list[tuple[int, Layout, Layout]] = []
-    for i in range(len(chain)):
-        consumed = departures[i]
-        if arrivals[i] != consumed:
-            transposes.append((i, arrivals[i], consumed))
-        steps.append((consumed, arrivals.get(i + 1)))
-    return steps, transposes
-
-
-def _solve_chain_fast(
-    mats: ChainMatrices, chain: list[ChainStep]
 ) -> tuple[float, list[tuple[Layout, Layout | None]], list[tuple[int, Layout, Layout]]]:
     """Solve the chain on the dense matrices and decode boundary layouts.
 
@@ -373,6 +259,10 @@ def _solve_chain_fast(
     boundary from the stored argmins — the exact structure (and tie
     behavior) of the scalar graph walk.
     """
+    # Both phases are called through this module's globals: the
+    # benchmark's per-layer timers (benchmarks/perf/layers.py) replace
+    # ``build_chain_matrices`` and ``shortest_path_layered`` here.
+    mats = build_chain_matrices(graph, chain, sweeps, env, cost)
     layers: list[np.ndarray] = [np.zeros((1, len(mats.boundaries[0])))]
     for idx in range(len(chain)):
         n = len(mats.boundaries[idx])
@@ -422,6 +312,46 @@ def _fast_consistent_mask(
     return mask
 
 
+def _fast_penalty(
+    op: OpSpec,
+    sweep: SweepResult,
+    rows: np.ndarray | None,
+    pinned: dict[str, Layout],
+    env: DimEnv,
+    cost: CostModel,
+    *,
+    pinned_full: bool,
+    free_half: bool,
+) -> np.ndarray:
+    """Per-measurement layout penalty of ``rows`` (``None``: every row).
+
+    ``pinned_full`` charges a pinned operand held in another layout its
+    full transpose cost; ``free_half`` charges an unpinned operand of rank
+    > 1 held in a non-default layout half of it.  Each operand slot turns
+    its layout vocabulary into a penalty per vocabulary entry and gathers
+    it per row; slots accumulate in operand order, so every sum
+    associates as the scalar per-measurement loops do.
+    """
+    vocabs, ids = sweep.operand_layout_arrays()
+    pen = np.zeros(sweep.totals_array().shape[0] if rows is None else rows.size)
+    for s, t in enumerate(_operands(op)):
+        pin = pinned.get(t.name)
+        if pin is not None:
+            if not pinned_full:
+                continue
+            full = _transpose_us(cost, t, env)
+            vp = np.array([0.0 if (v is None or v == pin) else full for v in vocabs[s]])
+        elif free_half and t.rank > 1:
+            half = 0.5 * _transpose_us(cost, t, env)
+            vp = np.array(
+                [half if (v is not None and v.dims != t.dims) else 0.0 for v in vocabs[s]]
+            )
+        else:
+            continue
+        pen = pen + vp[ids[s] if rows is None else ids[s][rows]]
+    return pen
+
+
 def _fast_best_consistent(
     op: OpSpec, sweep: SweepResult, pinned: dict[str, Layout]
 ) -> ConfigMeasurement | None:
@@ -440,23 +370,18 @@ def _fast_best_coherent(
     *,
     tolerance: float = 1.5,
 ) -> ConfigMeasurement | None:
-    """Vectorized :func:`_best_coherent`: same minima, same tie-breaks."""
+    """Best pin-consistent config within ``tolerance`` of the fastest one,
+    charging each non-default unpinned operand half its transpose cost
+    (see :func:`repro.configsel.reference.best_coherent`)."""
     idxs = np.flatnonzero(_fast_consistent_mask(op, sweep, pinned))
     if idxs.size == 0:
         return None
     totals = sweep.totals_array()
     limit = totals[int(idxs[0])] * tolerance
     cand = idxs[idxs < np.searchsorted(totals, limit, side="right")]
-    vocabs, ids = sweep.operand_layout_arrays()
-    pen = np.zeros(cand.size)
-    for s, t in enumerate(_operands(op)):
-        if t.name in pinned or t.rank <= 1:
-            continue
-        half = 0.5 * _transpose_us(cost, t, env)
-        vp = np.array(
-            [half if (v is not None and v.dims != t.dims) else 0.0 for v in vocabs[s]]
-        )
-        pen = pen + vp[ids[s][cand]]
+    pen = _fast_penalty(
+        op, sweep, cand, pinned, env, cost, pinned_full=False, free_half=True
+    )
     return sweep.measurements[int(cand[np.argmin(totals[cand] + pen)])]
 
 
@@ -469,7 +394,7 @@ def _fast_transpose_alt(
 ) -> tuple[ConfigMeasurement | None, list[TransposeInsertion], float]:
     """Cheapest (kernel + pin-fixing transposes) point of the whole sweep.
 
-    The scalar scans walk the sorted measurements accumulating a
+    The scalar scan walks the sorted measurements accumulating a
     shrinking bound; the closed form is a plain argmin of
     ``total_us + transpose cost of every pinned mismatch``, which this
     computes with one gather per operand slot.
@@ -477,16 +402,9 @@ def _fast_transpose_alt(
     totals = sweep.totals_array()
     if totals.size == 0:
         return None, [], float("inf")
-    vocabs, ids = sweep.operand_layout_arrays()
-    extra = np.zeros(totals.shape[0])
-    for s, t in enumerate(_operands(op)):
-        pin = pinned.get(t.name)
-        if pin is None:
-            continue
-        full = _transpose_us(cost, t, env)
-        vp = np.array([0.0 if (v is None or v == pin) else full for v in vocabs[s]])
-        extra = extra + vp[ids[s]]
-    cand = totals + extra
+    cand = totals + _fast_penalty(
+        op, sweep, None, pinned, env, cost, pinned_full=True, free_half=False
+    )
     i = int(np.argmin(cand))
     m = sweep.measurements[i]
     return m, _needed_transposes(op, m, pinned, env, cost), float(cand[i])
@@ -500,9 +418,12 @@ def _fast_chain_pick(
     lnext: Layout | None,
     out_spec: TensorSpec,
     next_spec: TensorSpec | None,
-    chain_penalty_vocab,
+    pinned: dict[str, Layout],
+    env: DimEnv,
+    cost: CostModel,
 ) -> ConfigMeasurement:
-    """Vectorized chain-step pick: boundary match + penalized argmin."""
+    """Boundary match, then the argmin of ``total_us`` plus
+    :func:`_chain_penalty` among near-ties (within 1.5x)."""
     totals = sweep.totals_array()
     vocabs, ids = sweep.operand_layout_arrays()
     in_ok = np.array(
@@ -529,11 +450,46 @@ def _fast_chain_pick(
         raise SSSPError(f"decoded path has no configuration for {step.op_name!r}")
     limit = totals[int(cand[0])] * 1.5
     cand = cand[cand < np.searchsorted(totals, limit, side="right")]
-    pen = np.zeros(cand.size)
-    for s, vp in enumerate(chain_penalty_vocab(vocabs)):
-        if vp is not None:
-            pen = pen + vp[ids[s][cand]]
+    pen = _fast_penalty(
+        op, sweep, cand, pinned, env, cost, pinned_full=True, free_half=True
+    )
     return sweep.measurements[int(cand[np.argmin(totals[cand] + pen)])]
+
+
+FAST_PIPELINE = Pipeline(
+    solve_chain=_solve_chain_fast,
+    chain_pick=_fast_chain_pick,
+    best_coherent=_fast_best_coherent,
+    best_consistent=_fast_best_consistent,
+    transpose_alt=_fast_transpose_alt,
+)
+
+
+# ---------------------------------------------------------------------------
+# Helpers shared by the skeleton and both pipelines
+# ---------------------------------------------------------------------------
+
+def _chain_penalty(
+    op: OpSpec,
+    m: ConfigMeasurement,
+    pinned: dict[str, Layout],
+    env: DimEnv,
+    cost: CostModel,
+) -> float:
+    """Layout penalty of a chain-step candidate.
+
+    Mismatching an already-pinned operand needs a real transpose: charge
+    it in full.  Leaving a free operand in a non-default layout costs its
+    neighbours: charge half (coherence for later inference).
+    """
+    p = 0.0
+    for t, l in _iter_operand_layouts(op, m):
+        if t.name in pinned:
+            if pinned[t.name] != l:
+                p += _transpose_us(cost, t, env)
+        elif l.dims != t.dims and t.rank > 1:
+            p += 0.5 * _transpose_us(cost, t, env)
+    return p
 
 
 def _needed_transposes(
@@ -571,16 +527,16 @@ def select_configurations(
     cap: int | None = 1000,
     seed: int = 0x5EED,
     jobs: int | None = None,
-    fast: bool | None = None,
+    fast: bool = True,
     register=None,
 ) -> SelectedConfiguration:
     """Run Step 4: global layout selection and full-graph assembly.
 
     Sweeps route through the engine scheduler (two-tier cache, structural
     dedup); ``jobs`` parallelizes cold sweeps without changing results.
-    ``fast`` selects the vectorized pipeline (default; ``None`` defers to
-    ``REPRO_CONFIGSEL_FAST``) or the scalar reference — the two are
-    bit-identical, so the flag never changes any result.
+    ``fast=False`` runs the scalar reference pipeline of
+    :mod:`repro.configsel.reference` instead of the vectorized one; the
+    two are bit-identical, so it exists only to check that contract.
 
     ``register`` persists the finished selection as a content-addressed
     :class:`~repro.registry.ScheduleEntry`: pass a
@@ -590,8 +546,10 @@ def select_configurations(
     sampling seed the sweeps — and the registered digest — are keyed by.
     """
     cost = cost or CostModel()
-    use_fast = _fast_enabled(fast)
-    obs.set_attr("configsel.fast", use_fast)
+    if fast:
+        pipeline = FAST_PIPELINE
+    else:
+        from .reference import PIPELINE as pipeline
     if sweeps is None:
         sweeps = sweep_graph(graph, env, cost, cap=cap, seed=seed, jobs=jobs)
     with obs.span(
@@ -599,7 +557,7 @@ def select_configurations(
     ):
         return _select_configurations_swept(
             graph, env, cost, sweeps=sweeps, source=source, cap=cap,
-            seed=seed, fast=use_fast, register=register,
+            seed=seed, pipeline=pipeline, register=register,
         )
 
 
@@ -612,18 +570,13 @@ def _select_configurations_swept(
     source: str,
     cap: int | None,
     seed: int,
-    fast: bool,
+    pipeline: Pipeline,
     register,
 ) -> SelectedConfiguration:
-    use_fast = fast
     chain = primary_chain(graph, source=source)
-    if use_fast:
-        mats = build_chain_matrices(graph, chain, sweeps, env, cost)
-        chain_cost, boundary, chain_transposes = _solve_chain_fast(mats, chain)
-    else:
-        cg = build_config_graph(graph, chain, sweeps, env, cost)
-        chain_cost, path = shortest_path(cg, _SOURCE, _TARGET)
-        boundary, chain_transposes = _decode_path(chain, path)
+    chain_cost, boundary, chain_transposes = pipeline.solve_chain(
+        graph, chain, sweeps, env, cost
+    )
 
     chosen: dict[str, ConfigMeasurement] = {}
     pinned: dict[str, Layout] = {}
@@ -652,86 +605,9 @@ def _select_configurations_swept(
             if lnext is not None
             else None
         )
-
-        def chain_penalty(m: ConfigMeasurement) -> float:
-            p = 0.0
-            for t, l in _iter_operand_layouts(op, m):
-                if t.name in pinned:
-                    if pinned[t.name] != l:
-                        # Mismatching an already-pinned operand needs a real
-                        # transpose: charge it in full.
-                        p += _transpose_us(cost, t, env)
-                elif l.dims != t.dims and t.rank > 1:
-                    p += 0.5 * _transpose_us(cost, t, env)
-            return p
-
-        if use_fast:
-
-            def chain_penalty_vocab(vocabs):
-                # Per-slot vocabulary penalties mirroring chain_penalty:
-                # gathered per candidate, accumulated in operand order.
-                out = []
-                for t, vocab in zip(_operands(op), vocabs):
-                    pin = pinned.get(t.name)
-                    if pin is not None:
-                        full = _transpose_us(cost, t, env)
-                        out.append(
-                            np.array(
-                                [
-                                    0.0 if (v is None or v == pin) else full
-                                    for v in vocab
-                                ]
-                            )
-                        )
-                    elif t.rank > 1:
-                        half = 0.5 * _transpose_us(cost, t, env)
-                        out.append(
-                            np.array(
-                                [
-                                    half
-                                    if (v is not None and v.dims != t.dims)
-                                    else 0.0
-                                    for v in vocab
-                                ]
-                            )
-                        )
-                    else:
-                        out.append(None)
-                return out
-
-            pick = _fast_chain_pick(
-                op, sweep, step, lin, lnext, out_spec, next_spec, chain_penalty_vocab
-            )
-        else:
-
-            def matches(m: ConfigMeasurement) -> bool:
-                if m.config.input_layouts[step.in_index] != lin:
-                    return False
-                if lnext is not None:
-                    lout = m.config.output_layouts[step.out_index]
-                    projected = (
-                        lout
-                        if next_spec is not None and step.out_tensor == next_spec.name
-                        else project_layout(lout, out_spec, next_spec)
-                    )
-                    if projected != lnext:
-                        return False
-                return True
-
-            best: ConfigMeasurement | None = None
-            candidates: list[ConfigMeasurement] = []
-            for m in sweep.measurements:
-                if best is not None and m.total_us > best.total_us * 1.5:
-                    break
-                if matches(m):
-                    if best is None:
-                        best = m
-                    candidates.append(m)
-            if best is None:
-                raise SSSPError(
-                    f"decoded path has no configuration for {step.op_name!r}"
-                )
-            pick = min(candidates, key=lambda m: m.total_us + chain_penalty(m))
+        pick = pipeline.chain_pick(
+            op, sweep, step, lin, lnext, out_spec, next_spec, pinned, env, cost
+        )
 
         # Flexible chain kernels: also try free operands in default layouts
         # with re-optimized vector/warp dims (the sparse sampled sweep may
@@ -747,25 +623,15 @@ def _select_configurations_swept(
             temp_pins[step.out_tensor] = lnext
             constructed = _construct_consistent(op, sweep, temp_pins, env, cost)
             if constructed is not None and (
-                constructed.total_us + chain_penalty(constructed)
-                < pick.total_us + chain_penalty(pick)
+                constructed.total_us + _chain_penalty(op, constructed, pinned, env, cost)
+                < pick.total_us + _chain_penalty(op, pick, pinned, env, cost)
             ):
                 pick = constructed
         chosen[step.op_name] = pick
         # Record real transposes for operands that were pinned earlier and
         # mismatch (e.g. the residual skip of BDRLN1 reading ``x`` in a
         # different layout than the projection chose).
-        for t, l in _iter_operand_layouts(op, pick):
-            if t.name in pinned and pinned[t.name] != l:
-                transposes.append(
-                    TransposeInsertion(
-                        tensor=t.name,
-                        from_layout=pinned[t.name],
-                        to_layout=l,
-                        time_us=_transpose_us(cost, t, env),
-                        before_op=step.op_name,
-                    )
-                )
+        transposes.extend(_needed_transposes(op, pick, pinned, env, cost))
         _pin_config(op, pick, pinned, overwrite=False)
         # The SSSP boundary decision overrides any earlier soft pin.
         pinned[step.in_tensor] = lin
@@ -786,23 +652,10 @@ def _select_configurations_swept(
         # tradeoff).  Scanning all configurations lets the fallback choose
         # *which* operand to transpose — mismatching a small weight-gradient
         # tensor is far cheaper than mismatching a sequence-sized activation.
-        if use_fast:
-            consistent = _fast_best_coherent(op, sweep, pinned, env, cost)
-            best_alt, best_alt_needed, best_alt_cost = _fast_transpose_alt(
-                op, sweep, pinned, env, cost
-            )
-        else:
-            consistent = _best_coherent(op, sweep, pinned, env, cost)
-            best_alt: ConfigMeasurement | None = None
-            best_alt_needed: list[TransposeInsertion] = []
-            best_alt_cost = float("inf")
-            for m in sweep.measurements:
-                if m.total_us >= best_alt_cost:
-                    break  # sorted: no later config can win even transpose-free
-                needed = _needed_transposes(op, m, pinned, env, cost)
-                total = m.total_us + sum(t.time_us for t in needed)
-                if total < best_alt_cost:
-                    best_alt, best_alt_needed, best_alt_cost = m, needed, total
+        consistent = pipeline.best_coherent(op, sweep, pinned, env, cost)
+        best_alt, best_alt_needed, best_alt_cost = pipeline.transpose_alt(
+            op, sweep, pinned, env, cost
+        )
         if consistent is not None and consistent.total_us <= best_alt_cost:
             chosen[op.name] = consistent
             _pin_config(op, consistent, pinned, overwrite=False)
@@ -814,10 +667,7 @@ def _select_configurations_swept(
 
     for op in flexible:
         sweep = sweeps[op.name]
-        if use_fast:
-            match = _fast_best_consistent(op, sweep, pinned)
-        else:
-            match = _best_consistent(op, sweep, pinned)
+        match = pipeline.best_consistent(op, sweep, pinned)
         constructed = _construct_consistent(op, sweep, pinned, env, cost)
         if constructed is not None and (
             match is None or constructed.total_us < match.total_us
@@ -829,24 +679,10 @@ def _select_configurations_swept(
         # kernel slow; transposing some operands and running a faster config
         # may win (the same tradeoff the SSSP transpose edges encode).  The
         # scan picks which operands to transpose.
-        if use_fast:
-            alt, alt_needed, alt_cost = _fast_transpose_alt(
-                op, sweep, pinned, env, cost
-            )
-            if alt is not None and not alt_cost < match.total_us:
-                alt, alt_needed = None, []
-        else:
-            alt: ConfigMeasurement | None = None
-            alt_needed: list[TransposeInsertion] = []
-            alt_cost = match.total_us
-            for m in sweep.measurements:
-                if m.total_us >= alt_cost:
-                    break
-                needed = _needed_transposes(op, m, pinned, env, cost)
-                total = m.total_us + sum(t.time_us for t in needed)
-                if total < alt_cost:
-                    alt, alt_needed, alt_cost = m, needed, total
-        if alt is not None:
+        alt, alt_needed, alt_cost = pipeline.transpose_alt(
+            op, sweep, pinned, env, cost
+        )
+        if alt is not None and alt_cost < match.total_us:
             chosen[op.name] = alt
             transposes.extend(alt_needed)
             _pin_config(op, alt, pinned, overwrite=False)
@@ -896,78 +732,6 @@ def _pin_config(
     for t, l in _iter_operand_layouts(op, m):
         if overwrite or t.name not in pinned:
             pinned[t.name] = l
-
-
-def _best_consistent(
-    op: OpSpec, sweep: SweepResult, pinned: dict[str, Layout]
-) -> ConfigMeasurement | None:
-    for m in sweep.measurements:  # ascending time
-        ok = True
-        for t, l in _iter_operand_layouts(op, m):
-            if t.name in pinned and pinned[t.name] != l:
-                ok = False
-                break
-        if ok:
-            return m
-    return None
-
-
-def _best_coherent(
-    op: OpSpec,
-    sweep: SweepResult,
-    pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
-    *,
-    tolerance: float = 1.5,
-) -> ConfigMeasurement | None:
-    """Best pin-consistent config under a layout-externality surrogate.
-
-    GEMM distributions have several near-equal modes (Fig. 4: "many slightly
-    different data layouts could be used with little impact on performance"),
-    so the choice among them should account for downstream costs: an operand
-    left in a non-default layout forces adjacent memory-bound kernels to
-    either access it strided or transpose it.  We charge each non-default
-    unpinned operand half its transpose cost and minimize the penalized
-    time over all consistent configurations within ``tolerance`` of the
-    fastest one.  This internalizes the paper's "locally suboptimal layouts
-    ... improve performance globally" tradeoff.
-    """
-    best = _best_consistent(op, sweep, pinned)
-    if best is None:
-        return None
-    limit = best.total_us * tolerance
-
-    def penalty(m: ConfigMeasurement) -> float:
-        p = 0.0
-        for t, l in _iter_operand_layouts(op, m):
-            if t.name not in pinned and l.dims != t.dims and t.rank > 1:
-                p += 0.5 * _transpose_us(cost, t, env)
-        return p
-
-    winner: ConfigMeasurement | None = None
-    winner_score = float("inf")
-    for m in sweep.measurements:
-        if m.total_us > limit:
-            break
-        ok = all(
-            pinned.get(t.name, l) == l for t, l in _iter_operand_layouts(op, m)
-        )
-        if not ok:
-            continue
-        score = m.total_us + penalty(m)
-        if score < winner_score:
-            winner, winner_score = m, score
-    return winner or best
-
-
-def _coherence(op: OpSpec, m: ConfigMeasurement, pinned: dict[str, Layout]) -> int:
-    """How many unpinned operands this config keeps in default layout."""
-    score = 0
-    for t, l in _iter_operand_layouts(op, m):
-        if t.name not in pinned and l.dims == t.dims:
-            score += 1
-    return score
 
 
 def _construct_consistent(

@@ -48,7 +48,6 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
-from repro.autotuner.cache import CacheMismatch
 from repro.hardware.cost_model import CostModel
 from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
@@ -56,7 +55,13 @@ from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
 
 from .memo import ENGINE_L1, BoundedCache
-from .store import SweepStore, compute_payload, get_sweep_store, sweep_digest
+from .store import (
+    CacheMismatch,
+    SweepStore,
+    compute_payload,
+    get_sweep_store,
+    sweep_digest,
+)
 from .sweep import delta_payload_from_store, sweep_from_payload
 
 __all__ = [

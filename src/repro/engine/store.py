@@ -22,16 +22,15 @@ out of the canonicalization:
 * **Version invalidation.**  ``COST_MODEL_VERSION`` is part of the digest
   *and* embedded in every payload; bumping it (see the rule in
   :mod:`repro.hardware.cost_model`) orphans every stored entry, exactly as
-  it orphans every L1 entry and rejects the JSON artifacts of
-  :mod:`repro.autotuner.cache`.
+  it orphans every L1 entry.
 
 Payloads are ``.npz`` files holding the *evaluation-order* timing arrays,
 the stable-sort permutation, and the (name-free) layout choice tables
 needed to rebuild configurations lazily — binary float64, so a round-trip
 is bit-identical to a fresh :func:`~repro.autotuner.tuner.sweep_op_reference`
 run.  A mismatched or corrupt entry raises
-:class:`~repro.autotuner.cache.CacheMismatch` and is recomputed (and
-overwritten), never silently reused.
+:class:`CacheMismatch` and is recomputed (and overwritten), never
+silently reused.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.autotuner.cache import CacheMismatch
 from repro.hardware.efficiency import contraction_layout_units
 from repro.hardware.params import active_cost_model_version
 from repro.hardware.spec import GPUSpec
@@ -71,6 +69,7 @@ from .space import (
 )
 
 __all__ = [
+    "CacheMismatch",
     "PAYLOAD_FORMAT",
     "SweepStore",
     "compute_payload",
@@ -85,6 +84,13 @@ __all__ = [
     "sweep_store_stats",
     "write_payload_npz",
 ]
+
+
+class CacheMismatch(ValueError):
+    """A stored sweep (or schedule) does not match what this process would
+    compute: another cost-model version, payload format or digest, or a
+    corrupt entry.  Callers recompute; they never reuse it."""
+
 
 #: Payload layout version; bump when the npz schema changes.  Format 2 adds
 #: the delta-re-sweep skeleton: the structural digest, the persisted GEMM

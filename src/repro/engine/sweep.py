@@ -26,13 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.autotuner.cache import CacheMismatch
 from repro.hardware.cost_model import KernelTime
 from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
 from repro.ir.operator import OpSpec
 
 from .store import (
+    CacheMismatch,
     SweepStore,
     compute_payload_delta,
     space_from_payload,

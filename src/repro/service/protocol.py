@@ -647,8 +647,7 @@ def payload_from_packed(data: bytes, *, digest: str | None = None) -> dict:
     """
     import io
 
-    from repro.autotuner.cache import CacheMismatch
-    from repro.engine.store import _validate_payload, read_payload_npz
+    from repro.engine.store import CacheMismatch, _validate_payload, read_payload_npz
 
     try:
         payload = read_payload_npz(io.BytesIO(data))

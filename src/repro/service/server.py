@@ -445,8 +445,7 @@ class TuningService:
                 l1=self.cache,
             )
             sweep_s = perf_counter() - t0
-            # Global configuration selection on the swept graph (the
-            # vectorized fast path unless REPRO_CONFIGSEL_FAST=0).  Not
+            # Global configuration selection on the swept graph.  Not
             # every requestable graph has a primary chain from "x"; those
             # responses simply carry no selection section.
             t0 = perf_counter()

@@ -13,6 +13,13 @@ force exact distance ties), and missing edges — and checks that
 * networkx's Dijkstra agrees on the cost;
 * unreachable targets raise :class:`~repro.configsel.sssp.SSSPError` from
   both implementations.
+
+It also randomizes small sweeps (operand layouts, tie-heavy times, pins)
+and checks that the vectorized per-operator steps of
+:mod:`repro.configsel.selector` return the very same measurement,
+transposes and cost as the scalar scans of
+:mod:`repro.configsel.reference` — the merged per-slot penalty must add
+the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autotuner.tuner import ConfigMeasurement, SweepResult
+from repro.configsel import reference
+from repro.configsel.chain import ChainStep
+from repro.configsel.selector import FAST_PIPELINE
 from repro.configsel.sssp import (
     ConfigGraph,
     SSSPError,
@@ -29,6 +40,11 @@ from repro.configsel.sssp import (
     shortest_path_layered,
     shortest_path_networkx,
 )
+from repro.hardware.cost_model import CostModel, KernelTime
+from repro.ir.dims import bert_large_dims
+from repro.layouts.config import OpConfig
+from repro.layouts.layout import all_layouts
+from repro.ops.contraction import contraction_spec
 
 
 @st.composite
@@ -108,3 +124,71 @@ def test_layered_matches_scalar_and_networkx(layers):
     nx_cost, nx_path = shortest_path_networkx(g, source, target)
     assert nx_cost == pytest.approx(scalar_cost)
     assert _path_cost(g, nx_path) == pytest.approx(scalar_cost)
+
+
+# ---------------------------------------------------------------------------
+# Per-operator inference: vectorized steps vs. the scalar reference scans
+# ---------------------------------------------------------------------------
+
+_ENV = bert_large_dims()
+_COST = CostModel()
+# Transposes cost ~28 us (w, x) and ~98 us (y) here, so totals on a 10 us
+# grid make both the 1.5x tolerance window and the penalties decisive.
+_OP = contraction_spec("lin", "ui,ibj->ubj", ("w", "x"), "y")
+_OPERANDS = (*_OP.inputs, *_OP.outputs)
+_CHOICES = [tuple(all_layouts(t.dims)) for t in _OPERANDS]
+
+
+@st.composite
+def sweeps_and_pins(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    measurements = []
+    for _ in range(n):
+        layouts = [draw(st.sampled_from(c)) for c in _CHOICES]
+        config = OpConfig(
+            op_name=_OP.name,
+            input_layouts=tuple(layouts[: len(_OP.inputs)]),
+            output_layouts=tuple(layouts[len(_OP.inputs):]),
+        )
+        total = 10.0 * draw(st.integers(min_value=1, max_value=12))
+        measurements.append(
+            ConfigMeasurement(config=config, time=KernelTime(total, 0.0, 0.0))
+        )
+    pinned = {
+        t.name: draw(st.sampled_from(c))
+        for t, c in zip(_OPERANDS, _CHOICES)
+        if draw(st.booleans())
+    }
+    lin = draw(st.sampled_from(_CHOICES[1]))
+    return SweepResult(op=_OP, measurements=measurements), pinned, lin
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweeps_and_pins())
+def test_inference_steps_match_reference(case):
+    sweep, pinned, lin = case
+    fast, ref = FAST_PIPELINE, reference.PIPELINE
+    assert fast.best_consistent(_OP, sweep, pinned) is ref.best_consistent(
+        _OP, sweep, pinned
+    )
+    assert fast.best_coherent(_OP, sweep, pinned, _ENV, _COST) is ref.best_coherent(
+        _OP, sweep, pinned, _ENV, _COST
+    )
+    f_alt, f_needed, f_cost = fast.transpose_alt(_OP, sweep, pinned, _ENV, _COST)
+    r_alt, r_needed, r_cost = ref.transpose_alt(_OP, sweep, pinned, _ENV, _COST)
+    assert (f_alt, f_needed, f_cost) == (r_alt, r_needed, r_cost)
+    assert f_alt is r_alt
+
+    step = ChainStep(_OP.name, "x", 1, "y", 0)
+    out_spec = _OP.outputs[0]
+    picks = []
+    for pipeline in (fast, ref):
+        try:
+            picks.append(
+                pipeline.chain_pick(
+                    _OP, sweep, step, lin, None, out_spec, None, pinned, _ENV, _COST
+                )
+            )
+        except SSSPError:
+            picks.append(None)
+    assert picks[0] is picks[1]

@@ -8,7 +8,6 @@ from repro.fusion.encoder_kernels import apply_paper_fusion
 from repro.hardware.cost_model import CostModel
 from repro.ir.dims import bert_large_dims
 from repro.ir.tensor import TensorSpec
-from repro.layouts.layout import Layout
 from repro.ops.contraction import contraction_spec
 from repro.ops.elementwise import bias_spec
 from repro.transformer.graph_builder import build_encoder_graph
@@ -55,23 +54,6 @@ class TestSweep:
         assert gemm_sweep.num_configs > 0
         for m in gemm_sweep.measurements[:20]:
             assert m.time.total_us > 0
-
-    def test_best_for_layouts_filter(self, gemm_sweep):
-        target = gemm_sweep.best.config.input_layouts
-        m = gemm_sweep.best_for_layouts(target, None)
-        assert m is not None
-        assert m.config.input_layouts == target
-        assert m.total_us == min(
-            x.total_us
-            for x in gemm_sweep.measurements
-            if x.config.input_layouts == target
-        )
-
-    def test_best_with_operand_layout(self, gemm_sweep):
-        layout = Layout(("u", "i"))
-        m = gemm_sweep.best_with_operand_layout(0, layout)
-        if m is not None:
-            assert m.config.input_layouts[0] == layout
 
     def test_sweep_graph_covers_kernels_not_views(self):
         g = apply_paper_fusion(build_encoder_graph(qkv_fusion="qkv"), ENV)

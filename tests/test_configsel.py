@@ -1,5 +1,8 @@
 """Tests for chain extraction, SSSP, and global configuration selection."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -262,22 +265,9 @@ class TestFastPath:
         )
         assert fast == scalar
 
-    def test_env_escape_hatch(self, fused_encoder, encoder_sweeps, monkeypatch):
-        from repro.configsel.selector import FAST_ENV_VAR
-
-        monkeypatch.setenv(FAST_ENV_VAR, "0")
-        via_env = select_configurations(
-            fused_encoder, ENV, COST, sweeps=encoder_sweeps, cap=400
-        )
-        monkeypatch.setenv(FAST_ENV_VAR, "1")
-        via_fast = select_configurations(
-            fused_encoder, ENV, COST, sweeps=encoder_sweeps, cap=400
-        )
-        assert via_env == via_fast
-
     def test_chain_matrices_match_config_graph(self, fused_encoder, encoder_sweeps):
         """Every finite matrix cell is exactly one scalar-graph edge."""
-        from repro.configsel.selector import _SOURCE, _TARGET, build_config_graph
+        from repro.configsel.reference import _SOURCE, _TARGET, build_config_graph
 
         chain = primary_chain(fused_encoder)
         mats = build_chain_matrices(fused_encoder, chain, encoder_sweeps, ENV, COST)
@@ -301,7 +291,9 @@ class TestFastPath:
         scalar_cost, _ = shortest_path(cg, _SOURCE, _TARGET)
         from repro.configsel.selector import _solve_chain_fast
 
-        fast_cost, _, _ = _solve_chain_fast(mats, chain)
+        fast_cost, _, _ = _solve_chain_fast(
+            fused_encoder, chain, encoder_sweeps, ENV, COST
+        )
         assert fast_cost == scalar_cost
 
 
@@ -317,7 +309,7 @@ class TestSelection:
 
     def test_sssp_cross_check(self, fused_encoder, encoder_sweeps):
         from repro.configsel.chain import primary_chain
-        from repro.configsel.selector import _SOURCE, _TARGET, build_config_graph
+        from repro.configsel.reference import _SOURCE, _TARGET, build_config_graph
 
         chain = primary_chain(fused_encoder)
         cg = build_config_graph(fused_encoder, chain, encoder_sweeps, ENV, COST)
@@ -358,3 +350,53 @@ class TestSelection:
         sel = select_configurations(g, env2, COST, cap=200)
         assert sel.total_us > 0
         assert len(sel.chosen) == sum(1 for op in g.ops if not op.is_view)
+
+
+class TestOnePipeline:
+    """CI guard: production selects through one pipeline.  The scalar
+    reference is imported only where it is the point: the selector's
+    ``fast=False``, ``validate --deep`` and Fig. 6's explicit DAG."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+    REFERENCE = "repro.configsel.reference"
+    MAY_IMPORT = {"configsel/selector.py", "validation/cost.py", "analysis/figures.py"}
+
+    def _modules(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            yield path.relative_to(self.SRC).as_posix(), path.read_text()
+
+    def _imports(self, rel: str, text: str) -> set[str]:
+        """Absolute names of every module (or module member) ``text`` imports."""
+        package = ["repro", *rel.split("/")[:-1]]
+        names: set[str] = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join([*base, *([node.module] if node.module else [])])
+                names.add(module)
+                names.update(f"{module}.{alias.name}" for alias in node.names)
+        return names
+
+    def test_only_allowed_modules_import_the_reference(self):
+        importers = {
+            rel
+            for rel, text in self._modules()
+            if any(
+                n == self.REFERENCE or n.startswith(self.REFERENCE + ".")
+                for n in self._imports(rel, text)
+            )
+        }
+        assert importers <= self.MAY_IMPORT, importers
+        # The scan resolves relative imports: the selector's own lazy
+        # ``from .reference import ...`` must be seen.
+        assert "configsel/selector.py" in importers
+
+    def test_no_selection_switch_remains(self):
+        offenders = [
+            rel
+            for rel, text in self._modules()
+            if "use_fast" in text or "REPRO_CONFIGSEL_FAST" in text
+        ]
+        assert offenders == []

@@ -1,10 +1,5 @@
-"""Tests for the batched sweep engine: memoization, laziness, cache versioning."""
+"""Tests for the batched sweep engine: memoization, laziness, layout queries."""
 
-import json
-
-import pytest
-
-from repro.autotuner.cache import CacheMismatch, load_sweep, sweep_from_dict, sweep_to_dict
 from repro.autotuner.tuner import (
     ConfigMeasurement,
     SweepResult,
@@ -12,10 +7,12 @@ from repro.autotuner.tuner import (
     sweep_op,
     sweep_op_reference,
 )
+from repro.configsel import reference
+from repro.configsel.selector import _fast_best_consistent
 from repro.engine import clear_sweep_memo, sweep_memo_stats
 from repro.engine.sweep import PreSortedMeasurements
 from repro.engine.scheduler import sweep_op as engine_sweep_op
-from repro.hardware.cost_model import COST_MODEL_VERSION, CostModel, KernelTime
+from repro.hardware.cost_model import CostModel, KernelTime
 from repro.hardware.params import (
     DEFAULT_PARAMS,
     install_params,
@@ -162,36 +159,6 @@ class TestLaziness:
         assert s.measurements[-1].total_us == s.worst.total_us
 
 
-class TestCacheVersioning:
-    def test_artifacts_carry_version(self):
-        s = sweep_op(_bias_op(), ENV, COST, cap=60)
-        assert sweep_to_dict(s)["cost_model_version"] == COST_MODEL_VERSION
-
-    def test_version_mismatch_rejected(self):
-        op = _bias_op()
-        data = sweep_to_dict(sweep_op(op, ENV, COST, cap=60))
-        data["cost_model_version"] = COST_MODEL_VERSION + 1
-        with pytest.raises(CacheMismatch, match="cost model version"):
-            sweep_from_dict(data, op)
-
-    def test_unversioned_legacy_artifact_rejected(self):
-        op = _bias_op()
-        data = sweep_to_dict(sweep_op(op, ENV, COST, cap=60))
-        del data["cost_model_version"]
-        with pytest.raises(CacheMismatch):
-            sweep_from_dict(data, op)
-
-    def test_version_mismatch_rejected_on_file_load(self, tmp_path):
-        op = _bias_op()
-        sweep = sweep_op(op, ENV, COST, cap=60)
-        data = sweep_to_dict(sweep)
-        data["cost_model_version"] = "stale"
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(CacheMismatch):
-            load_sweep(path, op)
-
-
 class TestOperandLayoutQueries:
     def _mixed_arity_sweep(self):
         """Measurements whose configs have different operand arity."""
@@ -211,37 +178,17 @@ class TestOperandLayoutQueries:
         )
         return SweepResult(op=op, measurements=[narrow, wide])
 
-    def test_best_with_operand_layout_skips_short_configs(self):
+    def test_operand_layout_arrays_map_short_configs_to_none(self):
         sweep = self._mixed_arity_sweep()
-        # Operand 1 only exists in the slower, wider config: the early
-        # return-None bug made this query miss it entirely.
-        m = sweep.best_with_operand_layout(1, Layout(("p", "h")))
-        assert m is not None
-        assert m.config.input_layouts[1] == Layout(("p", "h"))
-
-    def test_best_for_layouts_index_matches_linear_scan(self):
-        op = contraction_spec("lin", "ui,ibj->ubj", ("w", "x"), "y")
-        sweep = sweep_op(op, ENV, COST)
-        seen = set()
-        for m in list(sweep.measurements)[:50]:
-            key = (m.config.input_layouts, m.config.output_layouts)
-            if key in seen:
-                continue
-            seen.add(key)
-            expect_both = min(
-                (
-                    x
-                    for x in sweep.measurements
-                    if x.config.input_layouts == key[0]
-                    and x.config.output_layouts == key[1]
-                ),
-                key=lambda x: x.total_us,
-            )
-            got = sweep.best_for_layouts(key[0], key[1])
-            assert got.total_us == expect_both.total_us
-            got_in = sweep.best_for_layouts(key[0], None)
-            assert got_in.config.input_layouts == key[0]
-        assert sweep.best_for_layouts(None, None) is sweep.measurements[0]
+        vocabs, ids = sweep.operand_layout_arrays()
+        # Operand 1 only exists in the slower, wider config: the narrow one
+        # maps to a None entry, which selection treats as unconstrained.
+        assert [vocabs[1][k] for k in ids[1]] == [None, Layout(("p", "h"))]
+        assert [vocabs[0][k] for k in ids[0]] == [Layout(("p", "h", "b", "j"))] * 2
+        pinned = {sweep.op.inputs[1].name: Layout(("h", "p"))}
+        fast = _fast_best_consistent(sweep.op, sweep, pinned)
+        assert fast is reference.best_consistent(sweep.op, sweep, pinned)
+        assert fast is sweep.measurements[0]
 
     def test_layout_pair_minima_matches_linear_scan(self):
         op = contraction_spec("lin", "ui,ibj->ubj", ("w", "x"), "y")

@@ -1,17 +1,10 @@
-"""Tests for graph export, roofline analysis, sweep caching, and refinement."""
+"""Tests for graph export, roofline analysis, and refinement."""
 
 import json
 
 import pytest
 
-from repro.autotuner.cache import (
-    CacheMismatch,
-    load_sweep,
-    save_sweep,
-    sweep_from_dict,
-    sweep_to_dict,
-)
-from repro.autotuner.tuner import sweep_graph, sweep_op
+from repro.autotuner.tuner import sweep_graph
 from repro.configsel.refinement import refine_selection
 from repro.configsel.selector import select_configurations
 from repro.fusion.encoder_kernels import apply_paper_fusion
@@ -93,41 +86,6 @@ class TestRoofline:
         """More compute per byte of bandwidth: the A100 ridge moves right,
         making *more* operators memory bound (Sec. VIII-B)."""
         assert ridge_intensity(A100) > ridge_intensity(V100)
-
-
-class TestSweepCache:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        g = build_encoder_graph(qkv_fusion="qkv")
-        return sweep_op(g.op("qkt"), ENV, COST)
-
-    def test_roundtrip_dict(self, sweep):
-        g = build_encoder_graph(qkv_fusion="qkv")
-        rebuilt = sweep_from_dict(sweep_to_dict(sweep), g.op("qkt"))
-        assert rebuilt.num_configs == sweep.num_configs
-        assert rebuilt.best.total_us == sweep.best.total_us
-        assert rebuilt.best.config.key() == sweep.best.config.key()
-
-    def test_roundtrip_file(self, sweep, tmp_path):
-        g = build_encoder_graph(qkv_fusion="qkv")
-        path = tmp_path / "qkt.json"
-        save_sweep(sweep, path)
-        rebuilt = load_sweep(path, g.op("qkt"), verify_against=sweep)
-        assert rebuilt.worst.total_us == sweep.worst.total_us
-
-    def test_wrong_op_rejected(self, sweep):
-        g = build_encoder_graph(qkv_fusion="qkv")
-        with pytest.raises(CacheMismatch):
-            sweep_from_dict(sweep_to_dict(sweep), g.op("gamma"))
-
-    def test_verification_detects_drift(self, sweep, tmp_path):
-        g = build_encoder_graph(qkv_fusion="qkv")
-        data = sweep_to_dict(sweep)
-        data["measurements"][0]["compute_us"] *= 2  # corrupt the best point
-        path = tmp_path / "drift.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(CacheMismatch, match="cost model changed"):
-            load_sweep(path, g.op("qkt"), verify_against=sweep)
 
 
 class TestRefinement:

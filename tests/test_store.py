@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro.engine.store as store_mod
-from repro.autotuner.cache import CacheMismatch
 from repro.autotuner.tuner import sweep_op_reference
 from repro.engine import (
     clear_sweep_memo,
@@ -23,6 +22,7 @@ from repro.engine import (
     sweep_store_stats,
 )
 from repro.engine.store import (
+    CacheMismatch,
     SweepStore,
     compute_payload,
     get_sweep_store,
