@@ -3,8 +3,9 @@
 Pins the vectorized sweep engine's two contracts on the paper's full
 workload (BERT-large encoder, forward + backward):
 
-* ``sweep_op`` (engine path) produces **bit-identical** ``SweepResult``s to
-  ``sweep_op_reference`` for every operator in the graph at ``cap=2000``;
+* the engine's cold sweep (``compute_payload`` → ``sweep_from_payload``)
+  produces **bit-identical** ``SweepResult``s to ``sweep_op_reference``
+  for every operator in the graph at ``cap=2000``;
 * a full-graph engine sweep is at least 5x faster wall-clock than the
   scalar reference loop, with the process-level memo disabled and each
   sweep consumed the way the figure/selection layers consume it (best
@@ -22,13 +23,21 @@ from math import prod
 from repro.autotuner.tuner import sweep_op_reference
 from repro.autotuner.violin import summarize
 from repro.engine import clear_sweep_memo, kernel_index_array
-from repro.engine.scheduler import sweep_op as engine_sweep_op
+from repro.engine.store import compute_payload
+from repro.engine.sweep import sweep_from_payload
 from repro.fusion import apply_paper_fusion
 from repro.ir.operator import OpClass
 from repro.layouts.configspace import kernel_config_indices, kernel_space
 from repro.transformer.graph_builder import build_encoder_graph
 
 CAP = 2000
+
+
+def _cold_sweep(op, env, cost):
+    """One engine sweep evaluated cold, past every cache tier."""
+    return sweep_from_payload(
+        op, compute_payload(op, env, cost.gpu, cap=CAP, seed=0x5EED)
+    )
 
 
 def _graph_ops():
@@ -41,7 +50,7 @@ def test_engine_bit_identical_to_reference(env, cost):
     clear_sweep_memo()
     for op in _graph_ops():
         ref = sweep_op_reference(op, env, cost, cap=CAP)
-        eng = engine_sweep_op(op, env, cost, cap=CAP, memo=False)
+        eng = _cold_sweep(op, env, cost)
         assert eng.num_configs == ref.num_configs, op.name
         for a, b in zip(ref.measurements, eng.measurements):
             assert a.config == b.config, (op.name, a.config, b.config)
@@ -66,7 +75,7 @@ def test_engine_speedup_full_graph(benchmark, env, cost):
 
     def run_engine():
         clear_sweep_memo()
-        sweeps = [engine_sweep_op(op, env, cost, cap=CAP, memo=False) for op in ops]
+        sweeps = [_cold_sweep(op, env, cost) for op in ops]
         for s in sweeps:
             consume(s)
         return sweeps

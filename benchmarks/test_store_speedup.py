@@ -21,7 +21,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.engine import clear_sweep_memo, sweep_graph
-from repro.engine.store import SweepStore
+from repro.engine.store import SweepStore, compute_payload
+from repro.engine.sweep import sweep_from_payload
 from repro.transformer.graph_builder import build_encoder_graph
 
 CAP = 2000
@@ -83,7 +84,13 @@ def test_store_round_trip_matches_store_free_path(env, cost, tmp_path):
     clear_sweep_memo()
     warm = sweep_graph(graph, env, cost, cap=CAP, store=store)
     clear_sweep_memo()
-    store_free = sweep_graph(graph, env, cost, cap=CAP, memo=False)
+    store_free = {
+        op.name: sweep_from_payload(
+            op, compute_payload(op, env, cost.gpu, cap=CAP, seed=0x5EED)
+        )
+        for op in graph.ops
+        if not op.is_view
+    }
     assert store.stats()["rejected"] == 0
     assert _fingerprint(cold) == _fingerprint(warm) == _fingerprint(store_free)
     # Beyond the fingerprint: every measurement of a few full sweeps.

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 
+from repro.engine.store import atomic_write
 from repro.hardware.params import (
     DEFAULT_PARAMS,
     EfficiencyParams,
@@ -198,17 +198,7 @@ class RolloutManager:
             return
         self.root.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(self._state, sort_keys=True, indent=1).encode("utf-8")
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.state_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(self.state_path, lambda fh: fh.write(blob), fsync=True)
 
     def _journal(self, event: dict) -> None:
         if self.root is None:

@@ -13,14 +13,15 @@ only place the cache tiers are written out:
    (:func:`local_evaluator`) that is a delta re-sweep from a structural
    twin in the store, else a cold batched evaluation, fanned out over a
    ``ProcessPoolExecutor`` when ``jobs > 1``; the fleet coordinator
-   passes a remote fetch instead;
-4. **save** — every evaluated payload is written to the store and the L1.
+   passes :func:`sweep_graph` a remote fetch instead;
+4. **save** — every evaluated payload is written to the store and the L1
+   as the evaluator yields it.
 
 It returns each digest's payload with the tier that served it.
 :func:`sweep_op`, :func:`sweep_graph` and :func:`contraction_time_split`
-are the engine's entry points into it; the daemon's ``/v1/sweep`` and the
-coordinator's jobs call it with a single-flight guard, so concurrent
-callers of one digest evaluate once.
+are the engine's entry points into it; the daemon's ``/v1/sweep`` calls it
+with a single-flight guard, so concurrent callers of one digest evaluate
+once.
 
 ``sweep_graph`` deduplicates first: operators with the same content digest
 (:func:`repro.engine.store.sweep_digest`) resolve once.  Contraction
@@ -43,7 +44,7 @@ from collections import Counter
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -248,9 +249,8 @@ def graph_sweep_jobs(
     Returns ``(op_digests, representatives)``: every non-view operator
     mapped to its store digest, and one representative operator per
     distinct digest (in graph order).  This is the same digest-level
-    dedup :func:`sweep_graph` performs before evaluating — exposed so the
-    fleet coordinator can shard exactly the jobs a local run would have
-    evaluated, one wire request per *distinct* digest.
+    dedup :func:`sweep_graph` performs before evaluating — exposed so
+    callers can see the distinct jobs a graph sweep resolves.
     """
     op_digests: dict[str, str] = {}
     representatives: dict[str, OpSpec] = {}
@@ -270,9 +270,10 @@ def _store(store: SweepStore | None | object) -> SweepStore | None:
     return get_sweep_store() if store is None else store  # type: ignore[return-value]
 
 
-#: ``evaluate(misses) -> {digest: (payload, tier)}``: what :func:`resolve`
-#: runs for the digests neither the L1 nor the store holds.
-Evaluator = Callable[[dict], dict]
+#: ``evaluate(misses) -> iterable of (digest, (payload, tier))``: what
+#: :func:`resolve` runs for the digests neither the L1 nor the store holds.
+#: Pairs may arrive in any order; each is saved as it arrives.
+Evaluator = Callable[[dict], Iterable[tuple[str, tuple[object, str]]]]
 
 
 def resolve(
@@ -290,8 +291,9 @@ def resolve(
     tier)}`` in ``reps`` order; the tier is ``"l1"``, ``"l2"``,
     ``"coalesced"`` or the one ``evaluate`` reports (``"delta"`` /
     ``"computed"``).  Digests that miss both caches are evaluated in one
-    ``evaluate`` call (which is how a cold graph fans out over the pool),
-    then saved to the store and put in the L1 before this returns.
+    ``evaluate`` call (which is how a cold graph fans out over the pool or
+    the fleet); each payload it yields is saved to the store and put in
+    the L1 as it arrives, while the rest may still be in flight.
 
     ``single_flight(digest, lead) -> (value, leader)`` (a
     :meth:`~repro.service.coalesce.SingleFlight.do`) resolves each L1 miss
@@ -323,7 +325,7 @@ def resolve(
                 l1.put(digest, payload)
                 out[digest] = payload, "l2"
         if rest:
-            for digest, (payload, tier) in evaluate(rest).items():
+            for digest, (payload, tier) in evaluate(rest):
                 if store is not None:
                     store.save(digest, payload)
                 # Into the L1 before a flight retires: a request arriving
@@ -367,7 +369,7 @@ def local_evaluator(
     is big enough to amortize a process pool.
     """
 
-    def evaluate(misses: dict[str, OpSpec]) -> dict[str, tuple[dict, str]]:
+    def evaluate(misses: dict[str, OpSpec]):
         out: dict[str, tuple[dict, str]] = {}
         cold: dict[str, OpSpec] = {}
         for digest, op in misses.items():
@@ -382,7 +384,7 @@ def local_evaluator(
             list(cold.values()), env, gpu, cap=cap, seed=seed, jobs=jobs
         )
         out.update((d, (p, "computed")) for d, p in zip(cold, computed))
-        return out
+        return out.items()
 
     return evaluate
 
@@ -415,22 +417,18 @@ def sweep_op(
     *,
     cap: int | None = 2000,
     seed: int = 0x5EED,
-    memo: bool = True,
     store: SweepStore | None | object = None,
 ):
     """Batched equivalent of the scalar exhaustive sweep.
 
-    Bit-identical to :func:`repro.autotuner.tuner.sweep_op_reference`.  With
-    ``memo=True`` (default) the payload is resolved through the tier chain
-    (engine L1, then the store when one is active); ``memo=False``
-    bypasses every tier and evaluates cold.  ``store`` overrides the
-    process-active store for this call (:data:`DISABLE_STORE`: none).
+    Bit-identical to :func:`repro.autotuner.tuner.sweep_op_reference`.  The
+    payload is resolved through the tier chain (engine L1, then the store
+    when one is active); ``store`` overrides the process-active store for
+    this call (:data:`DISABLE_STORE`: none).  A cold sweep that bypasses
+    every tier is ``sweep_from_payload(op, compute_payload(...))``.
     """
     cost = cost or CostModel()
-    if not memo:
-        payload = compute_payload(op, env, cost.gpu, cap=cap, seed=seed)
-    else:
-        payload = _resolve_op(op, env, cost.gpu, cap=cap, seed=seed, store=store)
+    payload = _resolve_op(op, env, cost.gpu, cap=cap, seed=seed, store=store)
     return sweep_from_payload(op, payload)
 
 
@@ -462,31 +460,30 @@ def sweep_graph(
     *,
     cap: int | None = 2000,
     seed: int = 0x5EED,
-    memo: bool = True,
     jobs: int | None = None,
     store: SweepStore | None | object = None,
     l1: BoundedCache | None = None,
+    evaluate: Evaluator | None = None,
 ):
     """Sweep every non-view operator of a graph; keyed by op name.
 
     Byte-for-byte equal to sweeping each operator serially with
     :func:`sweep_op`, but deduplicated by digest, resolved through the tier
     chain in one batch and (for ``jobs > 1``) evaluated in parallel worker
-    processes.  ``memo=False`` bypasses every tier *and* the dedup/fan-out
-    machinery — the pinned serial, store-free path.  ``store=None``
-    resolves the process-active store; pass :data:`DISABLE_STORE` to force
-    a store-free run even when one is active.  ``l1`` is the payload L1 to
-    resolve through (default: the engine's).
+    processes.  ``store=None`` resolves the process-active store; pass
+    :data:`DISABLE_STORE` to force a store-free run even when one is
+    active.  ``l1`` is the payload L1 to resolve through (default: the
+    engine's).  ``evaluate`` produces the digests neither holds (default:
+    :func:`local_evaluator`; the fleet coordinator passes a remote fetch).
     """
     cost = cost or CostModel()
     ops = [op for op in graph.ops if not op.is_view]
-    if not memo:
-        return {
-            op.name: sweep_op(op, env, cost, cap=cap, seed=seed, memo=False)
-            for op in ops
-        }
     gpu = cost.gpu
     store = _store(store)
+    if evaluate is None:
+        evaluate = local_evaluator(
+            env, gpu, cap=cap, seed=seed, store=store, jobs=resolve_jobs(jobs)
+        )
 
     with obs.span("engine.sweep_graph", ops=len(ops)) as graph_span:
         op_digests, reps = graph_sweep_jobs(graph, env, gpu, cap=cap, seed=seed)
@@ -494,10 +491,7 @@ def sweep_graph(
             reps,
             l1=ENGINE_L1 if l1 is None else l1,
             store=store,
-            evaluate=local_evaluator(
-                env, gpu, cap=cap, seed=seed, store=store,
-                jobs=resolve_jobs(jobs),
-            ),
+            evaluate=evaluate,
         )
         tiers = Counter(tier for _, tier in resolved.values())
         graph_span.set_attr(

@@ -72,6 +72,7 @@ __all__ = [
     "CacheMismatch",
     "PAYLOAD_FORMAT",
     "SweepStore",
+    "atomic_write",
     "compute_payload",
     "compute_payload_delta",
     "get_sweep_store",
@@ -610,6 +611,28 @@ def pack_payload_bytes(digest: str, payload: dict) -> bytes:
     return buf.getvalue()
 
 
+def atomic_write(path: Path, write, *, fsync: bool = False) -> None:
+    """Write ``path`` whole or not at all: temp file, then ``os.replace``.
+
+    ``write(fh)`` fills an open binary temp file in ``path``'s directory;
+    readers never observe a partial file, and a failed write leaves no
+    temp file behind.  ``fsync`` flushes the bytes to disk before the
+    rename, for files that are a commit point.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # The on-disk store
 # ---------------------------------------------------------------------------
@@ -719,15 +742,7 @@ class SweepStore:
         """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(digest)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                write_payload_npz(fh, digest, payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(path, lambda fh: write_payload_npz(fh, digest, payload))
         with self._lock:
             self.saves += 1
         structural = payload.get("structural")
@@ -769,16 +784,9 @@ class SweepStore:
         points a structural digest at a different (equally valid) twin,
         and a stale one self-heals in :meth:`load_structural`.
         """
+        blob = json.dumps(index, sort_keys=True).encode("utf-8")
         try:
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(index, fh, sort_keys=True)
-                os.replace(tmp, self.index_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            atomic_write(self.index_path, lambda fh: fh.write(blob))
         except OSError:  # pragma: no cover - read-only stores are fine
             pass
 

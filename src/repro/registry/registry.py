@@ -22,13 +22,17 @@ travel together (the nightly CI caches both under one path).
 from __future__ import annotations
 
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 
 from repro import __version__
-from repro.engine.store import CacheMismatch, get_sweep_store, sweep_digest
+from repro.engine.store import (
+    CacheMismatch,
+    atomic_write,
+    get_sweep_store,
+    sweep_digest,
+)
 from repro.hardware.cost_model import CostModel
 from repro.hardware.params import active_cost_model_version
 from repro.ir.dims import DimEnv
@@ -96,15 +100,7 @@ class ScheduleRegistry:
         path = self.path_for(entry.digest)
         self.root.mkdir(parents=True, exist_ok=True)
         blob = entry.to_bytes()
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(path, lambda fh: fh.write(blob))
         with self._lock:
             self.registered += 1
         return path

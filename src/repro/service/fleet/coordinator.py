@@ -1,12 +1,13 @@
 """The fleet coordinator: shard sweeps across workers, survive their faults.
 
 :class:`FleetService` extends the single-node :class:`TuningService` with
-``POST /v1/optimize_batch``: the request graph is decomposed into the same
-deduplicated per-op sweep jobs a local :func:`sweep_graph` run would
-evaluate (one job per *distinct* store digest), and each job is routed by
-consistent-hashing its digest — which is also the wire key and the L2
-store key — onto the registered workers.  Identical jobs land on the same
-worker's warm caches no matter which request carried them.
+``POST /v1/optimize_batch``: ``/v1/optimize`` with one difference — the
+request graph is swept by an ordinary :func:`sweep_graph` call whose
+evaluator is remote.  The digests the coordinator's L1 and store miss (one
+job per *distinct* store digest) are each routed by consistent-hashing the
+digest — which is also the wire key and the L2 store key — onto the
+registered workers.  Identical jobs land on the same worker's warm caches
+no matter which request carried them.
 
 Failure semantics (the point of this module):
 
@@ -22,8 +23,8 @@ Failure semantics (the point of this module):
   degradation: a computable request is never answered with a 5xx.
 
 Byte-identity: worker responses are the packed store payloads, validated
-against the job digest on arrival; the response body is assembled by the
-same pure functions ``/v1/optimize`` uses (same request digest, same
+against the job digest on arrival; the response body comes from the same
+tuning routine ``/v1/optimize`` uses (same request digest, same
 selection, same canonical serialization).  The chaos suite pins that a
 batch answered through any mix of remote, retried, and locally-recovered
 jobs is byte-for-byte the single-node response.
@@ -35,14 +36,11 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from time import perf_counter
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from functools import partial
 
 from repro import obs
-from repro.engine.scheduler import graph_sweep_jobs
 from repro.engine.store import compute_payload
-from repro.engine.sweep import sweep_from_payload
-from repro.hardware.cost_model import CostModel
 from repro.obs.export import trace_tree
 from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
@@ -52,16 +50,12 @@ from repro.obs.metrics import (
 
 from ..protocol import (
     ProtocolError,
-    build_request_graph,
-    optimize_request_digest,
-    optimize_response_from_sweeps,
     parse_fleet_heartbeat,
     parse_fleet_register,
     parse_optimize_request,
     payload_from_packed,
 )
 from ..server import (
-    MAX_OPTIMIZE_CAP,
     NotFoundError,
     TuningService,
     WireReply,
@@ -224,15 +218,15 @@ class FleetService(TuningService):
         obs.add_event("local_fallback", excluded=",".join(sorted(excluded)))
         return compute_payload(op, req.env, req.gpu, cap=req.cap, seed=req.seed)
 
-    def _fleet_sweeps(self, graph, req) -> dict:
-        """Sweep a graph through the fleet; keyed by op name.
+    def _fleet_sweeps(self, req, misses: dict):
+        """The fleet's evaluator for one batch's :func:`sweep_graph` call.
 
-        The job list is the scheduler's own dedup decomposition
-        (:func:`graph_sweep_jobs`), so the fleet evaluates exactly what a
-        local run would — once per distinct digest.  Each job rides the
-        engine's tier chain with the coordinator's own evaluator: L1 → L2
-        → remote worker → local cold fallback (:meth:`_fleet_payload`), so
-        a warm store never touches the network.
+        The batch resolves through the coordinator's L1 and store like any
+        ``/v1/optimize``; each digest neither holds is fetched from its worker
+        (:meth:`_fleet_payload`): L1 → L2 → remote worker → local cold
+        fallback, so a warm store never touches the network.  Jobs run on
+        ``fan_out`` threads and are yielded as they complete, so each
+        payload is saved while the rest are in flight.
 
         The coordinator never delta-re-sweeps locally.  A delta needs only
         a structural twin in the coordinator's store, and after one batch
@@ -240,87 +234,33 @@ class FleetService(TuningService):
         other shape: a local delta would then serve every job and the
         fleet would stop sharding.
         """
-        op_digests, reps = graph_sweep_jobs(
-            graph, req.env, req.gpu, cap=req.cap, seed=req.seed
-        )
         # Contextvars don't cross executor threads: capture the ambient
         # span here and re-parent each job span onto it explicitly.
-        batch_span = obs.current_span()
+        parent = obs.current_span()
 
-        def _one(item: tuple[str, object]) -> tuple[str, dict]:
-            digest, op = item
-            with obs.span(
-                "fleet.job", parent=batch_span, op=op.name, digest=digest
-            ):
-                payload = self._resolve(
-                    digest,
-                    op,
-                    lambda _: {
-                        digest: (self._fleet_payload(digest, op, req), "computed")
-                    },
-                    l1=self.cache,
-                    store=self.store,
-                )
-            return digest, payload
+        def job(digest: str, op) -> tuple[str, tuple[dict, str]]:
+            with obs.span("fleet.job", parent=parent, op=op.name, digest=digest):
+                payload = self._fleet_payload(digest, op, req)
+            return digest, (payload, "computed")
 
-        items = list(reps.items())
-        payloads: dict[str, dict] = {}
-        if len(items) <= 1:
-            payloads.update(_one(item) for item in items)
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(self.fan_out, len(items))
-            ) as pool:
-                payloads.update(pool.map(_one, items))
-        # Rebuild each op's sweep from its *own* spec: deduplicated ops
-        # share a payload but keep their names (exactly like sweep_graph).
-        ops_by_name = {op.name: op for op in graph.ops if not op.is_view}
-        return {
-            name: sweep_from_payload(ops_by_name[name], payloads[digest])
-            for name, digest in op_digests.items()
-        }
+        with ThreadPoolExecutor(max_workers=min(self.fan_out, len(misses))) as pool:
+            jobs = [pool.submit(job, *item) for item in misses.items()]
+            for done in as_completed(jobs):
+                yield done.result()
 
     # -- endpoints ----------------------------------------------------------------
     def handle_optimize_batch(self, body: dict) -> dict:
         """``/v1/optimize`` semantics, sharded: byte-identical responses.
 
-        Same parse, same request digest, same guard, same response
-        assembly as :meth:`handle_optimize` — only the per-op sweep
-        evaluation is distributed (and survives worker faults).
+        Same parse, request digest, guard and response assembly as
+        :meth:`handle_optimize` — only the sweep evaluation is distributed
+        (and survives worker faults).
         """
         req = parse_optimize_request(body)
-        if req.cap is None or req.cap > MAX_OPTIMIZE_CAP:
-            raise ProtocolError(
-                f"optimize_batch requires a cap of at most {MAX_OPTIMIZE_CAP} "
-                "(whole graphs contain kernels with ~1e10-config spaces)"
-            )
-        digest = optimize_request_digest(req)
         self.metrics.record_fleet("batch")
-
-        def _compute() -> dict:
-            from repro.configsel.chain import ChainError
-            from repro.configsel.selector import select_configurations
-            from repro.configsel.sssp import SSSPError
-
-            graph = build_request_graph(req)
-            cost = CostModel(req.gpu)
-            t0 = perf_counter()
-            sweeps = self._fleet_sweeps(graph, req)
-            sweep_s = perf_counter() - t0
-            t0 = perf_counter()
-            try:
-                selection = select_configurations(
-                    graph, req.env, cost, sweeps=sweeps, cap=req.cap
-                )
-            except (SSSPError, ChainError):
-                selection = None
-            select_s = perf_counter() - t0
-            self.metrics.record_optimize_breakdown(sweep_s, select_s)
-            return optimize_response_from_sweeps(
-                graph, sweeps, digest=digest, selection=selection
-            )
-
-        return self._cached_response(digest, _compute)
+        return self._optimize(
+            req, "optimize_batch", partial(self._fleet_sweeps, req)
+        )
 
     def handle_fleet_register(self, body: dict) -> dict:
         worker_id, url, ready, version = parse_fleet_register(body)

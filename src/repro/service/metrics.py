@@ -211,15 +211,19 @@ class ServiceMetrics:
     def record_error(self, endpoint: str) -> None:
         self._errors.inc(endpoint=endpoint)
 
+    @staticmethod
+    def _count(counter, known: tuple[str, ...], what: str, **label: str) -> None:
+        """Increment ``counter`` for one label value of a fixed vocabulary."""
+        (value,) = label.values()
+        if value not in known:
+            raise ValueError(f"unknown {what} {value!r}; known: {known}")
+        counter.inc(**label)
+
     def record_tier(self, tier: str) -> None:
-        if tier not in RESOLVE_TIERS:
-            raise ValueError(f"unknown resolve tier {tier!r}; known: {RESOLVE_TIERS}")
-        self._tiers.inc(tier=tier)
+        self._count(self._tiers, RESOLVE_TIERS, "resolve tier", tier=tier)
 
     def record_response(self, kind: str) -> None:
-        if kind not in RESPONSE_KINDS:
-            raise ValueError(f"unknown response kind {kind!r}; known: {RESPONSE_KINDS}")
-        self._responses.inc(kind=kind)
+        self._count(self._responses, RESPONSE_KINDS, "response kind", kind=kind)
 
     def record_optimize_breakdown(self, sweep_s: float, select_s: float) -> None:
         """Attribute one cold ``/v1/optimize`` computation to its phases."""
@@ -228,18 +232,12 @@ class ServiceMetrics:
         self._optimize_phase_ms.inc(select_s * 1e3, phase="select")
 
     def record_registry(self, event: str) -> None:
-        if event not in REGISTRY_EVENTS:
-            raise ValueError(
-                f"unknown registry event {event!r}; known: {REGISTRY_EVENTS}"
-            )
-        self._registry_events.inc(event=event)
+        self._count(
+            self._registry_events, REGISTRY_EVENTS, "registry event", event=event
+        )
 
     def record_fleet(self, event: str) -> None:
-        if event not in FLEET_EVENTS:
-            raise ValueError(
-                f"unknown fleet event {event!r}; known: {FLEET_EVENTS}"
-            )
-        self._fleet_events.inc(event=event)
+        self._count(self._fleet_events, FLEET_EVENTS, "fleet event", event=event)
 
     def record_revalidation(self, summary: dict) -> None:
         """Remember the latest background-revalidation sweep's outcome."""
@@ -247,11 +245,10 @@ class ServiceMetrics:
             self._last_revalidation = dict(summary)
 
     def record_calibration(self, event: str) -> None:
-        if event not in CALIBRATION_EVENTS:
-            raise ValueError(
-                f"unknown calibration event {event!r}; known: {CALIBRATION_EVENTS}"
-            )
-        self._calibration_events.inc(event=event)
+        self._count(
+            self._calibration_events, CALIBRATION_EVENTS, "calibration event",
+            event=event,
+        )
 
     def record_rollout(self, status: dict) -> None:
         """Remember the rollout state machine's latest status snapshot."""
@@ -269,21 +266,23 @@ class ServiceMetrics:
     def _by_label(counter) -> dict[str, int | float]:
         return {key[0]: value for key, value in counter.items()}
 
+    @classmethod
+    def _counts(cls, counter, known: tuple[str, ...]) -> dict[str, int]:
+        """Every value of a fixed vocabulary with its count, zeros included."""
+        counts = cls._by_label(counter)
+        return {value: counts.get(value, 0) for value in known}
+
     def registry_counts(self) -> dict[str, int]:
-        counts = self._by_label(self._registry_events)
-        return {event: counts.get(event, 0) for event in REGISTRY_EVENTS}
+        return self._counts(self._registry_events, REGISTRY_EVENTS)
 
     def fleet_counts(self) -> dict[str, int]:
-        counts = self._by_label(self._fleet_events)
-        return {event: counts.get(event, 0) for event in FLEET_EVENTS}
+        return self._counts(self._fleet_events, FLEET_EVENTS)
 
     def calibration_counts(self) -> dict[str, int]:
-        counts = self._by_label(self._calibration_events)
-        return {event: counts.get(event, 0) for event in CALIBRATION_EVENTS}
+        return self._counts(self._calibration_events, CALIBRATION_EVENTS)
 
     def tier_counts(self) -> dict[str, int]:
-        counts = self._by_label(self._tiers)
-        return {tier: counts.get(tier, 0) for tier in RESOLVE_TIERS}
+        return self._counts(self._tiers, RESOLVE_TIERS)
 
     def inflight(self) -> int | float:
         return self._inflight.value()
@@ -318,16 +317,13 @@ class ServiceMetrics:
         phase_ms = self._by_label(self._optimize_phase_ms)
         sweep_ms = phase_ms.get("sweep", 0.0) or 0.0
         select_ms = phase_ms.get("select", 0.0) or 0.0
-        responses = self._by_label(self._responses)
         return {
             "uptime_s": time.perf_counter() - self._started_mono,
             "inflight": self.inflight(),
             "requests": self._by_label(self._requests),
             "errors": self._by_label(self._errors),
             "resolve_tiers": self.tier_counts(),
-            "responses": {
-                kind: responses.get(kind, 0) for kind in RESPONSE_KINDS
-            },
+            "responses": self._counts(self._responses, RESPONSE_KINDS),
             "latency_ms": latency,
             # Where cold /v1/optimize time goes: the sweep phase (engine
             # evaluation through the scheduler) vs. the

@@ -16,7 +16,10 @@ Endpoints (all JSON, canonical serialization):
 * ``POST /v1/optimize`` — a whole-graph tuned schedule through the
   parallel scheduler (:func:`repro.engine.scheduler.sweep_graph`), with
   the same coalescing over a request-level digest and a cache of whole
-  responses.
+  responses.  One routine (``TuningService._tune``) runs the paper's
+  recipe for every whole-graph request — cap guard → graph → sweeps →
+  global selection — for ``/v1/optimize``, ``/v1/register`` and, with
+  the fleet's sweeps, the coordinator's ``/v1/optimize_batch``.
 * ``POST /v1/register`` — validate-then-store a schedule into the
   content-addressed registry: either a pre-built entry (``{"entry":
   ...}``, whose claimed costs are recomputed and must agree bit-exactly)
@@ -51,10 +54,10 @@ the fleet yields one connected cross-process tree.  With tracing off
 (the default) the span machinery is a shared no-op object.
 
 Each service holds one payload L1 of its own (byte-bounded, see
-:mod:`repro.engine.memo`) and resolves its ``/v1/sweep``, its
-``/v1/optimize`` graph sweeps and, on a coordinator, its fleet jobs
-through it, so a digest one endpoint resolved is an L1 hit for the others
-and services sharing a process stay isolated.  Whole ``/v1/optimize``
+:mod:`repro.engine.memo`) and resolves its ``/v1/sweep`` and its graph
+sweeps (local or, on a coordinator, fleet) through it, so a digest one
+endpoint resolved is an L1 hit for the others and services sharing a
+process stay isolated.  Whole ``/v1/optimize``
 responses live in a second, entry-bounded LRU of the same class.
 """
 
@@ -278,7 +281,7 @@ class TuningService:
         return self._resolve(
             digest,
             None,
-            lambda _: {digest: (compute(), "computed")},
+            lambda _: [(digest, (compute(), "computed"))],
             l1=self.responses,
             store=None,
         )
@@ -415,53 +418,70 @@ class TuningService:
         )
 
     def handle_optimize(self, body: dict) -> dict:
-        req = parse_optimize_request(body)
-        if req.cap is None or req.cap > MAX_OPTIMIZE_CAP:
-            raise ProtocolError(
-                f"optimize requires a cap of at most {MAX_OPTIMIZE_CAP} "
-                "(whole graphs contain kernels with ~1e10-config spaces)"
-            )
+        return self._optimize(parse_optimize_request(body), "optimize")
+
+    def _optimize(self, req, endpoint: str, evaluate=None) -> dict:
+        """A whole-graph response through the response cache.
+
+        ``/v1/optimize`` sweeps on this daemon's engine; the coordinator's
+        ``/v1/optimize_batch`` passes its fleet ``evaluate``, the only
+        difference between the two, so they answer byte-identically.
+        """
         digest = optimize_request_digest(req)
         obs.set_attr("request.digest", digest)
 
-        def _compute() -> dict:
-            from repro.configsel.chain import ChainError
-            from repro.configsel.selector import select_configurations
-            from repro.configsel.sssp import SSSPError
-
-            graph = build_request_graph(req)
-            cost = CostModel(req.gpu)
-            t0 = perf_counter()
-            sweeps = sweep_graph(
-                graph,
-                req.env,
-                cost,
-                cap=req.cap,
-                seed=req.seed,
-                jobs=self.jobs,
-                # A storeless service must stay storeless: store=None would
-                # fall back to the process-active store inside sweep_graph.
-                store=self.store if self.store is not None else DISABLE_STORE,
-                l1=self.cache,
-            )
-            sweep_s = perf_counter() - t0
-            # Global configuration selection on the swept graph.  Not
-            # every requestable graph has a primary chain from "x"; those
-            # responses simply carry no selection section.
-            t0 = perf_counter()
-            try:
-                selection = select_configurations(
-                    graph, req.env, cost, sweeps=sweeps, cap=req.cap
-                )
-            except (SSSPError, ChainError):
-                selection = None
-            select_s = perf_counter() - t0
-            self.metrics.record_optimize_breakdown(sweep_s, select_s)
+        def compute() -> dict:
+            graph, _, sweeps, selection = self._tune(req, endpoint, evaluate)
             return optimize_response_from_sweeps(
                 graph, sweeps, digest=digest, selection=selection
             )
 
-        return self._cached_response(digest, _compute)
+        return self._cached_response(digest, compute)
+
+    def _tune(self, req, endpoint: str, evaluate=None):
+        """Tune one optimize-style request: the paper's recipe, once.
+
+        Cap guard → request graph → per-op sweeps through this service's
+        L1 and store (``evaluate`` produces the digests neither holds;
+        default the local engine) → global configuration selection.  Returns
+        ``(graph, cost, sweeps, selection)``.  Not every requestable graph
+        has a primary chain from ``"x"``; for those ``selection`` is None.
+        """
+        from repro.configsel.chain import ChainError
+        from repro.configsel.selector import select_configurations
+        from repro.configsel.sssp import SSSPError
+
+        if req.cap is None or req.cap > MAX_OPTIMIZE_CAP:
+            raise ProtocolError(
+                f"{endpoint} requires a cap of at most {MAX_OPTIMIZE_CAP} "
+                "(whole graphs contain kernels with ~1e10-config spaces)"
+            )
+        graph = build_request_graph(req)
+        cost = CostModel(req.gpu)
+        t0 = perf_counter()
+        sweeps = sweep_graph(
+            graph,
+            req.env,
+            cost,
+            cap=req.cap,
+            seed=req.seed,
+            jobs=self.jobs,
+            # A storeless service must stay storeless: store=None would
+            # fall back to the process-active store inside sweep_graph.
+            store=self.store if self.store is not None else DISABLE_STORE,
+            l1=self.cache,
+            evaluate=evaluate,
+        )
+        sweep_s = perf_counter() - t0
+        t0 = perf_counter()
+        try:
+            selection = select_configurations(
+                graph, req.env, cost, sweeps=sweeps, cap=req.cap, seed=req.seed
+            )
+        except (SSSPError, ChainError):
+            selection = None
+        self.metrics.record_optimize_breakdown(sweep_s, perf_counter() - t0)
+        return graph, cost, sweeps, selection
 
     # -- schedule registry ---------------------------------------------------
     def handle_register(self, body: dict) -> dict:
@@ -518,37 +538,14 @@ class TuningService:
 
     def _tune_entry(self, body: dict):
         """Tune an optimize-style request and build its registry entry."""
-        from repro.configsel.chain import ChainError
-        from repro.configsel.selector import select_configurations
-        from repro.configsel.sssp import SSSPError
         from repro.registry import build_entry
 
         req = parse_optimize_request(body)
-        if req.cap is None or req.cap > MAX_OPTIMIZE_CAP:
+        graph, cost, _, selection = self._tune(req, "register")
+        if selection is None:
             raise ProtocolError(
-                f"register requires a cap of at most {MAX_OPTIMIZE_CAP} "
-                "(whole graphs contain kernels with ~1e10-config spaces)"
+                f"model {req.model!r} admits no global selection"
             )
-        graph = build_request_graph(req)
-        cost = CostModel(req.gpu)
-        sweeps = sweep_graph(
-            graph,
-            req.env,
-            cost,
-            cap=req.cap,
-            seed=req.seed,
-            jobs=self.jobs,
-            store=self.store if self.store is not None else DISABLE_STORE,
-            l1=self.cache,
-        )
-        try:
-            selection = select_configurations(
-                graph, req.env, cost, sweeps=sweeps, cap=req.cap, seed=req.seed
-            )
-        except (SSSPError, ChainError) as exc:
-            raise ProtocolError(
-                f"model {req.model!r} admits no global selection: {exc}"
-            ) from exc
         return build_entry(
             graph,
             req.env,

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from repro.autotuner.tuner import sweep_op_reference
 from repro.engine import kernel_index_array
 from repro.engine.scheduler import sweep_op as engine_sweep_op
+from repro.engine.store import compute_payload
+from repro.engine.sweep import sweep_from_payload
 from repro.hardware.cost_model import CostModel
 from repro.ir.dims import DimEnv
 from repro.ir.iteration_space import IterationSpace
@@ -30,6 +32,13 @@ from repro.layouts.configspace import kernel_config_indices
 from repro.ops.contraction import contraction_spec
 
 COST = CostModel()
+
+
+def _cold_sweep(op, env, *, cap=2000, seed=0x5EED):
+    """One engine sweep evaluated cold, past every cache tier."""
+    return sweep_from_payload(
+        op, compute_payload(op, env, COST.gpu, cap=cap, seed=seed)
+    )
 
 # Small-but-varied sizes; multiples of 8 appear so the 128-bit
 # vectorization and tensor-core divisibility branches both get exercised.
@@ -115,7 +124,7 @@ def _assert_invariants(sweep):
 def test_kernel_sweeps_bit_identical(params):
     op, env, cap, seed = params
     ref = sweep_op_reference(op, env, COST, cap=cap, seed=seed)
-    eng = engine_sweep_op(op, env, COST, cap=cap, seed=seed, memo=False)
+    eng = _cold_sweep(op, env, cap=cap, seed=seed)
     _assert_bit_identical(ref, eng)
     _assert_invariants(eng)
     _assert_invariants(ref)
@@ -126,7 +135,7 @@ def test_kernel_sweeps_bit_identical(params):
 def test_contraction_sweeps_bit_identical(params):
     op, env = params
     ref = sweep_op_reference(op, env, COST)
-    eng = engine_sweep_op(op, env, COST, memo=False)
+    eng = _cold_sweep(op, env)
     _assert_bit_identical(ref, eng)
     _assert_invariants(eng)
 

@@ -10,8 +10,9 @@ from repro.autotuner.tuner import (
 from repro.configsel import reference
 from repro.configsel.selector import _fast_best_consistent
 from repro.engine import clear_sweep_memo, sweep_memo_stats
-from repro.engine.sweep import PreSortedMeasurements
 from repro.engine.scheduler import sweep_op as engine_sweep_op
+from repro.engine.store import compute_payload
+from repro.engine.sweep import PreSortedMeasurements, sweep_from_payload
 from repro.hardware.cost_model import CostModel, KernelTime
 from repro.hardware.params import (
     DEFAULT_PARAMS,
@@ -36,11 +37,18 @@ def _bias_op():
     return bias_spec("aib", x, ("p", "h"), "out")
 
 
+def _cold_sweep(op, cap=2000):
+    """One sweep evaluated cold, past every cache tier."""
+    return sweep_from_payload(
+        op, compute_payload(op, ENV, COST.gpu, cap=cap, seed=0x5EED)
+    )
+
+
 class TestEngineIdentity:
     def test_kernel_sweep_bit_identical(self):
         op = _bias_op()
         ref = sweep_op_reference(op, ENV, COST, cap=300)
-        eng = engine_sweep_op(op, ENV, COST, cap=300, memo=False)
+        eng = _cold_sweep(op, cap=300)
         assert eng.num_configs == ref.num_configs
         for a, b in zip(ref.measurements, eng.measurements):
             assert a.config == b.config
@@ -49,7 +57,7 @@ class TestEngineIdentity:
     def test_contraction_sweep_bit_identical(self):
         op = contraction_spec("lin", "ui,ibj->ubj", ("w", "x"), "y")
         ref = sweep_op_reference(op, ENV, COST)
-        eng = engine_sweep_op(op, ENV, COST, memo=False)
+        eng = _cold_sweep(op)
         assert eng.num_configs == ref.num_configs
         for a, b in zip(ref.measurements, eng.measurements):
             assert a.config == b.config
@@ -134,7 +142,7 @@ class TestMemo:
 class TestLaziness:
     def test_best_materializes_one_measurement(self):
         op = _bias_op()
-        s = engine_sweep_op(op, ENV, COST, cap=200, memo=False)
+        s = _cold_sweep(op, cap=200)
         ms = s.measurements
         assert isinstance(ms, PreSortedMeasurements)
         built = lambda: sum(1 for x in ms._items if x is not None)  # noqa: E731
@@ -146,14 +154,14 @@ class TestLaziness:
 
     def test_times_us_materializes_nothing(self):
         op = _bias_op()
-        s = engine_sweep_op(op, ENV, COST, cap=200, memo=False)
+        s = _cold_sweep(op, cap=200)
         times = s.times_us()
         assert times == sorted(times) and len(times) == s.num_configs
         assert all(x is None for x in s.measurements._items)
 
     def test_slicing_and_negative_indexing(self):
         op = _bias_op()
-        s = engine_sweep_op(op, ENV, COST, cap=50, memo=False)
+        s = _cold_sweep(op, cap=50)
         head = s.measurements[:5]
         assert [m.total_us for m in head] == s.times_us()[:5]
         assert s.measurements[-1].total_us == s.worst.total_us

@@ -21,9 +21,10 @@ from repro.engine import (
     set_sweep_store,
     sweep_graph,
     sweep_memo_stats,
-    sweep_op,
 )
-from repro.engine.store import SweepStore
+from repro.engine.memo import new_payload_cache
+from repro.engine.store import SweepStore, compute_payload, sweep_digest
+from repro.engine.sweep import sweep_from_payload
 from repro.hardware.cost_model import CostModel
 from repro.ir.dims import bert_large_dims
 from repro.ir.graph import DataflowGraph
@@ -34,6 +35,7 @@ from repro.transformer.graph_builder import build_mha_graph
 ENV = bert_large_dims()
 COST = CostModel()
 CAP = 60
+SEED = 0x5EED
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +48,17 @@ def _isolate():
     set_sweep_store(old)
     set_default_jobs(None)
     clear_sweep_memo()
+
+
+def _cold_sweeps(g) -> dict:
+    """Every op of ``g`` swept cold, serially, past every cache tier."""
+    return {
+        op.name: sweep_from_payload(
+            op, compute_payload(op, ENV, COST.gpu, cap=CAP, seed=SEED)
+        )
+        for op in g.ops
+        if not op.is_view
+    }
 
 
 def _assert_sweeps_equal(a, b):
@@ -85,19 +98,7 @@ class TestDeterminism:
         monkeypatch.setattr(sched_mod, "_MIN_PARALLEL_CONFIGS", 0)
         g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
         scheduled = sweep_graph(g, ENV, COST, cap=CAP, jobs=2)
-        cold = {
-            op.name: sweep_op(op, ENV, COST, cap=CAP, memo=False)
-            for op in g.ops
-            if not op.is_view
-        }
-        _assert_sweeps_equal(scheduled, cold)
-
-    def test_memo_false_matches_memoized_results(self):
-        g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
-        _assert_sweeps_equal(
-            sweep_graph(g, ENV, COST, cap=CAP, memo=False),
-            sweep_graph(g, ENV, COST, cap=CAP),
-        )
+        _assert_sweeps_equal(scheduled, _cold_sweeps(g))
 
     def test_results_keyed_in_graph_order(self):
         g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
@@ -117,11 +118,7 @@ class TestDedup:
     def test_deduped_sweeps_match_independent_cold_sweeps(self):
         g = _twin_contraction_graph()
         deduped = sweep_graph(g, ENV, COST, cap=CAP)
-        cold = {
-            op.name: sweep_op(op, ENV, COST, cap=CAP, memo=False)
-            for op in g.ops
-        }
-        _assert_sweeps_equal(deduped, cold)
+        _assert_sweeps_equal(deduped, _cold_sweeps(g))
 
     def test_dedup_preserves_per_op_config_names(self):
         sweeps = sweep_graph(_twin_contraction_graph(), ENV, COST, cap=CAP)
@@ -209,13 +206,6 @@ class TestJobsResolution:
 class TestSerialFallback:
     """Sandboxes without working process pools degrade to serial, warned."""
 
-    def _reference(self, g):
-        return {
-            op.name: sweep_op(op, ENV, COST, cap=CAP, memo=False)
-            for op in g.ops
-            if not op.is_view
-        }
-
     def test_pool_construction_oserror_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setattr(sched_mod, "_MIN_PARALLEL_CONFIGS", 0)
 
@@ -227,7 +217,7 @@ class TestSerialFallback:
         g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             sweeps = sweep_graph(g, ENV, COST, cap=CAP, jobs=4)
-        _assert_sweeps_equal(sweeps, self._reference(g))
+        _assert_sweeps_equal(sweeps, _cold_sweeps(g))
 
     def test_broken_pool_mid_flight_falls_back_to_serial(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
@@ -251,7 +241,7 @@ class TestSerialFallback:
         g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
             sweeps = sweep_graph(g, ENV, COST, cap=CAP, jobs=2)
-        _assert_sweeps_equal(sweeps, self._reference(g))
+        _assert_sweeps_equal(sweeps, _cold_sweeps(g))
 
     def test_fallback_still_populates_the_store(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sched_mod, "_MIN_PARALLEL_CONFIGS", 0)
@@ -280,23 +270,64 @@ class TestSerialFallback:
         assert len(sweeps) > 0
 
 
+class TestStreamingEvaluator:
+    """``resolve`` saves each pair an evaluator yields as it arrives."""
+
+    def test_each_payload_is_stored_before_the_next_is_evaluated(self, tmp_path):
+        g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
+        ops = [op for op in g.ops if not op.is_view][:2]
+        reps = {
+            sweep_digest(op, ENV, COST.gpu, cap=CAP, seed=SEED): op for op in ops
+        }
+        assert len(reps) == 2
+        (a, op_a), (b, op_b) = reps.items()
+        store, l1 = SweepStore(tmp_path), new_payload_cache()
+
+        def evaluate(misses):
+            assert list(misses) == [a, b]
+            # Out of order, as a fan-out completes.
+            yield b, (compute_payload(op_b, ENV, COST.gpu, cap=CAP, seed=SEED), "computed")
+            assert b in store
+            assert l1.get(b, record=False) is not None
+            assert a not in store
+            yield a, (compute_payload(op_a, ENV, COST.gpu, cap=CAP, seed=SEED), "computed")
+
+        resolved = sched_mod.resolve(reps, l1=l1, store=store, evaluate=evaluate)
+        assert list(resolved) == [a, b]  # reps order, not arrival order
+        assert [tier for _, tier in resolved.values()] == ["computed"] * 2
+        assert a in store and l1.get(a, record=False) is not None
+
+
 class TestOneChain:
     """CI guard: the tier chain is written out once, in the scheduler."""
 
     SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-    CALL = re.compile(r"(?<!def )(delta_payload_from_store|store\.load|store\.save)\(")
 
-    def _calls(self) -> dict[str, list[str]]:
+    def _calls(self, names: str, under: str = "") -> dict[str, list[str]]:
+        """``{module: ["line: name", ...]}`` of the calls of ``names``."""
+        call = re.compile(rf"(?<!def )({names})\(")
         calls: dict[str, list[str]] = {}
-        for path in sorted(self.SRC.rglob("*.py")):
+        for path in sorted((self.SRC / under).rglob("*.py")):
             rel = path.relative_to(self.SRC).as_posix()
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                for match in self.CALL.finditer(line):
+                for match in call.finditer(line):
                     calls.setdefault(rel, []).append(f"{lineno}: {match.group(1)}")
         return calls
 
     def test_only_the_scheduler_loads_saves_or_deltas(self):
-        calls = self._calls()
+        calls = self._calls(r"delta_payload_from_store|store\.load|store\.save")
         assert set(calls) == {"engine/scheduler.py"}, calls
         # One L2 read, one save and one delta attempt: one chain.
         assert len(calls["engine/scheduler.py"]) == 3, calls
+
+    def test_one_graph_driver(self):
+        # The fleet batch is a sweep_graph call with a remote evaluator,
+        # not a second dedup-and-resolve loop.
+        calls = self._calls("graph_sweep_jobs")
+        assert set(calls) == {"engine/scheduler.py"}, calls
+
+    def test_the_service_selects_configurations_once(self):
+        # /v1/optimize, /v1/optimize_batch and /v1/register share one
+        # tuning routine.
+        calls = self._calls("select_configurations", under="service")
+        assert sum(map(len, calls.values())) == 1, calls

@@ -24,11 +24,12 @@ from repro.engine import (
 from repro.engine.store import (
     CacheMismatch,
     SweepStore,
+    atomic_write,
     compute_payload,
     get_sweep_store,
 )
 from repro.engine.memo import new_payload_cache
-from repro.engine.scheduler import local_evaluator, resolve
+from repro.engine.scheduler import DISABLE_STORE, local_evaluator, resolve
 from repro.engine.sweep import sweep_from_payload
 from repro.hardware.cost_model import CostModel
 from repro.hardware.spec import A100
@@ -98,6 +99,19 @@ class TestRoundTrip:
             sweep_op_reference(kernel, ENV, COST, cap=150, seed=7),
             sweep_from_payload(kernel, loaded),
         )
+
+    def test_failed_atomic_write_keeps_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "entry.bin"
+        atomic_write(path, lambda fh: fh.write(b"old"))
+
+        def torn(fh):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, torn, fsync=True)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.bin"]
 
     def test_missing_entry_is_clean_miss(self, tmp_path):
         store = SweepStore(tmp_path)
@@ -291,11 +305,11 @@ class TestSweepOpIntegration:
         assert second is not first
         _assert_bit_identical(first, second)
 
-    def test_memo_false_bypasses_the_store(self, tmp_path):
+    def test_disable_store_bypasses_the_active_store(self, tmp_path):
         contraction, _ = _ops()
         store = SweepStore(tmp_path)
         set_sweep_store(store)
-        sweep_op(contraction, ENV, COST, cap=100, memo=False)
+        sweep_op(contraction, ENV, COST, cap=100, store=DISABLE_STORE)
         assert store.stats() == {
             "entries": 0, "hits": 0, "misses": 0, "saves": 0, "rejected": 0,
             "evictions": 0, "delta_hits": 0,
