@@ -65,7 +65,7 @@ def _graph_matrix(env, sweep_cap):
 def _payloads(graph, env, cost, cap):
     """One evaluated payload per non-view op (names kept per op)."""
     return {
-        op.name: compute_payload(op, env, cost.gpu, cap=cap, seed=0x5EED)
+        op.name: compute_payload(op, env, cost, cap=cap, seed=0x5EED)
         for op in graph.ops
         if not op.is_view
     }

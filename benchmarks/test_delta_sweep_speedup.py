@@ -56,14 +56,14 @@ def _fingerprint(sweeps) -> str:
 
 
 def _setup(seq: int):
-    """(ops, env, gpu) for the encoder graph at one sequence length."""
+    """(ops, env, cost) for the encoder graph at one sequence length."""
     from repro.hardware.cost_model import CostModel
     from repro.ir.dims import bert_large_dims
     from repro.transformer.graph_builder import build_encoder_graph
 
     graph = build_encoder_graph(qkv_fusion="qkv", include_backward=True)
     ops = [op for op in graph.ops if not op.is_view]
-    return ops, bert_large_dims(seq=seq), CostModel().gpu
+    return ops, bert_large_dims(seq=seq), CostModel()
 
 
 def _warm_store(store_dir: str) -> int:
@@ -71,11 +71,11 @@ def _warm_store(store_dir: str) -> int:
     from repro.engine import SweepStore, compute_payload, sweep_digest
 
     store = SweepStore(store_dir)
-    ops, env, gpu = _setup(BASE_SEQ)
+    ops, env, cost = _setup(BASE_SEQ)
     for op in ops:
-        digest = sweep_digest(op, env, gpu, cap=CAP, seed=SEED)
+        digest = sweep_digest(op, env, cost, cap=CAP, seed=SEED)
         if digest not in store:
-            store.save(digest, compute_payload(op, env, gpu, cap=CAP, seed=SEED))
+            store.save(digest, compute_payload(op, env, cost, cap=CAP, seed=SEED))
     return store.stats()["saves"]
 
 
@@ -83,9 +83,9 @@ def _timed_cold(seq: int):
     """Cold arm: per-op payload computation from scratch; spawned child."""
     from repro.engine import compute_payload, sweep_from_payload
 
-    ops, env, gpu = _setup(seq)
+    ops, env, cost = _setup(seq)
     t0 = time.perf_counter()
-    payloads = [compute_payload(op, env, gpu, cap=CAP, seed=SEED) for op in ops]
+    payloads = [compute_payload(op, env, cost, cap=CAP, seed=SEED) for op in ops]
     elapsed = time.perf_counter() - t0
     sweeps = {o.name: sweep_from_payload(o, p) for o, p in zip(ops, payloads)}
     return elapsed, _fingerprint(sweeps)
@@ -96,10 +96,10 @@ def _timed_delta(store_dir: str, seq: int):
     from repro.engine import SweepStore, delta_payload_from_store, sweep_from_payload
 
     store = SweepStore(store_dir)
-    ops, env, gpu = _setup(seq)
+    ops, env, cost = _setup(seq)
     t0 = time.perf_counter()
     payloads = [
-        delta_payload_from_store(op, env, gpu, cap=CAP, seed=SEED, store=store)
+        delta_payload_from_store(op, env, cost, cap=CAP, seed=SEED, store=store)
         for op in ops
     ]
     elapsed = time.perf_counter() - t0

@@ -36,7 +36,7 @@ CAP = 2000
 def _cold_sweep(op, env, cost):
     """One engine sweep evaluated cold, past every cache tier."""
     return sweep_from_payload(
-        op, compute_payload(op, env, cost.gpu, cap=CAP, seed=0x5EED)
+        op, compute_payload(op, env, cost, cap=CAP, seed=0x5EED)
     )
 
 

@@ -73,7 +73,7 @@ def _reference_bytes(op, env, cost) -> bytes:
     sweep = sweep_op_reference(op, env, cost, cap=CAP, seed=SEED)
     return canonical_json_bytes(
         sweep_response_from_sweep(
-            sweep, digest=sweep_request_digest(req), top_k=3
+            sweep, cost, digest=sweep_request_digest(req, cost), top_k=3
         )
     )
 

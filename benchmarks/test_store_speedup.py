@@ -86,7 +86,7 @@ def test_store_round_trip_matches_store_free_path(env, cost, tmp_path):
     clear_sweep_memo()
     store_free = {
         op.name: sweep_from_payload(
-            op, compute_payload(op, env, cost.gpu, cap=CAP, seed=0x5EED)
+            op, compute_payload(op, env, cost, cap=CAP, seed=0x5EED)
         )
         for op in graph.ops
         if not op.is_view

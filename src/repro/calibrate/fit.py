@@ -204,8 +204,11 @@ class CandidateModel:
     """
 
     params: EfficiencyParams
-    version: int | str
     provenance: dict
+
+    @property
+    def version(self) -> int | str:
+        return candidate_version(self.params)
 
     def to_wire(self) -> dict:
         return {
@@ -216,11 +219,7 @@ class CandidateModel:
 
     @classmethod
     def build(cls, params: EfficiencyParams, provenance: dict | None = None):
-        return cls(
-            params=params,
-            version=candidate_version(params),
-            provenance=provenance or {},
-        )
+        return cls(params=params, provenance=provenance or {})
 
     @classmethod
     def from_wire(cls, wire: object, where: str = "candidate") -> "CandidateModel":
@@ -237,7 +236,7 @@ class CandidateModel:
         provenance = wire.get("provenance", {})
         if not isinstance(provenance, dict):
             raise ParamsError(f"{where}.provenance must be an object")
-        return cls(params=params, version=derived, provenance=provenance)
+        return cls(params=params, provenance=provenance)
 
 
 def fit_candidate(

@@ -21,7 +21,9 @@ A candidate cost model never serves until it has survived two gates:
   file and serves exactly one of {prior, promoted}, which the chaos suite
   kills processes to prove.  Promotion bumps the served version, which
   atomically orphans both cache tiers and every wire/registry artifact
-  (they all key on :func:`~repro.hardware.params.active_cost_model_version`).
+  (they all key on the version of the request's
+  :class:`~repro.hardware.cost_model.CostModel` snapshot); requests
+  already in flight finish under the model they started with.
 * **ROLLBACK** — metadata-only: the candidate is discarded and the state
   returns to idle.  Nothing to undo, because nothing was installed.
 
@@ -41,8 +43,8 @@ from repro.hardware.params import (
     DEFAULT_PARAMS,
     EfficiencyParams,
     ParamsError,
-    active_cost_model_version,
     active_params,
+    candidate_version,
     install_params,
     params_from_wire,
 )
@@ -170,27 +172,37 @@ class RolloutManager:
             self._journal({"event": "recovered", "phase": state["phase"],
                            "served_version": state["served_version"]})
             return state
+        served = active_params()
         return {
             "phase": "idle",
-            "served_version": active_cost_model_version(),
-            "served_params": None
-            if active_params() == DEFAULT_PARAMS
-            else active_params().to_wire(),
+            "served_version": candidate_version(served),
+            "served_params": None if served == DEFAULT_PARAMS else served.to_wire(),
             "candidate": None,
             "canary": _fresh_canary(),
             "last_transition": None,
         }
 
     def _install_from_state(self, state: dict) -> None:
+        """Install the recorded params; their version is derived, never
+        trusted — a state file whose ``served_version`` is not the params'
+        own tag would serve one model under another's cache namespace."""
         wire = state.get("served_params")
-        if wire is None:
-            install_params(DEFAULT_PARAMS)
-            return
         try:
-            params = params_from_wire(wire, "rollout state served_params")
+            params = (
+                DEFAULT_PARAMS
+                if wire is None
+                else params_from_wire(wire, "rollout state served_params")
+            )
         except ParamsError as exc:
             raise RolloutError(str(exc)) from exc
-        install_params(params, state.get("served_version"))
+        derived = candidate_version(params)
+        if state.get("served_version") != derived:
+            raise RolloutError(
+                f"rollout state at {self.state_path} records served_version "
+                f"{state.get('served_version')!r}, but its served_params "
+                f"serve version {derived!r}"
+            )
+        install_params(params)
 
     def _write_state_locked(self) -> None:
         """Atomically persist the current state (the promote commit point)."""
@@ -273,7 +285,8 @@ class RolloutManager:
         knob the chaos suite uses) — the canary guardrail still stands
         between a forced candidate and promotion.
         """
-        if candidate.version == active_cost_model_version():
+        served = active_params()
+        if candidate.params == served:
             raise RolloutError(
                 f"candidate version {candidate.version!r} is already serving"
             )
@@ -285,9 +298,7 @@ class RolloutManager:
                     "POST /v1/report (or `repro report`) first"
                 )
             targets = calibration_targets()
-            base = score_params(
-                active_params(), records, gpu=self.gpu, targets=targets
-            )
+            base = score_params(served, records, gpu=self.gpu, targets=targets)
             cand = score_params(
                 candidate.params, records, gpu=self.gpu, targets=targets
             )
@@ -413,9 +424,10 @@ class RolloutManager:
         ``rollout-post-commit`` fault) recovers to the promoted model —
         never anything in between.
         """
-        wire = self._state["candidate"]
-        params = params_from_wire(wire["params"], "rollout candidate params")
-        version = wire["version"]
+        candidate = CandidateModel.from_wire(
+            self._state["candidate"], "rollout candidate"
+        )
+        params, version = candidate.params, candidate.version
         prior = self._state["served_version"]
         self._journal({"event": "promote_intent", "version": version,
                        "prior_version": prior})
@@ -430,7 +442,7 @@ class RolloutManager:
         }
         self._write_state_locked()  # <-- commit point
         self._fault(_FAULT_POST_COMMIT)
-        install_params(params, version)
+        install_params(params)
         self._candidate_params = None
         self._journal({"event": "promote_committed", "version": version,
                        "prior_version": prior})

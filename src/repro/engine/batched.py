@@ -28,12 +28,7 @@ from repro.hardware.efficiency import (
     contraction_triple_factors,
     operand_access_eff,
 )
-
-# Calibrated scalar-model constants (single source of truth lives in
-# repro.hardware.params; the engine must track the *active* value at call
-# time, never a frozen import — a promoted calibration candidate changes
-# them mid-process).
-from repro.hardware.params import EfficiencyParams, active_params
+from repro.hardware.params import EfficiencyParams
 from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
 
@@ -65,9 +60,9 @@ def evaluate_contraction(
     space: ContractionSpace,
     env: DimEnv,
     gpu: GPUSpec,
+    params: EfficiencyParams,
     *,
     layout_units: np.ndarray | None = None,
-    params: EfficiencyParams | None = None,
 ) -> BatchedTimes:
     """Roofline-time every contraction config in one vector pass.
 
@@ -75,13 +70,12 @@ def evaluate_contraction(
     per-triple layout-factor units of
     :func:`~repro.hardware.efficiency.contraction_layout_units` — e.g. from
     a stored payload on the delta re-sweep path; ``None`` computes them
-    here.  ``params`` pins the efficiency constants; ``None`` resolves the
-    process-active model at call time.
+    here.  ``params`` are the efficiency constants of the caller's cost
+    model snapshot.
     """
-    p = params if params is not None else active_params()
     op = space.op
     pre_tc, pre_fp, wave, div8, algo_factors, _units = contraction_triple_factors(
-        op, space.triples, gpu, layout_units=layout_units, params=p
+        op, space.triples, gpu, params, layout_units=layout_units
     )
 
     ti = space.triple_idx
@@ -104,7 +98,7 @@ def evaluate_contraction(
         compute_us = np.zeros(space.num_configs)
     # Contraction memory efficiency is a constant: one scalar division,
     # written exactly as CostModel._time_from_eff spells it.
-    memory_const = 1e6 * nbytes / (gpu.mem_bandwidth * p.gemm_mem_eff)
+    memory_const = 1e6 * nbytes / (gpu.mem_bandwidth * params.gemm_mem_eff)
     memory_us = np.full(space.num_configs, memory_const)
     launch = gpu.kernel_launch_us
     total_us = launch + np.maximum(compute_us, memory_us)
@@ -220,18 +214,17 @@ def evaluate_kernel(
     space: KernelSpace,
     env: DimEnv,
     gpu: GPUSpec,
+    params: EfficiencyParams,
     *,
     units: np.ndarray | None = None,
-    params: EfficiencyParams | None = None,
 ) -> BatchedTimes:
     """Roofline-time every memory-bound kernel config in one vector pass.
 
     ``units`` optionally supplies the precomputed jitter units of
     :func:`kernel_jitter_units` (e.g. from a stored payload on the delta
-    re-sweep path); ``None`` computes them here.  ``params`` pins the
-    efficiency constants; ``None`` resolves the process-active model.
+    re-sweep path); ``None`` computes them here.  ``params`` are the
+    efficiency constants of the caller's cost model snapshot.
     """
-    p = params if params is not None else active_params()
     op = space.op
     idx = space.idx
     n = space.num_configs
@@ -252,7 +245,7 @@ def evaluate_kernel(
         total_bytes += nb
         table = np.array(
             [
-                [operand_access_eff(layout, v, env, p) for v in vec_choices]
+                [operand_access_eff(layout, v, env, params) for v in vec_choices]
                 for layout in space.layout_choices[o]
             ]
         )
@@ -269,18 +262,18 @@ def evaluate_kernel(
         narrow = np.array(
             [w is not None and env[w] < 32 for w in warp_choices], dtype=bool
         )[warp_idx]
-        mem = np.where(same, np.minimum(0.95, mem * p.register_bonus), mem)
-        mem = np.where(narrow, mem * p.narrow_warp_penalty, mem)
+        mem = np.where(same, np.minimum(0.95, mem * params.register_bonus), mem)
+        mem = np.where(narrow, mem * params.narrow_warp_penalty, mem)
 
     if units is None:
         units = kernel_jitter_units(space)
-    jitter = 1.0 + p.jitter * (2.0 * units - 1.0)
-    mem = np.minimum(0.95, np.maximum(p.strided_floor / 2, mem * jitter))
+    jitter = 1.0 + params.jitter * (2.0 * units - 1.0)
+    mem = np.minimum(0.95, np.maximum(params.strided_floor / 2, mem * jitter))
 
     flop = op.flops(env)
     nbytes = op.io_bytes(env)
     peak = gpu.peak_flops(tensor_cores=False)
-    compute_const = 1e6 * flop / (peak * p.kernel_compute_eff) if flop > 0 else 0.0
+    compute_const = 1e6 * flop / (peak * params.kernel_compute_eff) if flop > 0 else 0.0
     compute_us = np.full(n, compute_const)
     memory_us = 1e6 * nbytes / (gpu.mem_bandwidth * mem)
     launch = gpu.kernel_launch_us

@@ -11,9 +11,9 @@ arrays, never measurement objects.  Contraction digests are name-free, so
 structurally identical GEMMs hit one entry even across separately built
 graphs.
 
-The digest embeds the *served* cost-model version, so promoting or rolling
-back a calibration changes every key: entries of the other model are
-unreachable and age out of the LRU.
+The digest embeds the version of the caller's cost-model snapshot, so a
+request built after a calibration promotion or rollback uses new keys:
+entries of the other model are unreachable and age out of the LRU.
 
 The bound is :data:`PAYLOAD_L1_BYTES` of payload arrays, above the working
 set of any graph the engine sweeps.  This module's instance is the engine's

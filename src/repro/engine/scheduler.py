@@ -130,9 +130,9 @@ def _payload_job(args: tuple) -> tuple[dict, list | None]:
     parent to ingest.  Contextvars don't cross process boundaries; this
     explicit re-parenting is how pool workers join the request's tree.
     """
-    op, env, gpu, cap, seed, ctx = args
+    op, env, cost, cap, seed, ctx = args
     if ctx is None:
-        return compute_payload(op, env, gpu, cap=cap, seed=seed), None
+        return compute_payload(op, env, cost, cap=cap, seed=seed), None
     from repro.obs import trace as _trace
 
     tracer = _trace.Tracer()
@@ -145,7 +145,7 @@ def _payload_job(args: tuple) -> tuple[dict, list | None]:
         with tracer.span(
             "engine.sweep_job", parent=ctx or None, op=op.name
         ):
-            payload = compute_payload(op, env, gpu, cap=cap, seed=seed)
+            payload = compute_payload(op, env, cost, cap=cap, seed=seed)
     finally:
         _trace._TRACER = previous
     return payload, tracer.finished()
@@ -187,13 +187,14 @@ def _estimated_configs(op: OpSpec, env: DimEnv, cap: int | None) -> int:
 def _compute_payloads(
     ops: list[OpSpec],
     env: DimEnv,
-    gpu: GPUSpec,
+    cost: CostModel,
     *,
     cap: int | None,
     seed: int,
     jobs: int,
 ) -> list[dict]:
-    """Evaluate payloads for ``ops``, in order, optionally in parallel.
+    """Evaluate payloads for ``ops`` under ``cost``, in order, optionally in
+    parallel (workers price under the caller's snapshot, never their own).
 
     The pool only spins up when the estimated cold work amortizes its
     startup cost — tiny sweeps are faster serial even at ``jobs > 1``.
@@ -211,7 +212,7 @@ def _compute_payloads(
             if obs.tracing_enabled()
             else None
         )
-        args = [(op, env, gpu, cap, seed, ctx) for op in ops]
+        args = [(op, env, cost, cap, seed, ctx) for op in ops]
         try:
             with ProcessPoolExecutor(max_workers=min(jobs, len(ops))) as pool:
                 outcomes = list(pool.map(_payload_job, args))
@@ -232,7 +233,7 @@ def _compute_payloads(
     payloads = []
     for op in ops:
         with obs.span("engine.sweep_job", op=op.name):
-            payloads.append(compute_payload(op, env, gpu, cap=cap, seed=seed))
+            payloads.append(compute_payload(op, env, cost, cap=cap, seed=seed))
     return payloads
 
 
@@ -250,14 +251,22 @@ def graph_sweep_jobs(
     mapped to its store digest, and one representative operator per
     distinct digest (in graph order).  This is the same digest-level
     dedup :func:`sweep_graph` performs before evaluating — exposed so
-    callers can see the distinct jobs a graph sweep resolves.
+    callers can see the distinct jobs a graph sweep resolves, under a
+    cost model snapshot taken here.
     """
+    return _graph_digests(graph, env, CostModel(gpu), cap=cap, seed=seed)
+
+
+def _graph_digests(
+    graph: DataflowGraph, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
+) -> tuple[dict[str, str], dict[str, OpSpec]]:
+    """:func:`graph_sweep_jobs` under the caller's snapshot ``cost``."""
     op_digests: dict[str, str] = {}
     representatives: dict[str, OpSpec] = {}
     for op in graph.ops:
         if op.is_view:
             continue
-        digest = sweep_digest(op, env, gpu, cap=cap, seed=seed)
+        digest = sweep_digest(op, env, cost, cap=cap, seed=seed)
         op_digests[op.name] = digest
         representatives.setdefault(digest, op)
     return op_digests, representatives
@@ -279,6 +288,7 @@ Evaluator = Callable[[dict], Iterable[tuple[str, tuple[object, str]]]]
 def resolve(
     reps: Mapping[str, object],
     *,
+    version: int | str,
     l1: BoundedCache,
     store: SweepStore | None,
     evaluate: Evaluator,
@@ -287,8 +297,10 @@ def resolve(
     """Resolve digests through the tier chain: L1 → L2 → ``evaluate`` → save.
 
     ``reps`` maps each distinct digest to what ``evaluate`` needs to
-    produce it (a representative operator).  Returns ``{digest: (value,
-    tier)}`` in ``reps`` order; the tier is ``"l1"``, ``"l2"``,
+    produce it (a representative operator); ``version`` is the cost-model
+    version of the caller's snapshot, which every digest embeds and every
+    store entry must carry.  Returns ``{digest: (value, tier)}`` in
+    ``reps`` order; the tier is ``"l1"``, ``"l2"``,
     ``"coalesced"`` or the one ``evaluate`` reports (``"delta"`` /
     ``"computed"``).  Digests that miss both caches are evaluated in one
     ``evaluate`` call (which is how a cold graph fans out over the pool or
@@ -316,7 +328,7 @@ def resolve(
         rest: dict[str, object] = {}
         for digest, rep in batch.items():
             try:
-                payload = None if store is None else store.load(digest)
+                payload = None if store is None else store.load(digest, version)
             except CacheMismatch:
                 payload = None  # recomputed and overwritten below
             if payload is None:
@@ -354,14 +366,15 @@ def resolve(
 
 def local_evaluator(
     env: DimEnv,
-    gpu: GPUSpec,
+    cost: CostModel,
     *,
     cap: int | None,
     seed: int,
     store: SweepStore | None,
     jobs: int = 1,
 ) -> Evaluator:
-    """The engine's own evaluator for :func:`resolve`: delta, then cold.
+    """The engine's own evaluator for :func:`resolve`: delta, then cold,
+    both priced under the snapshot ``cost`` the digests were taken with.
 
     Each missed digest is first delta-re-swept from a structural twin in
     ``store`` (same op, other dim sizes), which saves the enumeration; the
@@ -374,14 +387,14 @@ def local_evaluator(
         cold: dict[str, OpSpec] = {}
         for digest, op in misses.items():
             payload = None if store is None else delta_payload_from_store(
-                op, env, gpu, cap=cap, seed=seed, store=store
+                op, env, cost, cap=cap, seed=seed, store=store
             )
             if payload is None:
                 cold[digest] = op
             else:
                 out[digest] = payload, "delta"
         computed = _compute_payloads(
-            list(cold.values()), env, gpu, cap=cap, seed=seed, jobs=jobs
+            list(cold.values()), env, cost, cap=cap, seed=seed, jobs=jobs
         )
         out.update((d, (p, "computed")) for d, p in zip(cold, computed))
         return out.items()
@@ -392,7 +405,7 @@ def local_evaluator(
 def _resolve_op(
     op: OpSpec,
     env: DimEnv,
-    gpu: GPUSpec,
+    cost: CostModel,
     *,
     cap: int | None,
     seed: int,
@@ -400,12 +413,13 @@ def _resolve_op(
 ) -> dict:
     """One operator's payload through the engine L1 and the tier chain."""
     store = _store(store)
-    digest = sweep_digest(op, env, gpu, cap=cap, seed=seed)
+    digest = sweep_digest(op, env, cost, cap=cap, seed=seed)
     resolved = resolve(
         {digest: op},
+        version=cost.version,
         l1=ENGINE_L1,
         store=store,
-        evaluate=local_evaluator(env, gpu, cap=cap, seed=seed, store=store),
+        evaluate=local_evaluator(env, cost, cap=cap, seed=seed, store=store),
     )
     return resolved[digest][0]
 
@@ -428,7 +442,7 @@ def sweep_op(
     every tier is ``sweep_from_payload(op, compute_payload(...))``.
     """
     cost = cost or CostModel()
-    payload = _resolve_op(op, env, cost.gpu, cap=cap, seed=seed, store=store)
+    payload = _resolve_op(op, env, cost, cap=cap, seed=seed, store=store)
     return sweep_from_payload(op, payload)
 
 
@@ -447,7 +461,7 @@ def contraction_time_split(
     evaluation order) stays inside the engine.
     """
     cost = cost or CostModel()
-    payload = _resolve_op(op, env, cost.gpu, cap=None, seed=0, store=store)
+    payload = _resolve_op(op, env, cost, cap=None, seed=0, store=store)
     totals = payload["sorted_totals"]
     tc_mask = payload["tc_flags"][payload["order"]]
     return totals[tc_mask], totals[~tc_mask]
@@ -475,20 +489,22 @@ def sweep_graph(
     active.  ``l1`` is the payload L1 to resolve through (default: the
     engine's).  ``evaluate`` produces the digests neither holds (default:
     :func:`local_evaluator`; the fleet coordinator passes a remote fetch).
+    ``cost`` is the model snapshot the whole graph is keyed and priced
+    under (default: one taken here); a passed ``evaluate`` prices under it.
     """
     cost = cost or CostModel()
     ops = [op for op in graph.ops if not op.is_view]
-    gpu = cost.gpu
     store = _store(store)
     if evaluate is None:
         evaluate = local_evaluator(
-            env, gpu, cap=cap, seed=seed, store=store, jobs=resolve_jobs(jobs)
+            env, cost, cap=cap, seed=seed, store=store, jobs=resolve_jobs(jobs)
         )
 
     with obs.span("engine.sweep_graph", ops=len(ops)) as graph_span:
-        op_digests, reps = graph_sweep_jobs(graph, env, gpu, cap=cap, seed=seed)
+        op_digests, reps = _graph_digests(graph, env, cost, cap=cap, seed=seed)
         resolved = resolve(
             reps,
+            version=cost.version,
             l1=ENGINE_L1 if l1 is None else l1,
             store=store,
             evaluate=evaluate,

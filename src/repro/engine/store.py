@@ -7,7 +7,7 @@ a content-addressed file whose name is a **stable digest** of everything
 that determines the result:
 
 ``(canonical op signature, the dim sizes the op reads, GPUSpec,
-sampling knobs, COST_MODEL_VERSION)``
+sampling knobs, cost-model version)``
 
 Python's built-in ``hash`` is salted per process, so the digest is a
 SHA-256 over a canonical JSON serialization instead.  Two properties fall
@@ -19,10 +19,12 @@ out of the canonicalization:
   (``q_proj`` / ``k_proj`` / ``v_proj``, the same GEMM across graphs) share
   one entry.  Memory-bound kernels keep the op name in the digest because
   the efficiency jitter is keyed by ``OpConfig.key()``, which embeds it.
-* **Version invalidation.**  ``COST_MODEL_VERSION`` is part of the digest
-  *and* embedded in every payload; bumping it (see the rule in
-  :mod:`repro.hardware.cost_model`) orphans every stored entry, exactly as
-  it orphans every L1 entry.
+* **Version invalidation.**  The version of the caller's
+  :class:`~repro.hardware.cost_model.CostModel` snapshot is part of the
+  digest *and* stamped on every payload, and loads check the stamp
+  against the caller's version; bumping ``COST_MODEL_VERSION`` (see the
+  rule in :mod:`repro.hardware.cost_model`) or promoting a calibration
+  orphans every stored entry, exactly as it orphans every L1 entry.
 
 Payloads are ``.npz`` files holding the *evaluation-order* timing arrays,
 the stable-sort permutation, and the (name-free) layout choice tables
@@ -49,8 +51,7 @@ import numpy as np
 
 from repro import obs
 from repro.hardware.efficiency import contraction_layout_units
-from repro.hardware.params import active_cost_model_version
-from repro.hardware.spec import GPUSpec
+from repro.hardware.cost_model import CostModel
 from repro.ir.dims import DimEnv
 from repro.ir.operator import OpClass, OpSpec
 from repro.layouts.config import NUM_GEMM_ALGORITHMS
@@ -175,31 +176,31 @@ def _effective_knobs(op: OpSpec, env: DimEnv, *, cap: int | None, seed: int) -> 
 
 
 def canonical_sweep_key(
-    op: OpSpec, env: DimEnv, gpu: GPUSpec, *, cap: int | None, seed: int
+    op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
 ) -> dict:
-    """The canonical (JSON-able) identity of one sweep."""
+    """The canonical (JSON-able) identity of one sweep under ``cost``."""
     include_name = op.op_class is not OpClass.TENSOR_CONTRACTION
     return {
         "format": PAYLOAD_FORMAT,
-        "version": active_cost_model_version(),
+        "version": cost.version,
         "op": _op_signature(op, include_name=include_name),
         "env": sorted((d, env[d]) for d in _op_dims(op)),
-        "gpu": asdict(gpu),
+        "gpu": asdict(cost.gpu),
         "knobs": _effective_knobs(op, env, cap=cap, seed=seed),
     }
 
 
 def sweep_digest(
-    op: OpSpec, env: DimEnv, gpu: GPUSpec, *, cap: int | None, seed: int
+    op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
 ) -> str:
     """Stable content digest of one sweep (process- and session-independent)."""
-    key = canonical_sweep_key(op, env, gpu, cap=cap, seed=seed)
+    key = canonical_sweep_key(op, env, cost, cap=cap, seed=seed)
     blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def canonical_structural_key(
-    op: OpSpec, env: DimEnv, gpu: GPUSpec, *, cap: int | None, seed: int
+    op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
 ) -> dict:
     """The exact sweep key with dim *sizes* abstracted away.
 
@@ -213,17 +214,17 @@ def canonical_structural_key(
     whether ``cap`` binds depends on the choice-list lengths, never on
     sizes.
     """
-    key = canonical_sweep_key(op, env, gpu, cap=cap, seed=seed)
+    key = canonical_sweep_key(op, env, cost, cap=cap, seed=seed)
     key["env"] = sorted(_op_dims(op))  # names only; sizes abstracted
     key["structural"] = True
     return key
 
 
 def structural_sweep_digest(
-    op: OpSpec, env: DimEnv, gpu: GPUSpec, *, cap: int | None, seed: int
+    op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
 ) -> str:
     """Digest of :func:`canonical_structural_key` (the delta-re-sweep key)."""
-    key = canonical_structural_key(op, env, gpu, cap=cap, seed=seed)
+    key = canonical_structural_key(op, env, cost, cap=cap, seed=seed)
     blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -254,12 +255,14 @@ def _contraction_structures(op: OpSpec) -> list[list]:
     ]
 
 
-def _finish_payload(op: OpSpec, times, extra: dict, structural: str) -> dict:
+def _finish_payload(
+    op: OpSpec, times, extra: dict, structural: str, cost: CostModel
+) -> dict:
     """Sort and package evaluated times into the serializable payload form."""
     order = np.argsort(times.total_us, kind="stable")
     payload = {
         "format": PAYLOAD_FORMAT,
-        "version": active_cost_model_version(),
+        "version": cost.version,
         "op_name": op.name,
         "structural": structural,
         "launch_us": times.launch_us,
@@ -273,9 +276,9 @@ def _finish_payload(op: OpSpec, times, extra: dict, structural: str) -> dict:
 
 
 def compute_payload(
-    op: OpSpec, env: DimEnv, gpu: GPUSpec, *, cap: int | None, seed: int
+    op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
 ) -> dict:
-    """Enumerate and batch-evaluate one sweep into its serializable payload.
+    """Enumerate and batch-evaluate one sweep under ``cost`` into its payload.
 
     The payload carries the evaluation-order timing arrays, the stable-sort
     permutation, and name-free layout choice tables — everything needed to
@@ -285,11 +288,13 @@ def compute_payload(
     structural digest) so a later sweep of the same op at *different* dim
     sizes can delta-re-sweep instead of starting cold.
     """
-    structural = structural_sweep_digest(op, env, gpu, cap=cap, seed=seed)
+    structural = structural_sweep_digest(op, env, cost, cap=cap, seed=seed)
     if op.op_class is OpClass.TENSOR_CONTRACTION:
         space = enumerate_contraction_space(op, env)
         layout_units = contraction_layout_units(op, space.triples)
-        times = evaluate_contraction(space, env, gpu, layout_units=layout_units)
+        times = evaluate_contraction(
+            space, env, cost.gpu, cost.params, layout_units=layout_units
+        )
         extra = {
             "kind": "contraction",
             "triples": [
@@ -305,7 +310,7 @@ def compute_payload(
     else:
         space = enumerate_kernel_space(op, env, cap=cap, seed=seed)
         units = kernel_jitter_units(space)
-        times = evaluate_kernel(space, env, gpu, units=units)
+        times = evaluate_kernel(space, env, cost.gpu, cost.params, units=units)
         extra = {
             "kind": "kernel",
             "layout_choices": [
@@ -316,13 +321,13 @@ def compute_payload(
             "idx": space.idx,
             "units": units,
         }
-    return _finish_payload(op, times, extra, structural)
+    return _finish_payload(op, times, extra, structural, cost)
 
 
 def compute_payload_delta(
     op: OpSpec,
     env: DimEnv,
-    gpu: GPUSpec,
+    cost: CostModel,
     *,
     cap: int | None,
     seed: int,
@@ -344,7 +349,7 @@ def compute_payload_delta(
     the already-computed structural digest of this sweep.
     """
     if structural is None:
-        structural = structural_sweep_digest(op, env, gpu, cap=cap, seed=seed)
+        structural = structural_sweep_digest(op, env, cost, cap=cap, seed=seed)
     if base.get("structural") != structural:
         raise CacheMismatch(
             f"delta base declares structural digest {base.get('structural')!r}, "
@@ -370,7 +375,9 @@ def compute_payload_delta(
             tc_flags=base["tc_flags"],
             algos=base["algos"],
         )
-        times = evaluate_contraction(space, env, gpu, layout_units=layout_units)
+        times = evaluate_contraction(
+            space, env, cost.gpu, cost.params, layout_units=layout_units
+        )
         extra = {
             "kind": "contraction",
             "triples": base["triples"],
@@ -387,7 +394,7 @@ def compute_payload_delta(
         if units is None or units.shape[0] != base["order"].shape[0]:
             raise CacheMismatch("delta base lacks usable jitter units")
         space = space_from_payload(op, base)
-        times = evaluate_kernel(space, env, gpu, units=units)
+        times = evaluate_kernel(space, env, cost.gpu, cost.params, units=units)
         extra = {
             "kind": "kernel",
             "layout_choices": base["layout_choices"],
@@ -396,7 +403,7 @@ def compute_payload_delta(
             "idx": base["idx"],
             "units": units,
         }
-    return _finish_payload(op, times, extra, structural)
+    return _finish_payload(op, times, extra, structural, cost)
 
 
 @lru_cache(maxsize=4096)
@@ -445,16 +452,23 @@ def _index_in_range(idx: np.ndarray, size: int) -> bool:
 
 
 def _validate_payload(
-    payload: dict, digest: str | None, path: Path | str, *, skeleton_only: bool = False
+    payload: dict,
+    digest: str | None,
+    path: Path | str,
+    version: int | str | None,
+    *,
+    skeleton_only: bool = False,
 ) -> None:
     """Structural sanity of a deserialized payload; raises CacheMismatch.
 
     Every index array is bounds-checked against its choice table so a
     corrupted entry surfaces here — never as a silently wrong (or
-    end-relative) configuration at measurement-access time.
-    ``skeleton_only`` validates a payload read without its time matrix
-    (see :func:`read_payload_npz`): all skeleton checks still run, the
-    time-array ones are skipped.
+    end-relative) configuration at measurement-access time.  ``version``
+    is the cost-model version of the caller's snapshot the payload must
+    be stamped with (``None``: any — only a client, which serves no
+    model, decodes that way).  ``skeleton_only`` validates a payload read
+    without its time matrix (see :func:`read_payload_npz`): all skeleton
+    checks still run, the time-array ones are skipped.
     """
     where = f"sweep-store entry {path}"
     if payload.get("format") != PAYLOAD_FORMAT:
@@ -462,13 +476,11 @@ def _validate_payload(
             f"{where} uses payload format {payload.get('format')!r}, "
             f"not {PAYLOAD_FORMAT!r}"
         )
-    version = payload.get("version")
-    served = active_cost_model_version()
-    if version != served:
+    if version is not None and payload.get("version") != version:
         raise CacheMismatch(
-            f"{where} was measured under cost model version {version!r}, but "
-            f"this process serves version {served!r}; re-sweep "
-            f"instead of reusing it"
+            f"{where} was measured under cost model version "
+            f"{payload.get('version')!r}, but the caller's model is version "
+            f"{version!r}; re-sweep instead of reusing it"
         )
     if digest is not None and payload.get("digest") != digest:
         raise CacheMismatch(
@@ -688,13 +700,13 @@ class SweepStore:
     def __contains__(self, digest: str) -> bool:
         return self.path_for(digest).exists()
 
-    def load(self, digest: str) -> dict | None:
-        """Deserialize one payload.
+    def load(self, digest: str, version: int | str) -> dict | None:
+        """Deserialize one payload measured under cost-model ``version``.
 
         Returns ``None`` on a clean miss.  A present-but-unusable entry
-        (corrupt file, wrong cost-model version, wrong digest, inconsistent
-        arrays) raises :class:`CacheMismatch` — callers recompute and
-        overwrite, never silently reuse.
+        (corrupt file, another cost-model version, wrong digest,
+        inconsistent arrays) raises :class:`CacheMismatch` — callers
+        recompute and overwrite, never silently reuse.
         """
         path = self.path_for(digest)
         if not path.exists():
@@ -704,7 +716,7 @@ class SweepStore:
             return None
         try:
             payload = self._read(path)
-            _validate_payload(payload, digest, path)
+            _validate_payload(payload, digest, path, version)
         except CacheMismatch:
             with self._lock:
                 self.rejected += 1
@@ -802,8 +814,8 @@ class SweepStore:
                     del index[k]
                 self._persist_index_locked(index)
 
-    def load_structural(self, structural: str) -> dict | None:
-        """A validated skeleton payload twin to ``structural``, or None.
+    def load_structural(self, structural: str, version: int | str) -> dict | None:
+        """A validated skeleton twin to ``structural`` under ``version``, or None.
 
         Read in skeleton-only mode: the base sweep's *times* are dead
         weight for a delta re-sweep (they are recomputed at the new dim
@@ -822,7 +834,7 @@ class SweepStore:
         path = self.path_for(exact)
         try:
             payload = read_payload_npz(path, skeleton_only=True)
-            _validate_payload(payload, exact, path, skeleton_only=True)
+            _validate_payload(payload, exact, path, version, skeleton_only=True)
             if payload.get("structural") != structural:
                 raise CacheMismatch(
                     f"sidecar entry {structural[:12]} points at {path} whose "

@@ -26,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.hardware.cost_model import KernelTime
-from repro.hardware.spec import GPUSpec
+from repro.hardware.cost_model import CostModel, KernelTime
 from repro.ir.dims import DimEnv
 from repro.ir.operator import OpSpec
 
@@ -49,7 +48,7 @@ __all__ = [
 def delta_payload_from_store(
     op: OpSpec,
     env: DimEnv,
-    gpu: GPUSpec,
+    cost: CostModel,
     *,
     cap: int | None,
     seed: int,
@@ -67,13 +66,13 @@ def delta_payload_from_store(
     """
     if store is None:
         return None
-    structural = structural_sweep_digest(op, env, gpu, cap=cap, seed=seed)
-    base = store.load_structural(structural)
+    structural = structural_sweep_digest(op, env, cost, cap=cap, seed=seed)
+    base = store.load_structural(structural, cost.version)
     if base is None:
         return None
     try:
         payload = compute_payload_delta(
-            op, env, gpu, cap=cap, seed=seed, base=base, structural=structural
+            op, env, cost, cap=cap, seed=seed, base=base, structural=structural
         )
     except CacheMismatch:
         return None

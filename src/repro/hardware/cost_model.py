@@ -24,15 +24,15 @@ from repro.layouts.configspace import default_config
 from repro.layouts.layout import transpose_cost_bytes
 
 from .efficiency import Efficiency, op_efficiency
-from .params import DEFAULT_VERSION, EfficiencyParams, active_params
+from .params import DEFAULT_VERSION, EfficiencyParams, active_params, candidate_version
 from .spec import GPUSpec, V100
 
 __all__ = ["KernelTime", "CostModel", "COST_MODEL_VERSION"]
 
 #: Version tag of the analytic cost model (roofline formula, efficiency
 #: constants, jitter keying, enumeration semantics).  Persisted sweep
-#: artifacts and the in-process payload L1 embed the *served* version
-#: (:func:`repro.hardware.params.active_cost_model_version`); a mismatch
+#: artifacts and the in-process payload L1 embed the version of the
+#: request's :class:`CostModel` snapshot (``CostModel.version``); a mismatch
 #: means cached numbers were produced by a different model and must be
 #: re-measured, not silently reused.
 #:
@@ -86,23 +86,20 @@ class KernelTime:
 class CostModel:
     """Predicts kernel times for operators under configurations on a GPU.
 
-    ``params`` pins the efficiency constants for this instance (the canary
-    dual-scoring path builds one per candidate); the default ``None``
-    resolves the process-active model *at call time*, so long-lived default
-    instances — the daemon's, the CLI's — track an online-calibration
-    promotion without being rebuilt.
+    A cost model is one request's **snapshot** of the served model: the
+    constructor resolves ``params`` once (``None``: the process-active
+    params) and derives ``version``, the tag every digest, payload stamp
+    and wire response of the request embeds.  It no longer follows a
+    promotion made after it was built — a request in flight finishes under
+    the model it started with, and the next request builds a new snapshot.
     """
 
     def __init__(
         self, gpu: GPUSpec = V100, params: EfficiencyParams | None = None
     ) -> None:
         self.gpu = gpu
-        self._params = params
-
-    @property
-    def params(self) -> EfficiencyParams:
-        """The efficiency constants this model predicts under (resolved)."""
-        return self._params if self._params is not None else active_params()
+        self.params = active_params() if params is None else params
+        self.version = candidate_version(self.params)
 
     # -- core prediction -----------------------------------------------------
     def time_op(
@@ -122,7 +119,7 @@ class CostModel:
             raise ValueError("env is required")
         if config is None:
             config = default_config(op)
-        eff = op_efficiency(op, config, env, self.gpu, self._params)
+        eff = op_efficiency(op, config, env, self.gpu, self.params)
         if eff is None:
             return None
         return self._time_from_eff(op.flops(env), op.io_bytes(env), eff, op.op_class,

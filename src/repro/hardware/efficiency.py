@@ -27,11 +27,12 @@ Memory-bound kernels (statistical normalization / element-wise / fused):
   warp-reduce and vector dimensions adds the paper's register-pressure bonus.
 
 The constants themselves live in :class:`repro.hardware.params
-.EfficiencyParams`; every public entry point takes an optional ``params``
-and resolves ``None`` to the process-active model *at call time*, so an
-online-calibration promotion takes effect without touching callers.  The
-internal ``lru_cache``s key on the resolved params value — two models
-never share a cached factor.
+.EfficiencyParams`; every public entry point takes the ``params`` of the
+caller's :class:`~repro.hardware.cost_model.CostModel` snapshot as a
+required argument and never reads the process-active model, so a
+promotion made after a request built its snapshot does not reach that
+request (the next one picks it up).  The internal ``lru_cache``s key on
+the params value — two models never share a cached factor.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ from repro.layouts.gemm_mapping import GemmShape, map_to_gemm
 from repro.layouts.layout import Layout
 from repro.ops.einsum_utils import parse_einsum
 
-from .params import EfficiencyParams, active_params
-from .spec import GPUSpec, V100
+from .params import EfficiencyParams
+from .spec import GPUSpec
 
 __all__ = [
     "Efficiency",
     "contraction_efficiency",
     "contraction_layout_units",
-    "contraction_shared_factors",
     "contraction_triple_factors",
     "kernel_efficiency",
     "operand_access_eff",
@@ -104,15 +104,13 @@ def heuristic_algorithm(shape: GemmShape) -> int:
 
 
 def best_algorithm(
-    shape: GemmShape,
-    layouts_key: str = "",
-    params: EfficiencyParams | None = None,
+    shape: GemmShape, params: EfficiencyParams, layouts_key: str = ""
 ) -> int:
     """The algorithm with the highest algo_factor for this shape/layout."""
-    p = params if params is not None else active_params()
+    lo_hi = params.algo_factor_range
     return max(
         range(NUM_GEMM_ALGORITHMS),
-        key=lambda a: _in_range(_unit("algo", shape.label(), layouts_key, a), p.algo_factor_range),
+        key=lambda a: _in_range(_unit("algo", shape.label(), layouts_key, a), lo_hi),
     )
 
 
@@ -154,11 +152,10 @@ def contraction_efficiency(
     op: OpSpec,
     config: OpConfig,
     env: DimEnv,
-    gpu: GPUSpec = V100,
-    params: EfficiencyParams | None = None,
+    gpu: GPUSpec,
+    params: EfficiencyParams,
 ) -> Efficiency | None:
     """Efficiency of a contraction configuration, or None if not GEMM-mappable."""
-    p = params if params is not None else active_params()
     spec = parse_einsum(op.einsum)
     la, lb = config.input_layouts[0], config.input_layouts[1]
     lc = config.output_layouts[0]
@@ -178,18 +175,19 @@ def contraction_efficiency(
         algo = heuristic_algorithm(shape)
     layout_factor = _in_range(
         _unit("gemm-layout", op.einsum, layouts_key, shape.trans_a, shape.trans_b),
-        p.layout_factor_range,
+        params.layout_factor_range,
     )
     algo_factor = _in_range(
-        _unit("algo", shape.label(), layouts_key, algo), p.algo_factor_range
+        _unit("algo", shape.label(), layouts_key, algo), params.algo_factor_range
     )
     if tc_legal:
-        compute = p.gemm_tc_base * _tc_saturation(shape, p) * layout_factor * algo_factor
+        sat, base = _tc_saturation(shape, params), params.gemm_tc_base
     else:
-        compute = p.gemm_fp16_base * _fp16_saturation(shape, p) * layout_factor * algo_factor
+        sat, base = _fp16_saturation(shape, params), params.gemm_fp16_base
+    compute = base * sat * layout_factor * algo_factor
     compute /= _wave_quantization(shape, gpu)
     compute = max(compute, 1e-4)
-    return Efficiency(compute=compute, memory=p.gemm_mem_eff, tensor_cores=tc_legal)
+    return Efficiency(compute=compute, memory=params.gemm_mem_eff, tensor_cores=tc_legal)
 
 
 @lru_cache(maxsize=4096)
@@ -218,49 +216,6 @@ def _shape_factors(
 _ALGO_SUFFIXES = tuple(str(a).encode() for a in range(NUM_GEMM_ALGORITHMS))
 
 
-def contraction_shared_factors(
-    op: OpSpec,
-    la: Layout,
-    lb: Layout,
-    lc: Layout,
-    shape: GemmShape,
-    gpu: GPUSpec,
-    params: EfficiencyParams | None = None,
-) -> tuple[float, float, float, bool, tuple[float, ...]]:
-    """Per-layout-triple factors shared by every (tc, algo) configuration.
-
-    Returns ``(pre_tc, pre_fp16, wave, tc_divisible, algo_factors)`` where
-    ``pre_* = BASE · sat(shape) · layout_factor`` are the partial products of
-    :func:`contraction_efficiency` up to (but excluding) the per-algorithm
-    factor.  The batched sweep engine hoists these out of its per-config
-    loop; the arithmetic — including association order — matches the scalar
-    path exactly so engine results stay bit-identical to the reference.
-
-    The per-algorithm units roll the CRC forward from the shared
-    ``algo|label|layouts`` prefix instead of re-hashing it per algorithm:
-    ``crc32(p + s) == crc32(s, crc32(p))``, so the units — and the factors
-    derived from them in :func:`_in_range`'s exact arithmetic — are the
-    same bits the one-shot hash produces.
-    """
-    p = params if params is not None else active_params()
-    layouts_key = f"{la}/{lb}/{lc}"
-    layout_factor = _in_range(
-        _unit("gemm-layout", op.einsum, layouts_key, shape.trans_a, shape.trans_b),
-        p.layout_factor_range,
-    )
-    sat_tc, sat_fp16, wave, tc_divisible, label = _shape_factors(shape, gpu, p)
-    pre_tc = p.gemm_tc_base * sat_tc * layout_factor
-    pre_fp16 = p.gemm_fp16_base * sat_fp16 * layout_factor
-    crc32 = zlib.crc32
-    prefix = crc32(f"algo|{label}|{layouts_key}|".encode())
-    lo, hi = p.algo_factor_range
-    span = hi - lo
-    algo_factors = tuple(
-        lo + (crc32(suffix, prefix) / 2**32) * span for suffix in _ALGO_SUFFIXES
-    )
-    return pre_tc, pre_fp16, wave, tc_divisible, algo_factors
-
-
 def contraction_layout_units(op: OpSpec, triples) -> np.ndarray:
     """Per-triple layout-factor units in [0, 1), enumeration order.
 
@@ -283,16 +238,18 @@ def contraction_triple_factors(
     op: OpSpec,
     triples,
     gpu: GPUSpec,
+    params: EfficiencyParams,
     *,
     layout_units: np.ndarray | None = None,
-    params: EfficiencyParams | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`contraction_shared_factors` over a whole triple list, batched.
+    """The per-triple factors of :func:`contraction_efficiency`, batched.
 
     Returns ``(pre_tc, pre_fp16, wave, tc_divisible, algo_factors,
-    layout_units)`` arrays — ``algo_factors`` of shape
-    ``(len(triples), NUM_GEMM_ALGORITHMS)`` — bit-identical to calling the
-    scalar helper per triple:
+    layout_units)`` arrays, where ``pre_* = BASE · sat(shape) ·
+    layout_factor`` are the partial products up to (but excluding) the
+    per-algorithm factor and ``algo_factors`` has shape
+    ``(len(triples), NUM_GEMM_ALGORITHMS)`` — bit-identical to the scalar
+    path's factors:
 
     * the size-only shape factors come from the same :func:`_shape_factors`
       cache;
@@ -307,7 +264,6 @@ def contraction_triple_factors(
     :func:`contraction_layout_units` (e.g. from a stored payload on the
     delta re-sweep path); ``None`` computes them here.
     """
-    p = params if params is not None else active_params()
     t = len(triples)
     sat_tc = np.empty(t)
     sat_fp16 = np.empty(t)
@@ -319,7 +275,7 @@ def contraction_triple_factors(
     crc32 = zlib.crc32
     label_base: dict[str, int] = {}
     for i, (la, lb, lc, shape) in enumerate(triples):
-        s_tc, s_fp, w, d8, label = _shape_factors(shape, gpu, p)
+        s_tc, s_fp, w, d8, label = _shape_factors(shape, gpu, params)
         sat_tc[i] = s_tc
         sat_fp16[i] = s_fp
         wave[i] = w
@@ -331,11 +287,11 @@ def contraction_triple_factors(
         row = algo_crcs[i]
         for a, suffix in enumerate(_ALGO_SUFFIXES):
             row[a] = crc32(suffix, mid)
-    lo, hi = p.layout_factor_range
+    lo, hi = params.layout_factor_range
     layout_factor = lo + layout_units * (hi - lo)
-    pre_tc = (p.gemm_tc_base * sat_tc) * layout_factor
-    pre_fp16 = (p.gemm_fp16_base * sat_fp16) * layout_factor
-    lo_a, hi_a = p.algo_factor_range
+    pre_tc = (params.gemm_tc_base * sat_tc) * layout_factor
+    pre_fp16 = (params.gemm_fp16_base * sat_fp16) * layout_factor
+    lo_a, hi_a = params.algo_factor_range
     algo_factors = lo_a + (algo_crcs / 2**32) * (hi_a - lo_a)
     return pre_tc, pre_fp16, wave, div8, algo_factors, layout_units
 
@@ -368,25 +324,23 @@ def operand_access_eff(
     layout: Layout,
     vector_dim: str | None,
     env: DimEnv,
-    params: EfficiencyParams | None = None,
+    params: EfficiencyParams,
 ) -> float:
     """Public name for the per-operand access model (the batched engine
     tabulates it once per (operand, layout, vector-dim) instead of once per
     config).  Cached on the resolved params: the same (layout, vector-dim,
     env, model) cells recur across operators and sweeps, and the function
     is pure — identical inputs, identical float."""
-    p = params if params is not None else active_params()
-    return _operand_access_eff(layout, vector_dim, env, p)
+    return _operand_access_eff(layout, vector_dim, env, params)
 
 
 def kernel_efficiency(
     op: OpSpec,
     config: OpConfig,
     env: DimEnv,
-    params: EfficiencyParams | None = None,
+    params: EfficiencyParams,
 ) -> Efficiency:
     """Efficiency of a (possibly fused) memory-bound kernel configuration."""
-    p = params if params is not None else active_params()
     if op.op_class is OpClass.TENSOR_CONTRACTION:
         raise ValueError(f"{op.name!r} is a contraction; use contraction_efficiency")
     operands = list(op.inputs) + list(op.outputs)
@@ -400,7 +354,7 @@ def kernel_efficiency(
     for spec, layout in zip(operands, layouts):
         nbytes = spec.nbytes(env)
         total_bytes += nbytes
-        weighted += nbytes * _operand_access_eff(layout, config.vector_dim, env, p)
+        weighted += nbytes * _operand_access_eff(layout, config.vector_dim, env, params)
     mem = weighted / total_bytes if total_bytes else 0.5
 
     if op.ispace.reduction and config.warp_reduce_dim:
@@ -408,24 +362,23 @@ def kernel_efficiency(
             # Shared reduce/vector dim shrinks per-thread register footprint
             # (paper Sec. V-B: "decreases the number of registers ... from
             # the vector size (eight at FP16) to one").
-            mem = min(0.95, mem * p.register_bonus)
+            mem = min(0.95, mem * params.register_bonus)
         if env[config.warp_reduce_dim] < 32:
-            mem *= p.narrow_warp_penalty
+            mem *= params.narrow_warp_penalty
 
-    jitter = 1.0 + p.jitter * (2.0 * _unit("kernel", config.key()) - 1.0)
-    mem = min(0.95, max(p.strided_floor / 2, mem * jitter))
-    return Efficiency(compute=p.kernel_compute_eff, memory=mem, tensor_cores=False)
+    jitter = 1.0 + params.jitter * (2.0 * _unit("kernel", config.key()) - 1.0)
+    mem = min(0.95, max(params.strided_floor / 2, mem * jitter))
+    return Efficiency(compute=params.kernel_compute_eff, memory=mem, tensor_cores=False)
 
 
 def op_efficiency(
     op: OpSpec,
     config: OpConfig,
     env: DimEnv,
-    gpu: GPUSpec = V100,
-    params: EfficiencyParams | None = None,
+    gpu: GPUSpec,
+    params: EfficiencyParams,
 ) -> Efficiency | None:
     """Dispatch on operator class."""
-    p = params if params is not None else active_params()
     if op.op_class is OpClass.TENSOR_CONTRACTION:
-        return contraction_efficiency(op, config, env, gpu, p)
-    return kernel_efficiency(op, config, env, p)
+        return contraction_efficiency(op, config, env, gpu, params)
+    return kernel_efficiency(op, config, env, params)

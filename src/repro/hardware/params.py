@@ -19,10 +19,12 @@ Two invariants keep the rest of the system honest:
   through the existing ``CacheMismatch`` path — and rolling back is
   metadata-only, because the old version's entries were never touched.
 
-The process-active model is a single atomically-swapped reference:
-readers (:func:`active_params`, :func:`active_cost_model_version`) never
-take the lock, so the hot sweep path pays one attribute load.  Only
-:func:`install_params` — the rollout manager's commit step — serializes.
+The process-active model is one atomically-swapped reference: it says
+which model *new* requests get.  A request reads it once, when it builds
+its :class:`~repro.hardware.cost_model.CostModel`, and from then on every
+digest, evaluation, payload stamp and load check of that request uses the
+snapshot's ``params`` and ``version`` — a promotion or rollback that lands
+mid-request cannot mix two models' numbers under one key.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -182,49 +183,37 @@ def candidate_version(params: EfficiencyParams) -> str:
 # The process-active model
 # ---------------------------------------------------------------------------
 
-_lock = threading.Lock()
-#: ``(params, served version)`` — swapped atomically, read without the lock.
-_active: tuple[EfficiencyParams, int | str] = (DEFAULT_PARAMS, DEFAULT_VERSION)
+#: The params new requests get; swapped atomically, read without a lock.
+_params: EfficiencyParams = DEFAULT_PARAMS
 
 
 def active_params() -> EfficiencyParams:
-    """The params every efficiency evaluation resolves at call time."""
-    return _active[0]
+    """The params a :class:`~repro.hardware.cost_model.CostModel` built now
+    snapshots (request-path code reads its model's, never this)."""
+    return _params
 
 
 def active_cost_model_version() -> int | str:
-    """The *served* cost-model version.
-
-    The integer :data:`DEFAULT_VERSION` under default params; a derived
-    string tag (``"1-cal-<hex12>"``) after a candidate promotion.  Every
-    L1 key, store digest, wire key and registry entry embeds this value,
-    which is what makes promotion an atomic whole-cache invalidation.
-    """
-    return _active[1]
+    """The *served* cost-model version: :func:`candidate_version` of the
+    active params — the integer :data:`DEFAULT_VERSION` under the defaults,
+    a derived ``"1-cal-<hex12>"`` tag after a candidate promotion."""
+    return candidate_version(_params)
 
 
-def install_params(
-    params: EfficiencyParams, version: int | str | None = None
-) -> int | str:
-    """Swap the process-active model; returns the served version.
+def install_params(params: EfficiencyParams) -> int | str:
+    """Swap the process-active model; returns its served version.
 
     This is the rollout manager's last step, *after* its journal and state
     file are durable — the in-memory swap must never run ahead of the
     on-disk commit point, or a crash right here would recover to a model
-    the process never admitted to serving.
+    the process never admitted to serving.  Requests already in flight
+    finish under the snapshot they started with.
     """
-    global _active
-    if version is None:
-        version = candidate_version(params)
-    if params == DEFAULT_PARAMS:
-        version = DEFAULT_VERSION
-    with _lock:
-        _active = (params, version)
-    return version
+    global _params
+    _params = params
+    return candidate_version(params)
 
 
 def reset_active_params() -> None:
     """Back to the default model (tests and daemon shutdown hygiene)."""
-    global _active
-    with _lock:
-        _active = (DEFAULT_PARAMS, DEFAULT_VERSION)
+    install_params(DEFAULT_PARAMS)

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 from repro.autotuner.tuner import ConfigMeasurement
 from repro.hardware.cost_model import KernelTime
-from repro.hardware.params import active_cost_model_version
 from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph, GraphValidationError
@@ -255,23 +254,20 @@ def schedule_digest(
     *,
     cap: int | None,
     seed: int,
+    version: int | str,
     source: str = "x",
-    version: int | str | None = None,
 ) -> str:
     """Stable content digest of one schedule's tuning problem.
 
-    Hashes ``(graph signature, dim sizes, GPUSpec, knobs, served
-    cost-model version)`` — everything that determines the selection —
-    so the digest is process- and session-independent (pinned by a
-    spawned-interpreter test, like the sweep store's).  ``version``
-    defaults (``None``) to the *served* cost-model version, resolved at
-    call time so a calibration promotion changes every fresh digest;
-    loaders pass an entry's *recorded* version so key verification still
-    works on stale entries (staleness is a validator's report, not a load
-    failure).
+    Hashes ``(graph signature, dim sizes, GPUSpec, knobs, cost-model
+    version)`` — everything that determines the selection — so the digest
+    is process- and session-independent (pinned by a spawned-interpreter
+    test, like the sweep store's).  Builders pass the ``version`` of the
+    cost model snapshot they tuned under, so a calibration promotion
+    changes every fresh digest; loaders pass an entry's *recorded* version
+    so key verification still works on stale entries (staleness is a
+    validator's report, not a load failure).
     """
-    if version is None:
-        version = active_cost_model_version()
     key = {
         "kind": "schedule",
         "format": REGISTRY_FORMAT,

@@ -34,7 +34,6 @@ from repro.engine.store import (
     sweep_digest,
 )
 from repro.hardware.cost_model import CostModel
-from repro.hardware.params import active_cost_model_version
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
 from repro.service.protocol import gpu_to_wire
@@ -205,15 +204,17 @@ def build_entry(
     have written).
     """
     gpu = cost.gpu
-    digest = schedule_digest(graph, env, gpu, cap=cap, seed=seed, source=source)
+    digest = schedule_digest(
+        graph, env, gpu, cap=cap, seed=seed, source=source, version=cost.version
+    )
     sweeps = {
-        op.name: sweep_digest(op, env, gpu, cap=cap, seed=seed)
+        op.name: sweep_digest(op, env, cost, cap=cap, seed=seed)
         for op in graph.ops
         if not op.is_view
     }
     return ScheduleEntry(
         digest=digest,
-        cost_model_version=active_cost_model_version(),
+        cost_model_version=cost.version,
         graph=graph_to_wire(graph),
         env={d: env[d] for d in sorted(_entry_dims(graph))},
         gpu=gpu_to_wire(gpu),

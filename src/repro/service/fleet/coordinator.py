@@ -156,8 +156,11 @@ class FleetService(TuningService):
         return worker_id, eligible[worker_id].url
 
     # -- one sharded sweep job ---------------------------------------------------
-    def _fleet_payload(self, digest: str, op, req) -> dict:
+    def _fleet_payload(self, digest: str, op, req, cost) -> dict:
         """One job's payload: remote with retry-with-exclusion, else local.
+
+        A worker's bytes must carry ``digest`` and the version of the
+        request's ``cost`` snapshot; the local fallback prices under it.
 
         ``excluded`` is per-job: a worker benched for this digest still
         serves other digests until its quarantine actually lands (which it
@@ -181,7 +184,9 @@ class FleetService(TuningService):
                 _, _, data = client.sweep_packed_raw(
                     op, req.env, req.gpu, cap=req.cap, seed=req.seed
                 )
-                payload = payload_from_packed(data, digest=digest)
+                payload = payload_from_packed(
+                    data, digest=digest, version=cost.version
+                )
             except ProtocolError:
                 # Transport said 200 but the bytes fail digest/structure
                 # verification: the worker is lying or sick — bench it.
@@ -216,9 +221,9 @@ class FleetService(TuningService):
         # identical payload (same digest, same deterministic evaluation).
         self.metrics.record_fleet("job_local_fallback")
         obs.add_event("local_fallback", excluded=",".join(sorted(excluded)))
-        return compute_payload(op, req.env, req.gpu, cap=req.cap, seed=req.seed)
+        return compute_payload(op, req.env, cost, cap=req.cap, seed=req.seed)
 
-    def _fleet_sweeps(self, req, misses: dict):
+    def _fleet_sweeps(self, req, cost, misses: dict):
         """The fleet's evaluator for one batch's :func:`sweep_graph` call.
 
         The batch resolves through the coordinator's L1 and store like any
@@ -240,7 +245,7 @@ class FleetService(TuningService):
 
         def job(digest: str, op) -> tuple[str, tuple[dict, str]]:
             with obs.span("fleet.job", parent=parent, op=op.name, digest=digest):
-                payload = self._fleet_payload(digest, op, req)
+                payload = self._fleet_payload(digest, op, req, cost)
             return digest, (payload, "computed")
 
         with ThreadPoolExecutor(max_workers=min(self.fan_out, len(misses))) as pool:
@@ -259,7 +264,9 @@ class FleetService(TuningService):
         req = parse_optimize_request(body)
         self.metrics.record_fleet("batch")
         return self._optimize(
-            req, "optimize_batch", partial(self._fleet_sweeps, req)
+            req,
+            "optimize_batch",
+            lambda cost: partial(self._fleet_sweeps, req, cost),
         )
 
     def handle_fleet_register(self, body: dict) -> dict:

@@ -24,6 +24,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from repro.engine.store import _op_dims
+from repro.hardware.cost_model import CostModel
 from repro.hardware.params import active_cost_model_version
 from repro.hardware.spec import A100, V100, GPUSpec
 from repro.ir.dims import DimEnv, bert_large_dims
@@ -355,8 +356,9 @@ def parse_sweep_request(body: dict) -> SweepRequest:
     )
 
 
-def sweep_request_digest(req: SweepRequest) -> str:
-    """The cache key of one sweep request — the store's own digest.
+def sweep_request_digest(req: SweepRequest, cost: CostModel) -> str:
+    """The cache key of one sweep request under the handler's ``cost``
+    snapshot — the store's own digest.
 
     This is the whole point of the protocol design: the wire key *is* the
     L2 store key, so the daemon, the CLI and the nightly benchmarks all
@@ -364,7 +366,7 @@ def sweep_request_digest(req: SweepRequest) -> str:
     """
     from repro.engine.store import sweep_digest
 
-    return sweep_digest(req.op, req.env, req.gpu, cap=req.cap, seed=req.seed)
+    return sweep_digest(req.op, req.env, cost, cap=req.cap, seed=req.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +475,20 @@ def build_request_graph(req: OptimizeRequest) -> DataflowGraph:
     return graph
 
 
-def optimize_request_digest(req: OptimizeRequest) -> str:
+def optimize_request_digest(req: OptimizeRequest, cost: CostModel) -> str:
     """Stable coalescing/cache key of one optimize request.
 
     Sweep-level reuse already happens through the store digests; this key
     only needs to identify the *whole response*, so it hashes the parsed
     request (not the raw body — unknown fields and key order don't split
-    the cache) plus the *served* cost-model version, so a calibration
-    promotion atomically orphans every cached optimize response.
+    the cache) plus the version of the handler's ``cost`` snapshot, so a
+    calibration promotion atomically orphans every cached optimize
+    response.
     """
     key = {
         "kind": "optimize",
         "protocol": PROTOCOL_VERSION,
-        "version": active_cost_model_version(),
+        "version": cost.version,
         "model": req.model,
         "qkv_fusion": req.qkv_fusion,
         "include_backward": req.include_backward,
@@ -636,14 +639,19 @@ def accepts_packed(accept: str | None) -> bool:
     )
 
 
-def payload_from_packed(data: bytes, *, digest: str | None = None) -> dict:
+def payload_from_packed(
+    data: bytes, *, digest: str | None = None, version: int | str | None = None
+) -> dict:
     """Decode and validate one packed ``/v1/sweep`` response body.
 
     The bytes are an L2 store ``.npz`` file; this runs the store's own
     deserializer *and* its structural validation (bounds-checked index
     arrays, digest agreement when ``digest`` is given), so a corrupt or
     truncated wire body surfaces as :class:`ProtocolError` — never as a
-    silently wrong measurement downstream.
+    silently wrong measurement downstream.  ``version`` is the cost-model
+    version the caller prices under (the fleet coordinator's request
+    snapshot), so a skewed worker's bytes stay out; a client serves no
+    model and leaves it ``None``, checking only the digest.
     """
     import io
 
@@ -651,7 +659,7 @@ def payload_from_packed(data: bytes, *, digest: str | None = None) -> dict:
 
     try:
         payload = read_payload_npz(io.BytesIO(data))
-        _validate_payload(payload, digest, "<packed response>")
+        _validate_payload(payload, digest, "<packed response>", version)
     except CacheMismatch as exc:
         raise ProtocolError(f"packed sweep response failed validation: {exc}") from exc
     except ProtocolError:
@@ -688,8 +696,11 @@ def measurement_to_wire(m) -> dict:
     }
 
 
-def sweep_response_from_sweep(sweep, *, digest: str, top_k: int) -> dict:
-    """The ``/v1/sweep`` response body, as a pure function of a sweep.
+def sweep_response_from_sweep(
+    sweep, cost: CostModel, *, digest: str, top_k: int
+) -> dict:
+    """The ``/v1/sweep`` response body, as a pure function of a sweep and
+    the ``cost`` snapshot it was priced under.
 
     Takes any :class:`~repro.autotuner.tuner.SweepResult` — an engine
     sweep, a store round-trip, or a scalar reference sweep — and produces
@@ -699,7 +710,7 @@ def sweep_response_from_sweep(sweep, *, digest: str, top_k: int) -> dict:
     k = min(top_k, sweep.num_configs)
     return {
         "protocol": PROTOCOL_VERSION,
-        "cost_model_version": active_cost_model_version(),
+        "cost_model_version": cost.version,
         "digest": digest,
         "op": sweep.op.name,
         "num_configs": sweep.num_configs,
@@ -741,9 +752,10 @@ def selection_to_wire(selection) -> dict:
 
 
 def optimize_response_from_sweeps(
-    graph: DataflowGraph, sweeps: dict, *, digest: str, selection=None
+    graph: DataflowGraph, sweeps: dict, cost: CostModel, *, digest: str, selection=None
 ) -> dict:
-    """The ``/v1/optimize`` response: the tuned schedule, op by op.
+    """The ``/v1/optimize`` response: the tuned schedule, op by op, under
+    the ``cost`` snapshot the sweeps were priced with.
 
     Kernel order is graph order, so the body is deterministic and the
     canonical serialization is byte-stable across servers and runs.
@@ -776,7 +788,7 @@ def optimize_response_from_sweeps(
             forward_us += best.total_us
     return {
         "protocol": PROTOCOL_VERSION,
-        "cost_model_version": active_cost_model_version(),
+        "cost_model_version": cost.version,
         "digest": digest,
         "graph": graph.name,
         "num_kernels": len(kernels),

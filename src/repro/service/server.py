@@ -253,15 +253,17 @@ class TuningService:
         )
 
     # -- tiered resolution ---------------------------------------------------
-    def _resolve(self, digest: str, rep, evaluate, *, l1, store):
+    def _resolve(self, digest: str, rep, evaluate, *, version, l1, store):
         """One digest through the engine's tier chain, single-flighted.
 
         ``evaluate`` runs at most once across all concurrent callers of
         ``digest``; the tier that served this request is recorded in the
-        metrics and on the current span.
+        metrics and on the current span.  ``version`` is that of the
+        request's model snapshot, which ``store`` entries must carry.
         """
         value, tier = resolve(
             {digest: rep},
+            version=version,
             l1=l1,
             store=store,
             evaluate=evaluate,
@@ -282,12 +284,13 @@ class TuningService:
             digest,
             None,
             lambda _: [(digest, (compute(), "computed"))],
+            version=None,  # no store to check; the digest embeds it
             l1=self.responses,
             store=None,
         )
 
     # -- endpoint bodies -----------------------------------------------------
-    def _resolve_sweep(self, req, digest: str) -> dict:
+    def _resolve_sweep(self, req, cost, digest: str) -> dict:
         """One sweep request's payload through the full tier chain."""
         # The size estimate is the scheduler's own pool-threshold helper:
         # cheap (cached feasibility/space scans), and exact enough to keep
@@ -305,8 +308,9 @@ class TuningService:
             digest,
             req.op,
             local_evaluator(
-                req.env, req.gpu, cap=req.cap, seed=req.seed, store=self.store
+                req.env, cost, cap=req.cap, seed=req.seed, store=self.store
             ),
+            version=cost.version,
             l1=self.cache,
             store=self.store,
         )
@@ -356,10 +360,11 @@ class TuningService:
 
     def handle_sweep(self, body: dict) -> dict:
         req = parse_sweep_request(body)
-        digest = sweep_request_digest(req)
-        payload = self._resolve_sweep(req, digest)
+        cost = CostModel(req.gpu)
+        digest = sweep_request_digest(req, cost)
+        payload = self._resolve_sweep(req, cost, digest)
         sweep = sweep_from_payload(req.op, payload)
-        return sweep_response_from_sweep(sweep, digest=digest, top_k=req.top_k)
+        return sweep_response_from_sweep(sweep, cost, digest=digest, top_k=req.top_k)
 
     def handle_sweep_wire(
         self, body: dict, *, accept: str | None = None, if_none_match: str | None = None
@@ -373,19 +378,22 @@ class TuningService:
         representation under a matching tag holds the current bytes.
         """
         req = parse_sweep_request(body)
-        digest = sweep_request_digest(req)
+        cost = CostModel(req.gpu)
+        digest = sweep_request_digest(req, cost)
         binary = accepts_packed(accept)
         etag = sweep_etag(digest, top_k=None if binary else req.top_k)
         if etag_matches(if_none_match, etag):
             self.metrics.record_response("not_modified")
             return WireReply(status=304, headers={"ETag": etag})
-        payload = self._resolve_sweep(req, digest)
+        payload = self._resolve_sweep(req, cost, digest)
         if binary:
             reply = self._packed_reply(digest, payload, etag)
             self.metrics.record_response("binary")
             return reply
         sweep = sweep_from_payload(req.op, payload)
-        response = sweep_response_from_sweep(sweep, digest=digest, top_k=req.top_k)
+        response = sweep_response_from_sweep(
+            sweep, cost, digest=digest, top_k=req.top_k
+        )
         self.metrics.record_response("json")
         return WireReply(
             status=200,
@@ -420,32 +428,36 @@ class TuningService:
     def handle_optimize(self, body: dict) -> dict:
         return self._optimize(parse_optimize_request(body), "optimize")
 
-    def _optimize(self, req, endpoint: str, evaluate=None) -> dict:
+    def _optimize(self, req, endpoint: str, evaluator=None) -> dict:
         """A whole-graph response through the response cache.
 
         ``/v1/optimize`` sweeps on this daemon's engine; the coordinator's
-        ``/v1/optimize_batch`` passes its fleet ``evaluate``, the only
+        ``/v1/optimize_batch`` passes ``evaluator(cost)``, which builds its
+        fleet ``evaluate`` for the request's model snapshot — the only
         difference between the two, so they answer byte-identically.
         """
-        digest = optimize_request_digest(req)
+        cost = CostModel(req.gpu)
+        digest = optimize_request_digest(req, cost)
         obs.set_attr("request.digest", digest)
+        evaluate = None if evaluator is None else evaluator(cost)
 
         def compute() -> dict:
-            graph, _, sweeps, selection = self._tune(req, endpoint, evaluate)
+            graph, sweeps, selection = self._tune(req, cost, endpoint, evaluate)
             return optimize_response_from_sweeps(
-                graph, sweeps, digest=digest, selection=selection
+                graph, sweeps, cost, digest=digest, selection=selection
             )
 
         return self._cached_response(digest, compute)
 
-    def _tune(self, req, endpoint: str, evaluate=None):
+    def _tune(self, req, cost, endpoint: str, evaluate=None):
         """Tune one optimize-style request: the paper's recipe, once.
 
         Cap guard → request graph → per-op sweeps through this service's
         L1 and store (``evaluate`` produces the digests neither holds;
-        default the local engine) → global configuration selection.  Returns
-        ``(graph, cost, sweeps, selection)``.  Not every requestable graph
-        has a primary chain from ``"x"``; for those ``selection`` is None.
+        default the local engine) → global configuration selection, all
+        under the request's model snapshot ``cost``.  Returns ``(graph,
+        sweeps, selection)``.  Not every requestable graph has a primary
+        chain from ``"x"``; for those ``selection`` is None.
         """
         from repro.configsel.chain import ChainError
         from repro.configsel.selector import select_configurations
@@ -457,7 +469,6 @@ class TuningService:
                 "(whole graphs contain kernels with ~1e10-config spaces)"
             )
         graph = build_request_graph(req)
-        cost = CostModel(req.gpu)
         t0 = perf_counter()
         sweeps = sweep_graph(
             graph,
@@ -481,7 +492,7 @@ class TuningService:
         except (SSSPError, ChainError):
             selection = None
         self.metrics.record_optimize_breakdown(sweep_s, perf_counter() - t0)
-        return graph, cost, sweeps, selection
+        return graph, sweeps, selection
 
     # -- schedule registry ---------------------------------------------------
     def handle_register(self, body: dict) -> dict:
@@ -541,7 +552,8 @@ class TuningService:
         from repro.registry import build_entry
 
         req = parse_optimize_request(body)
-        graph, cost, _, selection = self._tune(req, "register")
+        cost = CostModel(req.gpu)
+        graph, _, selection = self._tune(req, cost, "register")
         if selection is None:
             raise ProtocolError(
                 f"model {req.model!r} admits no global selection"
@@ -808,9 +820,7 @@ class TuningService:
                 )
                 op = next(o for o in graph.ops if not o.is_view)
                 env = bert_large_dims(batch=1, seq=16)
-                from repro.hardware.spec import V100
-
-                compute_payload(op, env, V100, cap=4, seed=0x5EED)
+                compute_payload(op, env, CostModel(), cap=4, seed=0x5EED)
             except Exception:  # noqa: BLE001 - degraded beats unreachable
                 self.metrics.record_error("warmup")
             finally:

@@ -29,8 +29,6 @@ version drift as tampering.
 
 from __future__ import annotations
 
-from repro.hardware.params import active_cost_model_version
-
 from .base import BaseValidator, ValidationContext, ValidationIssue
 
 __all__ = ["CostValidator"]
@@ -42,7 +40,7 @@ class CostValidator(BaseValidator):
     name = "cost"
 
     def validate(self, ctx: ValidationContext) -> list[ValidationIssue]:
-        served = active_cost_model_version()
+        served = ctx.cost.version
         if ctx.entry.cost_model_version != served:
             return [
                 self.info(

@@ -20,7 +20,6 @@ operator should know the audit trail is broken).
 from __future__ import annotations
 
 from repro.engine.store import get_sweep_store
-from repro.hardware.params import active_cost_model_version
 from repro.registry.entry import REGISTRY_FORMAT, schedule_digest
 
 from .base import BaseValidator, ValidationContext, ValidationIssue
@@ -46,7 +45,7 @@ class StalenessValidator(BaseValidator):
                 )
             )
 
-        served = active_cost_model_version()
+        served = ctx.cost.version
         if entry.cost_model_version != served:
             knobs = entry.knobs
             fresh = schedule_digest(
@@ -56,6 +55,7 @@ class StalenessValidator(BaseValidator):
                 cap=knobs.get("cap"),
                 seed=int(knobs.get("seed", 0)),
                 source=str(knobs.get("source", "x")),
+                version=served,
             )
             issues.append(
                 self.error(

@@ -100,9 +100,9 @@ def contraction_cases(draw):
 
 
 def _warm_base(op, env, *, cap, seed) -> None:
-    digest = sweep_digest(op, env, COST.gpu, cap=cap, seed=seed)
+    digest = sweep_digest(op, env, COST, cap=cap, seed=seed)
     if digest not in STORE:
-        STORE.save(digest, compute_payload(op, env, COST.gpu, cap=cap, seed=seed))
+        STORE.save(digest, compute_payload(op, env, COST, cap=cap, seed=seed))
 
 
 def _assert_bit_identical(ref, loaded):
@@ -121,11 +121,11 @@ def test_kernel_delta_resweep_bit_identical_to_cold(params):
     op, base, perturbed, cap, seed = params
     _warm_base(op, base, cap=cap, seed=seed)
     delta = delta_payload_from_store(
-        op, perturbed, COST.gpu, cap=cap, seed=seed, store=STORE
+        op, perturbed, COST, cap=cap, seed=seed, store=STORE
     )
     same_structure = structural_sweep_digest(
-        op, base, COST.gpu, cap=cap, seed=seed
-    ) == structural_sweep_digest(op, perturbed, COST.gpu, cap=cap, seed=seed)
+        op, base, COST, cap=cap, seed=seed
+    ) == structural_sweep_digest(op, perturbed, COST, cap=cap, seed=seed)
     if not same_structure:
         # Size changes may flip whether ``cap`` binds; then the sampled
         # rows differ and the delta path must refuse, not approximate.
@@ -139,7 +139,7 @@ def test_kernel_delta_resweep_bit_identical_to_cold(params):
     # The rebuilt payload still names the shared structural key (digests
     # are stamped at save time, under the perturbed problem's exact key).
     assert delta["structural"] == structural_sweep_digest(
-        op, perturbed, COST.gpu, cap=cap, seed=seed
+        op, perturbed, COST, cap=cap, seed=seed
     )
 
 
@@ -149,7 +149,7 @@ def test_contraction_delta_resweep_bit_identical_to_cold(params):
     op, base, perturbed = params
     _warm_base(op, base, cap=2000, seed=0x5EED)
     delta = delta_payload_from_store(
-        op, perturbed, COST.gpu, cap=2000, seed=0x5EED, store=STORE
+        op, perturbed, COST, cap=2000, seed=0x5EED, store=STORE
     )
     # Contraction sweeps are exhaustive (cap/seed-free), so any same-shape
     # problem is a structural twin: the delta path must always engage.

@@ -9,27 +9,48 @@ Randomizes operator shapes, dimension sizes and sampling knobs, and checks
   for any knob sizes, cap and seed;
 * ``SweepResult`` structural invariants hold on engine-built sweeps:
   measurements sorted ascending, ``quantile_us`` monotone in the quantile,
-  ``spread >= 1``.
+  ``spread >= 1``;
+* any sequence of sweeps, promotions and rollbacks — some fired inside a
+  sweep's evaluator, after its digests were taken — leaves every L1 and
+  store entry equal to a recomputation under its own embedded version.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autotuner.tuner import sweep_op_reference
-from repro.engine import kernel_index_array
+from repro.engine import clear_sweep_memo, kernel_index_array
+from repro.engine.memo import ENGINE_L1
+from repro.engine.scheduler import local_evaluator, sweep_graph
 from repro.engine.scheduler import sweep_op as engine_sweep_op
-from repro.engine.store import compute_payload
+from repro.engine.store import (
+    SweepStore,
+    compute_payload,
+    read_payload_npz,
+    sweep_digest,
+)
 from repro.engine.sweep import sweep_from_payload
 from repro.hardware.cost_model import CostModel
+from repro.hardware.params import (
+    DEFAULT_PARAMS,
+    install_params,
+    params_from_wire,
+    reset_active_params,
+)
 from repro.ir.dims import DimEnv
+from repro.ir.graph import DataflowGraph
 from repro.ir.iteration_space import IterationSpace
 from repro.ir.operator import OpClass, OpSpec
 from repro.ir.tensor import TensorSpec
 from repro.layouts.configspace import kernel_config_indices
 from repro.ops.contraction import contraction_spec
+from repro.ops.elementwise import bias_spec
 
 COST = CostModel()
 
@@ -37,7 +58,7 @@ COST = CostModel()
 def _cold_sweep(op, env, *, cap=2000, seed=0x5EED):
     """One engine sweep evaluated cold, past every cache tier."""
     return sweep_from_payload(
-        op, compute_payload(op, env, COST.gpu, cap=cap, seed=seed)
+        op, compute_payload(op, env, COST, cap=cap, seed=seed)
     )
 
 # Small-but-varied sizes; multiples of 8 appear so the 128-bit
@@ -161,3 +182,85 @@ def test_bulk_sampler_replays_scalar_draws(sizes, cap, seed):
     rows = list(kernel_config_indices(sizes, cap=cap, seed=seed))
     expected = np.array(rows, dtype=np.int64).reshape(len(rows), len(sizes))
     assert np.array_equal(kernel_index_array(sizes, cap=cap, seed=seed), expected)
+
+
+#: The promotion target of the model-switch property: kernel jitter and
+#: contraction memory efficiency both move, so every op's times change.
+_CANDIDATE = params_from_wire(
+    {**DEFAULT_PARAMS.to_wire(), "jitter": 0.2, "gemm_mem_eff": 0.6}
+)
+_MODELS = {CostModel(params=p).version: p for p in (DEFAULT_PARAMS, _CANDIDATE)}
+_SWITCH_ENV = DimEnv({"p": 16, "i": 8, "b": 24})
+_SWITCH_CAP = 40
+
+
+def _switch_graph() -> DataflowGraph:
+    """One contraction and one kernel: both sweep tiers' payload kinds."""
+    g = DataflowGraph("switch")
+    w = g.add_input(TensorSpec("w", ("p", "i"), is_param=True))
+    x = g.add_input(TensorSpec("x", ("i", "b")))
+    g.add_input(TensorSpec("bias_b", ("p",), is_param=True))
+    g.add_op(contraction_spec("mm", "pi,ib->pb", (w.name, x.name), "y"))
+    g.add_op(bias_spec("bias", TensorSpec("y", ("p", "b")), ("p",), "z"))
+    return g
+
+
+_SWITCHES = {
+    "promote": lambda: install_params(_CANDIDATE),
+    "rollback": reset_active_params,
+}
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("sweep"), st.sampled_from([None, *_SWITCHES])),
+        st.tuples(st.sampled_from(sorted(_SWITCHES)), st.none()),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_STEPS)
+def test_cached_payloads_match_their_embedded_model(steps):
+    graph = _switch_graph()
+    ops = [op for op in graph.ops if not op.is_view]
+    clear_sweep_memo()
+    try:
+        with tempfile.TemporaryDirectory() as root:
+            store = SweepStore(root)
+            for kind, inside in steps:
+                if kind != "sweep":
+                    _SWITCHES[kind]()
+                    continue
+                cost = CostModel()
+                evaluate = local_evaluator(
+                    _SWITCH_ENV, cost, cap=_SWITCH_CAP, seed=0x5EED, store=store
+                )
+                if inside is not None:
+                    # Fires after the digests, before any evaluation.
+                    def evaluate(misses, inner=evaluate, switch=_SWITCHES[inside]):
+                        switch()
+                        return inner(misses)
+
+                sweep_graph(
+                    graph, _SWITCH_ENV, cost, cap=_SWITCH_CAP, store=store,
+                    evaluate=evaluate,
+                )
+            entries = [(d, p) for d, (p, _) in ENGINE_L1._items.items()] + [
+                (path.stem, read_payload_npz(path)) for path in Path(root).glob("*.npz")
+            ]
+            for digest, payload in entries:
+                cost = CostModel(params=_MODELS[payload["version"]])
+                (op,) = [
+                    op for op in ops
+                    if sweep_digest(op, _SWITCH_ENV, cost, cap=_SWITCH_CAP, seed=0x5EED)
+                    == digest
+                ]
+                fresh = compute_payload(
+                    op, _SWITCH_ENV, cost, cap=_SWITCH_CAP, seed=0x5EED
+                )
+                for key in ("compute_us", "memory_us", "order", "sorted_totals"):
+                    assert np.array_equal(payload[key], fresh[key]), (digest, key)
+    finally:
+        reset_active_params()
+        clear_sweep_memo()

@@ -83,10 +83,10 @@ def contraction_ops(draw):
 
 
 def _round_trip(op, env, *, cap, seed):
-    digest = sweep_digest(op, env, COST.gpu, cap=cap, seed=seed)
-    if STORE.load(digest) is None:
-        STORE.save(digest, compute_payload(op, env, COST.gpu, cap=cap, seed=seed))
-    return sweep_from_payload(op, STORE.load(digest)), digest
+    digest = sweep_digest(op, env, COST, cap=cap, seed=seed)
+    if STORE.load(digest, COST.version) is None:
+        STORE.save(digest, compute_payload(op, env, COST, cap=cap, seed=seed))
+    return sweep_from_payload(op, STORE.load(digest, COST.version)), digest
 
 
 def _assert_bit_identical(ref, loaded):
@@ -107,7 +107,7 @@ def test_kernel_store_round_trip_bit_identical(params):
     loaded, digest = _round_trip(op, env, cap=cap, seed=seed)
     _assert_bit_identical(ref, loaded)
     # The digest is a pure function of content.
-    assert digest == sweep_digest(op, env, COST.gpu, cap=cap, seed=seed)
+    assert digest == sweep_digest(op, env, COST, cap=cap, seed=seed)
 
 
 @settings(max_examples=15, deadline=None)
@@ -119,4 +119,4 @@ def test_contraction_store_round_trip_bit_identical(params):
     _assert_bit_identical(ref, loaded)
     # Irrelevant dimensions don't perturb the digest.
     grown = DimEnv({**env.sizes, "zq": 9})
-    assert sweep_digest(op, grown, COST.gpu, cap=2000, seed=0x5EED) == digest
+    assert sweep_digest(op, grown, COST, cap=2000, seed=0x5EED) == digest

@@ -168,12 +168,13 @@ def test_digest_invariant_under_env_ordering(data):
     """The content digest canonicalizes: dim-size insertion order and
     extra unused dims never split the address space."""
     graph = build_mha_graph(qkv_fusion="qkv", include_backward=False)
-    base = schedule_digest(graph, ENV, COST.gpu, cap=CAP, seed=3)
+    knobs = dict(cap=CAP, seed=3, version=COST.version)
+    base = schedule_digest(graph, ENV, COST.gpu, **knobs)
     items = data.draw(st.permutations(sorted(ENV.items())))
     shuffled = DimEnv(dict(items))
-    assert schedule_digest(graph, shuffled, COST.gpu, cap=CAP, seed=3) == base
+    assert schedule_digest(graph, shuffled, COST.gpu, **knobs) == base
     extra = dict(items)
     extra[data.draw(st.sampled_from(("zz_unused", "qq_unused")))] = data.draw(
         st.integers(1, 4096)
     )
-    assert schedule_digest(graph, DimEnv(extra), COST.gpu, cap=CAP, seed=3) == base
+    assert schedule_digest(graph, DimEnv(extra), COST.gpu, **knobs) == base

@@ -364,6 +364,34 @@ def test_recovery_rejects_corrupt_state(tmp_path):
         RolloutManager(tmp_path)
 
 
+def test_recovery_derives_the_served_version_from_the_params(tmp_path):
+    # A state file serving fitted params under the default tag would put
+    # default-model and fitted-model store entries in one namespace.
+    fitted = fit_candidate(table3_corpus()).params
+    state = {
+        "phase": "idle",
+        "served_version": DEFAULT_VERSION,
+        "served_params": fitted.to_wire(),
+        "candidate": None,
+        "canary": {"samples": 0, "regressions": 0, "max_divergence_seen": 0.0},
+        "last_transition": "promote",
+    }
+    (tmp_path / STATE_FILE_NAME).write_text(json.dumps(state), encoding="utf-8")
+    with pytest.raises(RolloutError, match="served_version"):
+        RolloutManager(tmp_path)
+    assert active_params() == DEFAULT_PARAMS  # nothing was installed
+    # The params' own tag recovers; so do default params under the default.
+    state["served_version"] = candidate_version(fitted)
+    (tmp_path / STATE_FILE_NAME).write_text(json.dumps(state), encoding="utf-8")
+    RolloutManager(tmp_path)
+    assert active_params() == fitted
+    assert active_cost_model_version() == candidate_version(fitted)
+    state.update(served_version="1-cal-000000000000", served_params=None)
+    (tmp_path / STATE_FILE_NAME).write_text(json.dumps(state), encoding="utf-8")
+    with pytest.raises(RolloutError, match="served_version"):
+        RolloutManager(tmp_path)
+
+
 def test_journal_is_append_only_jsonl(tmp_path):
     mgr, _ = _proposed(tmp_path)
     mgr.rollback()

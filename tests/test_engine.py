@@ -40,7 +40,7 @@ def _bias_op():
 def _cold_sweep(op, cap=2000):
     """One sweep evaluated cold, past every cache tier."""
     return sweep_from_payload(
-        op, compute_payload(op, ENV, COST.gpu, cap=cap, seed=0x5EED)
+        op, compute_payload(op, ENV, COST, cap=cap, seed=0x5EED)
     )
 
 
@@ -125,17 +125,24 @@ class TestMemo:
         candidate = params_from_wire({**DEFAULT_PARAMS.to_wire(), "jitter": 0.2})
         install_params(candidate)
         try:
-            promoted = engine_sweep_op(op, ENV, COST, cap=120)
+            # A model built after the promotion snapshots the candidate.
+            cost = CostModel()
+            promoted = engine_sweep_op(op, ENV, cost, cap=120)
             # A new key: evaluated under the candidate, not served from L1.
             assert sweep_memo_stats()["hits"] == 0
-            reference = sweep_op_reference(op, ENV, COST, cap=120)
+            reference = sweep_op_reference(op, ENV, cost, cap=120)
             assert promoted.times_us() == reference.times_us()
             assert promoted.times_us() != default.times_us()
+            # One built before it keeps pricing under the default model.
+            kept = engine_sweep_op(op, ENV, COST, cap=120)
+            assert sweep_memo_stats()["hits"] == 1
+            kept_totals = kept.measurements.totals_array()
+            assert kept_totals is default.measurements.totals_array()
         finally:
             reset_active_params()
         # Rollback: the default model's key, and its entry, are back.
-        back = engine_sweep_op(op, ENV, COST, cap=120)
-        assert sweep_memo_stats()["hits"] == 1
+        back = engine_sweep_op(op, ENV, CostModel(), cap=120)
+        assert sweep_memo_stats()["hits"] == 2
         assert back.measurements.totals_array() is default.measurements.totals_array()
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from repro.engine.scheduler import graph_sweep_jobs
 from repro.engine.store import SweepStore, structural_sweep_digest
+from repro.hardware.cost_model import CostModel
 from repro.ir.dims import bert_large_dims
 from repro.service.client import ServiceError, TuningClient
 from repro.service.fleet.coordinator import FleetService, make_fleet_server
@@ -510,10 +511,11 @@ class TestCoordinator:
             _, reps = graph_sweep_jobs(
                 build_request_graph(req), ENV, req.gpu, cap=CAP, seed=req.seed
             )
+            cost = CostModel(req.gpu)
             assert all(
                 store.load_structural(structural_sweep_digest(
-                    op, ENV, req.gpu, cap=CAP, seed=req.seed
-                )) is not None
+                    op, ENV, cost, cap=CAP, seed=req.seed
+                ), cost.version) is not None
                 for op in reps.values()
             )
             remote = client.metrics()["fleet"]["events"]["job_remote"]

@@ -11,6 +11,7 @@ from repro.hardware.efficiency import (
     kernel_efficiency,
 )
 from repro.hardware.mue import mue, op_mue
+from repro.hardware.params import DEFAULT_PARAMS
 from repro.hardware.spec import A100, GPUSpec, V100
 from repro.ir.dims import bert_large_dims
 from repro.ir.tensor import TensorSpec
@@ -75,7 +76,7 @@ class TestContractionEfficiency:
         op = self._qkv()
         best = 0.0
         for config in contraction_configs(op, ENV):
-            eff = contraction_efficiency(op, config, ENV)
+            eff = contraction_efficiency(op, config, ENV, V100, DEFAULT_PARAMS)
             if eff and eff.tensor_cores:
                 best = max(best, eff.compute)
         assert 0.5 <= best <= 0.75
@@ -85,7 +86,7 @@ class TestContractionEfficiency:
         qkt = contraction_spec("qkt", "phbk,phbj->hbjk", ("kk", "qq"), "beta")
         best = 0.0
         for config in contraction_configs(qkt, ENV):
-            eff = contraction_efficiency(qkt, config, ENV)
+            eff = contraction_efficiency(qkt, config, ENV, V100, DEFAULT_PARAMS)
             if eff and eff.tensor_cores:
                 best = max(best, eff.compute)
         assert best < 0.35
@@ -102,16 +103,16 @@ class TestContractionEfficiency:
             input_layouts=(Layout(("a", "b", "m")), Layout(("b", "c"))),
             output_layouts=(Layout(("a", "m", "c")),),
         )
-        assert contraction_efficiency(op, bad, env) is None
+        assert contraction_efficiency(op, bad, env, V100, DEFAULT_PARAMS) is None
 
     def test_fp16_mode_slower_than_tc_for_large(self):
         op = self._qkv()
         cfg_tc = default_config(op)
-        eff_tc = contraction_efficiency(op, cfg_tc, ENV)
+        eff_tc = contraction_efficiency(op, cfg_tc, ENV, V100, DEFAULT_PARAMS)
         from dataclasses import replace
 
         cfg_fp = replace(cfg_tc, use_tensor_cores=False)
-        eff_fp = contraction_efficiency(op, cfg_fp, ENV)
+        eff_fp = contraction_efficiency(op, cfg_fp, ENV, V100, DEFAULT_PARAMS)
         # Per-peak efficiencies are similar but the TC peak is 4x higher:
         # absolute flop/s must be much higher with tensor cores.
         assert eff_tc.tensor_cores and not eff_fp.tensor_cores
@@ -120,8 +121,8 @@ class TestContractionEfficiency:
     def test_deterministic(self):
         op = self._qkv()
         cfg = default_config(op)
-        e1 = contraction_efficiency(op, cfg, ENV)
-        e2 = contraction_efficiency(op, cfg, ENV)
+        e1 = contraction_efficiency(op, cfg, ENV, V100, DEFAULT_PARAMS)
+        e2 = contraction_efficiency(op, cfg, ENV, V100, DEFAULT_PARAMS)
         assert e1 == e2
 
     def test_algorithms_differ(self):
@@ -131,7 +132,9 @@ class TestContractionEfficiency:
 
         base = default_config(op)
         effs = {
-            contraction_efficiency(op, replace(base, algorithm=a), ENV).compute
+            contraction_efficiency(
+                op, replace(base, algorithm=a), ENV, V100, DEFAULT_PARAMS
+            ).compute
             for a in range(NUM_GEMM_ALGORITHMS)
         }
         assert len(effs) > 1
@@ -141,7 +144,7 @@ class TestContractionEfficiency:
     def test_heuristic_vs_best_algorithm(self):
         shape = GemmShape(m=4096, n=1024, k=1024, batch=1, trans_a=False, trans_b=False)
         h = heuristic_algorithm(shape)
-        b = best_algorithm(shape)
+        b = best_algorithm(shape, DEFAULT_PARAMS)
         assert 0 <= h < NUM_GEMM_ALGORITHMS
         assert 0 <= b < NUM_GEMM_ALGORITHMS
 
@@ -154,14 +157,14 @@ class TestKernelEfficiency:
     def test_vectorized_beats_strided(self):
         op = self._bias()
         configs = list(kernel_configs(op, ENV, cap=None))
-        effs = [kernel_efficiency(op, c, ENV).memory for c in configs]
+        effs = [kernel_efficiency(op, c, ENV, DEFAULT_PARAMS).memory for c in configs]
         assert max(effs) > 0.8
         assert min(effs) < 0.1  # Fig. 5's catastrophic long tails
 
     def test_contraction_rejected(self):
         op = contraction_spec("mm", "ab,bc->ac", ("x", "y"), "z")
         with pytest.raises(ValueError):
-            kernel_efficiency(op, default_config(op), ENV)
+            kernel_efficiency(op, default_config(op), ENV, DEFAULT_PARAMS)
 
     def test_warp_reduce_register_bonus(self):
         """Sec. V-B: matching reduce and vector dims saves registers.
@@ -181,14 +184,14 @@ class TestKernelEfficiency:
                 continue
             c_same = replace(cfg, warp_reduce_dim="k")
             c_diff = replace(cfg, warp_reduce_dim=None)
-            same.append(kernel_efficiency(op, c_same, ENV).memory)
-            diff.append(kernel_efficiency(op, c_diff, ENV).memory)
+            same.append(kernel_efficiency(op, c_same, ENV, DEFAULT_PARAMS).memory)
+            diff.append(kernel_efficiency(op, c_diff, ENV, DEFAULT_PARAMS).memory)
         assert statistics.mean(same) > statistics.mean(diff)
 
     def test_efficiency_bounds(self):
         op = self._bias()
         for c in kernel_configs(op, ENV, cap=200):
-            eff = kernel_efficiency(op, c, ENV)
+            eff = kernel_efficiency(op, c, ENV, DEFAULT_PARAMS)
             assert 0.0 < eff.memory <= 0.95
             assert 0.0 < eff.compute <= 1.0
 

@@ -76,33 +76,26 @@ def _register_one(tmp_path, graph=None, cap=CAP):
 # The digest
 # ---------------------------------------------------------------------------
 
+def _digest(graph, env=ENV, *, cap=CAP, seed=1, version=COST.version, **knobs):
+    return schedule_digest(
+        graph, env, COST.gpu, cap=cap, seed=seed, version=version, **knobs
+    )
+
+
 class TestScheduleDigest:
     def test_digest_depends_on_every_knob(self):
         g = _mha_graph()
-        base = schedule_digest(g, ENV, COST.gpu, cap=CAP, seed=1)
-        assert schedule_digest(g, ENV, COST.gpu, cap=CAP, seed=2) != base
-        assert schedule_digest(g, ENV, COST.gpu, cap=CAP + 1, seed=1) != base
-        assert (
-            schedule_digest(g, ENV, COST.gpu, cap=CAP, seed=1, source="y") != base
-        )
-        assert (
-            schedule_digest(g, ENV, COST.gpu, cap=CAP, seed=1, version=99) != base
-        )
+        base = _digest(g)
+        assert _digest(g, seed=2) != base
+        assert _digest(g, cap=CAP + 1) != base
+        assert _digest(g, source="y") != base
+        assert _digest(g, version=99) != base
 
     def test_digest_depends_on_graph_and_env(self):
-        fwd = schedule_digest(_mha_graph(), ENV, COST.gpu, cap=CAP, seed=1)
-        both = schedule_digest(
-            build_mha_graph(qkv_fusion="qkv", include_backward=True),
-            ENV,
-            COST.gpu,
-            cap=CAP,
-            seed=1,
-        )
+        fwd = _digest(_mha_graph())
+        both = _digest(build_mha_graph(qkv_fusion="qkv", include_backward=True))
         assert fwd != both
-        small = bert_large_dims(batch=2, seq=64)
-        assert (
-            schedule_digest(_mha_graph(), small, COST.gpu, cap=CAP, seed=1) != fwd
-        )
+        assert _digest(_mha_graph(), bert_large_dims(batch=2, seq=64)) != fwd
 
     def test_digest_stable_across_fresh_interpreters(self):
         """Two spawned interpreters agree with each other and with us.
@@ -119,7 +112,7 @@ class TestScheduleDigest:
             "from repro.transformer.graph_builder import build_mha_graph\n"
             "g = build_mha_graph(qkv_fusion='qkv', include_backward=False)\n"
             f"print(schedule_digest(g, bert_large_dims(), CostModel().gpu, "
-            f"cap={CAP}, seed=7))\n"
+            f"cap={CAP}, seed=7, version=CostModel().version))\n"
         )
         runs = [
             subprocess.run(
@@ -131,7 +124,7 @@ class TestScheduleDigest:
             ).stdout.strip()
             for _ in range(2)
         ]
-        local = schedule_digest(_mha_graph(), ENV, COST.gpu, cap=CAP, seed=7)
+        local = _digest(_mha_graph(), seed=7)
         assert runs[0] == runs[1] == local
 
 

@@ -7,6 +7,7 @@ entry), cache-tier interplay, and job-count resolution.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -22,14 +23,27 @@ from repro.engine import (
     sweep_graph,
     sweep_memo_stats,
 )
-from repro.engine.memo import new_payload_cache
-from repro.engine.store import SweepStore, compute_payload, sweep_digest
+from repro.autotuner.tuner import sweep_op_reference
+from repro.engine.memo import ENGINE_L1, new_payload_cache
+from repro.engine.store import (
+    SweepStore,
+    compute_payload,
+    read_payload_npz,
+    sweep_digest,
+)
 from repro.engine.sweep import sweep_from_payload
 from repro.hardware.cost_model import CostModel
+from repro.hardware.params import (
+    DEFAULT_PARAMS,
+    install_params,
+    params_from_wire,
+    reset_active_params,
+)
 from repro.ir.dims import bert_large_dims
 from repro.ir.graph import DataflowGraph
 from repro.ir.tensor import TensorSpec
 from repro.ops.contraction import contraction_spec
+from repro.ops.elementwise import bias_spec
 from repro.transformer.graph_builder import build_mha_graph
 
 ENV = bert_large_dims()
@@ -54,7 +68,7 @@ def _cold_sweeps(g) -> dict:
     """Every op of ``g`` swept cold, serially, past every cache tier."""
     return {
         op.name: sweep_from_payload(
-            op, compute_payload(op, ENV, COST.gpu, cap=CAP, seed=SEED)
+            op, compute_payload(op, ENV, COST, cap=CAP, seed=SEED)
         )
         for op in g.ops
         if not op.is_view
@@ -277,7 +291,7 @@ class TestStreamingEvaluator:
         g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
         ops = [op for op in g.ops if not op.is_view][:2]
         reps = {
-            sweep_digest(op, ENV, COST.gpu, cap=CAP, seed=SEED): op for op in ops
+            sweep_digest(op, ENV, COST, cap=CAP, seed=SEED): op for op in ops
         }
         assert len(reps) == 2
         (a, op_a), (b, op_b) = reps.items()
@@ -286,13 +300,15 @@ class TestStreamingEvaluator:
         def evaluate(misses):
             assert list(misses) == [a, b]
             # Out of order, as a fan-out completes.
-            yield b, (compute_payload(op_b, ENV, COST.gpu, cap=CAP, seed=SEED), "computed")
+            yield b, (compute_payload(op_b, ENV, COST, cap=CAP, seed=SEED), "computed")
             assert b in store
             assert l1.get(b, record=False) is not None
             assert a not in store
-            yield a, (compute_payload(op_a, ENV, COST.gpu, cap=CAP, seed=SEED), "computed")
+            yield a, (compute_payload(op_a, ENV, COST, cap=CAP, seed=SEED), "computed")
 
-        resolved = sched_mod.resolve(reps, l1=l1, store=store, evaluate=evaluate)
+        resolved = sched_mod.resolve(
+            reps, version=COST.version, l1=l1, store=store, evaluate=evaluate
+        )
         assert list(resolved) == [a, b]  # reps order, not arrival order
         assert [tier for _, tier in resolved.values()] == ["computed"] * 2
         assert a in store and l1.get(a, record=False) is not None
@@ -322,8 +338,9 @@ class TestOneChain:
 
     def test_one_graph_driver(self):
         # The fleet batch is a sweep_graph call with a remote evaluator,
-        # not a second dedup-and-resolve loop.
-        calls = self._calls("graph_sweep_jobs")
+        # not a second dedup-and-resolve loop.  sweep_graph runs the digest
+        # loop through the private helper graph_sweep_jobs shares.
+        calls = self._calls("graph_sweep_jobs|_graph_digests")
         assert set(calls) == {"engine/scheduler.py"}, calls
 
     def test_the_service_selects_configurations_once(self):
@@ -331,3 +348,123 @@ class TestOneChain:
         # tuning routine.
         calls = self._calls("select_configurations", under="service")
         assert sum(map(len, calls.values())) == 1, calls
+
+
+class TestOneModelPerSweep:
+    """A promote or rollback that lands mid-sweep never mixes two models."""
+
+    CANDIDATE = params_from_wire({**DEFAULT_PARAMS.to_wire(), "jitter": 0.2})
+
+    def test_promotion_inside_the_evaluator_is_not_served_after_rollback(
+        self, tmp_path, monkeypatch
+    ):
+        op = bias_spec("aib", TensorSpec("qq", ("p", "h", "b", "j")), ("p", "h"), "out")
+        store = SweepStore(tmp_path)
+        inner = sched_mod.local_evaluator
+
+        def promoting(*args, **kwargs):
+            evaluate = inner(*args, **kwargs)
+
+            def racing(misses):
+                # The promote lands after the digest, before evaluation.
+                install_params(self.CANDIDATE)
+                return evaluate(misses)
+
+            return racing
+
+        monkeypatch.setattr(sched_mod, "local_evaluator", promoting)
+        try:
+            sched_mod.sweep_op(op, ENV, CostModel(), cap=CAP, store=store)
+        finally:
+            reset_active_params()  # the rollback
+            monkeypatch.undo()
+        default = CostModel()
+        served = sched_mod.sweep_op(op, ENV, default, cap=CAP, store=store)
+        reference = sweep_op_reference(op, ENV, default, cap=CAP, seed=SEED)
+        assert served.measurements == reference.measurements
+        candidate = CostModel(params=self.CANDIDATE)
+        version_of = {
+            sweep_digest(op, ENV, cost, cap=CAP, seed=SEED): cost.version
+            for cost in (default, candidate)
+        }
+        entries = [(d, p) for d, (p, _) in ENGINE_L1._items.items()] + [
+            (path.stem, read_payload_npz(path)) for path in tmp_path.glob("*.npz")
+        ]
+        assert len(entries) == 2
+        for digest, payload in entries:
+            assert payload["version"] == version_of[digest]
+
+
+class TestOneModelSnapshot:
+    """CI guard: request-path code reads its ``CostModel``, not the global."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+    GLOBALS = {"active_params", "active_cost_model_version"}
+    PROTOCOL_BUILDERS = {
+        "sweep_request_digest",
+        "optimize_request_digest",
+        "sweep_response_from_sweep",
+        "optimize_response_from_sweeps",
+    }
+
+    def _global_reads(self, tree) -> list[int]:
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in self.GLOBALS
+        ]
+
+    def _functions(self, rel: str) -> dict[str, ast.FunctionDef]:
+        tree = ast.parse((self.SRC / rel).read_text())
+        return {
+            node.name: node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        }
+
+    def test_no_global_reads_on_the_request_path(self):
+        paths = [
+            path
+            for under in ("engine", "registry", "validation", "configsel")
+            for path in sorted((self.SRC / under).rglob("*.py"))
+        ] + [self.SRC / "hardware" / "efficiency.py"]
+        reads = {
+            path.relative_to(self.SRC).as_posix(): lines
+            for path in paths
+            if (lines := self._global_reads(ast.parse(path.read_text())))
+        }
+        assert reads == {}, reads
+
+    def test_protocol_builders_take_the_version_from_cost(self):
+        functions = self._functions("service/protocol.py")
+        reads = {
+            name: self._global_reads(functions[name])
+            for name in self.PROTOCOL_BUILDERS
+        }
+        assert all(not lines for lines in reads.values()), reads
+
+    def test_only_the_cost_model_constructor_captures(self):
+        functions = self._functions("hardware/cost_model.py")
+        reads = {
+            name: lines
+            for name, node in functions.items()
+            if (lines := self._global_reads(node))
+        }
+        assert list(reads) == ["__init__"], reads
+        assert len(reads["__init__"]) == 1, reads
+
+    @pytest.mark.parametrize("rel", ["hardware/efficiency.py", "engine/batched.py"])
+    def test_params_is_never_optional(self, rel):
+        defaulted = []
+        for name, node in self._functions(rel).items():
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            if any(a.arg in ("params", "p") for a in with_default):
+                defaulted.append(name)
+        assert defaulted == [], defaulted

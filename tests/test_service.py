@@ -52,7 +52,6 @@ from repro.transformer.graph_builder import build_mha_graph
 
 ENV = bert_large_dims()
 COST = CostModel()
-GPU = COST.gpu
 CAP = 60
 
 
@@ -87,16 +86,16 @@ class TestWireRoundTrip:
         """The protocol's central invariant: wire key == store key."""
         op = _ops()[pick]
         rebuilt = op_from_wire(op_to_wire(op))
-        assert sweep_digest(rebuilt, ENV, GPU, cap=CAP, seed=1) == sweep_digest(
-            op, ENV, GPU, cap=CAP, seed=1
+        assert sweep_digest(rebuilt, ENV, COST, cap=CAP, seed=1) == sweep_digest(
+            op, ENV, COST, cap=CAP, seed=1
         )
 
     def test_fused_op_with_members_survives_the_wire(self):
         op = _fused_op()
         rebuilt = op_from_wire(op_to_wire(op))
         assert len(rebuilt.members) == len(op.members)
-        assert sweep_digest(rebuilt, ENV, GPU, cap=CAP, seed=1) == sweep_digest(
-            op, ENV, GPU, cap=CAP, seed=1
+        assert sweep_digest(rebuilt, ENV, COST, cap=CAP, seed=1) == sweep_digest(
+            op, ENV, COST, cap=CAP, seed=1
         )
 
     def test_round_trip_preserves_structure(self):
@@ -145,8 +144,8 @@ class TestSweepRequestParsing:
         req = parse_sweep_request(self._body())
         assert req.cap == CAP and req.seed == 3 and req.top_k == 5
         assert req.gpu == V100
-        assert sweep_request_digest(req) == sweep_digest(
-            req.op, req.env, req.gpu, cap=CAP, seed=3
+        assert sweep_request_digest(req, COST) == sweep_digest(
+            req.op, req.env, COST, cap=CAP, seed=3
         )
 
     def test_protocol_version_checked(self):
@@ -206,25 +205,25 @@ class TestResponseIdentity:
     def test_engine_and_reference_responses_are_byte_identical(self):
         """Engine-derived and scalar-reference-derived bodies: equal bytes."""
         op, _ = _ops()
-        digest = sweep_digest(op, ENV, GPU, cap=CAP, seed=5)
+        digest = sweep_digest(op, ENV, COST, cap=CAP, seed=5)
         from repro.engine.sweep import sweep_from_payload
 
         engine_sweep = sweep_from_payload(
-            op, compute_payload(op, ENV, GPU, cap=CAP, seed=5)
+            op, compute_payload(op, ENV, COST, cap=CAP, seed=5)
         )
         ref_sweep = sweep_op_reference(op, ENV, COST, cap=CAP, seed=5)
         a = canonical_json_bytes(
-            sweep_response_from_sweep(engine_sweep, digest=digest, top_k=3)
+            sweep_response_from_sweep(engine_sweep, COST, digest=digest, top_k=3)
         )
         b = canonical_json_bytes(
-            sweep_response_from_sweep(ref_sweep, digest=digest, top_k=3)
+            sweep_response_from_sweep(ref_sweep, COST, digest=digest, top_k=3)
         )
         assert a == b
 
     def test_response_shape(self):
         op, _ = _ops()
         sweep = sweep_op_reference(op, ENV, COST, cap=CAP, seed=5)
-        resp = sweep_response_from_sweep(sweep, digest="d" * 64, top_k=4)
+        resp = sweep_response_from_sweep(sweep, COST, digest="d" * 64, top_k=4)
         assert resp["cost_model_version"] == COST_MODEL_VERSION
         assert resp["num_configs"] == sweep.num_configs
         assert len(resp["top"]) == min(4, sweep.num_configs)
@@ -379,7 +378,7 @@ class TestBoundedCache:
 
     def test_payload_l1_is_bounded_in_array_bytes(self):
         op, _ = _ops()
-        payload = compute_payload(op, ENV, GPU, cap=CAP, seed=0)
+        payload = compute_payload(op, ENV, COST, cap=CAP, seed=0)
         cache = new_payload_cache()
         cache.put("p", payload)
         stats = cache.stats()
@@ -636,7 +635,8 @@ class TestHTTPServer:
         expected = canonical_json_bytes(
             sweep_response_from_sweep(
                 sweep_op_reference(op, ENV, COST, cap=CAP, seed=9),
-                digest=sweep_request_digest(req),
+                COST,
+                digest=sweep_request_digest(req, COST),
                 top_k=3,
             )
         )
@@ -821,7 +821,7 @@ class TestWirePath:
         served = json.loads(client.sweep_raw(op, ENV, cap=CAP, seed=25))
         payload = client.sweep_packed(op, ENV, cap=CAP, seed=25)
         rebuilt = sweep_response_from_sweep(
-            sweep_from_payload(op, payload), digest=served["digest"], top_k=3
+            sweep_from_payload(op, payload), COST, digest=served["digest"], top_k=3
         )
         assert canonical_json_bytes(rebuilt) == canonical_json_bytes(served)
 
@@ -862,6 +862,32 @@ class TestWirePath:
         with pytest.raises(ProtocolError, match="failed validation"):
             payload_from_packed(data, digest="0" * 64)
 
+    def test_a_default_client_decodes_a_promoted_daemons_packed_sweep(
+        self, monkeypatch
+    ):
+        """A client serves no model: it checks the digest, not the version."""
+        from repro.engine.store import pack_payload_bytes
+        from repro.hardware.params import DEFAULT_PARAMS, params_from_wire
+        from repro.service.protocol import payload_from_packed, sweep_etag
+
+        op, _ = _ops()
+        promoted = CostModel(
+            params=params_from_wire({**DEFAULT_PARAMS.to_wire(), "jitter": 0.2})
+        )
+        digest = sweep_digest(op, ENV, promoted, cap=CAP, seed=30)
+        data = pack_payload_bytes(
+            digest, compute_payload(op, ENV, promoted, cap=CAP, seed=30)
+        )
+        client = TuningClient("http://127.0.0.1:9")
+        monkeypatch.setattr(
+            client, "sweep_packed_raw", lambda *a, **k: (200, sweep_etag(digest), data)
+        )
+        payload = client.sweep_packed(op, ENV, cap=CAP, seed=30)
+        assert payload["version"] == promoted.version != COST.version
+        # A coordinator pricing under the default model keeps the bytes out.
+        with pytest.raises(ProtocolError, match="cost model version"):
+            payload_from_packed(data, digest=digest, version=COST.version)
+
     def test_response_kinds_are_counted(self, live_service):
         svc, client = live_service
         op, _ = _ops()
@@ -888,8 +914,8 @@ class TestDeltaTier:
         assert svc.metrics.tier_counts()["computed"] == 1
         # Same op structure, different sizes: one structural digest.
         assert structural_sweep_digest(
-            op, warm, GPU, cap=CAP, seed=31
-        ) == structural_sweep_digest(op, perturbed, GPU, cap=CAP, seed=31)
+            op, warm, COST, cap=CAP, seed=31
+        ) == structural_sweep_digest(op, perturbed, COST, cap=CAP, seed=31)
         served = svc.handle_sweep(sweep_request_wire(op, perturbed, cap=CAP, seed=31))
         tiers = svc.metrics.tier_counts()
         assert tiers["delta"] == 1 and tiers["computed"] == 1
@@ -898,7 +924,8 @@ class TestDeltaTier:
         req = parse_sweep_request(sweep_request_wire(op, perturbed, cap=CAP, seed=31))
         expected = sweep_response_from_sweep(
             sweep_op_reference(op, perturbed, COST, cap=CAP, seed=31),
-            digest=sweep_request_digest(req),
+            COST,
+            digest=sweep_request_digest(req, COST),
             top_k=3,
         )
         assert canonical_json_bytes(served) == canonical_json_bytes(expected)

@@ -38,7 +38,6 @@ from repro.transformer.graph_builder import build_mha_graph
 
 ENV = bert_large_dims()
 COST = CostModel()
-GPU = COST.gpu
 
 
 @pytest.fixture(autouse=True)
@@ -59,10 +58,14 @@ def _ops():
 
 def _resolve(op, env, store, *, cap, seed):
     """``(payload, tier)`` of one sweep through the tier chain, fresh L1."""
-    digest = sweep_digest(op, env, GPU, cap=cap, seed=seed)
-    evaluate = local_evaluator(env, GPU, cap=cap, seed=seed, store=store)
+    digest = sweep_digest(op, env, COST, cap=cap, seed=seed)
+    evaluate = local_evaluator(env, COST, cap=cap, seed=seed, store=store)
     return resolve(
-        {digest: op}, l1=new_payload_cache(), store=store, evaluate=evaluate
+        {digest: op},
+        version=COST.version,
+        l1=new_payload_cache(),
+        store=store,
+        evaluate=evaluate,
     )[digest]
 
 
@@ -79,10 +82,10 @@ class TestRoundTrip:
     def test_contraction_round_trip_bit_identical(self, tmp_path):
         contraction, _ = _ops()
         store = SweepStore(tmp_path)
-        digest = sweep_digest(contraction, ENV, GPU, cap=200, seed=1)
-        payload = compute_payload(contraction, ENV, GPU, cap=200, seed=1)
+        digest = sweep_digest(contraction, ENV, COST, cap=200, seed=1)
+        payload = compute_payload(contraction, ENV, COST, cap=200, seed=1)
         store.save(digest, payload)
-        loaded = store.load(digest)
+        loaded = store.load(digest, COST.version)
         _assert_bit_identical(
             sweep_op_reference(contraction, ENV, COST, cap=200, seed=1),
             sweep_from_payload(contraction, loaded),
@@ -91,10 +94,10 @@ class TestRoundTrip:
     def test_kernel_round_trip_bit_identical(self, tmp_path):
         _, kernel = _ops()
         store = SweepStore(tmp_path)
-        digest = sweep_digest(kernel, ENV, GPU, cap=150, seed=7)
-        payload = compute_payload(kernel, ENV, GPU, cap=150, seed=7)
+        digest = sweep_digest(kernel, ENV, COST, cap=150, seed=7)
+        payload = compute_payload(kernel, ENV, COST, cap=150, seed=7)
         store.save(digest, payload)
-        loaded = store.load(digest)
+        loaded = store.load(digest, COST.version)
         _assert_bit_identical(
             sweep_op_reference(kernel, ENV, COST, cap=150, seed=7),
             sweep_from_payload(kernel, loaded),
@@ -115,7 +118,7 @@ class TestRoundTrip:
 
     def test_missing_entry_is_clean_miss(self, tmp_path):
         store = SweepStore(tmp_path)
-        assert store.load("0" * 64) is None
+        assert store.load("0" * 64, COST.version) is None
         assert store.stats()["misses"] == 1
 
 
@@ -125,8 +128,8 @@ class TestDigests:
         import dataclasses
 
         renamed = dataclasses.replace(contraction, name="other_proj")
-        d1 = sweep_digest(contraction, ENV, GPU, cap=100, seed=0)
-        d2 = sweep_digest(renamed, ENV, GPU, cap=100, seed=0)
+        d1 = sweep_digest(contraction, ENV, COST, cap=100, seed=0)
+        d2 = sweep_digest(renamed, ENV, COST, cap=100, seed=0)
         assert d1 == d2
 
     def test_kernel_digest_keeps_the_name(self):
@@ -136,44 +139,44 @@ class TestDigests:
         import dataclasses
 
         renamed = dataclasses.replace(kernel, name="other_softmax")
-        d1 = sweep_digest(kernel, ENV, GPU, cap=100, seed=0)
-        d2 = sweep_digest(renamed, ENV, GPU, cap=100, seed=0)
+        d1 = sweep_digest(kernel, ENV, COST, cap=100, seed=0)
+        d2 = sweep_digest(renamed, ENV, COST, cap=100, seed=0)
         assert d1 != d2
 
     def test_irrelevant_env_dims_do_not_change_the_digest(self):
         contraction, _ = _ops()
         bigger = DimEnv({**ENV.sizes, "zz": 123})
-        assert sweep_digest(contraction, ENV, GPU, cap=100, seed=0) == sweep_digest(
-            contraction, bigger, GPU, cap=100, seed=0
+        assert sweep_digest(contraction, ENV, COST, cap=100, seed=0) == sweep_digest(
+            contraction, bigger, COST, cap=100, seed=0
         )
 
     def test_relevant_env_dims_change_the_digest(self):
         contraction, _ = _ops()
-        assert sweep_digest(contraction, ENV, GPU, cap=100, seed=0) != sweep_digest(
-            contraction, bert_large_dims(batch=16), GPU, cap=100, seed=0
+        assert sweep_digest(contraction, ENV, COST, cap=100, seed=0) != sweep_digest(
+            contraction, bert_large_dims(batch=16), COST, cap=100, seed=0
         )
 
     def test_gpu_changes_the_digest(self):
         contraction, _ = _ops()
-        assert sweep_digest(contraction, ENV, GPU, cap=100, seed=0) != sweep_digest(
-            contraction, ENV, A100, cap=100, seed=0
+        assert sweep_digest(contraction, ENV, COST, cap=100, seed=0) != sweep_digest(
+            contraction, ENV, CostModel(A100), cap=100, seed=0
         )
 
     def test_contraction_digest_ignores_sampling_knobs(self):
         contraction, _ = _ops()
-        assert sweep_digest(contraction, ENV, GPU, cap=50, seed=1) == sweep_digest(
-            contraction, ENV, GPU, cap=None, seed=99
+        assert sweep_digest(contraction, ENV, COST, cap=50, seed=1) == sweep_digest(
+            contraction, ENV, COST, cap=None, seed=99
         )
 
     def test_kernel_digest_tracks_binding_knobs_only(self):
         _, kernel = _ops()
         # Binding cap (space is larger than 60): cap and seed matter.
-        assert sweep_digest(kernel, ENV, GPU, cap=60, seed=1) != sweep_digest(
-            kernel, ENV, GPU, cap=60, seed=2
+        assert sweep_digest(kernel, ENV, COST, cap=60, seed=1) != sweep_digest(
+            kernel, ENV, COST, cap=60, seed=2
         )
         # Non-binding caps are all "exhaustive" and share one digest.
-        assert sweep_digest(kernel, ENV, GPU, cap=10**9, seed=1) == sweep_digest(
-            kernel, ENV, GPU, cap=None, seed=2
+        assert sweep_digest(kernel, ENV, COST, cap=10**9, seed=1) == sweep_digest(
+            kernel, ENV, COST, cap=None, seed=2
         )
 
 
@@ -181,8 +184,8 @@ class TestRejection:
     def _saved(self, tmp_path):
         contraction, _ = _ops()
         store = SweepStore(tmp_path)
-        digest = sweep_digest(contraction, ENV, GPU, cap=100, seed=0)
-        store.save(digest, compute_payload(contraction, ENV, GPU, cap=100, seed=0))
+        digest = sweep_digest(contraction, ENV, COST, cap=100, seed=0)
+        store.save(digest, compute_payload(contraction, ENV, COST, cap=100, seed=0))
         return contraction, store, digest
 
     def _tamper_meta(self, store, digest, **changes):
@@ -197,14 +200,14 @@ class TestRejection:
         _, store, digest = self._saved(tmp_path)
         self._tamper_meta(store, digest, version=-1)
         with pytest.raises(CacheMismatch, match="cost model version"):
-            store.load(digest)
+            store.load(digest, COST.version)
         assert store.stats()["rejected"] == 1
 
     def test_format_mismatch_raises(self, tmp_path):
         _, store, digest = self._saved(tmp_path)
         self._tamper_meta(store, digest, format=999)
         with pytest.raises(CacheMismatch, match="payload format"):
-            store.load(digest)
+            store.load(digest, COST.version)
 
     def test_digest_mismatch_raises(self, tmp_path):
         # An entry copied under the wrong name never masquerades.
@@ -212,20 +215,20 @@ class TestRejection:
         other = "f" * 64
         store.path_for(digest).rename(store.path_for(other))
         with pytest.raises(CacheMismatch, match="digest"):
-            store.load(other)
+            store.load(other, COST.version)
 
     def test_corrupt_bytes_raise(self, tmp_path):
         _, store, digest = self._saved(tmp_path)
         store.path_for(digest).write_bytes(b"not an npz file at all")
         with pytest.raises(CacheMismatch, match="corrupt"):
-            store.load(digest)
+            store.load(digest, COST.version)
 
     def test_truncated_file_raises(self, tmp_path):
         _, store, digest = self._saved(tmp_path)
         path = store.path_for(digest)
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(CacheMismatch):
-            store.load(digest)
+            store.load(digest, COST.version)
 
     def test_inconsistent_arrays_raise(self, tmp_path):
         _, store, digest = self._saved(tmp_path)
@@ -236,7 +239,7 @@ class TestRejection:
         arrays["F"] = arrays["F"][:, :-1]  # timing arrays shorter than order
         np.savez(path, meta=meta, **arrays)
         with pytest.raises(CacheMismatch, match="inconsistent length"):
-            store.load(digest)
+            store.load(digest, COST.version)
 
     def test_out_of_range_permutation_raises(self, tmp_path):
         _, store, digest = self._saved(tmp_path)
@@ -247,7 +250,7 @@ class TestRejection:
         arrays["I"][0, 0] = arrays["I"].shape[1] + 5  # corrupt sort order
         np.savez(path, meta=meta, **arrays)
         with pytest.raises(CacheMismatch, match="permutation"):
-            store.load(digest)
+            store.load(digest, COST.version)
 
     def test_negative_triple_index_raises(self, tmp_path):
         # Negative indices would silently index from the end in config_at.
@@ -259,13 +262,13 @@ class TestRejection:
         arrays["I"][1, 0] = -2  # triple_idx row
         np.savez(path, meta=meta, **arrays)
         with pytest.raises(CacheMismatch, match="triple index"):
-            store.load(digest)
+            store.load(digest, COST.version)
 
     def test_corrupt_kernel_knob_index_raises(self, tmp_path):
         _, kernel = _ops()
         store = SweepStore(tmp_path)
-        digest = sweep_digest(kernel, ENV, GPU, cap=80, seed=0)
-        store.save(digest, compute_payload(kernel, ENV, GPU, cap=80, seed=0))
+        digest = sweep_digest(kernel, ENV, COST, cap=80, seed=0)
+        store.save(digest, compute_payload(kernel, ENV, COST, cap=80, seed=0))
         path = store.path_for(digest)
         with np.load(path, allow_pickle=False) as z:
             arrays = {k: z[k] for k in z.files if k != "meta"}
@@ -273,7 +276,7 @@ class TestRejection:
         arrays["I"][1, 0] = 10**6  # first knob column, way past its table
         np.savez(path, meta=meta, **arrays)
         with pytest.raises(CacheMismatch, match="knob index"):
-            store.load(digest)
+            store.load(digest, COST.version)
 
     def test_store_root_expands_tilde(self, monkeypatch, tmp_path):
         monkeypatch.setenv("HOME", str(tmp_path))
@@ -290,7 +293,7 @@ class TestRejection:
             sweep_from_payload(contraction, payload),
         )
         # The overwritten entry is valid again.
-        assert store.load(digest) is not None
+        assert store.load(digest, COST.version) is not None
 
 
 class TestSweepOpIntegration:
@@ -337,8 +340,8 @@ class TestEviction:
         _, kernel = _ops()
         out = []
         for seed in range(n):
-            digest = sweep_digest(kernel, ENV, GPU, cap=40, seed=seed)
-            out.append((digest, compute_payload(kernel, ENV, GPU, cap=40, seed=seed)))
+            digest = sweep_digest(kernel, ENV, COST, cap=40, seed=seed)
+            out.append((digest, compute_payload(kernel, ENV, COST, cap=40, seed=seed)))
         return out
 
     def _entry_size(self, tmp_path) -> int:
@@ -365,9 +368,9 @@ class TestEviction:
         os.utime(path1, (now - 300, now - 300))  # d1 is the LRU entry
         os.utime(path2, (now - 100, now - 100))
         store.save(d3, p3)
-        assert store.load(d1) is None  # evicted
-        assert store.load(d2) is not None
-        assert store.load(d3) is not None
+        assert store.load(d1, COST.version) is None  # evicted
+        assert store.load(d2, COST.version) is not None
+        assert store.load(d3, COST.version) is not None
         assert store.stats()["evictions"] == 1
         assert store.stats()["entries"] == 2
 
@@ -383,18 +386,19 @@ class TestEviction:
         now = time.time()
         os.utime(path1, (now - 300, now - 300))
         os.utime(path2, (now - 600, now - 600))  # d2 older than d1 on disk...
-        store.load(d2)  # ...but recently *used*: its mtime refreshes to now
+        # ...but recently *used*: its mtime refreshes to now
+        store.load(d2, COST.version)
         store.save(d3, p3)
-        assert store.load(d1) is None  # d1 is the least recently used
-        assert store.load(d2) is not None
-        assert store.load(d3) is not None
+        assert store.load(d1, COST.version) is None  # d1 is the least recently used
+        assert store.load(d2, COST.version) is not None
+        assert store.load(d3, COST.version) is not None
 
     def test_just_written_entry_survives_even_a_tiny_budget(self, tmp_path):
         store = SweepStore(tmp_path / "s", max_bytes=1)
         (d1, p1), (d2, p2) = self._payloads(2)
         store.save(d1, p1)
         store.save(d2, p2)  # evicts d1, keeps itself despite the budget
-        assert store.load(d2) is not None
+        assert store.load(d2, COST.version) is not None
         assert store.stats()["entries"] == 1
         assert store.stats()["evictions"] == 1
 
@@ -418,7 +422,7 @@ class TestEviction:
         store.save(d2, p2)
         _assert_bit_identical(
             sweep_op_reference(kernel, ENV, COST, cap=40, seed=1),
-            sweep_from_payload(kernel, store.load(d2)),
+            sweep_from_payload(kernel, store.load(d2, COST.version)),
         )
 
 
@@ -428,11 +432,11 @@ class TestStructuralIndex:
     def _warm(self, store, *, seq=512, cap=100, seed=3):
         contraction, _ = _ops()
         env = bert_large_dims(seq=seq)
-        digest = sweep_digest(contraction, env, GPU, cap=cap, seed=seed)
+        digest = sweep_digest(contraction, env, COST, cap=cap, seed=seed)
         structural = store_mod.structural_sweep_digest(
-            contraction, env, GPU, cap=cap, seed=seed
+            contraction, env, COST, cap=cap, seed=seed
         )
-        store.save(digest, compute_payload(contraction, env, GPU, cap=cap, seed=seed))
+        store.save(digest, compute_payload(contraction, env, COST, cap=cap, seed=seed))
         return contraction, env, digest, structural
 
     def test_save_maintains_the_sidecar(self, tmp_path):
@@ -446,7 +450,7 @@ class TestStructuralIndex:
         # A fresh store object over the same directory resolves purely
         # through the sidecar file.
         fresh = SweepStore(tmp_path)
-        payload = fresh.load_structural(structural)
+        payload = fresh.load_structural(structural, COST.version)
         assert payload is not None
         assert payload["structural"] == structural
         # Skeleton-only: the base times were not deserialized.
@@ -472,17 +476,17 @@ class TestStructuralIndex:
         # Saving a structurally different op over budget evicts the old npz
         # and must drop its sidecar entry with it.
         _, kernel = _ops()
-        kd = sweep_digest(kernel, ENV, GPU, cap=40, seed=0)
-        bounded.save(kd, compute_payload(kernel, ENV, GPU, cap=40, seed=0))
+        kd = sweep_digest(kernel, ENV, COST, cap=40, seed=0)
+        bounded.save(kd, compute_payload(kernel, ENV, COST, cap=40, seed=0))
         assert not store.path_for(digest).exists()
         assert structural not in json.loads(store.index_path.read_text())
-        assert bounded.load_structural(structural) is None
+        assert bounded.load_structural(structural, COST.version) is None
 
     def test_stale_sidecar_entry_self_heals(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
         store.path_for(digest).unlink()  # pruned externally (nightly CI)
-        assert store.load_structural(structural) is None
+        assert store.load_structural(structural, COST.version) is None
         # The dangling mapping was dropped, not retried forever.
         assert json.loads(store.index_path.read_text()) == {}
 
@@ -490,7 +494,7 @@ class TestStructuralIndex:
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
         store.path_for(digest).write_bytes(b"garbage")
-        assert store.load_structural(structural) is None
+        assert store.load_structural(structural, COST.version) is None
         assert structural not in json.loads(store.index_path.read_text())
 
     def test_corrupt_sidecar_degrades_to_empty(self, tmp_path):
@@ -498,9 +502,9 @@ class TestStructuralIndex:
         _, _, digest, structural = self._warm(store)
         store.index_path.write_text("{not json")
         fresh = SweepStore(tmp_path)
-        assert fresh.load_structural(structural) is None
+        assert fresh.load_structural(structural, COST.version) is None
         # The exact entry is untouched — the index is a pure accelerator.
-        assert fresh.load(digest) is not None
+        assert fresh.load(digest, COST.version) is not None
 
 
 class TestDeltaResweep:
@@ -513,10 +517,10 @@ class TestDeltaResweep:
         store = SweepStore(tmp_path)
         env512 = bert_large_dims(seq=512)
         env513 = bert_large_dims(seq=513)
-        d512 = sweep_digest(contraction, env512, GPU, cap=100, seed=5)
-        store.save(d512, compute_payload(contraction, env512, GPU, cap=100, seed=5))
+        d512 = sweep_digest(contraction, env512, COST, cap=100, seed=5)
+        store.save(d512, compute_payload(contraction, env512, COST, cap=100, seed=5))
         delta = delta_payload_from_store(
-            contraction, env513, GPU, cap=100, seed=5, store=store
+            contraction, env513, COST, cap=100, seed=5, store=store
         )
         assert delta is not None
         assert store.stats()["delta_hits"] == 1
@@ -531,9 +535,9 @@ class TestDeltaResweep:
         store = SweepStore(tmp_path)
         env512 = bert_large_dims(seq=512)
         env513 = bert_large_dims(seq=513)
-        d512 = sweep_digest(contraction, env512, GPU, cap=100, seed=6)
-        d513 = sweep_digest(contraction, env513, GPU, cap=100, seed=6)
-        store.save(d512, compute_payload(contraction, env512, GPU, cap=100, seed=6))
+        d512 = sweep_digest(contraction, env512, COST, cap=100, seed=6)
+        d513 = sweep_digest(contraction, env513, COST, cap=100, seed=6)
+        store.save(d512, compute_payload(contraction, env512, COST, cap=100, seed=6))
         _, tier = _resolve(contraction, env513, store, cap=100, seed=6)
         assert tier == "delta"
         assert store.stats()["delta_hits"] == 1
@@ -541,7 +545,7 @@ class TestDeltaResweep:
         # And round-trips exactly through a plain exact-digest load.
         _assert_bit_identical(
             sweep_op_reference(contraction, env513, COST, cap=100, seed=6),
-            sweep_from_payload(contraction, store.load(d513)),
+            sweep_from_payload(contraction, store.load(d513, COST.version)),
         )
 
     def test_knob_change_is_not_a_structural_twin(self, tmp_path):
@@ -553,19 +557,19 @@ class TestDeltaResweep:
         # A capped kernel sweep's sampled rows depend on (cap, seed), so
         # those knobs are structural: changing either is a different
         # problem, not a twin.
-        kd = sweep_digest(kernel, env, GPU, cap=40, seed=9)
-        store.save(kd, compute_payload(kernel, env, GPU, cap=40, seed=9))
+        kd = sweep_digest(kernel, env, COST, cap=40, seed=9)
+        store.save(kd, compute_payload(kernel, env, COST, cap=40, seed=9))
         assert delta_payload_from_store(
-            kernel, env, GPU, cap=40, seed=10, store=store
+            kernel, env, COST, cap=40, seed=10, store=store
         ) is None
         assert delta_payload_from_store(
-            kernel, env, GPU, cap=20, seed=9, store=store
+            kernel, env, COST, cap=20, seed=9, store=store
         ) is None
         # The GPU spec is structural for every op class.
-        cd = sweep_digest(contraction, env, GPU, cap=100, seed=9)
-        store.save(cd, compute_payload(contraction, env, GPU, cap=100, seed=9))
+        cd = sweep_digest(contraction, env, COST, cap=100, seed=9)
+        store.save(cd, compute_payload(contraction, env, COST, cap=100, seed=9))
         assert delta_payload_from_store(
-            contraction, env, A100, cap=100, seed=9, store=store
+            contraction, env, CostModel(A100), cap=100, seed=9, store=store
         ) is None
 
 
