@@ -25,7 +25,8 @@ scalar loop with a batched pipeline:
    persistent content-addressed store (:mod:`repro.engine.store`, L2,
    enabled with ``REPRO_SWEEP_STORE`` / ``--sweep-store``), both keyed by
    a digest that embeds ``COST_MODEL_VERSION``, then a delta re-sweep from
-   a stored structural twin, then a cold evaluation.  Whole graphs are
+   a stored structural twin — found in the store directory named by the
+   digest's structural first half — then a cold evaluation.  Whole graphs are
    deduplicated by digest up front and cold sweeps fan out over a process
    pool (``jobs`` / ``REPRO_JOBS``), merging byte-for-byte equal to the
    serial path.

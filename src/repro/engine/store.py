@@ -26,6 +26,13 @@ out of the canonicalization:
   rule in :mod:`repro.hardware.cost_model`) or promoting a calibration
   orphans every stored entry, exactly as it orphans every L1 entry.
 
+A digest is two 32-hex halves: the **structural digest** (the key with dim
+sizes abstracted away) and a hash of it with the sizes.  The store files
+entry ``d`` under the directory ``d[:32]``, so every structural twin of a
+sweep — the same sweep at other dim sizes, whose persisted skeleton a
+delta re-sweep re-times — is found by listing one directory; there is no
+separate index to keep in step with the entries.
+
 Payloads are ``.npz`` files holding the *evaluation-order* timing arrays,
 the stable-sort permutation, and the (name-free) layout choice tables
 needed to rebuild configurations lazily — binary float64, so a round-trip
@@ -94,12 +101,14 @@ class CacheMismatch(ValueError):
     corrupt entry.  Callers recompute; they never reuse it."""
 
 
-#: Payload layout version; bump when the npz schema changes.  Format 2 adds
-#: the delta-re-sweep skeleton: the structural digest, the persisted GEMM
-#: structures of contraction triples, the kernel jitter units, and int32
-#: packing of the index matrix.  Format-1 entries are rejected with
-#: :class:`CacheMismatch` and recomputed, exactly like a cost-model bump.
-PAYLOAD_FORMAT = 2
+#: Payload layout version; bump when the npz schema or the digest changes.
+#: Format 3 names each entry by its structural digest plus a hash of the
+#: sizes and files it under the structural digest's directory; the payload
+#: persists the delta-re-sweep skeleton (GEMM structures of contraction
+#: triples, layout and jitter units) and packs the index matrix int32.
+#: Entries of any other format are rejected with :class:`CacheMismatch` and
+#: recomputed, exactly like a cost-model bump.
+PAYLOAD_FORMAT = 3
 
 #: Environment variable naming the store directory (CLI: ``--sweep-store``).
 STORE_ENV_VAR = "REPRO_SWEEP_STORE"
@@ -175,58 +184,50 @@ def _effective_knobs(op: OpSpec, env: DimEnv, *, cap: int | None, seed: int) -> 
     return ["kernel", cap, seed]
 
 
-def canonical_sweep_key(
-    op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
-) -> dict:
-    """The canonical (JSON-able) identity of one sweep under ``cost``."""
-    include_name = op.op_class is not OpClass.TENSOR_CONTRACTION
-    return {
-        "format": PAYLOAD_FORMAT,
-        "version": cost.version,
-        "op": _op_signature(op, include_name=include_name),
-        "env": sorted((d, env[d]) for d in _op_dims(op)),
-        "gpu": asdict(cost.gpu),
-        "knobs": _effective_knobs(op, env, cap=cap, seed=seed),
-    }
-
-
-def sweep_digest(
-    op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
-) -> str:
-    """Stable content digest of one sweep (process- and session-independent)."""
-    key = canonical_sweep_key(op, env, cost, cap=cap, seed=seed)
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def canonical_structural_key(
-    op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
-) -> dict:
-    """The exact sweep key with dim *sizes* abstracted away.
-
-    Two sweeps share a structural key iff they differ only in the sizes
-    bound to the op's dims — same op signature, GPU and effective sampling
-    knobs.  Everything that shapes the enumerated config space (layout
-    choices, feasibility masks, sampled index rows, jitter keys) is a
-    function of this key alone, which is what makes the delta re-sweep
-    sound: on a structural hit only the size-dependent arrays (flops,
-    bytes, times) need recomputing.  The knobs are structural too:
-    whether ``cap`` binds depends on the choice-list lengths, never on
-    sizes.
-    """
-    key = canonical_sweep_key(op, env, cost, cap=cap, seed=seed)
-    key["env"] = sorted(_op_dims(op))  # names only; sizes abstracted
-    key["structural"] = True
-    return key
+def _hex32(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
 def structural_sweep_digest(
     op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
 ) -> str:
-    """Digest of :func:`canonical_structural_key` (the delta-re-sweep key)."""
-    key = canonical_structural_key(op, env, cost, cap=cap, seed=seed)
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """32-hex digest of one sweep with its dim *sizes* abstracted away.
+
+    Two sweeps share a structural digest iff they differ only in the sizes
+    bound to the op's dims — same op signature, dim names, GPU, effective
+    sampling knobs and cost-model version.  Everything that shapes the
+    enumerated config space (layout choices, feasibility masks, sampled
+    index rows, jitter keys) is a function of this key alone, which is
+    what makes the delta re-sweep sound: on a structural hit only the
+    size-dependent arrays (flops, bytes, times) need recomputing.  The
+    knobs are structural too: whether ``cap`` binds depends on the
+    choice-list lengths, never on sizes.  It is the first half of
+    :func:`sweep_digest` and names the store directory of every twin.
+    """
+    include_name = op.op_class is not OpClass.TENSOR_CONTRACTION
+    key = {
+        "format": PAYLOAD_FORMAT,
+        "version": cost.version,
+        "op": _op_signature(op, include_name=include_name),
+        "dims": sorted(_op_dims(op)),
+        "gpu": asdict(cost.gpu),
+        "knobs": _effective_knobs(op, env, cap=cap, seed=seed),
+    }
+    return _hex32(json.dumps(key, sort_keys=True, separators=(",", ":")))
+
+
+def sweep_digest(
+    op: OpSpec, env: DimEnv, cost: CostModel, *, cap: int | None, seed: int
+) -> str:
+    """Stable 64-hex content digest of one sweep (process-independent).
+
+    The structural digest, then 32 hex chars hashing it together with the
+    sizes of the dims the op reads — so every structural twin of a sweep
+    shares its first 32 characters.
+    """
+    structural = structural_sweep_digest(op, env, cost, cap=cap, seed=seed)
+    sizes = sorted((d, env[d]) for d in _op_dims(op))
+    return structural + _hex32(structural + json.dumps(sizes, separators=(",", ":")))
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +256,60 @@ def _contraction_structures(op: OpSpec) -> list[list]:
     ]
 
 
-def _finish_payload(
-    op: OpSpec, times, extra: dict, structural: str, cost: CostModel
+def _evaluate_payload(
+    op: OpSpec,
+    env: DimEnv,
+    cost: CostModel,
+    space: ContractionSpace | KernelSpace,
+    skeleton: dict,
 ) -> dict:
-    """Sort and package evaluated times into the serializable payload form."""
+    """Evaluate ``space`` at ``env`` and package the serializable payload.
+
+    ``skeleton`` holds the size-independent arrays that travel with the
+    payload — ``structures`` and ``layout_units`` of a contraction, the
+    jitter ``units`` of a kernel.  Cold and delta sweeps both end here;
+    they differ only in where the space and the skeleton come from.
+    """
+    if isinstance(space, ContractionSpace):
+        times = evaluate_contraction(
+            space, env, cost.gpu, cost.params, layout_units=skeleton["layout_units"]
+        )
+        tables = {
+            "kind": "contraction",
+            "triples": [
+                [list(la.dims), list(lb.dims), list(lc.dims)]
+                for la, lb, lc, _shape in space.triples
+            ],
+            "triple_idx": space.triple_idx,
+            "tc_flags": space.tc_flags,
+            "algos": space.algos,
+        }
+    else:
+        times = evaluate_kernel(
+            space, env, cost.gpu, cost.params, units=skeleton["units"]
+        )
+        tables = {
+            "kind": "kernel",
+            "layout_choices": [
+                [list(l.dims) for l in choices] for choices in space.layout_choices
+            ],
+            "vec_choices": list(space.vec_choices),
+            "warp_choices": list(space.warp_choices),
+            "idx": space.idx,
+        }
     order = np.argsort(times.total_us, kind="stable")
-    payload = {
+    return {
         "format": PAYLOAD_FORMAT,
         "version": cost.version,
         "op_name": op.name,
-        "structural": structural,
         "launch_us": times.launch_us,
         "compute_us": times.compute_us,
         "memory_us": times.memory_us,
         "order": order,
         "sorted_totals": times.total_us[order],
+        **tables,
+        **skeleton,
     }
-    payload.update(extra)
-    return payload
 
 
 def compute_payload(
@@ -283,87 +320,43 @@ def compute_payload(
     The payload carries the evaluation-order timing arrays, the stable-sort
     permutation, and name-free layout choice tables — everything needed to
     rebuild the sweep lazily for *any* structurally identical operator
-    without re-running the roofline.  Format 2 also persists the
-    size-independent skeleton (GEMM structures, kernel jitter units, the
-    structural digest) so a later sweep of the same op at *different* dim
-    sizes can delta-re-sweep instead of starting cold.
+    without re-running the roofline — plus the size-independent skeleton
+    (GEMM structures, layout and jitter units), so a later sweep of the
+    same op at *different* dim sizes can delta-re-sweep instead of
+    starting cold.
     """
-    structural = structural_sweep_digest(op, env, cost, cap=cap, seed=seed)
     if op.op_class is OpClass.TENSOR_CONTRACTION:
         space = enumerate_contraction_space(op, env)
-        layout_units = contraction_layout_units(op, space.triples)
-        times = evaluate_contraction(
-            space, env, cost.gpu, cost.params, layout_units=layout_units
-        )
-        extra = {
-            "kind": "contraction",
-            "triples": [
-                [list(la.dims), list(lb.dims), list(lc.dims)]
-                for la, lb, lc, _shape in space.triples
-            ],
+        skeleton = {
             "structures": _contraction_structures(op),
-            "triple_idx": space.triple_idx,
-            "tc_flags": space.tc_flags,
-            "algos": space.algos,
-            "layout_units": layout_units,
+            "layout_units": contraction_layout_units(op, space.triples),
         }
     else:
         space = enumerate_kernel_space(op, env, cap=cap, seed=seed)
-        units = kernel_jitter_units(space)
-        times = evaluate_kernel(space, env, cost.gpu, cost.params, units=units)
-        extra = {
-            "kind": "kernel",
-            "layout_choices": [
-                [list(l.dims) for l in choices] for choices in space.layout_choices
-            ],
-            "vec_choices": list(space.vec_choices),
-            "warp_choices": list(space.warp_choices),
-            "idx": space.idx,
-            "units": units,
-        }
-    return _finish_payload(op, times, extra, structural, cost)
+        skeleton = {"units": kernel_jitter_units(space)}
+    return _evaluate_payload(op, env, cost, space, skeleton)
 
 
 def compute_payload_delta(
-    op: OpSpec,
-    env: DimEnv,
-    cost: CostModel,
-    *,
-    cap: int | None,
-    seed: int,
-    base: dict,
-    structural: str | None = None,
+    op: OpSpec, env: DimEnv, cost: CostModel, *, base: dict
 ) -> dict:
     """Re-evaluate a structural twin's skeleton at new dim sizes.
 
-    ``base`` is a stored payload whose structural digest matches this
-    sweep's (same op signature, GPU and knobs — only dim sizes differ).
-    The enumerated space is rebuilt from the persisted skeleton — layout
-    tables, index rows, GEMM structures, jitter units — and only the
-    size-dependent arrays (flops, bytes, times, sort) are recomputed, so
-    the result is bit-identical to a cold :func:`compute_payload` while
-    skipping the feasibility scan, the config sampling and the jitter
-    hashing.  Raises :class:`CacheMismatch` when ``base`` is not actually
-    a usable twin (wrong kind, wrong structural digest, missing skeleton);
-    callers fall back to a cold sweep.  ``structural`` optionally passes
-    the already-computed structural digest of this sweep.
+    ``base`` is a payload :meth:`SweepStore.load_structural` read and
+    validated from this sweep's structural-digest directory (same op
+    signature, GPU and knobs — only dim sizes differ).  The config space is
+    rebuilt from its skeleton — layout tables, index rows, GEMM structures,
+    jitter units — and only the size-dependent arrays (flops, bytes, times,
+    sort) are recomputed, so the result is bit-identical to a cold
+    :func:`compute_payload` while skipping the feasibility scan, the config
+    sampling and the jitter hashing.  Raises :class:`CacheMismatch` when
+    ``base`` is of the other op class; callers fall back to a cold sweep.
     """
-    if structural is None:
-        structural = structural_sweep_digest(op, env, cost, cap=cap, seed=seed)
-    if base.get("structural") != structural:
-        raise CacheMismatch(
-            f"delta base declares structural digest {base.get('structural')!r}, "
-            f"expected {structural!r}"
-        )
-    if op.op_class is OpClass.TENSOR_CONTRACTION:
-        if base.get("kind") != "contraction":
-            raise CacheMismatch("delta base is not a contraction payload")
-        structures = base.get("structures")
-        if structures is None or len(structures) != len(base["triples"]):
-            raise CacheMismatch("delta base lacks usable GEMM structures")
-        layout_units = base.get("layout_units")
-        if layout_units is None or layout_units.shape[0] != len(base["triples"]):
-            raise CacheMismatch("delta base lacks usable layout units")
+    contraction = op.op_class is OpClass.TENSOR_CONTRACTION
+    if base.get("kind") != ("contraction" if contraction else "kernel"):
+        raise CacheMismatch(f"delta base is a {base.get('kind')!r} payload")
+    if contraction:
+        structures = base["structures"]
         shapes = shapes_from_structures(structures, env)
         space = ContractionSpace(
             op=op,
@@ -375,35 +368,11 @@ def compute_payload_delta(
             tc_flags=base["tc_flags"],
             algos=base["algos"],
         )
-        times = evaluate_contraction(
-            space, env, cost.gpu, cost.params, layout_units=layout_units
-        )
-        extra = {
-            "kind": "contraction",
-            "triples": base["triples"],
-            "structures": structures,
-            "triple_idx": base["triple_idx"],
-            "tc_flags": base["tc_flags"],
-            "algos": base["algos"],
-            "layout_units": layout_units,
-        }
+        skeleton = {"structures": structures, "layout_units": base["layout_units"]}
     else:
-        if base.get("kind") != "kernel":
-            raise CacheMismatch("delta base is not a kernel payload")
-        units = base.get("units")
-        if units is None or units.shape[0] != base["order"].shape[0]:
-            raise CacheMismatch("delta base lacks usable jitter units")
         space = space_from_payload(op, base)
-        times = evaluate_kernel(space, env, cost.gpu, cost.params, units=units)
-        extra = {
-            "kind": "kernel",
-            "layout_choices": base["layout_choices"],
-            "vec_choices": base["vec_choices"],
-            "warp_choices": base["warp_choices"],
-            "idx": base["idx"],
-            "units": units,
-        }
-    return _finish_payload(op, times, extra, structural, cost)
+        skeleton = {"units": base["units"]}
+    return _evaluate_payload(op, env, cost, space, skeleton)
 
 
 @lru_cache(maxsize=4096)
@@ -447,7 +416,7 @@ _ARRAY_KEYS = ("compute_us", "memory_us", "order", "sorted_totals")
 _CONTRACTION_ARRAYS = ("triple_idx", "tc_flags", "algos")
 
 
-def _index_in_range(idx: np.ndarray, size: int) -> bool:
+def _in_range(idx: np.ndarray, size: int) -> bool:
     return bool(((idx >= 0) & (idx < size)).all())
 
 
@@ -487,21 +456,32 @@ def _validate_payload(
             f"{where} declares digest {payload.get('digest')!r}, "
             f"expected {digest!r}"
         )
-    if not isinstance(payload.get("structural"), str) or not payload["structural"]:
-        raise CacheMismatch(f"{where} carries no structural digest")
-    n = payload["order"].shape[0]
+    order = payload["order"]
+    n = order.shape[0]
     for key in _ARRAY_KEYS if not skeleton_only else ("order",):
         if payload[key].shape[0] != n:
             raise CacheMismatch(f"{where}: array {key!r} has inconsistent length")
-    if not _index_in_range(payload["order"], n or 1):
+    if not _in_range(order, n or 1):
         raise CacheMismatch(f"{where}: sort permutation out of range")
+    seen = np.zeros(n, dtype=bool)
+    seen[order] = True
+    if not seen.all():
+        raise CacheMismatch(f"{where}: sort order is not a permutation")
+    if not skeleton_only:
+        # A stable sort: totals never decrease, and ties keep config order.
+        totals = payload["sorted_totals"]
+        prev, nxt = totals[:-1], totals[1:]
+        if not (nxt >= prev).all():
+            raise CacheMismatch(f"{where}: sorted totals decrease")
+        if not (order[1:] > order[:-1])[nxt == prev].all():
+            raise CacheMismatch(f"{where}: sort order is not stable within ties")
     if payload["kind"] == "contraction":
         for key in _CONTRACTION_ARRAYS:
             if payload[key].shape[0] != n:
                 raise CacheMismatch(f"{where}: array {key!r} has inconsistent length")
-        if not _index_in_range(payload["triple_idx"], len(payload["triples"])):
+        if not _in_range(payload["triple_idx"], len(payload["triples"])):
             raise CacheMismatch(f"{where}: triple index out of range")
-        if not _index_in_range(payload["algos"], NUM_GEMM_ALGORITHMS):
+        if not _in_range(payload["algos"], NUM_GEMM_ALGORITHMS):
             raise CacheMismatch(f"{where}: algorithm index out of range")
         structures = payload.get("structures")
         if not isinstance(structures, list) or len(structures) != len(
@@ -525,7 +505,7 @@ def _validate_payload(
         if idx.shape[0] != n or idx.shape[1] != len(sizes):
             raise CacheMismatch(f"{where}: array 'idx' has inconsistent shape")
         for col, size in enumerate(sizes):
-            if not _index_in_range(idx[:, col], size):
+            if not _in_range(idx[:, col], size):
                 raise CacheMismatch(f"{where}: knob index column {col} out of range")
         units = payload.get("units")
         if (
@@ -593,7 +573,7 @@ def read_payload_npz(source, *, skeleton_only: bool = False) -> dict:
     with np.load(source, allow_pickle=False) as z:
         payload = dict(json.loads(str(z["meta"][()])))
         ints = z["I"].astype(np.int64)
-        skeleton = z["T"] if "T" in z.files else None
+        skeleton = z["T"]
         if not skeleton_only:
             floats = z["F"]
             payload["compute_us"] = floats[0]
@@ -604,12 +584,10 @@ def read_payload_npz(source, *, skeleton_only: bool = False) -> dict:
         payload["triple_idx"] = ints[1]
         payload["algos"] = ints[2]
         payload["tc_flags"] = ints[3] != 0
-        if skeleton is not None:
-            payload["layout_units"] = skeleton
+        payload["layout_units"] = skeleton
     else:
         payload["idx"] = ints[1:].T
-        if skeleton is not None:
-            payload["units"] = skeleton
+        payload["units"] = skeleton
     return payload
 
 
@@ -649,28 +627,30 @@ def atomic_write(path: Path, write, *, fsync: bool = False) -> None:
 # The on-disk store
 # ---------------------------------------------------------------------------
 
-class SweepStore:
-    """A directory of content-addressed ``.npz`` sweep payloads.
+#: The store's counters, in :meth:`SweepStore.stats` order after ``entries``.
+_COUNTERS = ("hits", "misses", "saves", "rejected", "evictions", "delta_hits")
 
-    ``max_bytes`` bounds the directory size: after every save, the
+
+class SweepStore:
+    """A directory tree of content-addressed ``.npz`` sweep payloads.
+
+    Entry ``d`` lives at ``root / d[:32] / f"{d}.npz"``: the first half of
+    every sweep digest is its structural digest, so all structural twins
+    of a sweep (the same sweep at other dim sizes) share one directory and
+    a delta re-sweep finds them by listing it — the path is the index.
+
+    ``max_bytes`` bounds the tree size: after every save, the
     oldest-mtime entries are evicted until the total fits.  Loads refresh
     entry mtimes, so eviction order is least-recently-*used* — the same
     policy the nightly CI prune applies on a 14-day horizon, but enforced
     inline so a long-lived daemon cannot grow the store without bound.
     ``None`` (the default) keeps the historical unbounded behavior.
+    Directories are never removed: an ``rmdir`` would race a concurrent
+    save's temp file; the CI prune sweeps up empty ones.
 
     Counter updates and eviction hold an internal lock: the tuning daemon
     shares one store across its handler threads.
-
-    A sidecar JSON map (``structural.json``) indexes structural digests to
-    the exact digest most recently saved under each, so a delta-re-sweep
-    lookup never scans the directory.  The index is maintained on every
-    save and eviction; a stale entry (its npz pruned externally) is
-    self-healing — dropped on the first failed lookup.
     """
-
-    #: Sidecar file mapping structural digest -> exact digest of a twin.
-    INDEX_NAME = "structural.json"
 
     def __init__(self, root: str | Path, *, max_bytes: int | None = None) -> None:
         # expanduser: tilde paths arrive unexpanded from CI yaml env blocks,
@@ -681,8 +661,6 @@ class SweepStore:
         self.max_bytes = max_bytes
         self._lock = threading.Lock()  # counters only: held briefly
         self._evict_lock = threading.Lock()  # serializes budget scans
-        self._index_lock = threading.Lock()  # guards the structural index
-        self._index: dict[str, str] | None = None  # lazily loaded sidecar
         self.hits = 0
         self.misses = 0
         self.saves = 0
@@ -691,11 +669,7 @@ class SweepStore:
         self.delta_hits = 0
 
     def path_for(self, digest: str) -> Path:
-        return self.root / f"{digest}.npz"
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / self.INDEX_NAME
+        return self.root / digest[:32] / f"{digest}.npz"
 
     def __contains__(self, digest: str) -> bool:
         return self.path_for(digest).exists()
@@ -715,7 +689,7 @@ class SweepStore:
             obs.add_event("store.miss", digest=digest)
             return None
         try:
-            payload = self._read(path)
+            payload = read_payload_npz(path)
             _validate_payload(payload, digest, path, version)
         except CacheMismatch:
             with self._lock:
@@ -737,117 +711,60 @@ class SweepStore:
         with self._lock:
             self.hits += 1
         obs.add_event("store.hit", digest=digest)
-        try:
-            # Refresh mtime so age-based pruning (e.g. nightly CI) tracks
-            # last *use*, not last write.
-            os.utime(path)
-        except OSError:  # pragma: no cover - read-only stores are fine
-            pass
+        _touch(path)
         return payload
 
     def save(self, digest: str, payload: dict) -> Path:
         """Atomically persist one payload under its digest.
 
         Serialization lives in :func:`write_payload_npz`; this adds the
-        atomic tmp-then-replace dance, counters, the structural sidecar
-        update and budget eviction.
+        atomic tmp-then-replace dance, counters and budget eviction.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write(path, lambda fh: write_payload_npz(fh, digest, payload))
         with self._lock:
             self.saves += 1
-        structural = payload.get("structural")
-        if isinstance(structural, str) and structural:
-            with self._index_lock:
-                index = self._load_index_locked()
-                if index.get(structural) != digest:
-                    index[structural] = digest
-                    self._persist_index_locked(index)
         if self.max_bytes is not None:
-            # Own lock: the O(entries) directory scan must not block the
+            # Own lock: the O(entries) tree scan must not block the
             # counter updates of concurrent loads.
             with self._evict_lock:
                 self._evict_over_budget(keep=path)
         return path
 
-    # -- structural sidecar index ------------------------------------------
-
-    def _load_index_locked(self) -> dict[str, str]:
-        """The structural map; lazily read.  Caller holds ``_index_lock``."""
-        if self._index is None:
-            try:
-                raw = json.loads(self.index_path.read_text())
-                # A corrupt or foreign file degrades to an empty map — the
-                # index is a pure accelerator, npz entries stay canonical.
-                self._index = {
-                    k: v
-                    for k, v in raw.items()
-                    if isinstance(k, str) and isinstance(v, str)
-                } if isinstance(raw, dict) else {}
-            except (OSError, ValueError):
-                self._index = {}
-        return self._index
-
-    def _persist_index_locked(self, index: dict[str, str]) -> None:
-        """Atomically rewrite the sidecar.  Caller holds ``_index_lock``.
-
-        Last-writer-wins across processes: a clobbered mapping merely
-        points a structural digest at a different (equally valid) twin,
-        and a stale one self-heals in :meth:`load_structural`.
-        """
-        blob = json.dumps(index, sort_keys=True).encode("utf-8")
-        try:
-            atomic_write(self.index_path, lambda fh: fh.write(blob))
-        except OSError:  # pragma: no cover - read-only stores are fine
-            pass
-
-    def _drop_index_entries(self, exact_digests: set[str]) -> None:
-        """Drop sidecar entries pointing at the given exact digests."""
-        if not exact_digests:
-            return
-        with self._index_lock:
-            index = self._load_index_locked()
-            stale = [k for k, v in index.items() if v in exact_digests]
-            if stale:
-                for k in stale:
-                    del index[k]
-                self._persist_index_locked(index)
-
     def load_structural(self, structural: str, version: int | str) -> dict | None:
         """A validated skeleton twin to ``structural`` under ``version``, or None.
 
-        Read in skeleton-only mode: the base sweep's *times* are dead
-        weight for a delta re-sweep (they are recomputed at the new dim
-        sizes), so the time matrix is never deserialized and the returned
-        payload must only feed :func:`compute_payload_delta`.  Any failure
-        — missing index entry, pruned npz, corrupt or version-mismatched
-        payload, structural-digest mismatch — drops the sidecar entry and
-        returns ``None``; the caller falls back to a cold sweep.
-        Deliberately does not touch hits/misses: those count exact lookups,
-        and a structural probe always follows an exact miss.
+        Lists the ``structural`` directory in name order and returns the
+        first entry that validates against its own file name.  Every twin's
+        skeleton is identical (it is a function of the structural key
+        alone), so any valid one serves; a corrupt, version-mismatched or
+        vanished twin is skipped for the next.  Read in skeleton-only mode:
+        the base sweep's *times* are dead weight for a delta re-sweep (they
+        are recomputed at the new dim sizes), so the time matrix is never
+        deserialized and the returned payload must only feed
+        :func:`compute_payload_delta`.  Deliberately does not touch
+        hits/misses: those count exact lookups, and a structural probe
+        always follows an exact miss.
         """
-        with self._index_lock:
-            exact = self._load_index_locked().get(structural)
-        if exact is None:
-            return None
-        path = self.path_for(exact)
+        directory = self.root / structural
         try:
-            payload = read_payload_npz(path, skeleton_only=True)
-            _validate_payload(payload, exact, path, version, skeleton_only=True)
-            if payload.get("structural") != structural:
-                raise CacheMismatch(
-                    f"sidecar entry {structural[:12]} points at {path} whose "
-                    f"structural digest differs"
-                )
-        except Exception:
-            self._drop_index_entries({exact})
+            names = sorted(os.listdir(directory))
+        except OSError:
             return None
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - read-only stores are fine
-            pass
-        return payload
+        for name in names:
+            digest, ext = os.path.splitext(name)
+            if ext != ".npz" or not digest.startswith(structural):
+                continue
+            path = directory / name
+            try:
+                payload = read_payload_npz(path, skeleton_only=True)
+                _validate_payload(payload, digest, path, version, skeleton_only=True)
+            except Exception:
+                continue
+            _touch(path)
+            return payload
+        return None
 
     def record_delta_hit(self) -> None:
         """Count one successful delta re-sweep served from this store."""
@@ -862,17 +779,16 @@ class SweepStore:
         it, and evicting it would turn every save into a
         save-evict-recompute loop.  Entries *newer* than it are skipped for
         the same reason — under concurrent saves they are other threads'
-        just-written entries.
+        just-written entries.  Every ``*.npz`` under the root counts, so
+        entries of older layouts age out under the budget too.
         """
-        if self.max_bytes is None:
-            return
         try:
             keep_mtime = keep.stat().st_mtime
         except OSError:  # pragma: no cover - raced with another process
             keep_mtime = float("inf")
         entries: list[tuple[float, int, Path]] = []
         total = 0
-        for path in self.root.glob("*.npz"):
+        for path in self.root.rglob("*.npz"):
             try:
                 st = path.stat()
             except OSError:  # pragma: no cover - raced with another process
@@ -882,7 +798,6 @@ class SweepStore:
         if total <= self.max_bytes:
             return
         entries.sort(key=lambda e: (e[0], e[2].name))
-        evicted: set[str] = set()
         for mtime, size, path in entries:
             if total <= self.max_bytes:
                 break
@@ -893,34 +808,27 @@ class SweepStore:
             except OSError:  # pragma: no cover - raced with another process
                 continue
             total -= size
-            evicted.add(path.stem)
             with self._lock:
                 self.evictions += 1
             obs.add_event("store.evict", digest=path.stem)
-        # Evicting an npz also drops its structural sidecar entry, so a
-        # structural lookup never dereferences a digest known to be gone.
-        self._drop_index_entries(evicted)
-
-    @staticmethod
-    def _read(path: Path) -> dict:
-        return read_payload_npz(path)
 
     def stats(self) -> dict[str, int]:
         entries = (
-            sum(1 for _ in self.root.glob("*.npz")) if self.root.is_dir() else 0
+            sum(1 for _ in self.root.rglob("*.npz")) if self.root.is_dir() else 0
         )
-        return {
-            "entries": entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "saves": self.saves,
-            "rejected": self.rejected,
-            "evictions": self.evictions,
-            "delta_hits": self.delta_hits,
-        }
+        return {"entries": entries, **{k: getattr(self, k) for k in _COUNTERS}}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SweepStore({str(self.root)!r})"
+
+
+def _touch(path: Path) -> None:
+    """Refresh ``path``'s mtime so age-based pruning (eviction, the nightly
+    CI prune) tracks last *use*, not last write."""
+    try:
+        os.utime(path)
+    except OSError:  # pragma: no cover - read-only stores are fine
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -968,13 +876,5 @@ def sweep_store_stats() -> dict[str, int]:
     """Counters of the active store (zeros when no store is configured)."""
     store = get_sweep_store()
     if store is None:
-        return {
-            "entries": 0,
-            "hits": 0,
-            "misses": 0,
-            "saves": 0,
-            "rejected": 0,
-            "evictions": 0,
-            "delta_hits": 0,
-        }
+        return dict.fromkeys(("entries", *_COUNTERS), 0)
     return store.stats()

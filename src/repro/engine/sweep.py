@@ -56,13 +56,15 @@ def delta_payload_from_store(
 ) -> dict | None:
     """Delta-re-sweep from a structural twin in ``store``, or ``None``.
 
-    Probes the store's structural sidecar for a payload that differs from
-    this sweep only in dim sizes and re-evaluates its persisted skeleton at
-    the new sizes (:func:`compute_payload_delta`) — bit-identical to a cold
-    sweep, minus the enumeration work.  Returns ``None`` when there is no
-    store, no twin exists, or the twin turns out unusable; the caller
-    falls back to a cold sweep.  Does **not** save the result: the
-    resolver persists it under the new exact digest.
+    Reads a validated twin — a payload that differs from this sweep only
+    in dim sizes — from the store directory named by this sweep's
+    structural digest (:meth:`SweepStore.load_structural`), and re-evaluates
+    its persisted skeleton at the new sizes (:func:`compute_payload_delta`)
+    — bit-identical to a cold sweep, minus the enumeration work.  Returns
+    ``None`` when there is no store, no valid twin exists, or the twin is
+    of the other op class; the caller falls back to a cold sweep.  Does
+    **not** save the result: the resolver persists it under the new exact
+    digest, in the same directory.
     """
     if store is None:
         return None
@@ -71,9 +73,7 @@ def delta_payload_from_store(
     if base is None:
         return None
     try:
-        payload = compute_payload_delta(
-            op, env, cost, cap=cap, seed=seed, base=base, structural=structural
-        )
+        payload = compute_payload_delta(op, env, cost, base=base)
     except CacheMismatch:
         return None
     store.record_delta_hit()

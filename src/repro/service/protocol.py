@@ -646,12 +646,13 @@ def payload_from_packed(
 
     The bytes are an L2 store ``.npz`` file; this runs the store's own
     deserializer *and* its structural validation (bounds-checked index
-    arrays, digest agreement when ``digest`` is given), so a corrupt or
-    truncated wire body surfaces as :class:`ProtocolError` — never as a
-    silently wrong measurement downstream.  ``version`` is the cost-model
-    version the caller prices under (the fleet coordinator's request
-    snapshot), so a skewed worker's bytes stay out; a client serves no
-    model and leaves it ``None``, checking only the digest.
+    arrays, a stable sort permutation, digest agreement when ``digest`` is
+    given), so a corrupt or truncated wire body surfaces as
+    :class:`ProtocolError` — never as a silently wrong measurement
+    downstream.  ``version`` is the cost-model version the caller prices
+    under (the fleet coordinator's request snapshot), so a skewed worker's
+    bytes stay out; a client serves no model and leaves it ``None``,
+    checking only the digest.
     """
     import io
 

@@ -13,6 +13,7 @@ bit of the answer.
 from __future__ import annotations
 
 import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,9 @@ from repro.autotuner.tuner import sweep_op_reference
 from repro.engine.store import (
     SweepStore,
     compute_payload,
+    compute_payload_delta,
+    pack_payload_bytes,
+    read_payload_npz,
     structural_sweep_digest,
     sweep_digest,
 )
@@ -136,11 +140,6 @@ def test_kernel_delta_resweep_bit_identical_to_cold(params):
         sweep_op_reference(op, perturbed, COST, cap=cap, seed=seed),
         sweep_from_payload(op, delta),
     )
-    # The rebuilt payload still names the shared structural key (digests
-    # are stamped at save time, under the perturbed problem's exact key).
-    assert delta["structural"] == structural_sweep_digest(
-        op, perturbed, COST, cap=cap, seed=seed
-    )
 
 
 @settings(max_examples=15, deadline=None)
@@ -158,3 +157,41 @@ def test_contraction_delta_resweep_bit_identical_to_cold(params):
         sweep_op_reference(op, perturbed, COST),
         sweep_from_payload(op, delta),
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(kernel_cases(), contraction_cases().map(lambda c: (*c, None, 0))))
+def test_structural_digest_is_the_exact_digests_prefix(params):
+    op, base, perturbed, cap, seed = params
+    for env in (base, perturbed):
+        digest = sweep_digest(op, env, COST, cap=cap, seed=seed)
+        assert len(digest) == 64
+        assert digest[:32] == structural_sweep_digest(op, env, COST, cap=cap, seed=seed)
+        assert STORE.path_for(digest).parent.name == digest[:32]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.one_of(contraction_cases(), kernel_cases()).map(lambda c: (c[0], c[2])),
+    st.lists(_SIZES, min_size=2, max_size=3, unique=True),
+)
+def test_delta_from_every_stored_twin_is_the_cold_payload(case, firsts):
+    """Any twin in the directory serves: all their skeletons are identical."""
+    op, target = case
+    first = next(iter(target))
+    with tempfile.TemporaryDirectory(prefix="repro-twins-") as root:
+        store = SweepStore(root)
+        for size in firsts:
+            env = DimEnv({**dict(target), first: size})
+            store.save(
+                sweep_digest(op, env, COST, cap=None, seed=0),
+                compute_payload(op, env, COST, cap=None, seed=0),
+            )
+        digest = sweep_digest(op, target, COST, cap=None, seed=0)
+        cold = compute_payload(op, target, COST, cap=None, seed=0)
+        twins = sorted(Path(root, digest[:32]).glob("*.npz"))
+        assert len(twins) == len(firsts)
+        for path in twins:
+            base = read_payload_npz(path, skeleton_only=True)
+            delta = compute_payload_delta(op, target, COST, base=base)
+            assert pack_payload_bytes(digest, delta) == pack_payload_bytes(digest, cold)

@@ -247,7 +247,7 @@ def test_cached_payloads_match_their_embedded_model(steps):
                     evaluate=evaluate,
                 )
             entries = [(d, p) for d, (p, _) in ENGINE_L1._items.items()] + [
-                (path.stem, read_payload_npz(path)) for path in Path(root).glob("*.npz")
+                (path.stem, read_payload_npz(path)) for path in Path(root).rglob("*.npz")
             ]
             for digest, payload in entries:
                 cost = CostModel(params=_MODELS[payload["version"]])

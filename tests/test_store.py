@@ -8,6 +8,7 @@ and the ``sweep_op`` / active-store integration.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ class TestRejection:
     def test_digest_mismatch_raises(self, tmp_path):
         # An entry copied under the wrong name never masquerades.
         _, store, digest = self._saved(tmp_path)
-        other = "f" * 64
+        other = digest[:32] + "f" * 32  # same directory, wrong name
         store.path_for(digest).rename(store.path_for(other))
         with pytest.raises(CacheMismatch, match="digest"):
             store.load(other, COST.version)
@@ -294,6 +295,64 @@ class TestRejection:
         )
         # The overwritten entry is valid again.
         assert store.load(digest, COST.version) is not None
+
+
+def _order_zeros(payload):
+    payload["order"] = np.zeros_like(payload["order"])
+
+
+def _totals_reversed(payload):
+    payload["sorted_totals"] = payload["sorted_totals"][::-1].copy()
+
+
+def _ties_reversed(payload):
+    payload["sorted_totals"] = np.zeros_like(payload["sorted_totals"])
+    payload["order"] = np.arange(len(payload["order"]))[::-1].copy()
+
+
+class TestSortOrderIsChecked:
+    """A well-formed payload whose ranking is wrong is rejected on read."""
+
+    MUTATIONS = {
+        "not a permutation": _order_zeros,
+        "totals decrease": _totals_reversed,
+        "not stable within ties": _ties_reversed,
+    }
+
+    @staticmethod
+    def _tampered(mutate):
+        _, kernel = _ops()
+        digest = sweep_digest(kernel, ENV, COST, cap=80, seed=0)
+        payload = compute_payload(kernel, ENV, COST, cap=80, seed=0)
+        mutate(payload)
+        return digest, payload
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_store_load_rejects(self, tmp_path, mutation):
+        digest, payload = self._tampered(self.MUTATIONS[mutation])
+        store = SweepStore(tmp_path)
+        store.save(digest, payload)
+        with pytest.raises(CacheMismatch, match=mutation):
+            store.load(digest, COST.version)
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_packed_decode_rejects(self, mutation):
+        from repro.engine.store import pack_payload_bytes
+        from repro.service.protocol import ProtocolError, payload_from_packed
+
+        digest, payload = self._tampered(self.MUTATIONS[mutation])
+        with pytest.raises(ProtocolError, match=mutation):
+            payload_from_packed(
+                pack_payload_bytes(digest, payload), digest=digest, version=COST.version
+            )
+
+    def test_skeleton_read_checks_the_permutation_only(self, tmp_path):
+        digest, payload = self._tampered(_totals_reversed)
+        store = SweepStore(tmp_path)
+        store.save(digest, payload)
+        assert store.load_structural(digest[:32], COST.version) is not None
+        store.save(digest, self._tampered(_order_zeros)[1])
+        assert store.load_structural(digest[:32], COST.version) is None
 
 
 class TestSweepOpIntegration:
@@ -409,6 +468,24 @@ class TestEviction:
         assert store.stats()["entries"] == 3
         assert store.stats()["evictions"] == 0
 
+    def test_flat_leftovers_of_older_layouts_count_and_age_out(self, tmp_path):
+        import os
+        import time
+
+        size = self._entry_size(tmp_path)
+        store = SweepStore(tmp_path / "s", max_bytes=size + size // 2)
+        (d1, p1), (d2, p2) = self._payloads(2)
+        flat = store.root / f"{d1}.npz"  # where a format-2 store kept it
+        flat.parent.mkdir(parents=True)
+        flat.write_bytes(store.save(d1, p1).read_bytes())
+        store.path_for(d1).unlink()
+        os.utime(flat, (time.time() - 60, time.time() - 60))
+        assert store.stats()["entries"] == 1
+        store.save(d2, p2)
+        assert not flat.exists()
+        assert store.stats()["entries"] == 1
+        assert store.stats()["evictions"] == 1
+
     def test_eviction_preserves_surviving_payloads(self, tmp_path):
         _, kernel = _ops()
         size = self._entry_size(tmp_path)
@@ -426,8 +503,8 @@ class TestEviction:
         )
 
 
-class TestStructuralIndex:
-    """The sidecar map from structural digests to exact-digest twins."""
+class TestTwinByPath:
+    """Structural twins live in, and are found by, their digest's directory."""
 
     def _warm(self, store, *, seq=512, cap=100, seed=3):
         contraction, _ = _ops()
@@ -439,72 +516,90 @@ class TestStructuralIndex:
         store.save(digest, compute_payload(contraction, env, COST, cap=cap, seed=seed))
         return contraction, env, digest, structural
 
-    def test_save_maintains_the_sidecar(self, tmp_path):
-        store = SweepStore(tmp_path)
-        _, _, digest, structural = self._warm(store)
-        assert json.loads(store.index_path.read_text()) == {structural: digest}
-
-    def test_structural_lookup_never_scans_the_directory(self, tmp_path):
-        store = SweepStore(tmp_path)
-        _, _, digest, structural = self._warm(store)
-        # A fresh store object over the same directory resolves purely
-        # through the sidecar file.
-        fresh = SweepStore(tmp_path)
-        payload = fresh.load_structural(structural, COST.version)
-        assert payload is not None
-        assert payload["structural"] == structural
-        # Skeleton-only: the base times were not deserialized.
-        assert "compute_us" not in payload and "sorted_totals" not in payload
-
-    def test_same_structure_different_sizes_share_one_entry(self, tmp_path):
+    def test_entries_live_under_their_structural_directory(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, d512, s512 = self._warm(store, seq=512)
         _, _, d513, s513 = self._warm(store, seq=513)
         assert s512 == s513 and d512 != d513
-        # Last writer wins: the sidecar points at the newest twin.
-        assert json.loads(store.index_path.read_text()) == {s512: d513}
+        assert d512[:32] == d513[:32] == s512
+        assert store.path_for(d512) == tmp_path / s512 / f"{d512}.npz"
+        assert sorted(p.name for p in (tmp_path / s512).iterdir()) == sorted(
+            [f"{d512}.npz", f"{d513}.npz"]
+        )
 
-    def test_eviction_drops_the_sidecar_entry(self, tmp_path):
+    def test_fresh_store_finds_a_twin_with_no_index_file(self, tmp_path):
+        _, _, _, structural = self._warm(SweepStore(tmp_path))
+        # Nothing but entry directories holding npz files.
+        assert {p.suffix for p in tmp_path.rglob("*") if p.is_file()} == {".npz"}
+        payload = SweepStore(tmp_path).load_structural(structural, COST.version)
+        assert payload is not None
+        assert "structural" not in payload
+        # Skeleton-only: the base times were not deserialized.
+        assert "compute_us" not in payload and "sorted_totals" not in payload
+
+    def test_corrupt_twin_is_skipped_and_a_sibling_served(self, tmp_path):
         store = SweepStore(tmp_path)
-        contraction, env, digest, structural = self._warm(store)
+        _, _, d512, structural = self._warm(store, seq=512)
+        _, _, d513, _ = self._warm(store, seq=513)
+        first = min(d512, d513)  # listed first
+        store.path_for(first).write_bytes(b"garbage")
+        payload = store.load_structural(structural, COST.version)
+        assert payload is not None and payload["digest"] == max(d512, d513)
+
+    def test_evicted_twin_is_a_clean_miss(self, tmp_path):
+        store = SweepStore(tmp_path)
+        _, _, digest, structural = self._warm(store)
         size = store.path_for(digest).stat().st_size
         import os
         import time
 
         bounded = SweepStore(tmp_path, max_bytes=size)
         os.utime(store.path_for(digest), (time.time() - 300, time.time() - 300))
-        # Saving a structurally different op over budget evicts the old npz
-        # and must drop its sidecar entry with it.
+        # Saving a structurally different op over budget evicts the twin.
         _, kernel = _ops()
         kd = sweep_digest(kernel, ENV, COST, cap=40, seed=0)
         bounded.save(kd, compute_payload(kernel, ENV, COST, cap=40, seed=0))
         assert not store.path_for(digest).exists()
-        assert structural not in json.loads(store.index_path.read_text())
+        assert bounded.stats()["evictions"] == 1
         assert bounded.load_structural(structural, COST.version) is None
+        assert store.load_structural("0" * 32, COST.version) is None  # no directory
 
-    def test_stale_sidecar_entry_self_heals(self, tmp_path):
+    def test_stem_outside_its_directory_prefix_is_refused(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
-        store.path_for(digest).unlink()  # pruned externally (nightly CI)
+        path = store.path_for(digest)
+        # A valid entry of another structural digest, moved into this
+        # directory under its own (consistent) name, is not a twin.
+        stranger = "e" * 64
+        payload = store.load(digest, COST.version)
+        store.save(stranger, payload)
+        path.unlink()
+        store.path_for(stranger).rename(path.parent / f"{stranger}.npz")
         assert store.load_structural(structural, COST.version) is None
-        # The dangling mapping was dropped, not retried forever.
-        assert json.loads(store.index_path.read_text()) == {}
 
-    def test_corrupt_twin_is_dropped_not_served(self, tmp_path):
+    def test_stray_temp_file_in_a_twin_directory_is_ignored(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
-        store.path_for(digest).write_bytes(b"garbage")
-        assert store.load_structural(structural, COST.version) is None
-        assert structural not in json.loads(store.index_path.read_text())
+        stray = store.path_for(digest).parent / f"{structural}0.npz.tmp"
+        stray.write_bytes(b"torn")
+        assert sorted(p.name for p in stray.parent.iterdir())[0] == stray.name
+        payload = store.load_structural(structural, COST.version)
+        assert payload is not None and payload["digest"] == digest
+        assert store.stats()["entries"] == 1
 
-    def test_corrupt_sidecar_degrades_to_empty(self, tmp_path):
-        store = SweepStore(tmp_path)
-        _, _, digest, structural = self._warm(store)
-        store.index_path.write_text("{not json")
-        fresh = SweepStore(tmp_path)
-        assert fresh.load_structural(structural, COST.version) is None
-        # The exact entry is untouched — the index is a pure accelerator.
-        assert fresh.load(digest, COST.version) is not None
+
+class TestOneStoreMechanism:
+    """CI guard: the path is the only twin index, and one routine evaluates."""
+
+    SOURCE = Path(store_mod.__file__).read_text()
+
+    @pytest.mark.parametrize("name", ["structural.json", "_index", "INDEX_NAME"])
+    def test_no_sidecar_index(self, name):
+        assert name not in self.SOURCE
+
+    @pytest.mark.parametrize("name", ["evaluate_contraction", "evaluate_kernel"])
+    def test_cold_and_delta_share_one_evaluation(self, name):
+        assert self.SOURCE.count(f"{name}(") == 1
 
 
 class TestDeltaResweep:
