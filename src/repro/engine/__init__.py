@@ -44,7 +44,7 @@ from .space import (
     enumerate_contraction_space,
     enumerate_kernel_space,
 )
-from .batched import BatchedTimes, evaluate_contraction, evaluate_kernel
+from .batched import evaluate_contraction, evaluate_kernel
 from .store import (
     SweepStore,
     compute_payload,
@@ -68,7 +68,6 @@ from .scheduler import (
 from .sweep import PreSortedMeasurements, delta_payload_from_store, sweep_from_payload
 
 __all__ = [
-    "BatchedTimes",
     "ContractionSpace",
     "KernelSpace",
     "PreSortedMeasurements",

@@ -19,7 +19,6 @@ tier-1 pins via ``sweep_op`` vs ``sweep_op_reference``.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,25 +34,18 @@ from repro.ir.dims import DimEnv
 from .space import ContractionSpace, KernelSpace
 
 __all__ = [
-    "BatchedTimes",
     "evaluate_contraction",
     "evaluate_kernel",
     "kernel_jitter_units",
+    "roofline_totals",
 ]
 
 
-@dataclass(frozen=True)
-class BatchedTimes:
-    """Predicted timings of one operator's whole config space."""
-
-    compute_us: np.ndarray
-    memory_us: np.ndarray
-    launch_us: float
-    total_us: np.ndarray
-
-    @property
-    def num_configs(self) -> int:
-        return int(self.total_us.shape[0])
+def roofline_totals(launch_us, compute_us: np.ndarray, memory_us: np.ndarray):
+    """Per-config totals ``launch + max(compute, memory)``: the one array
+    spelling of ``KernelTime.total_us``, so every derivation of the totals
+    (sort, payload decode, materialized sweeps) agrees bit for bit."""
+    return launch_us + np.maximum(compute_us, memory_us)
 
 
 def evaluate_contraction(
@@ -63,8 +55,9 @@ def evaluate_contraction(
     params: EfficiencyParams,
     *,
     layout_units: np.ndarray | None = None,
-) -> BatchedTimes:
-    """Roofline-time every contraction config in one vector pass.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roofline-time every contraction config in one vector pass: its
+    ``(compute_us, memory_us)``, evaluation order (launch is the GPU's).
 
     ``layout_units`` optionally supplies the precomputed (size-independent)
     per-triple layout-factor units of
@@ -100,11 +93,7 @@ def evaluate_contraction(
     # written exactly as CostModel._time_from_eff spells it.
     memory_const = 1e6 * nbytes / (gpu.mem_bandwidth * params.gemm_mem_eff)
     memory_us = np.full(space.num_configs, memory_const)
-    launch = gpu.kernel_launch_us
-    total_us = launch + np.maximum(compute_us, memory_us)
-    return BatchedTimes(
-        compute_us=compute_us, memory_us=memory_us, launch_us=launch, total_us=total_us
-    )
+    return compute_us, memory_us
 
 
 def kernel_jitter_units(space: KernelSpace) -> np.ndarray:
@@ -217,8 +206,9 @@ def evaluate_kernel(
     params: EfficiencyParams,
     *,
     units: np.ndarray | None = None,
-) -> BatchedTimes:
-    """Roofline-time every memory-bound kernel config in one vector pass.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roofline-time every memory-bound kernel config in one vector pass:
+    its ``(compute_us, memory_us)``, evaluation order.
 
     ``units`` optionally supplies the precomputed jitter units of
     :func:`kernel_jitter_units` (e.g. from a stored payload on the delta
@@ -276,8 +266,4 @@ def evaluate_kernel(
     compute_const = 1e6 * flop / (peak * params.kernel_compute_eff) if flop > 0 else 0.0
     compute_us = np.full(n, compute_const)
     memory_us = 1e6 * nbytes / (gpu.mem_bandwidth * mem)
-    launch = gpu.kernel_launch_us
-    total_us = launch + np.maximum(compute_us, memory_us)
-    return BatchedTimes(
-        compute_us=compute_us, memory_us=memory_us, launch_us=launch, total_us=total_us
-    )
+    return compute_us, memory_us

@@ -61,6 +61,7 @@ from .store import (
     SweepStore,
     compute_payload,
     get_sweep_store,
+    sorted_totals,
     sweep_digest,
 )
 from .sweep import delta_payload_from_store, sweep_from_payload
@@ -456,13 +457,13 @@ def contraction_time_split(
     """A contraction sweep's sorted totals, split by requested TC mode.
 
     Returns ``(tc_totals_us, fp16_totals_us)``, each ascending — the two
-    distributions of a Fig.-4 tile.  The payload-layout knowledge
-    (``sorted_totals`` is permuted by ``order``, ``tc_flags`` is in
-    evaluation order) stays inside the engine.
+    distributions of a Fig.-4 tile.  The payload-layout knowledge (the
+    totals are derived in ``order``, ``tc_flags`` is in evaluation order)
+    stays inside the engine.
     """
     cost = cost or CostModel()
     payload = _resolve_op(op, env, cost, cap=None, seed=0, store=store)
-    totals = payload["sorted_totals"]
+    totals = sorted_totals(payload)
     tc_mask = payload["tc_flags"][payload["order"]]
     return totals[tc_mask], totals[~tc_mask]
 

@@ -33,13 +33,14 @@ sweep — the same sweep at other dim sizes, whose persisted skeleton a
 delta re-sweep re-times — is found by listing one directory; there is no
 separate index to keep in step with the entries.
 
-Payloads are ``.npz`` files holding the *evaluation-order* timing arrays,
-the stable-sort permutation, and the (name-free) layout choice tables
-needed to rebuild configurations lazily — binary float64, so a round-trip
-is bit-identical to a fresh :func:`~repro.autotuner.tuner.sweep_op_reference`
-run.  A mismatched or corrupt entry raises
-:class:`CacheMismatch` and is recomputed (and overwritten), never
-silently reused.
+Payloads are ``.npz`` files holding the *evaluation-order* compute and
+memory times (totals are derived: :func:`sorted_totals`), the stable-sort
+permutation, and the (name-free) layout choice tables needed to rebuild
+configurations lazily — binary float64, so a round-trip is bit-identical
+to a fresh :func:`~repro.autotuner.tuner.sweep_op_reference` run.  One
+reader, :func:`read_payload_npz`, decodes and validates every payload: a
+mismatched or corrupt entry raises :class:`CacheMismatch` and is
+recomputed (and overwritten), never silently reused.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import tempfile
 import threading
 from dataclasses import asdict
 from functools import lru_cache
-from math import prod
+from math import isfinite, prod
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,7 @@ from repro.layouts.layout import Layout
 from repro.ops.einsum_utils import parse_einsum
 
 from .batched import evaluate_contraction, evaluate_kernel, kernel_jitter_units
+from .batched import roofline_totals
 from .space import (
     ContractionSpace,
     KernelSpace,
@@ -87,6 +89,7 @@ __all__ = [
     "pack_payload_bytes",
     "read_payload_npz",
     "set_sweep_store",
+    "sorted_totals",
     "space_from_payload",
     "structural_sweep_digest",
     "sweep_digest",
@@ -102,13 +105,13 @@ class CacheMismatch(ValueError):
 
 
 #: Payload layout version; bump when the npz schema or the digest changes.
-#: Format 3 names each entry by its structural digest plus a hash of the
-#: sizes and files it under the structural digest's directory; the payload
-#: persists the delta-re-sweep skeleton (GEMM structures of contraction
-#: triples, layout and jitter units) and packs the index matrix int32.
-#: Entries of any other format are rejected with :class:`CacheMismatch` and
-#: recomputed, exactly like a cost-model bump.
-PAYLOAD_FORMAT = 3
+#: Format 4 files each entry under its structural digest's directory,
+#: persists the delta-re-sweep skeleton (GEMM structures, layout and jitter
+#: units), packs the index matrix int32 and stores only the compute and
+#: memory times (totals are derived).  Entries of any other format are
+#: rejected with :class:`CacheMismatch` and recomputed, exactly like a
+#: cost-model bump.
+PAYLOAD_FORMAT = 4
 
 #: Environment variable naming the store directory (CLI: ``--sweep-store``).
 STORE_ENV_VAR = "REPRO_SWEEP_STORE"
@@ -271,7 +274,7 @@ def _evaluate_payload(
     they differ only in where the space and the skeleton come from.
     """
     if isinstance(space, ContractionSpace):
-        times = evaluate_contraction(
+        compute_us, memory_us = evaluate_contraction(
             space, env, cost.gpu, cost.params, layout_units=skeleton["layout_units"]
         )
         tables = {
@@ -285,7 +288,7 @@ def _evaluate_payload(
             "algos": space.algos,
         }
     else:
-        times = evaluate_kernel(
+        compute_us, memory_us = evaluate_kernel(
             space, env, cost.gpu, cost.params, units=skeleton["units"]
         )
         tables = {
@@ -297,16 +300,18 @@ def _evaluate_payload(
             "warp_choices": list(space.warp_choices),
             "idx": space.idx,
         }
-    order = np.argsort(times.total_us, kind="stable")
+    launch_us = cost.gpu.kernel_launch_us
+    totals = roofline_totals(launch_us, compute_us, memory_us)
+    order = np.argsort(totals, kind="stable")
     return {
         "format": PAYLOAD_FORMAT,
         "version": cost.version,
         "op_name": op.name,
-        "launch_us": times.launch_us,
-        "compute_us": times.compute_us,
-        "memory_us": times.memory_us,
+        "launch_us": launch_us,
+        "compute_us": compute_us,
+        "memory_us": memory_us,
         "order": order,
-        "sorted_totals": times.total_us[order],
+        _TOTALS: totals[order],
         **tables,
         **skeleton,
     }
@@ -350,28 +355,28 @@ def compute_payload_delta(
     sort) are recomputed, so the result is bit-identical to a cold
     :func:`compute_payload` while skipping the feasibility scan, the config
     sampling and the jitter hashing.  Raises :class:`CacheMismatch` when
-    ``base`` is of the other op class; callers fall back to a cold sweep.
+    ``base`` is of the other op class or its choice tables do not describe
+    ``op``'s operands; callers fall back to a cold sweep.
     """
     contraction = op.op_class is OpClass.TENSOR_CONTRACTION
-    if base.get("kind") != ("contraction" if contraction else "kernel"):
-        raise CacheMismatch(f"delta base is a {base.get('kind')!r} payload")
+    if base["kind"] != ("contraction" if contraction else "kernel"):
+        raise CacheMismatch(f"delta base is a {base['kind']!r} payload")
+    space = space_from_payload(op, base)
     if contraction:
-        structures = base["structures"]
-        shapes = shapes_from_structures(structures, env)
-        space = ContractionSpace(
-            op=op,
-            triples=[
-                (_layout(tuple(la)), _layout(tuple(lb)), _layout(tuple(lc)), shape)
-                for (la, lb, lc), shape in zip(base["triples"], shapes)
-            ],
-            triple_idx=base["triple_idx"],
-            tc_flags=base["tc_flags"],
-            algos=base["algos"],
-        )
-        skeleton = {"structures": structures, "layout_units": base["layout_units"]}
+        # Validation made each slot's layouts permute one set: one triple
+        # speaks for all.
+        specs = (op.inputs[0], op.inputs[1], op.outputs[0])
+        fits = all(l.matches(s) for t in space.triples[:1] for l, s in zip(t, specs))
+        skeleton = {k: base[k] for k in ("structures", "layout_units")}
     else:
-        space = space_from_payload(op, base)
+        tables = (space.layout_choices, space.vec_choices, space.warp_choices)
+        fits = tables == kernel_space(op, env)
         skeleton = {"units": base["units"]}
+    if not fits:
+        raise CacheMismatch("delta base's choice tables are not this operator's")
+    if contraction:
+        shapes = shapes_from_structures(base["structures"], env)
+        space.triples = [t[:3] + (s,) for t, s in zip(space.triples, shapes)]
     return _evaluate_payload(op, env, cost, space, skeleton)
 
 
@@ -412,39 +417,62 @@ def space_from_payload(op: OpSpec, payload: dict) -> ContractionSpace | KernelSp
     )
 
 
-_ARRAY_KEYS = ("compute_us", "memory_us", "order", "sorted_totals")
-_CONTRACTION_ARRAYS = ("triple_idx", "tc_flags", "algos")
+#: A payload's sorted totals: derived once where it is evaluated or decoded,
+#: so its sweeps share one array; an ndarray, so never written to ``meta``.
+_TOTALS = "_sorted_totals"
+
+
+def sorted_totals(payload: dict) -> np.ndarray:
+    """``payload``'s totals ``launch + max(compute, memory)`` in sort order."""
+    return payload[_TOTALS]
 
 
 def _in_range(idx: np.ndarray, size: int) -> bool:
-    return bool(((idx >= 0) & (idx < size)).all())
+    return not idx.size or bool(idx.min() >= 0 and idx.max() < size)
+
+
+def _slot_names(layouts) -> frozenset | None:
+    """The dim names every layout of one operand slot permutes: ``None``
+    unless ``layouts`` are lists of distinct names, all permuting one set.
+    Checked per distinct layout, as sweeps repeat a few of them."""
+    if not isinstance(layouts, (list, tuple)) or set(map(type, layouts)) - {list}:
+        return None
+    distinct = set(map(tuple, layouts))
+    sets = {frozenset(layout) for layout in distinct}
+    if len(sets) != 1:
+        return None
+    (names,) = sets
+    ok = all(isinstance(d, str) for d in names)
+    return names if ok and all(len(l) == len(names) for l in distinct) else None
+
+
+def _are_structures(structures, names: frozenset) -> bool:
+    """``[m, n, k, b, trans_a, trans_b]`` each: four lists of dims drawn from
+    ``names`` (every triple's dims), then two bools; checked per column."""
+    if not isinstance(structures, list) or {*map(len, structures)} - {6}:
+        return False
+    cols = list(zip(*structures))
+    groups = set().union(*(map(tuple, c) for c in cols[:4]))
+    return (
+        all(set(map(type, c)) <= {list} for c in cols[:4])
+        and all(set(map(type, c)) <= {bool} for c in cols[4:])
+        and names.issuperset(d for g in groups for d in g)
+    )
 
 
 def _validate_payload(
-    payload: dict,
-    digest: str | None,
-    path: Path | str,
-    version: int | str | None,
-    *,
-    skeleton_only: bool = False,
-) -> None:
-    """Structural sanity of a deserialized payload; raises CacheMismatch.
+    payload: dict, *, digest: str | None, version: int | str | None, where: str
+) -> np.ndarray:
+    """Structural sanity of a decoded payload; its derived sorted totals.
 
-    Every index array is bounds-checked against its choice table so a
-    corrupted entry surfaces here — never as a silently wrong (or
-    end-relative) configuration at measurement-access time.  ``version``
-    is the cost-model version of the caller's snapshot the payload must
-    be stamped with (``None``: any — only a client, which serves no
-    model, decodes that way).  ``skeleton_only`` validates a payload read
-    without its time matrix (see :func:`read_payload_npz`): all skeleton
-    checks still run, the time-array ones are skipped.
+    Index arrays are bounds-checked against their choice tables, ``order``
+    must stably sort the derived totals, and every table a sweep or a delta
+    re-sweep reads is type-checked, so a corrupt or hand-edited entry fails
+    here with :class:`CacheMismatch` — never as a wrong ranking, or a
+    crash, downstream.  ``version`` is the cost-model version of the
+    caller's snapshot the payload must be stamped with (``None``: any —
+    only a client, which serves no model, decodes that way).
     """
-    where = f"sweep-store entry {path}"
-    if payload.get("format") != PAYLOAD_FORMAT:
-        raise CacheMismatch(
-            f"{where} uses payload format {payload.get('format')!r}, "
-            f"not {PAYLOAD_FORMAT!r}"
-        )
     if version is not None and payload.get("version") != version:
         raise CacheMismatch(
             f"{where} was measured under cost model version "
@@ -458,8 +486,8 @@ def _validate_payload(
         )
     order = payload["order"]
     n = order.shape[0]
-    for key in _ARRAY_KEYS if not skeleton_only else ("order",):
-        if payload[key].shape[0] != n:
+    for key in ("compute_us", "memory_us"):
+        if payload[key].shape != (n,):
             raise CacheMismatch(f"{where}: array {key!r} has inconsistent length")
     if not _in_range(order, n or 1):
         raise CacheMismatch(f"{where}: sort permutation out of range")
@@ -467,55 +495,57 @@ def _validate_payload(
     seen[order] = True
     if not seen.all():
         raise CacheMismatch(f"{where}: sort order is not a permutation")
-    if not skeleton_only:
-        # A stable sort: totals never decrease, and ties keep config order.
-        totals = payload["sorted_totals"]
-        prev, nxt = totals[:-1], totals[1:]
-        if not (nxt >= prev).all():
-            raise CacheMismatch(f"{where}: sorted totals decrease")
-        if not (order[1:] > order[:-1])[nxt == prev].all():
-            raise CacheMismatch(f"{where}: sort order is not stable within ties")
+    if type(launch := payload["launch_us"]) not in (int, float) or not isfinite(launch):
+        raise CacheMismatch(f"{where}: launch time {launch!r} is not a finite number")
+    # A stable sort: totals never decrease, and ties keep config order.
+    totals = roofline_totals(launch, payload["compute_us"], payload["memory_us"])[order]
+    prev, nxt = totals[:-1], totals[1:]
+    if not (nxt >= prev).all():
+        raise CacheMismatch(f"{where}: sorted totals decrease")
+    if not (order[1:] > order[:-1])[nxt == prev].all():
+        raise CacheMismatch(f"{where}: sort order is not stable within ties")
     if payload["kind"] == "contraction":
-        for key in _CONTRACTION_ARRAYS:
-            if payload[key].shape[0] != n:
+        for key in ("triple_idx", "tc_flags", "algos"):
+            if payload[key].shape != (n,):
                 raise CacheMismatch(f"{where}: array {key!r} has inconsistent length")
-        if not _in_range(payload["triple_idx"], len(payload["triples"])):
+        triples = payload["triples"]
+        slots = [_slot_names(slot) for slot in zip(*triples)]
+        if not isinstance(triples, list) or {*map(len, triples)} - {3} or None in slots:
+            raise CacheMismatch(f"{where}: malformed layout triples")
+        t = len(triples)
+        if not _in_range(payload["triple_idx"], t):
             raise CacheMismatch(f"{where}: triple index out of range")
         if not _in_range(payload["algos"], NUM_GEMM_ALGORITHMS):
             raise CacheMismatch(f"{where}: algorithm index out of range")
-        structures = payload.get("structures")
-        if not isinstance(structures, list) or len(structures) != len(
-            payload["triples"]
-        ):
+        structures = payload["structures"]
+        names = frozenset().union(*slots)
+        if len(structures) != t or not _are_structures(structures, names):
             raise CacheMismatch(f"{where}: GEMM structures inconsistent with triples")
-        lu = payload.get("layout_units")
-        t = len(payload["triples"])
-        if (
-            not isinstance(lu, np.ndarray)
-            or lu.shape != (t,)
-            or (t and not bool(((lu >= 0.0) & (lu < 1.0)).all()))
-        ):
+        lu = payload["layout_units"]
+        if lu.shape != (t,) or (t and not bool(((lu >= 0.0) & (lu < 1.0)).all())):
             raise CacheMismatch(f"{where}: layout units missing or out of range")
     elif payload["kind"] == "kernel":
+        choices = payload["layout_choices"]
+        knobs = (payload["vec_choices"], payload["warp_choices"])
+        if (
+            not isinstance(choices, list)
+            or None in map(_slot_names, choices)
+            or not all(k == [None] or {*map(type, k)} == {str} for k in knobs)
+        ):
+            raise CacheMismatch(f"{where}: malformed layout, vector or warp choices")
         idx = payload["idx"]
-        sizes = [len(c) for c in payload["layout_choices"]] + [
-            len(payload["vec_choices"]),
-            len(payload["warp_choices"]),
-        ]
-        if idx.shape[0] != n or idx.shape[1] != len(sizes):
+        sizes = [len(c) for c in choices] + [len(k) for k in knobs]
+        if idx.shape != (n, len(sizes)):
             raise CacheMismatch(f"{where}: array 'idx' has inconsistent shape")
         for col, size in enumerate(sizes):
             if not _in_range(idx[:, col], size):
                 raise CacheMismatch(f"{where}: knob index column {col} out of range")
-        units = payload.get("units")
-        if (
-            not isinstance(units, np.ndarray)
-            or units.shape != (n,)
-            or (n and not bool(((units >= 0.0) & (units < 1.0)).all()))
-        ):
+        units = payload["units"]
+        if units.shape != (n,) or (n and not bool(((units >= 0) & (units < 1)).all())):
             raise CacheMismatch(f"{where}: jitter units missing or out of range")
     else:
         raise CacheMismatch(f"{where}: unknown payload kind {payload['kind']!r}")
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -525,19 +555,17 @@ def _validate_payload(
 def write_payload_npz(fh, digest: str, payload: dict) -> None:
     """Serialize one payload to an open binary file in the store's format.
 
-    Three array members: the per-config time matrix ``F`` (float64 —
-    bit-exactness), the index matrix ``I``, and the size-independent
-    skeleton floats ``T`` (layout-factor units per triple for contractions,
-    jitter units per config for kernels).  Keeping the skeleton out of
-    ``F`` lets a structural (delta-re-sweep) load skip the time matrix
-    entirely — the base sweep's times are dead weight there.  ``I`` is
-    stored int32 when its values fit (they are indices into small choice
-    tables, so they always do in practice): half the bytes on disk and on
-    the packed wire, widened back to int64 on read.
+    Three array members: the time matrix ``F`` (float64 — bit-exactness),
+    one row each of compute and memory times (totals are derived, not
+    stored); the index matrix ``I``; and the size-independent skeleton
+    floats ``T`` (layout-factor units per triple for contractions, jitter
+    units per config for kernels).  ``meta`` holds the payload's other
+    (JSON) entries.  ``I`` is stored int32 when its values
+    fit (they are indices into small choice tables, so they always do in
+    practice): half the bytes on disk and on the packed wire, widened back
+    to int64 on read.
     """
-    floats = np.vstack(
-        [payload["compute_us"], payload["memory_us"], payload["sorted_totals"]]
-    )
+    floats = np.vstack([payload["compute_us"], payload["memory_us"]])
     if payload["kind"] == "contraction":
         ints = np.vstack(
             [
@@ -560,34 +588,46 @@ def write_payload_npz(fh, digest: str, payload: dict) -> None:
     np.savez(fh, meta=json.dumps(meta), F=floats, I=ints, T=skeleton)
 
 
-def read_payload_npz(source, *, skeleton_only: bool = False) -> dict:
-    """Deserialize one payload from a path or binary file-like object.
+def read_payload_npz(source, *, digest: str | None, version: int | str | None) -> dict:
+    """Decode and validate one payload from a path or binary file-like object.
 
-    Inverse of :func:`write_payload_npz`; also how a client decodes the
-    packed ``/v1/sweep`` response (the wire bytes *are* the stored file).
-    ``skeleton_only`` skips the time matrix — a delta re-sweep discards the
-    base sweep's times, and ``F`` is the largest member of the file — so
-    the returned payload lacks ``compute_us``/``memory_us``/
-    ``sorted_totals`` and must not be served as a sweep.
+    The one decoder: store loads, twin loads and packed ``/v1/sweep``
+    bodies (the wire bytes *are* the stored file) all read through it.
+    ``digest`` and ``version`` are what the payload must declare and carry
+    (``None``: any).  A missing file raises ``FileNotFoundError``; any
+    other failure — of the zip, npy or JSON decoders on outside bytes, or of
+    validation — raises :class:`CacheMismatch`.
     """
-    with np.load(source, allow_pickle=False) as z:
-        payload = dict(json.loads(str(z["meta"][()])))
-        ints = z["I"].astype(np.int64)
-        skeleton = z["T"]
-        if not skeleton_only:
-            floats = z["F"]
-            payload["compute_us"] = floats[0]
-            payload["memory_us"] = floats[1]
-            payload["sorted_totals"] = floats[2]
-    payload["order"] = ints[0]
-    if payload.get("kind") == "contraction":
-        payload["triple_idx"] = ints[1]
-        payload["algos"] = ints[2]
-        payload["tc_flags"] = ints[3] != 0
-        payload["layout_units"] = skeleton
-    else:
-        payload["idx"] = ints[1:].T
-        payload["units"] = skeleton
+    where = f"sweep-store entry {source}" if isinstance(source, Path) else "payload"
+    try:
+        with np.load(source, allow_pickle=False) as z:
+            payload = dict(json.loads(str(z["meta"][()])))
+            fmt = payload.get("format")
+            if fmt != PAYLOAD_FORMAT:  # it says how to read the arrays
+                raise CacheMismatch(
+                    f"{where}: payload format {fmt!r}, not {PAYLOAD_FORMAT}"
+                )
+            # "safe" casts only: no complex time, no float index.
+            floats = z["F"].astype(np.float64, casting="safe", copy=False)
+            ints = z["I"].astype(np.int64, casting="safe")
+            skeleton = z["T"].astype(np.float64, casting="safe", copy=False)
+        payload["compute_us"], payload["memory_us"] = floats
+        payload["order"] = ints[0]
+        if payload.get("kind") == "contraction":
+            payload["triple_idx"] = ints[1]
+            payload["algos"] = ints[2]
+            payload["tc_flags"] = ints[3] != 0
+            payload["layout_units"] = skeleton
+        else:
+            payload["idx"] = ints[1:].T
+            payload["units"] = skeleton
+        payload[_TOTALS] = _validate_payload(
+            payload, digest=digest, version=version, where=where
+        )
+    except (FileNotFoundError, CacheMismatch):
+        raise
+    except Exception as exc:  # the decoders' errors on corrupt bytes are open-ended
+        raise CacheMismatch(f"corrupt {where}: {exc!r}") from exc
     return payload
 
 
@@ -683,31 +723,20 @@ class SweepStore:
         recompute and overwrite, never silently reuse.
         """
         path = self.path_for(digest)
-        if not path.exists():
+        try:
+            payload = read_payload_npz(path, digest=digest, version=version)
+        except FileNotFoundError:
+            # No entry, or evicted (or pruned by another process) since it
+            # was written: a clean miss, not corruption.
             with self._lock:
                 self.misses += 1
             obs.add_event("store.miss", digest=digest)
             return None
-        try:
-            payload = read_payload_npz(path)
-            _validate_payload(payload, digest, path, version)
         except CacheMismatch:
             with self._lock:
                 self.rejected += 1
             obs.add_event("store.mismatch", digest=digest)
             raise
-        except FileNotFoundError:
-            # Evicted (or pruned by another process) between the exists()
-            # check and the read: a clean miss, not corruption.
-            with self._lock:
-                self.misses += 1
-            obs.add_event("store.miss", digest=digest)
-            return None
-        except Exception as exc:
-            with self._lock:
-                self.rejected += 1
-            obs.add_event("store.mismatch", digest=digest)
-            raise CacheMismatch(f"corrupt sweep-store entry {path}: {exc}") from exc
         with self._lock:
             self.hits += 1
         obs.add_event("store.hit", digest=digest)
@@ -733,19 +762,15 @@ class SweepStore:
         return path
 
     def load_structural(self, structural: str, version: int | str) -> dict | None:
-        """A validated skeleton twin to ``structural`` under ``version``, or None.
+        """A validated twin to ``structural`` under ``version``, or None.
 
         Lists the ``structural`` directory in name order and returns the
-        first entry that validates against its own file name.  Every twin's
+        first entry that decodes against its own file name.  Every twin's
         skeleton is identical (it is a function of the structural key
         alone), so any valid one serves; a corrupt, version-mismatched or
-        vanished twin is skipped for the next.  Read in skeleton-only mode:
-        the base sweep's *times* are dead weight for a delta re-sweep (they
-        are recomputed at the new dim sizes), so the time matrix is never
-        deserialized and the returned payload must only feed
-        :func:`compute_payload_delta`.  Deliberately does not touch
-        hits/misses: those count exact lookups, and a structural probe
-        always follows an exact miss.
+        vanished twin is skipped for the next.  It is decoded and checked
+        like any entry.  Deliberately does not touch hits/misses: those
+        count exact lookups, and a structural probe follows an exact miss.
         """
         directory = self.root / structural
         try:
@@ -758,9 +783,8 @@ class SweepStore:
                 continue
             path = directory / name
             try:
-                payload = read_payload_npz(path, skeleton_only=True)
-                _validate_payload(payload, digest, path, version, skeleton_only=True)
-            except Exception:
+                payload = read_payload_npz(path, digest=digest, version=version)
+            except (CacheMismatch, OSError):
                 continue
             _touch(path)
             return payload

@@ -34,6 +34,7 @@ from .store import (
     CacheMismatch,
     SweepStore,
     compute_payload_delta,
+    sorted_totals,
     space_from_payload,
     structural_sweep_digest,
 )
@@ -96,14 +97,14 @@ class PreSortedMeasurements(Sequence):
         self,
         n: int,
         build: Callable[[int], object],
-        sorted_totals: np.ndarray,
+        totals: np.ndarray,
         *,
         space=None,
         order: np.ndarray | None = None,
     ) -> None:
         self._n = n
         self._build = build
-        self._totals = sorted_totals
+        self._totals = totals
         self._items: list[object | None] = [None] * n
         # The enumerated config space and the stable-sort permutation, kept
         # so array consumers (the configsel fast path) can read per-
@@ -194,7 +195,6 @@ def sweep_from_payload(op: OpSpec, payload: dict):
     compute_us = payload["compute_us"]
     memory_us = payload["memory_us"]
     launch_us = float(payload["launch_us"])
-    sorted_totals = payload["sorted_totals"]
 
     def build(i: int):
         j = int(order[i])
@@ -208,6 +208,6 @@ def sweep_from_payload(op: OpSpec, payload: dict):
         )
 
     measurements = PreSortedMeasurements(
-        len(order), build, sorted_totals, space=space, order=order
+        len(order), build, sorted_totals(payload), space=space, order=order
     )
     return SweepResult(op=op, measurements=measurements)

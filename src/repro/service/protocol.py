@@ -644,30 +644,22 @@ def payload_from_packed(
 ) -> dict:
     """Decode and validate one packed ``/v1/sweep`` response body.
 
-    The bytes are an L2 store ``.npz`` file; this runs the store's own
-    deserializer *and* its structural validation (bounds-checked index
-    arrays, a stable sort permutation, digest agreement when ``digest`` is
-    given), so a corrupt or truncated wire body surfaces as
-    :class:`ProtocolError` — never as a silently wrong measurement
-    downstream.  ``version`` is the cost-model version the caller prices
-    under (the fleet coordinator's request snapshot), so a skewed worker's
-    bytes stay out; a client serves no model and leaves it ``None``,
-    checking only the digest.
+    The bytes are an L2 store ``.npz`` file, read by the store's one
+    decoder (:func:`~repro.engine.store.read_payload_npz`), so a corrupt,
+    truncated or misranked wire body surfaces as :class:`ProtocolError` —
+    never as a silently wrong measurement downstream.  ``version`` is the
+    cost-model version the caller prices under (the fleet coordinator's
+    request snapshot), so a skewed worker's bytes stay out; a client serves
+    no model and leaves it ``None``, checking only the digest.
     """
     import io
 
-    from repro.engine.store import CacheMismatch, _validate_payload, read_payload_npz
+    from repro.engine.store import CacheMismatch, read_payload_npz
 
     try:
-        payload = read_payload_npz(io.BytesIO(data))
-        _validate_payload(payload, digest, "<packed response>", version)
+        return read_payload_npz(io.BytesIO(data), digest=digest, version=version)
     except CacheMismatch as exc:
         raise ProtocolError(f"packed sweep response failed validation: {exc}") from exc
-    except ProtocolError:
-        raise
-    except Exception as exc:  # zipfile/json/numpy decode failures
-        raise ProtocolError(f"packed sweep response is not a payload npz: {exc}") from exc
-    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -336,18 +336,15 @@ class TuningService:
         if candidate is None:
             return
         try:
-            from repro.engine.sweep import space_from_payload
-
-            order = payload.get("order")
-            totals = payload.get("sorted_totals")
-            if order is None or totals is None or not len(totals):
+            sweep = sweep_from_payload(req.op, payload)
+            if not sweep.num_configs:
                 return
-            active_best = float(totals[0])
+            best = sweep.best
+            active_best = best.total_us
             if active_best <= 0:
                 return
-            config = space_from_payload(req.op, payload).config_at(int(order[0]))
             kt = CostModel(req.gpu, params=candidate).time_op(
-                req.op, config, req.env
+                req.op, best.config, req.env
             )
             if kt is None:
                 return

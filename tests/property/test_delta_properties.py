@@ -31,20 +31,11 @@ from repro.engine.store import (
 from repro.engine.sweep import delta_payload_from_store, sweep_from_payload
 from repro.hardware.cost_model import CostModel
 from repro.ir.dims import DimEnv
-from repro.ir.iteration_space import IterationSpace
-from repro.ir.operator import OpClass, OpSpec
-from repro.ir.tensor import TensorSpec
-from repro.ops.contraction import contraction_spec
+from strategies import SIZES, contraction_ops, kernel_ops
 
 COST = CostModel()
 
-_SIZES = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 24, 32, 40, 64, 96, 513])
-
-_EINSUMS = [
-    ("mk,kn->mn", ("m", "k"), ("k", "n"), ("m", "n")),
-    ("bmk,bkn->bmn", ("b", "m", "k"), ("b", "k", "n"), ("b", "m", "n")),
-    ("phb,pwb->hwb", ("p", "h", "b"), ("p", "w", "b"), ("h", "w", "b")),
-]
+_SIZES = st.sampled_from([*SIZES, 96, 513])
 
 # One store for the whole module: structurally identical examples share
 # their skeleton entries exactly as a long-lived daemon's store would.
@@ -64,42 +55,13 @@ def _perturbed(draw, env: DimEnv) -> DimEnv:
 @st.composite
 def kernel_cases(draw):
     """A random memory-bound op with base and perturbed sizes."""
-    dims = draw(
-        st.lists(st.sampled_from("abcde"), min_size=2, max_size=3, unique=True)
-    )
-    dims = tuple(dims)
-    env = DimEnv({d: draw(_SIZES) for d in dims})
-    reduce_last = draw(st.booleans())
-    if reduce_last and len(dims) > 1:
-        ispace = IterationSpace(dims[:-1], (dims[-1],))
-        op_class = OpClass.STAT_NORMALIZATION
-    else:
-        ispace = IterationSpace(dims)
-        op_class = OpClass.ELEMENTWISE
-    inputs = [TensorSpec("x", dims)]
-    if draw(st.integers(min_value=0, max_value=1)):
-        inputs.append(TensorSpec("s", (dims[0],)))
-    op = OpSpec(
-        name="k",
-        op_class=op_class,
-        inputs=tuple(inputs),
-        outputs=(TensorSpec("y", dims),),
-        ispace=ispace,
-        flop_per_point=draw(st.sampled_from([0.0, 1.0, 2.0])),
-    )
-    cap = draw(st.sampled_from([None, 5, 17, 50]))
-    seed = draw(st.integers(min_value=0, max_value=2**16))
+    op, env, cap, seed = draw(kernel_ops(_SIZES))
     return op, env, _perturbed(draw, env), cap, seed
 
 
 @st.composite
 def contraction_cases(draw):
-    einsum, da, db, dc = draw(st.sampled_from(_EINSUMS))
-    all_dims = sorted(set(da) | set(db) | set(dc))
-    env = DimEnv({d: draw(_SIZES) for d in all_dims})
-    a = TensorSpec("a", da)
-    b = TensorSpec("b", db)
-    op = contraction_spec("c", einsum, (a.name, b.name), "y")
+    op, env = draw(contraction_ops(_SIZES))
     return op, env, _perturbed(draw, env)
 
 
@@ -192,6 +154,6 @@ def test_delta_from_every_stored_twin_is_the_cold_payload(case, firsts):
         twins = sorted(Path(root, digest[:32]).glob("*.npz"))
         assert len(twins) == len(firsts)
         for path in twins:
-            base = read_payload_npz(path, skeleton_only=True)
+            base = read_payload_npz(path, digest=path.stem, version=COST.version)
             delta = compute_payload_delta(op, target, COST, base=base)
             assert pack_payload_bytes(digest, delta) == pack_payload_bytes(digest, cold)

@@ -45,12 +45,11 @@ from repro.hardware.params import (
 )
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
-from repro.ir.iteration_space import IterationSpace
-from repro.ir.operator import OpClass, OpSpec
 from repro.ir.tensor import TensorSpec
 from repro.layouts.configspace import kernel_config_indices
 from repro.ops.contraction import contraction_spec
 from repro.ops.elementwise import bias_spec
+from strategies import contraction_ops, kernel_ops
 
 COST = CostModel()
 
@@ -60,62 +59,6 @@ def _cold_sweep(op, env, *, cap=2000, seed=0x5EED):
     return sweep_from_payload(
         op, compute_payload(op, env, COST, cap=cap, seed=seed)
     )
-
-# Small-but-varied sizes; multiples of 8 appear so the 128-bit
-# vectorization and tensor-core divisibility branches both get exercised.
-_SIZES = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 24, 32, 40, 64])
-
-#: Contraction shapes covering plain GEMM, batched GEMM and the paper's
-#: rank-4 attention contractions (operand dims differ per einsum).
-_EINSUMS = [
-    ("mk,kn->mn", ("m", "k"), ("k", "n"), ("m", "n")),
-    ("bmk,bkn->bmn", ("b", "m", "k"), ("b", "k", "n"), ("b", "m", "n")),
-    ("phb,pwb->hwb", ("p", "h", "b"), ("p", "w", "b"), ("h", "w", "b")),
-]
-
-
-@st.composite
-def kernel_ops(draw):
-    """A random memory-bound op: elementwise or normalization w/ reduction."""
-    dims = draw(
-        st.lists(st.sampled_from("abcde"), min_size=2, max_size=3, unique=True)
-    )
-    dims = tuple(dims)
-    env = DimEnv({d: draw(_SIZES) for d in dims})
-    reduce_last = draw(st.booleans())
-    if reduce_last and len(dims) > 1:
-        ispace = IterationSpace(dims[:-1], (dims[-1],))
-        op_class = OpClass.STAT_NORMALIZATION
-    else:
-        ispace = IterationSpace(dims)
-        op_class = OpClass.ELEMENTWISE
-    n_extra_inputs = draw(st.integers(min_value=0, max_value=1))
-    inputs = [TensorSpec("x", dims)]
-    if n_extra_inputs:
-        # A broadcast (rank-1) side input, like a bias or per-dim scale.
-        inputs.append(TensorSpec("s", (dims[0],)))
-    op = OpSpec(
-        name="k",
-        op_class=op_class,
-        inputs=tuple(inputs),
-        outputs=(TensorSpec("y", dims),),
-        ispace=ispace,
-        flop_per_point=draw(st.sampled_from([0.0, 1.0, 2.0])),
-    )
-    cap = draw(st.sampled_from([None, 5, 17, 50]))
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    return op, env, cap, seed
-
-
-@st.composite
-def contraction_ops(draw):
-    einsum, da, db, dc = draw(st.sampled_from(_EINSUMS))
-    all_dims = sorted(set(da) | set(db) | set(dc))
-    env = DimEnv({d: draw(_SIZES) for d in all_dims})
-    a = TensorSpec("a", da)
-    b = TensorSpec("b", db)
-    op = contraction_spec("c", einsum, (a.name, b.name), "y")
-    return op, env
 
 
 def _assert_bit_identical(ref, eng):
@@ -247,7 +190,8 @@ def test_cached_payloads_match_their_embedded_model(steps):
                     evaluate=evaluate,
                 )
             entries = [(d, p) for d, (p, _) in ENGINE_L1._items.items()] + [
-                (path.stem, read_payload_npz(path)) for path in Path(root).rglob("*.npz")
+                (path.stem, read_payload_npz(path, digest=path.stem, version=None))
+                for path in Path(root).rglob("*.npz")
             ]
             for digest, payload in entries:
                 cost = CostModel(params=_MODELS[payload["version"]])
@@ -259,7 +203,7 @@ def test_cached_payloads_match_their_embedded_model(steps):
                 fresh = compute_payload(
                     op, _SWITCH_ENV, cost, cap=_SWITCH_CAP, seed=0x5EED
                 )
-                for key in ("compute_us", "memory_us", "order", "sorted_totals"):
+                for key in ("compute_us", "memory_us", "order"):
                     assert np.array_equal(payload[key], fresh[key]), (digest, key)
     finally:
         reset_active_params()

@@ -388,7 +388,8 @@ class TestOneModelPerSweep:
             for cost in (default, candidate)
         }
         entries = [(d, p) for d, (p, _) in ENGINE_L1._items.items()] + [
-            (path.stem, read_payload_npz(path)) for path in tmp_path.rglob("*.npz")
+            (path.stem, read_payload_npz(path, digest=path.stem, version=None))
+            for path in tmp_path.rglob("*.npz")
         ]
         assert len(entries) == 2
         for digest, payload in entries:

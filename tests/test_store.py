@@ -279,6 +279,42 @@ class TestRejection:
         with pytest.raises(CacheMismatch, match="knob index"):
             store.load(digest, COST.version)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(10, 99), (10, 8), (8, 1)],
+        ids=["unknown-compression", "deflate-on-stored-bytes", "encrypted-flag"],
+    )
+    def test_corrupt_zip_directory_is_a_mismatch_then_recomputed(
+        self, tmp_path, field, value
+    ):
+        # zipfile and zlib raise NotImplementedError, zlib.error and
+        # RuntimeError for these: outside the usual decode errors.
+        from repro.engine.store import pack_payload_bytes
+        from repro.service.protocol import ProtocolError, payload_from_packed
+
+        contraction, store, digest = self._saved(tmp_path)
+        path = store.path_for(digest)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"PK\x01\x02") + field  # first central-directory entry
+        data[at : at + 2] = value.to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CacheMismatch, match="corrupt"):
+            store.load(digest, COST.version)
+        with pytest.raises(ProtocolError):
+            payload_from_packed(bytes(data), digest=digest, version=COST.version)
+        _, tier = _resolve(contraction, ENV, store, cap=100, seed=0)
+        assert tier == "computed"
+        assert store.load(digest, COST.version) is not None
+
+    @pytest.mark.parametrize(
+        "launch", ["0.5", [0.5], True, None, float("nan")], ids=repr
+    )
+    def test_launch_time_must_be_a_finite_number(self, tmp_path, launch):
+        _, store, digest = self._saved(tmp_path)
+        self._tamper_meta(store, digest, launch_us=launch)
+        with pytest.raises(CacheMismatch, match="launch time"):
+            store.load(digest, COST.version)
+
     def test_store_root_expands_tilde(self, monkeypatch, tmp_path):
         monkeypatch.setenv("HOME", str(tmp_path))
         store = SweepStore("~/sweeps")
@@ -296,26 +332,54 @@ class TestRejection:
         # The overwritten entry is valid again.
         assert store.load(digest, COST.version) is not None
 
+    @pytest.mark.parametrize(
+        "table, edit",
+        [
+            ("structures", lambda s: "bogus"),
+            ("structures", lambda s: s + [False]),
+            ("structures", lambda s: [["nope"], *s[1:]]),
+            ("warp_choices", lambda w: "nope"),
+        ],
+        ids=["not-a-list", "seven-fields", "unknown-dim", "unknown-warp-dim"],
+    )
+    def test_malformed_twin_table_falls_back_to_cold(self, tmp_path, table, edit):
+        contraction, kernel = _ops()
+        op = contraction if table == "structures" else kernel
+        store = SweepStore(tmp_path)
+        digest = sweep_digest(op, ENV, COST, cap=100, seed=0)
+        store.save(digest, compute_payload(op, ENV, COST, cap=100, seed=0))
+        entries = store.load(digest, COST.version)[table]
+        self._tamper_meta(store, digest, **{table: [edit(entries[0]), *entries[1:]]})
+        env = bert_large_dims(seq=513)
+        payload, tier = _resolve(op, env, store, cap=100, seed=0)
+        assert tier == "computed"
+        _assert_bit_identical(
+            sweep_op_reference(op, env, COST, cap=100, seed=0),
+            sweep_from_payload(op, payload),
+        )
+
 
 def _order_zeros(payload):
     payload["order"] = np.zeros_like(payload["order"])
 
 
-def _totals_reversed(payload):
-    payload["sorted_totals"] = payload["sorted_totals"][::-1].copy()
+def _order_reversed(payload):
+    payload["order"] = payload["order"][::-1].copy()
 
 
 def _ties_reversed(payload):
-    payload["sorted_totals"] = np.zeros_like(payload["sorted_totals"])
+    payload["compute_us"] = np.zeros_like(payload["compute_us"])
+    payload["memory_us"] = np.zeros_like(payload["memory_us"])
     payload["order"] = np.arange(len(payload["order"]))[::-1].copy()
 
 
 class TestSortOrderIsChecked:
-    """A well-formed payload whose ranking is wrong is rejected on read."""
+    """A well-formed payload whose ranking is wrong is rejected on read:
+    ``order`` must be the stable sort of the totals derived from ``F``."""
 
     MUTATIONS = {
         "not a permutation": _order_zeros,
-        "totals decrease": _totals_reversed,
+        "totals decrease": _order_reversed,
         "not stable within ties": _ties_reversed,
     }
 
@@ -345,14 +409,6 @@ class TestSortOrderIsChecked:
             payload_from_packed(
                 pack_payload_bytes(digest, payload), digest=digest, version=COST.version
             )
-
-    def test_skeleton_read_checks_the_permutation_only(self, tmp_path):
-        digest, payload = self._tampered(_totals_reversed)
-        store = SweepStore(tmp_path)
-        store.save(digest, payload)
-        assert store.load_structural(digest[:32], COST.version) is not None
-        store.save(digest, self._tampered(_order_zeros)[1])
-        assert store.load_structural(digest[:32], COST.version) is None
 
 
 class TestSweepOpIntegration:
@@ -534,8 +590,6 @@ class TestTwinByPath:
         payload = SweepStore(tmp_path).load_structural(structural, COST.version)
         assert payload is not None
         assert "structural" not in payload
-        # Skeleton-only: the base times were not deserialized.
-        assert "compute_us" not in payload and "sorted_totals" not in payload
 
     def test_corrupt_twin_is_skipped_and_a_sibling_served(self, tmp_path):
         store = SweepStore(tmp_path)
@@ -589,9 +643,11 @@ class TestTwinByPath:
 
 
 class TestOneStoreMechanism:
-    """CI guard: the path is the only twin index, and one routine evaluates."""
+    """CI guard: the path is the only twin index, one routine evaluates, and
+    one reader decodes what the file holds."""
 
     SOURCE = Path(store_mod.__file__).read_text()
+    SRC = Path(store_mod.__file__).parents[1]
 
     @pytest.mark.parametrize("name", ["structural.json", "_index", "INDEX_NAME"])
     def test_no_sidecar_index(self, name):
@@ -600,6 +656,62 @@ class TestOneStoreMechanism:
     @pytest.mark.parametrize("name", ["evaluate_contraction", "evaluate_kernel"])
     def test_cold_and_delta_share_one_evaluation(self, name):
         assert self.SOURCE.count(f"{name}(") == 1
+
+    def test_one_reader_validates(self):
+        # The definition and the one call, in read_payload_npz.
+        assert self.SOURCE.count("_validate_payload(") == 2
+        assert not [
+            p for p in self.SRC.rglob("*.py") if "skeleton_only" in p.read_text()
+        ]
+
+    def test_payload_keys_stay_inside_the_engine(self):
+        import re
+
+        pattern = re.compile(
+            r"_validate_payload|(\[|\.get\()\s*[\"'](order|sorted_totals)[\"']"
+        )
+        assert not [
+            p.relative_to(self.SRC)
+            for p in self.SRC.rglob("*.py")
+            if p.parent.name != "engine" and pattern.search(p.read_text())
+        ]
+
+    def test_the_time_matrix_holds_compute_and_memory_only(self, tmp_path):
+        _, kernel = _ops()
+        digest = sweep_digest(kernel, ENV, COST, cap=80, seed=0)
+        payload = compute_payload(kernel, ENV, COST, cap=80, seed=0)
+        store = SweepStore(tmp_path)
+        with np.load(store.save(digest, payload)) as z:
+            assert sorted(z.files) == ["F", "I", "T", "meta"]
+            assert z["F"].shape == (2, len(payload["order"]))
+            assert not [k for k in json.loads(str(z["meta"][()])) if "totals" in k]
+        # Derived on decode exactly as on evaluation.
+        loaded = store.load(digest, COST.version)
+        totals = payload["launch_us"] + np.maximum(
+            payload["compute_us"], payload["memory_us"]
+        )
+        for p in (payload, loaded):
+            assert np.array_equal(store_mod.sorted_totals(p), totals[p["order"]])
+
+    def test_a_format_3_entry_is_rejected_then_recomputed(self, tmp_path):
+        contraction, _ = _ops()
+        store = SweepStore(tmp_path)
+        digest = sweep_digest(contraction, ENV, COST, cap=100, seed=0)
+        payload = compute_payload(contraction, ENV, COST, cap=100, seed=0)
+        path = store.save(digest, payload)
+        with np.load(path, allow_pickle=False) as z:
+            meta = {**json.loads(str(z["meta"][()])), "format": 3}
+            compute, memory = z["F"]
+            order = z["I"][0]
+            arrays = {"I": z["I"], "T": z["T"]}
+        totals = np.maximum(compute, memory)[order] + meta["launch_us"]
+        old_f = np.vstack([compute, memory, totals])
+        np.savez(path, meta=json.dumps(meta), F=old_f, **arrays)
+        with pytest.raises(CacheMismatch, match="payload format 3"):
+            store.load(digest, COST.version)
+        _, tier = _resolve(contraction, ENV, store, cap=100, seed=0)
+        assert tier == "computed"
+        assert store.load(digest, COST.version)["format"] == store_mod.PAYLOAD_FORMAT
 
 
 class TestDeltaResweep:
