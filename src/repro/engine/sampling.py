@@ -27,6 +27,15 @@ This module replays the *same* draws in bulk:
    indices, in draw order.
 
 Tier-1 and the property suite pin equality with the scalar generator.
+
+Kernels of one graph often share a knob space: forward and backward
+kernels, or the MHA block inside the encoder, draw the same
+``(sizes, cap, seed)``.  Inside a :func:`shared_samples` block each
+distinct key is drawn once and every later call gets the same read-only
+array.  The scheduler opens one block per cold evaluation batch (per pool
+task when the batch fans out, with same-key jobs sent to one task), and
+the draws are dropped when it closes.  There is deliberately no
+process-wide cache: it would keep the samples of earlier seeds alive.
 """
 
 from __future__ import annotations
@@ -34,14 +43,34 @@ from __future__ import annotations
 import random
 import re
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from math import log, prod
 
 import numpy as np
 
-__all__ = ["kernel_index_array"]
+__all__ = ["kernel_index_array", "shared_samples"]
 
 #: Stream words generated per block; bounds the sampler's working memory.
 _BLOCK_WORDS = 1 << 16
+
+#: The draws of the innermost open :func:`shared_samples` block, keyed by
+#: ``(sizes, cap, seed)``; ``None`` outside one.
+_SHARE: ContextVar[dict | None] = ContextVar("kernel_sample_share", default=None)
+
+
+@contextmanager
+def shared_samples() -> Iterator[None]:
+    """Draw each distinct knob space once inside the block.
+
+    Every :func:`kernel_index_array` call with the same arguments gets the
+    same read-only array; the draws are dropped when the block exits.
+    """
+    token = _SHARE.set({})
+    try:
+        yield
+    finally:
+        _SHARE.reset(token)
 
 
 def kernel_index_array(sizes: Sequence[int], *, cap: int | None, seed: int) -> np.ndarray:
@@ -50,8 +79,23 @@ def kernel_index_array(sizes: Sequence[int], *, cap: int | None, seed: int) -> n
     Exhaustive row-major enumeration when the product fits under ``cap``;
     otherwise the scalar generator's deterministic subsample of ``cap``
     distinct rows (at least the all-default row), in the same order.
+    Outside a :func:`shared_samples` block every call returns a fresh
+    array; inside one, equal arguments return one read-only array.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = tuple(int(s) for s in sizes)
+    share = _SHARE.get()
+    if share is None:
+        return _index_array(sizes, cap=cap, seed=seed)
+    key = (sizes, cap, seed)
+    idx = share.get(key)
+    if idx is None:
+        idx = share[key] = _index_array(sizes, cap=cap, seed=seed)
+        idx.flags.writeable = False
+    return idx
+
+
+def _index_array(sizes: tuple[int, ...], *, cap: int | None, seed: int) -> np.ndarray:
+    """:func:`kernel_index_array`'s draw, every call."""
     if sizes and max(sizes) >= 1 << 32:
         raise ValueError("knob sizes of 2**32 or more draw several words per randrange")
     total = prod(sizes)
@@ -82,7 +126,7 @@ def kernel_index_array(sizes: Sequence[int], *, cap: int | None, seed: int) -> n
     return np.concatenate([np.zeros((1, len(sizes)), dtype=np.int64), rows])
 
 
-def _draws(sizes: list[int], seed: int, *, first: int) -> Iterator[np.ndarray]:
+def _draws(sizes: tuple[int, ...], seed: int, *, first: int) -> Iterator[np.ndarray]:
     """Flat row-major index of every row ``random.Random(seed)`` draws, in
     order, one array per block of the stream (endless).  The first block
     has ``first`` words, later ones ``_BLOCK_WORDS``."""

@@ -34,6 +34,14 @@ path no matter the job count — ``jobs`` changes wall-clock, never results.
 ``jobs=None`` defers to ``set_default_jobs`` (the CLI's ``--jobs``) and
 then the ``REPRO_JOBS`` environment variable; ``jobs <= 0`` means one
 worker per CPU.
+
+A cold batch draws each distinct kernel sampling key (knob sizes, cap,
+seed) once (:func:`repro.engine.sampling.shared_samples`): the serial path
+evaluates the whole batch in one sharing scope, and the pool path groups
+the batch's ops by sampling key, one pool task per group (each
+contraction alone), so same-key jobs run on one worker.  Each op is still
+one ``compute_payload`` call under its own ``engine.sweep_job`` span, and
+the samples are dropped with the batch.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
 
 from .memo import ENGINE_L1, BoundedCache
+from .sampling import shared_samples
+from .space import kernel_knob_sizes
 from .store import (
     CacheMismatch,
     SweepStore,
@@ -120,20 +130,39 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-def _payload_job(args: tuple) -> tuple[dict, list | None]:
-    """Worker entry point: evaluate one sweep into its payload.
+def _compute_group(
+    ops: list[OpSpec],
+    env: DimEnv,
+    cost: CostModel,
+    *,
+    cap: int | None,
+    seed: int,
+    **parent,
+) -> list[dict]:
+    """Evaluate ``ops`` in order, sharing their kernel samples, one
+    ``engine.sweep_job`` span each (``parent=``: the spans' parent)."""
+    payloads = []
+    with shared_samples():
+        for op in ops:
+            with obs.span("engine.sweep_job", op=op.name, **parent):
+                payloads.append(compute_payload(op, env, cost, cap=cap, seed=seed))
+    return payloads
+
+
+def _payload_job(args: tuple) -> tuple[list[dict], list | None]:
+    """Worker entry point: evaluate one sampling-key group into payloads.
 
     ``ctx`` is the parent's serialized trace context: ``None`` means the
     parent isn't tracing and this is the zero-overhead path; a string (a
     ``traceparent`` header value, possibly empty) means the job runs under
-    a private tracer whose finished spans — the job span plus everything
-    the engine opens beneath it — ship back with the payload for the
-    parent to ingest.  Contextvars don't cross process boundaries; this
-    explicit re-parenting is how pool workers join the request's tree.
+    a private tracer whose finished spans — each op's job span plus
+    everything the engine opens beneath it — ship back with the payloads
+    for the parent to ingest.  Contextvars don't cross process boundaries;
+    this explicit re-parenting is how pool workers join the request's tree.
     """
-    op, env, cost, cap, seed, ctx = args
+    ops, env, cost, cap, seed, ctx = args
     if ctx is None:
-        return compute_payload(op, env, cost, cap=cap, seed=seed), None
+        return _compute_group(ops, env, cost, cap=cap, seed=seed), None
     from repro.obs import trace as _trace
 
     tracer = _trace.Tracer()
@@ -143,20 +172,20 @@ def _payload_job(args: tuple) -> tuple[dict, list | None]:
     previous = _trace.get_tracer()
     _trace._TRACER = tracer
     try:
-        with tracer.span(
-            "engine.sweep_job", parent=ctx or None, op=op.name
-        ):
-            payload = compute_payload(op, env, cost, cap=cap, seed=seed)
+        payloads = _compute_group(
+            ops, env, cost, cap=cap, seed=seed, parent=ctx or None
+        )
     finally:
         _trace._TRACER = previous
-    return payload, tracer.finished()
+    return payloads, tracer.finished()
 
 
 #: Estimated total configs below which a process pool costs more than it
-#: saves.  Measured on 2 vCPUs at cap=20000 (a cold sweep costs 2-2.5
-#: µs/config serially): the fused MHA fwd+bwd graph (128k configs) takes
-#: the same time serial and on 2 workers; the fused encoder layer (242k)
-#: takes 0.5-0.6 s serial and 20-30% less on 2 workers.
+#: saves.  Measured on 2 vCPUs at cap=20000 over the benchmark's batch and
+#: sequence sizes, samples shared per batch (a cold sweep costs 1.9-2.1
+#: µs/config serially): the fused MHA fwd+bwd graph (128k configs, ~240
+#: ms serial) takes 5-10% longer on 2 workers; the fused encoder layer
+#: (242k, ~0.5 s serial) takes 10-15% less.
 _MIN_PARALLEL_CONFIGS = 200_000
 
 
@@ -185,6 +214,22 @@ def _estimated_configs(op: OpSpec, env: DimEnv, cap: int | None) -> int:
     return size if cap is None else min(size, cap)
 
 
+def _sampling_groups(
+    ops: list[OpSpec], env: DimEnv, *, cap: int | None, seed: int
+) -> list[list[int]]:
+    """Indices into ``ops`` grouped by the exact arguments their cold
+    sweeps pass :func:`~repro.engine.sampling.kernel_index_array`, in
+    first-appearance order; a contraction samples nothing and is alone."""
+    groups: dict[tuple, list[int]] = {}
+    for i, op in enumerate(ops):
+        if op.op_class is OpClass.TENSOR_CONTRACTION:
+            key: tuple = ("contraction", i)
+        else:
+            key = (kernel_knob_sizes(op, env), cap, seed)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def _compute_payloads(
     ops: list[OpSpec],
     env: DimEnv,
@@ -197,12 +242,15 @@ def _compute_payloads(
     """Evaluate payloads for ``ops`` under ``cost``, in order, optionally in
     parallel (workers price under the caller's snapshot, never their own).
 
+    Each distinct sampling key is drawn once per batch: serially the batch
+    shares one scope; in the pool each sampling-key group is one task.
     The pool only spins up when the estimated cold work amortizes its
     startup cost — tiny sweeps are faster serial even at ``jobs > 1``.
     """
+    groups = _sampling_groups(ops, env, cap=cap, seed=seed)
     if (
         jobs > 1
-        and len(ops) > 1
+        and len(groups) > 1
         and sum(_estimated_configs(op, env, cap) for op in ops)
         >= _MIN_PARALLEL_CONFIGS
     ):
@@ -213,9 +261,9 @@ def _compute_payloads(
             if obs.tracing_enabled()
             else None
         )
-        args = [(op, env, cost, cap, seed, ctx) for op in ops]
+        args = [([ops[i] for i in g], env, cost, cap, seed, ctx) for g in groups]
         try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(ops))) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
                 outcomes = list(pool.map(_payload_job, args))
         except (OSError, BrokenProcessPool) as exc:
             # Sandboxes without working process pools degrade to serial;
@@ -230,12 +278,13 @@ def _compute_payloads(
             shipped = [s for _, spans in outcomes if spans for s in spans]
             if shipped:
                 obs.get_tracer().ingest(shipped)
-            return [payload for payload, _ in outcomes]
-    payloads = []
-    for op in ops:
-        with obs.span("engine.sweep_job", op=op.name):
-            payloads.append(compute_payload(op, env, cost, cap=cap, seed=seed))
-    return payloads
+            by_index = {
+                i: payload
+                for group, (payloads, _) in zip(groups, outcomes)
+                for i, payload in zip(group, payloads)
+            }
+            return [by_index[i] for i in range(len(ops))]
+    return _compute_group(ops, env, cost, cap=cap, seed=seed)
 
 
 def graph_sweep_jobs(

@@ -22,6 +22,7 @@ objects are only built lazily, on measurement access.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "KernelSpace",
     "enumerate_contraction_space",
     "enumerate_kernel_space",
+    "kernel_knob_sizes",
     "shapes_from_structures",
 ]
 
@@ -147,16 +149,24 @@ def shapes_from_structures(structures, env: DimEnv) -> list[GemmShape]:
     ]
 
 
+@lru_cache(maxsize=4096)
+def kernel_knob_sizes(op: OpSpec, env: DimEnv) -> tuple[int, ...]:
+    """Choice count of each knob of a kernel's config space, cached per
+    ``(op, env)``: one per operand layout, then the vector and warp-reduce
+    dims.  It keys the sampler; its product is the full space's size."""
+    layout_choices, vec_choices, warp_choices = kernel_space(op, env)
+    return (*map(len, layout_choices), len(vec_choices), len(warp_choices))
+
+
 def enumerate_kernel_space(
     op: OpSpec, env: DimEnv, *, cap: int | None, seed: int
 ) -> KernelSpace:
     """Enumerate a kernel's (possibly subsampled) configs into arrays."""
     layout_choices, vec_choices, warp_choices = kernel_space(op, env)
-    sizes = [len(c) for c in layout_choices] + [len(vec_choices), len(warp_choices)]
     return KernelSpace(
         op=op,
         layout_choices=layout_choices,
         vec_choices=vec_choices,
         warp_choices=warp_choices,
-        idx=kernel_index_array(sizes, cap=cap, seed=seed),
+        idx=kernel_index_array(kernel_knob_sizes(op, env), cap=cap, seed=seed),
     )

@@ -75,6 +75,7 @@ from .space import (
     KernelSpace,
     enumerate_contraction_space,
     enumerate_kernel_space,
+    kernel_knob_sizes,
     shapes_from_structures,
 )
 
@@ -160,17 +161,10 @@ def _op_dims(op: OpSpec) -> set[str]:
     return dims
 
 
-@lru_cache(maxsize=4096)
 def _kernel_space_size(op: OpSpec, env: DimEnv) -> int:
-    """Full (uncapped) kernel config-space size, cached per (op, env).
-
-    Digest computation needs only the size to decide whether ``cap``
-    binds; caching it avoids re-enumerating the space that
-    ``compute_payload`` enumerates anyway.
-    """
-    layout_choices, vec_choices, warp_choices = kernel_space(op, env)
-    sizes = [len(c) for c in layout_choices] + [len(vec_choices), len(warp_choices)]
-    return prod(sizes)
+    """Full (uncapped) kernel config-space size: digest computation needs
+    only the size to decide whether ``cap`` binds."""
+    return prod(kernel_knob_sizes(op, env))
 
 
 def _effective_knobs(op: OpSpec, env: DimEnv, *, cap: int | None, seed: int) -> list:

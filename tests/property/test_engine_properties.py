@@ -7,6 +7,8 @@ Randomizes operator shapes, dimension sizes and sampling knobs, and checks
   ``KernelTime`` components, exact float equality — no tolerances);
 * the engine's bulk sampler replays the scalar sampler's draws exactly,
   for any knob sizes, cap and seed;
+* a cold batch whose kernels share knob spaces (and so share their
+  samples) gives each op exactly its isolated payload;
 * ``SweepResult`` structural invariants hold on engine-built sweeps:
   measurements sorted ascending, ``quantile_us`` monotone in the quantile,
   ``spread >= 1``;
@@ -17,6 +19,7 @@ Randomizes operator shapes, dimension sizes and sampling knobs, and checks
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -29,9 +32,11 @@ from repro.engine import clear_sweep_memo, kernel_index_array
 from repro.engine.memo import ENGINE_L1
 from repro.engine.scheduler import local_evaluator, sweep_graph
 from repro.engine.scheduler import sweep_op as engine_sweep_op
+from repro.engine.space import kernel_knob_sizes
 from repro.engine.store import (
     SweepStore,
     compute_payload,
+    pack_payload_bytes,
     read_payload_npz,
     sweep_digest,
 )
@@ -113,6 +118,40 @@ def test_memoized_sweep_is_shared_and_identical(params):
     # The L1 shares the payload: a fresh sweep over the same arrays.
     assert first.measurements.totals_array() is second.measurements.totals_array()
     _assert_bit_identical(sweep_op_reference(op, env, COST, cap=cap, seed=seed), first)
+
+
+@st.composite
+def _shared_knob_batches(draw):
+    """``(ops, env, cap, seed)``: renamed copies of one kernel (equal knob
+    sizes, varied flops) and one other kernel, under one env and knobs."""
+    op, env, cap, seed = draw(kernel_ops())
+    other, other_env, _, _ = draw(kernel_ops())
+    flops = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=2, max_size=4))
+    ops = [
+        dataclasses.replace(op, name=f"k{i}", flop_per_point=f)
+        for i, f in enumerate(flops)
+    ] + [dataclasses.replace(other, name="other")]
+    return ops, DimEnv({**other_env, **env}), cap, seed
+
+
+@settings(max_examples=15, deadline=None)
+@given(_shared_knob_batches())
+def test_shared_samples_batch_equals_isolated_payloads(params):
+    ops, env, cap, seed = params
+    assert len({kernel_knob_sizes(op, env) for op in ops}) < len(ops)
+    misses = {sweep_digest(op, env, COST, cap=cap, seed=seed): op for op in ops}
+    evaluate = local_evaluator(env, COST, cap=cap, seed=seed, store=None)
+    batch = dict(evaluate(misses))
+    assert list(batch) == list(misses)
+    for digest, op in misses.items():
+        payload, tier = batch[digest]
+        assert tier == "computed"
+        isolated = compute_payload(op, env, COST, cap=cap, seed=seed)
+        assert pack_payload_bytes(digest, payload) == pack_payload_bytes(
+            digest, isolated
+        )
+        reference = sweep_op_reference(op, env, COST, cap=cap, seed=seed)
+        assert sweep_from_payload(op, payload).measurements == reference.measurements
 
 
 @settings(max_examples=60, deadline=None)

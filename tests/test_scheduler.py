@@ -2,21 +2,27 @@
 
 Determinism (``jobs=1`` vs ``jobs=4`` byte-equal), structural dedup
 (identically shaped contractions share one evaluation and one store
-entry), cache-tier interplay, and job-count resolution.
+entry), per-batch sample sharing, cache-tier interplay, and job-count
+resolution.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import repro.engine.sampling as sampling_mod
 import repro.engine.scheduler as sched_mod
+from repro import obs
 from repro.engine import (
     clear_sweep_memo,
     get_sweep_store,
+    kernel_index_array,
     resolve_jobs,
     set_default_jobs,
     set_sweep_store,
@@ -25,9 +31,11 @@ from repro.engine import (
 )
 from repro.autotuner.tuner import sweep_op_reference
 from repro.engine.memo import ENGINE_L1, new_payload_cache
+from repro.engine.space import kernel_knob_sizes
 from repro.engine.store import (
     SweepStore,
     compute_payload,
+    pack_payload_bytes,
     read_payload_npz,
     sweep_digest,
 )
@@ -39,12 +47,14 @@ from repro.hardware.params import (
     params_from_wire,
     reset_active_params,
 )
+from repro.fusion.encoder_kernels import apply_paper_fusion
 from repro.ir.dims import bert_large_dims
 from repro.ir.graph import DataflowGraph
+from repro.ir.operator import OpClass
 from repro.ir.tensor import TensorSpec
 from repro.ops.contraction import contraction_spec
 from repro.ops.elementwise import bias_spec
-from repro.transformer.graph_builder import build_mha_graph
+from repro.transformer.graph_builder import build_encoder_graph, build_mha_graph
 
 ENV = bert_large_dims()
 COST = CostModel()
@@ -141,6 +151,161 @@ class TestDedup:
         assert (
             sweeps["layer1_mm"].best.total_us == sweeps["layer2_mm"].best.total_us
         )
+
+
+def _fused_encoder() -> DataflowGraph:
+    """The paper's fused encoder fwd+bwd: at ``CAP`` its kernel spaces are
+    capped, and three pairs of kernels share knob sizes."""
+    return apply_paper_fusion(
+        build_encoder_graph(qkv_fusion="qkv", include_backward=True), ENV
+    )
+
+
+def _count_draws(monkeypatch) -> list[tuple]:
+    """Record the arguments of every draw the sampler actually makes."""
+    draws: list[tuple] = []
+    draw = sampling_mod._index_array
+
+    def counting(sizes, *, cap, seed):
+        draws.append((tuple(sizes), cap, seed))
+        return draw(sizes, cap=cap, seed=seed)
+
+    monkeypatch.setattr(sampling_mod, "_index_array", counting)
+    return draws
+
+
+def _payload(op) -> dict:
+    return ENGINE_L1.get(sweep_digest(op, ENV, COST, cap=CAP, seed=SEED), record=False)
+
+
+class TestSampleSharing:
+    """A cold batch draws each distinct ``(sizes, cap, seed)`` once."""
+
+    def _kernels(self, g) -> list:
+        return [
+            op for op in g.ops
+            if not op.is_view and op.op_class is not OpClass.TENSOR_CONTRACTION
+        ]
+
+    def test_each_distinct_key_is_drawn_once(self, monkeypatch):
+        draws = _count_draws(monkeypatch)
+        g = _fused_encoder()
+        sweep_graph(g, ENV, COST, cap=CAP, jobs=1)
+        keys = [(kernel_knob_sizes(op, ENV), CAP, SEED) for op in self._kernels(g)]
+        assert len(set(keys)) < len(keys)  # the graph repeats knob spaces
+        assert sorted(draws) == sorted(set(keys))
+
+    def test_same_key_kernels_share_one_read_only_array(self):
+        g = _fused_encoder()
+        sweep_graph(g, ENV, COST, cap=CAP, jobs=1)
+        by_sizes: dict[tuple, list] = {}
+        for op in self._kernels(g):
+            by_sizes.setdefault(kernel_knob_sizes(op, ENV), []).append(op)
+        pairs = [ops for ops in by_sizes.values() if len(ops) > 1]
+        assert pairs
+        for first, *rest in pairs:
+            idx = _payload(first)["idx"]
+            assert len(idx) == CAP  # capped: a real draw, not an enumeration
+            assert not idx.flags.writeable
+            for op in rest:
+                assert _payload(op)["idx"] is idx
+
+    def test_grouped_pool_is_byte_identical_to_serial(self, monkeypatch):
+        monkeypatch.setattr(sched_mod, "_MIN_PARALLEL_CONFIGS", 0)
+        g = _fused_encoder()
+        ops = [op for op in g.ops if not op.is_view]
+        packed = []
+        for jobs in (1, 2):
+            clear_sweep_memo()
+            sweep_graph(g, ENV, COST, cap=CAP, jobs=jobs)
+            packed.append(
+                [
+                    pack_payload_bytes(
+                        sweep_digest(op, ENV, COST, cap=CAP, seed=SEED), _payload(op)
+                    )
+                    for op in ops
+                ]
+            )
+        assert packed[0] == packed[1]
+
+    def test_grouped_pool_task_keeps_one_job_span_per_op(self, monkeypatch):
+        monkeypatch.setattr(sched_mod, "_MIN_PARALLEL_CONFIGS", 0)
+        g = _fused_encoder()
+        tracer = obs.set_tracing(True)
+        try:
+            tracer.clear()
+            with obs.span("test.root") as root:
+                sweep_graph(g, ENV, COST, cap=CAP, jobs=2)
+            spans = tracer.trace(root.trace_id)
+        finally:
+            obs.set_tracing(None)
+        jobs = sorted(s["attrs"]["op"] for s in spans if s["name"] == "engine.sweep_job")
+        _, reps = sched_mod.graph_sweep_jobs(g, ENV, COST.gpu, cap=CAP, seed=SEED)
+        assert jobs == sorted(op.name for op in reps.values())
+
+
+class TestSampleScope:
+    """No sample outlives its batch."""
+
+    def test_a_second_batch_draws_again(self, monkeypatch):
+        draws = _count_draws(monkeypatch)
+        g = _fused_encoder()
+        sweep_graph(g, ENV, COST, cap=CAP, jobs=1)
+        first = list(draws)
+        clear_sweep_memo()
+        sweep_graph(g, ENV, COST, cap=CAP, jobs=1)
+        assert first and draws == first + first
+
+    def test_outside_a_batch_every_call_is_fresh(self):
+        a = kernel_index_array((6, 1, 6, 6, 3), cap=CAP, seed=SEED)
+        b = kernel_index_array((6, 1, 6, 6, 3), cap=CAP, seed=SEED)
+        assert a is not b
+        assert a.flags.writeable and b.flags.writeable
+        assert (a == b).all()
+
+    def test_a_batch_share_is_private_to_its_thread(self):
+        # The daemon sweeps concurrent requests on threads: one request's
+        # open share must not serve (read-only) samples to another.
+        barrier = threading.Barrier(2, timeout=10)
+        sizes = (6, 1, 6, 6, 3)
+
+        def inside():
+            with sampling_mod.shared_samples():
+                first = kernel_index_array(sizes, cap=CAP, seed=SEED)
+                barrier.wait()
+                barrier.wait()
+                return first is kernel_index_array(sizes, cap=CAP, seed=SEED)
+
+        def outside():
+            barrier.wait()  # while the other thread's share is open
+            fresh = kernel_index_array(sizes, cap=CAP, seed=SEED)
+            barrier.wait()
+            return fresh.flags.writeable
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            shared, fresh = pool.submit(inside), pool.submit(outside)
+            assert shared.result(timeout=10)
+            assert fresh.result(timeout=10)
+
+    def test_the_sampler_holds_no_process_wide_cache(self):
+        # A process-wide cache keeps earlier seeds' samples alive (peak
+        # RSS rose 17% on the cold benchmark); the share is batch-scoped.
+        source = Path(sampling_mod.__file__).read_text()
+        assert "lru_cache" not in source
+        assert "BoundedCache" not in source
+        dict_makers = {"dict", "defaultdict", "OrderedDict", "Counter"}
+        module_dicts = [
+            node.lineno
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and node.value is not None
+            and (
+                isinstance(node.value, (ast.Dict, ast.DictComp))
+                or isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) in dict_makers
+            )
+        ]
+        assert module_dicts == []
 
 
 class TestCacheTiers:
