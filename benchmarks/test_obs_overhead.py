@@ -11,15 +11,20 @@ span the HTTP handler opens — under two modes:
 * **disabled** — the shipped default: ``REPRO_TRACE`` unset, the shared
   ``NullTracer``/``NullSpan`` singletons, no contextvar ever written.
 
-Acceptance: the disabled warm path is within 5% of the absent baseline
-(best-of-rounds, both sides measured identically).  Enabled tracing is
-measured too, but only reported — recording real spans is allowed to
+Acceptance: the disabled warm path is within 5% of the absent baseline.
+The calls alternate absent, disabled, absent, ... (ROUNDS x ITERS per
+side) and each is timed on its own; the overhead is the median, over
+adjacent pairs, of disabled / absent - 1.
+The two calls of a pair run on the same box at the same moment, so a
+change in a shared box's speed cancels, and a burst of noise on a few
+calls cannot set the figure.  Enabled tracing is measured too (best of
+ROUNDS rounds), but only reported — recording real spans is allowed to
 cost real microseconds.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from statistics import median
 from time import perf_counter
 
 from repro import obs
@@ -45,18 +50,38 @@ class _AbsentSpan:
 _ABSENT = _AbsentSpan()
 
 
-@contextmanager
-def _instrumentation_absent():
-    """Swap the obs hooks for no-ops (call sites pay one call, nothing else)."""
-    saved = (obs.span, obs.set_attr, obs.add_event, obs.current_traceparent)
-    obs.span = lambda name, *, parent=None, **attrs: _ABSENT
-    obs.set_attr = lambda key, value: None
-    obs.add_event = lambda name, **attrs: None
-    obs.current_traceparent = lambda: None
+_HOOKS = ("span", "set_attr", "add_event", "current_traceparent")
+#: The obs hooks as no-ops (call sites pay one call, nothing else).
+_ABSENT_HOOKS = (
+    lambda name, *, parent=None, **attrs: _ABSENT,
+    lambda key, value: None,
+    lambda name, **attrs: None,
+    lambda: None,
+)
+
+
+def _install(hooks) -> None:
+    for name, hook in zip(_HOOKS, hooks):
+        setattr(obs, name, hook)
+
+
+def _absent_and_disabled(fn) -> tuple[float, float, float]:
+    """``(best absent s, best disabled s, overhead)`` over ROUNDS x ITERS
+    calls per side, alternating absent, disabled, absent, ...; the overhead
+    is the median, over adjacent pairs, of disabled / absent - 1."""
+    disabled = tuple(getattr(obs, name) for name in _HOOKS)
+    times: tuple[list, list] = ([], [])
     try:
-        yield
+        for _ in range(ROUNDS * ITERS):
+            for side, hooks in enumerate((_ABSENT_HOOKS, disabled)):
+                _install(hooks)
+                t0 = perf_counter()
+                fn()
+                times[side].append(perf_counter() - t0)
     finally:
-        obs.span, obs.set_attr, obs.add_event, obs.current_traceparent = saved
+        _install(disabled)
+    overhead = median(d / a for a, d in zip(*times)) - 1.0
+    return min(times[0]), min(times[1]), overhead
 
 
 def _best_s(fn) -> float:
@@ -88,10 +113,7 @@ def test_tracing_disabled_warm_path_within_5pct():
 
     obs.set_tracing(False)
     try:
-        with _instrumentation_absent():
-            warm_request()
-            absent_s = _best_s(warm_request)
-        disabled_s = _best_s(warm_request)
+        absent_s, disabled_s, overhead = _absent_and_disabled(warm_request)
 
         obs.set_tracing(True)
         enabled_s = _best_s(warm_request)
@@ -99,15 +121,14 @@ def test_tracing_disabled_warm_path_within_5pct():
     finally:
         obs.set_tracing(None)
 
-    overhead = disabled_s / absent_s - 1.0
     print(
         "\n=== Tracing overhead on the warm request path ===\n"
         f"  instrumentation absent:  {1e6 * absent_s:8.1f} us/req\n"
         f"  tracing disabled:        {1e6 * disabled_s:8.1f} us/req "
-        f"({100 * overhead:+.2f}%)\n"
+        f"({100 * overhead:+.2f}% per call, median of pairs)\n"
         f"  tracing enabled:         {1e6 * enabled_s:8.1f} us/req"
     )
-    assert disabled_s <= absent_s * 1.05, (
+    assert overhead <= 0.05, (
         f"disabled tracing costs {100 * overhead:.2f}% on the warm path "
         "(budget: 5%)"
     )

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import threading
 from pathlib import Path
 
 from repro.analysis.calibration import PAPER_TABLE3_US
+from repro.wire import At
 
 __all__ = [
     "CALIBRATION_DIR_ENV_VAR",
@@ -61,6 +61,9 @@ class FeedbackError(ValueError):
     """A rejected measurement record or a corrupt feedback file."""
 
 
+_RECORD = At(FeedbackError, "record")
+
+
 def record_digest(record: dict) -> str:
     """The content digest of one canonical record (``digest`` excluded)."""
     body = {k: record[k] for k in _RECORD_FIELDS}
@@ -70,59 +73,41 @@ def record_digest(record: dict) -> str:
 
 def validate_record(
     wire: object,
-    where: str = "record",
+    at: At = _RECORD,
     *,
     served_version: int | str | None = None,
 ) -> dict:
-    """Validate one wire record into canonical form, or raise.
+    """Validate one wire record into canonical form, or raise ``at``'s
+    error (:class:`FeedbackError` by default).
 
     ``served_version`` (when given) pins the record to the model this
     process serves: a measurement taken against any other version is
     rejected rather than silently mixed into the corpus.
     """
-    if not isinstance(wire, dict):
-        raise FeedbackError(f"{where} must be an object, got {type(wire).__name__}")
-    unknown = sorted(set(wire) - set(_RECORD_FIELDS) - {"digest"})
+    w = at.object(wire)
+    unknown = sorted(w.keys() - set(_RECORD_FIELDS) - {"digest"})
     if unknown:
-        raise FeedbackError(f"{where} carries unknown fields {unknown}")
-    label = wire.get("label")
-    if not isinstance(label, str) or label not in PAPER_TABLE3_US:
-        raise FeedbackError(
-            f"{where}.label {label!r} is not a Table III operator label"
-        )
-    side = wire.get("side")
-    if side not in RECORD_SIDES:
-        raise FeedbackError(
-            f"{where}.side must be one of {RECORD_SIDES}, got {side!r}"
-        )
-    measured = wire.get("measured_us")
-    if isinstance(measured, bool) or not isinstance(measured, (int, float)):
-        raise FeedbackError(f"{where}.measured_us must be a number")
-    measured = float(measured)
-    if not math.isfinite(measured) or measured <= 0:
-        raise FeedbackError(
-            f"{where}.measured_us must be finite and positive, got {measured!r}"
-        )
-    version = wire.get("cost_model_version")
-    if isinstance(version, bool) or not isinstance(version, (int, str)):
-        raise FeedbackError(
-            f"{where}.cost_model_version must be an int or a version tag"
-        )
+        at.fail(f"carries unknown fields {unknown}")
+    label = at.choice(
+        w, "label", PAPER_TABLE3_US.keys(), what="Table III operator label"
+    )
+    side = at.choice(w, "side", RECORD_SIDES)
+    measured = float(at.number(w, "measured_us"))
+    if measured <= 0:
+        at.fail(f"must be positive, got {measured!r}", "measured_us")
+    version = at.version(w, "cost_model_version")
     if served_version is not None and version != served_version:
-        raise FeedbackError(
-            f"{where} was measured against cost-model version {version!r}; "
+        at.fail(
+            f"was measured against cost-model version {version!r}; "
             f"this process serves version {served_version!r} — re-measure "
             f"against the served model"
         )
-    provenance = wire.get("provenance", "api")
-    if not isinstance(provenance, str) or not provenance:
-        raise FeedbackError(f"{where}.provenance must be a non-empty string")
     return {
         "label": label,
         "side": side,
         "measured_us": measured,
         "cost_model_version": version,
-        "provenance": provenance,
+        "provenance": at.name(w, "provenance", "api"),
     }
 
 
@@ -187,34 +172,16 @@ class FeedbackStore:
         # final slot is a torn tail from a crash mid-append.
         tail_torn = lines and lines[-1] != b""
         body = lines[:-1]
-        out: list[dict] = []
-        for i, line in enumerate(body):
-            where = f"{path}:{i + 1}"
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise FeedbackError(
-                    f"{where}: corrupt feedback record (not valid JSON; "
-                    f"mid-file corruption, not a torn tail)"
-                ) from exc
-            if not isinstance(rec, dict) or "digest" not in rec:
-                raise FeedbackError(f"{where}: record carries no digest")
-            if record_digest_safe(rec) != rec["digest"]:
-                raise FeedbackError(
-                    f"{where}: record does not hash to its recorded digest "
-                    f"(file edited or truncated mid-record)"
-                )
-            out.append(rec)
+        out = [
+            _record_from_line(line, At(FeedbackError, f"{path}:{i + 1}"))
+            for i, line in enumerate(body)
+        ]
         if tail_torn:
             # Attempt to parse it anyway — a complete-but-unterminated final
             # record is still usable; a genuinely torn one is dropped.
             try:
-                rec = json.loads(lines[-1])
-                if isinstance(rec, dict) and record_digest_safe(rec) == rec.get(
-                    "digest"
-                ):
-                    out.append(rec)
-            except ValueError:
+                out.append(_record_from_line(lines[-1], At(FeedbackError, "tail")))
+            except FeedbackError:
                 pass
         return out
 
@@ -227,7 +194,7 @@ class FeedbackStore:
             records = self.records()
         h = hashlib.sha256()
         for rec in records:
-            h.update(rec.get("digest", record_digest_safe(rec) or "").encode())
+            h.update((rec.get("digest") or record_digest(rec)).encode())
         return h.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -235,12 +202,24 @@ class FeedbackStore:
         return f"FeedbackStore({root!r})"
 
 
-def record_digest_safe(rec: dict) -> str | None:
-    """:func:`record_digest` tolerant of missing fields (returns None)."""
+def _record_from_line(line: bytes, at: At) -> dict:
+    """One stored line: a valid record that hashes to its recorded digest."""
     try:
-        return record_digest(rec)
-    except KeyError:
-        return None
+        wire = json.loads(line)
+    except ValueError:
+        at.fail(
+            "is a corrupt feedback record (not valid JSON; mid-file "
+            "corruption, not a torn tail)"
+        )
+    record = validate_record(wire, at)
+    digest = at.string(wire, "digest")
+    if record_digest(record) != digest:
+        at.fail(
+            "does not hash to its recorded digest (file edited or "
+            "truncated mid-record)"
+        )
+    record["digest"] = digest
+    return record
 
 
 def table3_corpus(version: int | str | None = None) -> list[dict]:

@@ -37,6 +37,7 @@ from repro.hardware.params import (
 from repro.hardware.spec import V100, GPUSpec
 from repro.ir.dims import DimEnv, bert_large_dims
 from repro.ir.operator import OpSpec
+from repro.wire import At
 
 __all__ = [
     "CandidateModel",
@@ -56,6 +57,8 @@ _MEMORY_FIELDS = ("gemm_mem_eff", "vectorized_eff", "coalesced_eff")
 _MAX_SCALE = 4.0
 #: Efficiencies never fitted below this floor (or above 1.0).
 _MIN_EFF = 1e-3
+
+_CANDIDATE = At(ParamsError, "candidate")
 
 
 @dataclass(frozen=True)
@@ -222,21 +225,17 @@ class CandidateModel:
         return cls(params=params, provenance=provenance or {})
 
     @classmethod
-    def from_wire(cls, wire: object, where: str = "candidate") -> "CandidateModel":
-        if not isinstance(wire, dict):
-            raise ParamsError(f"{where} must be an object")
-        params = params_from_wire(wire.get("params"), f"{where}.params")
+    def from_wire(cls, wire, at: At = _CANDIDATE) -> "CandidateModel":
+        w = at.object(wire)
+        params = params_from_wire(w.get("params"), at.at("params"))
         derived = candidate_version(params)
-        version = wire.get("version", derived)
+        version = w.get("version", derived)
         if version != derived:
-            raise ParamsError(
-                f"{where}.version {version!r} does not match the version "
-                f"derived from its parameters ({derived!r})"
+            at.fail(
+                f"version {version!r} does not match the version derived "
+                f"from its parameters ({derived!r})"
             )
-        provenance = wire.get("provenance", {})
-        if not isinstance(provenance, dict):
-            raise ParamsError(f"{where}.provenance must be an object")
-        return cls(params=params, provenance=provenance)
+        return cls(params=params, provenance=at.mapping(w, "provenance", {}))
 
 
 def fit_candidate(

@@ -42,13 +42,13 @@ from repro.engine.store import atomic_write
 from repro.hardware.params import (
     DEFAULT_PARAMS,
     EfficiencyParams,
-    ParamsError,
     active_params,
     candidate_version,
     install_params,
     params_from_wire,
 )
 from repro.hardware.spec import V100, GPUSpec
+from repro.wire import At, ProtocolError, env_number
 
 from .fit import CandidateModel, calibration_targets, score_params
 
@@ -78,18 +78,9 @@ _FAULT_PRE_COMMIT = "rollout-pre-commit"
 _FAULT_POST_COMMIT = "rollout-post-commit"
 
 
-class RolloutError(ValueError):
-    """An invalid rollout transition or a rejected candidate."""
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
+class RolloutError(ProtocolError):
+    """An invalid rollout transition or a rejected candidate (a request
+    asking for one answers 400), or a corrupt rollout state file."""
 
 
 class RolloutManager:
@@ -117,17 +108,17 @@ class RolloutManager:
         self.fraction = (
             fraction
             if fraction is not None
-            else _env_float(CANARY_FRACTION_ENV_VAR, 0.25)
+            else env_number(CANARY_FRACTION_ENV_VAR, 0.25)
         )
         self.min_samples = (
             min_samples
             if min_samples is not None
-            else int(_env_float(CANARY_MIN_SAMPLES_ENV_VAR, 8))
+            else int(env_number(CANARY_MIN_SAMPLES_ENV_VAR, 8))
         )
         self.max_divergence = (
             max_divergence
             if max_divergence is not None
-            else _env_float(CANARY_MAX_DIVERGENCE_ENV_VAR, 0.5)
+            else env_number(CANARY_MAX_DIVERGENCE_ENV_VAR, 0.5)
         )
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError("canary fraction must be within [0, 1]")
@@ -161,14 +152,16 @@ class RolloutManager:
         already serves.
         """
         if self.state_path is not None and self.state_path.exists():
+            at = At(RolloutError, f"rollout state at {self.state_path}")
             try:
-                state = json.loads(self.state_path.read_bytes())
+                wire = json.loads(self.state_path.read_bytes())
             except ValueError as exc:
-                raise RolloutError(
-                    f"corrupt rollout state at {self.state_path}: {exc} "
-                    f"(the write path is atomic; this file was edited)"
-                ) from exc
-            self._install_from_state(state)
+                at.fail(
+                    f"is corrupt: {exc} (the write path is atomic; this "
+                    f"file was edited)"
+                )
+            state, params, self._candidate_params = _state_from_wire(wire, at)
+            install_params(params)
             self._journal({"event": "recovered", "phase": state["phase"],
                            "served_version": state["served_version"]})
             return state
@@ -181,28 +174,6 @@ class RolloutManager:
             "canary": _fresh_canary(),
             "last_transition": None,
         }
-
-    def _install_from_state(self, state: dict) -> None:
-        """Install the recorded params; their version is derived, never
-        trusted — a state file whose ``served_version`` is not the params'
-        own tag would serve one model under another's cache namespace."""
-        wire = state.get("served_params")
-        try:
-            params = (
-                DEFAULT_PARAMS
-                if wire is None
-                else params_from_wire(wire, "rollout state served_params")
-            )
-        except ParamsError as exc:
-            raise RolloutError(str(exc)) from exc
-        derived = candidate_version(params)
-        if state.get("served_version") != derived:
-            raise RolloutError(
-                f"rollout state at {self.state_path} records served_version "
-                f"{state.get('served_version')!r}, but its served_params "
-                f"serve version {derived!r}"
-            )
-        install_params(params)
 
     def _write_state_locked(self) -> None:
         """Atomically persist the current state (the promote commit point)."""
@@ -283,7 +254,8 @@ class RolloutManager:
 
         ``force=True`` skips the shadow gate (the regression-injection
         knob the chaos suite uses) — the canary guardrail still stands
-        between a forced candidate and promotion.
+        between a forced candidate and promotion.  A refused transition
+        raises :class:`RolloutError` (the daemon answers it with a 400).
         """
         served = active_params()
         if candidate.params == served:
@@ -351,15 +323,6 @@ class RolloutManager:
 
     def candidate_params(self) -> EfficiencyParams | None:
         with self._lock:
-            if self._state["phase"] != "canary":
-                return None
-            if self._candidate_params is None:
-                wire = self._state.get("candidate")
-                if wire is None:
-                    return None
-                self._candidate_params = params_from_wire(
-                    wire["params"], "rollout candidate params"
-                )
             return self._candidate_params
 
     def record_canary(self, divergence: float) -> str:
@@ -404,7 +367,8 @@ class RolloutManager:
 
     # -- promote / rollback ------------------------------------------------------
     def promote(self) -> dict:
-        """Manually promote the canary candidate (operator override)."""
+        """Manually promote the canary candidate (operator override); with
+        none in canary, raises :class:`RolloutError`."""
         with self._lock:
             if self._state["phase"] != "canary":
                 raise RolloutError(
@@ -424,10 +388,8 @@ class RolloutManager:
         ``rollout-post-commit`` fault) recovers to the promoted model —
         never anything in between.
         """
-        candidate = CandidateModel.from_wire(
-            self._state["candidate"], "rollout candidate"
-        )
-        params, version = candidate.params, candidate.version
+        params = self._candidate_params
+        version = candidate_version(params)
         prior = self._state["served_version"]
         self._journal({"event": "promote_intent", "version": version,
                        "prior_version": prior})
@@ -448,6 +410,8 @@ class RolloutManager:
                        "prior_version": prior})
 
     def rollback(self, reason: str = "manual") -> dict:
+        """Roll the canary candidate back; with none in canary, raises
+        :class:`RolloutError`."""
         with self._lock:
             if self._state["phase"] != "canary":
                 raise RolloutError(
@@ -478,3 +442,47 @@ class RolloutManager:
 
 def _fresh_canary() -> dict:
     return {"samples": 0, "regressions": 0, "max_divergence_seen": 0.0}
+
+
+def _state_from_wire(wire, at: At):
+    """The rollout state file's content, checked field by field, with the
+    params it serves and those of its canary candidate (None when idle).
+
+    Their version is derived, never trusted: a state file whose
+    ``served_version`` is not the params' own tag would serve one model
+    under another's cache namespace.
+    """
+    state = at.object(wire)
+    phase = at.choice(state, "phase", ROLLOUT_PHASES)
+    candidate = at.mapping(state, "candidate", None, null=True)
+    candidate_params = (
+        CandidateModel.from_wire(candidate, at.at("candidate")).params
+        if phase == "canary"
+        else None
+    )
+    served_params = at.mapping(state, "served_params", None, null=True)
+    params = (
+        DEFAULT_PARAMS
+        if served_params is None
+        else params_from_wire(served_params, at.at("served_params"))
+    )
+    served_version = at.version(state, "served_version")
+    if served_version != candidate_version(params):
+        at.fail(
+            f"records served_version {served_version!r}, but its "
+            f"served_params serve version {candidate_version(params)!r}"
+        )
+    canary_at = at.at("canary")
+    canary = at.mapping(state, "canary")
+    return {
+        "phase": phase,
+        "served_version": served_version,
+        "served_params": served_params,
+        "candidate": candidate,
+        "canary": {
+            "samples": canary_at.integer(canary, "samples", min=0),
+            "regressions": canary_at.integer(canary, "regressions", min=0),
+            "max_divergence_seen": canary_at.number(canary, "max_divergence_seen"),
+        },
+        "last_transition": at.string(state, "last_transition", None, null=True),
+    }, params, candidate_params

@@ -199,10 +199,9 @@ def _drain_deadline(args) -> float:
     """``--drain-deadline``, else ``REPRO_DRAIN_DEADLINE_S``, else 10 s."""
     if getattr(args, "drain_deadline", None) is not None:
         return args.drain_deadline
-    import os
+    from repro.wire import env_number
 
-    raw = os.environ.get("REPRO_DRAIN_DEADLINE_S", "").strip()
-    return float(raw) if raw else 10.0
+    return env_number("REPRO_DRAIN_DEADLINE_S", 10.0)
 
 
 def _serve_until_signaled(
@@ -666,14 +665,9 @@ def _cmd_report(args) -> int:
 
     client = TuningClient(args.url)
     if args.records is not None:
+        # The daemon reads the records like any request body.
         with open(args.records, encoding="utf-8") as fh:
             records = json.load(fh)
-        if not isinstance(records, list):
-            print(
-                "repro report: --records file must hold a JSON list",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
     else:
         # Default corpus: the paper's own Table III measurements, stamped
         # with whatever cost-model version the daemon currently serves.

@@ -62,6 +62,7 @@ from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
+from repro.wire import env_number
 
 from .memo import ENGINE_L1, BoundedCache
 from .sampling import shared_samples
@@ -114,16 +115,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if jobs is None:
         jobs = _DEFAULT_JOBS
     if jobs is None:
-        raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-        else:
-            jobs = 1
+        jobs = env_number(JOBS_ENV_VAR, 1, int)
     jobs = int(jobs)
     if jobs <= 0:
         jobs = os.cpu_count() or 1

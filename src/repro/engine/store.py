@@ -67,6 +67,7 @@ from repro.layouts.configspace import kernel_space
 from repro.layouts.gemm_mapping import feasible_triple_structures
 from repro.layouts.layout import Layout
 from repro.ops.einsum_utils import parse_einsum
+from repro.wire import env_number
 
 from .batched import evaluate_contraction, evaluate_kernel, kernel_jitter_units
 from .batched import roofline_totals
@@ -868,15 +869,7 @@ def set_sweep_store(store: SweepStore | str | Path | None) -> SweepStore | None:
 
 def _env_max_bytes() -> int | None:
     """``REPRO_SWEEP_STORE_MAX_BYTES`` as an eviction budget (None: unbounded)."""
-    raw = os.environ.get(MAX_BYTES_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{MAX_BYTES_ENV_VAR} must be an integer byte count, got {raw!r}"
-        ) from None
+    value = env_number(MAX_BYTES_ENV_VAR, 0, int)
     return value if value > 0 else None
 
 

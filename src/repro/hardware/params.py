@@ -34,6 +34,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+from repro.wire import At
+
 __all__ = [
     "DEFAULT_PARAMS",
     "DEFAULT_VERSION",
@@ -56,6 +58,21 @@ DEFAULT_VERSION = 1
 
 class ParamsError(ValueError):
     """A malformed or out-of-range params wire form."""
+
+
+_PARAMS = At(ParamsError, "params")
+
+_RANGE_FIELDS = ("layout_factor_range", "algo_factor_range")
+#: Fields that feed an ``Efficiency`` value directly or through products of
+#: sub-unit factors: must stay in (0, 1] or the model raises downstream.
+_UNIT_FIELDS = (
+    "gemm_tc_base",
+    "gemm_fp16_base",
+    "gemm_mem_eff",
+    "vectorized_eff",
+    "coalesced_eff",
+    "kernel_compute_eff",
+)
 
 
 @dataclass(frozen=True)
@@ -88,6 +105,16 @@ class EfficiencyParams:
     kernel_compute_eff: float = 0.40
     jitter: float = 0.10
 
+    def __post_init__(self) -> None:
+        """Every constant positive and finite; efficiencies and factor
+        ranges (``0 < lo <= hi``) at most 1, or the model raises downstream."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            lo, hi = value if f.name in _RANGE_FIELDS else (value, value)
+            top = 1.0 if f.name in _RANGE_FIELDS + _UNIT_FIELDS else math.inf
+            if not (0.0 < lo <= hi <= top and hi < math.inf):
+                raise ValueError(f"{f.name} is out of range: {value!r}")
+
     def to_wire(self) -> dict:
         """JSON-able form (tuples become lists; canonical for digesting)."""
         out: dict = {}
@@ -100,62 +127,27 @@ class EfficiencyParams:
 #: The historical hand-calibrated model: serves version :data:`DEFAULT_VERSION`.
 DEFAULT_PARAMS = EfficiencyParams()
 
-_FIELD_NAMES = tuple(f.name for f in fields(EfficiencyParams))
-_RANGE_FIELDS = ("layout_factor_range", "algo_factor_range")
-#: Fields that feed an ``Efficiency`` value directly or through products of
-#: sub-unit factors: must stay in (0, 1] or the model raises downstream.
-_UNIT_FIELDS = (
-    "gemm_tc_base",
-    "gemm_fp16_base",
-    "gemm_mem_eff",
-    "vectorized_eff",
-    "coalesced_eff",
-    "kernel_compute_eff",
-)
-
-
-def params_from_wire(wire: dict, where: str = "params") -> EfficiencyParams:
-    """Rebuild and validate params; raises :class:`ParamsError` when bad.
+def params_from_wire(wire, at: At = _PARAMS) -> EfficiencyParams:
+    """Rebuild and validate params; a bad one raises ``at``'s error
+    (:class:`ParamsError` by default).
 
     Strict on purpose: a fitted candidate travels through journals, the
     rollout state file and the wire, and a NaN or out-of-range constant
     must be rejected at the boundary, not crash a sweep later.
     """
-    if not isinstance(wire, dict):
-        raise ParamsError(f"{where} must be a JSON object")
-    unknown = sorted(set(wire) - set(_FIELD_NAMES))
+    w = at.object(wire)
+    unknown = sorted(w.keys() - EfficiencyParams.__dataclass_fields__.keys())
     if unknown:
-        raise ParamsError(f"{where} has unknown fields {unknown}")
-    kwargs: dict = {}
-    for name in _FIELD_NAMES:
-        if name not in wire:
-            continue
-        value = wire[name]
-        if name in _RANGE_FIELDS:
-            if (
-                not isinstance(value, (list, tuple))
-                or len(value) != 2
-                or not all(isinstance(v, (int, float)) for v in value)
-            ):
-                raise ParamsError(f"{where}.{name} must be a [lo, hi] pair")
-            lo, hi = float(value[0]), float(value[1])
-            if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo <= hi <= 1.0:
-                raise ParamsError(
-                    f"{where}.{name} must satisfy 0 < lo <= hi <= 1, got {value!r}"
-                )
-            kwargs[name] = (lo, hi)
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParamsError(f"{where}.{name} must be a number, got {value!r}")
-        value = float(value)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ParamsError(
-                f"{where}.{name} must be a positive finite number, got {value!r}"
-            )
-        if name in _UNIT_FIELDS and value > 1.0:
-            raise ParamsError(f"{where}.{name} must be <= 1.0, got {value!r}")
-        kwargs[name] = value
-    return EfficiencyParams(**kwargs)
+        at.fail(f"has unknown fields {unknown}")
+    return at.build(
+        EfficiencyParams,
+        **{
+            name: tuple(map(float, at.numbers(w, name)))
+            if name in _RANGE_FIELDS
+            else float(at.number(w, name))
+            for name in w
+        },
+    )
 
 
 def params_digest(params: EfficiencyParams) -> str:

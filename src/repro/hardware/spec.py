@@ -9,9 +9,12 @@ cost model that substitutes for hardware measurements (see DESIGN.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["GPUSpec", "V100", "A100"]
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -39,12 +42,23 @@ class GPUSpec:
     gemm_tile: tuple[int, int] = (256, 128)
 
     def __post_init__(self) -> None:
-        if min(self.tensor_core_flops, self.fp16_flops, self.fp32_flops) <= 0:
-            raise ValueError("peak flop rates must be positive")
-        if self.mem_bandwidth <= 0:
-            raise ValueError("memory bandwidth must be positive")
-        if self.kernel_launch_us < 0:
-            raise ValueError("launch overhead must be non-negative")
+        # A NaN fails every comparison, so each rate is positive and finite.
+        if not (0 < self.tensor_core_flops < _INF and 0 < self.fp16_flops < _INF
+                and 0 < self.fp32_flops < _INF and 0 < self.mem_bandwidth < _INF
+                and 0 < self.mem_capacity < _INF):
+            raise ValueError("rates, bandwidth and capacity must be positive and finite")
+        if not 0 <= self.kernel_launch_us < _INF:
+            raise ValueError("launch overhead must be non-negative and finite")
+        # GEMM waves divide by these: a zero, fractional or boolean count
+        # would divide by zero or silently re-price every GEMM.
+        tile = self.gemm_tile
+        counts = (self.warp_size, self.sm_count, *tile)
+        if not (len(tile) == 2 and min(counts) >= 1 and type(self.warp_size)
+                is type(self.sm_count) is type(tile[0]) is type(tile[1]) is int):
+            raise ValueError(
+                "warp_size, sm_count and both gemm_tile sides must be positive "
+                f"integers, got {counts}"
+            )
 
     def peak_flops(self, *, tensor_cores: bool, fp32: bool = False) -> float:
         """Peak flop/s for a kernel's execution mode."""

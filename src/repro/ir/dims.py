@@ -50,8 +50,11 @@ class DimEnv(Mapping[str, int]):
         for name, size in self.sizes.items():
             if not isinstance(name, str) or not name:
                 raise ValueError(f"dimension name must be a non-empty str, got {name!r}")
-            if not isinstance(size, int) or size <= 0:
-                raise ValueError(f"dimension {name!r} must have a positive int size, got {size!r}")
+            # Sizes are priced as floats and indexed as int64: 2**63 bounds both.
+            if type(size) is not int or not 0 < size < 2**63:
+                raise ValueError(
+                    f"dimension {name!r} must have a positive int64 size, got {size!r}"
+                )
         # Freeze the underlying mapping so hashing / sharing is safe.
         object.__setattr__(self, "sizes", dict(self.sizes))
 

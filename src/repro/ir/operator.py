@@ -144,8 +144,21 @@ class OpSpec:
             object.__setattr__(self, "outputs", tuple(self.outputs))
         if self.flop_per_point < 0:
             raise ValueError("flop_per_point must be non-negative")
-        if self.op_class is OpClass.TENSOR_CONTRACTION and self.einsum is None:
-            raise ValueError(f"contraction {self.name!r} requires an einsum spec")
+        if self.op_class is OpClass.TENSOR_CONTRACTION:
+            if self.einsum is None:
+                raise ValueError(f"contraction {self.name!r} requires an einsum spec")
+            # Two operands and one result, each indexed dim by dim by its
+            # einsum term: the engine maps GEMM dims through exactly this.
+            from repro.ops.einsum_utils import parse_einsum  # ops imports ir
+
+            spec = parse_einsum(self.einsum)
+            terms = tuple(map(tuple, (*spec.input_subscripts, spec.output_subscript)))
+            named = tuple(t.dims for t in (*self.inputs, *self.outputs))
+            if len(self.inputs) != 2 or terms != named:
+                raise ValueError(
+                    f"contraction {self.name!r}: einsum {self.einsum!r} does not "
+                    f"index its two inputs and one output {named}"
+                )
 
     # -- structure -----------------------------------------------------------
     @property

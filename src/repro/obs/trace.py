@@ -41,6 +41,7 @@ from __future__ import annotations
 import contextvars
 import json
 import os
+import re
 import threading
 import time
 from collections import deque
@@ -98,6 +99,10 @@ def format_traceparent(trace_id: str, span_id: str) -> str:
     return f"00-{trace_id}-{span_id}-01"
 
 
+#: W3C traceparent: ``version-trace_id-parent_id-flags``, lowercase hex.
+_TRACEPARENT = re.compile(r"([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}")
+
+
 def parse_traceparent(header: str | None) -> tuple[str, str] | None:
     """``(trace_id, parent_span_id)`` from a traceparent header, else None.
 
@@ -107,19 +112,11 @@ def parse_traceparent(header: str | None) -> tuple[str, str] | None:
     """
     if not header:
         return None
-    parts = header.strip().split("-")
-    if len(parts) != 4:
+    match = _TRACEPARENT.fullmatch(header.strip())
+    if match is None:
         return None
-    version, trace_id, span_id, flags = parts
-    if len(version) != 2 or len(trace_id) != 32 or len(span_id) != 16:
-        return None
-    if len(flags) != 2:
-        return None
-    try:
-        int(version, 16), int(trace_id, 16), int(span_id, 16), int(flags, 16)
-    except ValueError:
-        return None
-    if version == "ff" or int(trace_id, 16) == 0 or int(span_id, 16) == 0:
+    version, trace_id, span_id = match.groups()
+    if version == "ff" or trace_id == "0" * 32 or span_id == "0" * 16:
         return None
     return trace_id, span_id
 

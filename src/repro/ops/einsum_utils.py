@@ -10,6 +10,7 @@ einsum specs of gradient contractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from repro.ir.dims import DimEnv
@@ -61,6 +62,7 @@ class EinsumSpec:
         return tuple(self.input_subscripts[idx])
 
 
+@lru_cache(maxsize=1024)
 def parse_einsum(spec: str) -> EinsumSpec:
     """Parse ``"ab,bc->ac"``-style specs with single-letter dims.
 

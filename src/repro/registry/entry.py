@@ -2,7 +2,7 @@
 
 A :class:`ScheduleEntry` records one answer to one tuning problem.  The
 problem identity — what :func:`schedule_digest` hashes — is the canonical
-tuple ``(graph signature, dim sizes, GPUSpec, selection knobs,
+tuple ``(graph wire form, dim sizes, GPUSpec, selection knobs,
 COST_MODEL_VERSION)``, mirroring the sweep store's
 :func:`~repro.engine.store.sweep_digest` one level up: the sweep digest
 addresses one operator's timed configuration space, the schedule digest
@@ -39,14 +39,14 @@ from repro.autotuner.tuner import ConfigMeasurement
 from repro.hardware.cost_model import KernelTime
 from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
-from repro.ir.graph import DataflowGraph, GraphValidationError
+from repro.ir.graph import DataflowGraph
 from repro.ir.operator import Stage
-from repro.layouts.config import NUM_GEMM_ALGORITHMS, HEURISTIC_ALGORITHM, OpConfig
+from repro.layouts.config import HEURISTIC_ALGORITHM, OpConfig
 from repro.layouts.layout import Layout
 from repro.service.protocol import (
-    ProtocolError,
     canonical_json_bytes,
     config_to_wire,
+    gpu_from_wire,
     gpu_to_wire,
     measurement_to_wire,
     op_from_wire,
@@ -54,6 +54,7 @@ from repro.service.protocol import (
     tensor_from_wire,
     tensor_to_wire,
 )
+from repro.wire import At
 
 __all__ = [
     "REGISTRY_FORMAT",
@@ -73,7 +74,13 @@ _STAGES = {s.value: s for s in Stage}
 
 
 class EntryError(ValueError):
-    """A malformed entry wire form (the registry wraps this in its error)."""
+    """A malformed entry wire form."""
+
+
+#: Default places of an entry read in process; a registry file or a
+#: request passes its own.
+_ENTRY = At(EntryError, "entry")
+_GRAPH = At(EntryError, "graph")
 
 
 # ---------------------------------------------------------------------------
@@ -100,90 +107,62 @@ def graph_to_wire(graph: DataflowGraph) -> dict:
     }
 
 
-def graph_from_wire(wire: dict, where: str = "graph") -> DataflowGraph:
-    """Rebuild a dataflow graph; raises :class:`EntryError` when malformed."""
-    if not isinstance(wire, dict):
-        raise EntryError(f"{where} must be a JSON object")
-    try:
-        graph = DataflowGraph(str(wire.get("name", "graph")))
-        for i, t in enumerate(wire.get("inputs", ())):
-            graph.add_input(tensor_from_wire(t, f"{where}.inputs[{i}]"))
-        for i, w in enumerate(wire.get("ops", ())):
-            op = op_from_wire(w, f"{where}.ops[{i}]")
-            stage_value = w.get("stage", Stage.FORWARD.value)
-            stage = _STAGES.get(stage_value)
-            if stage is None:
-                raise EntryError(
-                    f"{where}.ops[{i}]: unknown stage {stage_value!r}; "
-                    f"known: {sorted(_STAGES)}"
-                )
-            if stage is not op.stage:
-                op = dataclasses.replace(op, stage=stage)
-            graph.add_op(op)
-        return graph
-    except (ProtocolError, GraphValidationError) as exc:
-        raise EntryError(f"{where}: {exc}") from exc
+def graph_from_wire(wire, at: At = _GRAPH) -> DataflowGraph:
+    """Rebuild a dataflow graph; a malformed one raises ``at``'s error."""
+    w = at.object(wire)
+    graph = DataflowGraph(at.string(w, "name", "graph"))
+    for i, t in enumerate(at.array(w, "inputs", ())):
+        at.build(graph.add_input, tensor_from_wire(t, at.at("inputs", i)))
+    for i, op_wire in enumerate(at.array(w, "ops", ())):
+        op_at = at.at("ops", i)
+        op = op_from_wire(op_wire, op_at)
+        stage = op_at.choice(op_wire, "stage", _STAGES, Stage.FORWARD.value)
+        if stage is not op.stage:
+            op = dataclasses.replace(op, stage=stage)
+        at.build(graph.add_op, op)
+    return graph
 
 
 # ---------------------------------------------------------------------------
 # Selection wire form
 # ---------------------------------------------------------------------------
 
-def _layout_from_wire(dims, where: str) -> Layout:
-    if not isinstance(dims, (list, tuple)) or not all(
-        isinstance(d, str) for d in dims
-    ):
-        raise EntryError(f"{where} must be a list of dim names")
-    try:
-        return Layout(tuple(dims))
-    except ValueError as exc:
-        raise EntryError(f"{where}: {exc}") from exc
+def _layout_from_wire(dims, at: At) -> Layout:
+    return at.build(Layout, at.strings_value(dims))
 
 
-def config_from_wire(wire: dict, where: str = "config") -> OpConfig:
+def config_from_wire(wire, at: At) -> OpConfig:
     """Inverse of the protocol's :func:`config_to_wire`."""
-    if not isinstance(wire, dict):
-        raise EntryError(f"{where} must be a JSON object")
-    algorithm = wire.get("algorithm", HEURISTIC_ALGORITHM)
-    if not isinstance(algorithm, int) or isinstance(algorithm, bool) or not (
-        algorithm == HEURISTIC_ALGORITHM or 0 <= algorithm < NUM_GEMM_ALGORITHMS
-    ):
-        raise EntryError(f"{where}.algorithm index {algorithm!r} out of range")
-    try:
-        return OpConfig(
-            op_name=str(wire["op"]),
-            input_layouts=tuple(
-                _layout_from_wire(l, f"{where}.input_layouts[{i}]")
-                for i, l in enumerate(wire["input_layouts"])
-            ),
-            output_layouts=tuple(
-                _layout_from_wire(l, f"{where}.output_layouts[{i}]")
-                for i, l in enumerate(wire["output_layouts"])
-            ),
-            vector_dim=wire.get("vector_dim"),
-            warp_reduce_dim=wire.get("warp_reduce_dim"),
-            algorithm=algorithm,
-            use_tensor_cores=bool(wire.get("use_tensor_cores", True)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise EntryError(f"{where}: {exc}") from exc
+    w = at.object(wire)
+    return at.build(
+        OpConfig,
+        op_name=at.string(w, "op"),
+        input_layouts=tuple(
+            _layout_from_wire(l, at.at("input_layouts", i))
+            for i, l in enumerate(at.array(w, "input_layouts"))
+        ),
+        output_layouts=tuple(
+            _layout_from_wire(l, at.at("output_layouts", i))
+            for i, l in enumerate(at.array(w, "output_layouts"))
+        ),
+        vector_dim=at.string(w, "vector_dim", None, null=True),
+        warp_reduce_dim=at.string(w, "warp_reduce_dim", None, null=True),
+        algorithm=at.integer(w, "algorithm", HEURISTIC_ALGORITHM),
+        use_tensor_cores=at.boolean(w, "use_tensor_cores", True),
+    )
 
 
-def measurement_from_wire(wire: dict, where: str = "measurement") -> ConfigMeasurement:
+def measurement_from_wire(wire, at: At) -> ConfigMeasurement:
     """Inverse of the protocol's :func:`measurement_to_wire`."""
-    if not isinstance(wire, dict):
-        raise EntryError(f"{where} must be a JSON object")
-    try:
-        return ConfigMeasurement(
-            config=config_from_wire(wire["config"], f"{where}.config"),
-            time=KernelTime(
-                compute_us=float(wire["compute_us"]),
-                memory_us=float(wire["memory_us"]),
-                launch_us=float(wire["launch_us"]),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise EntryError(f"{where}: {exc}") from exc
+    w = at.object(wire)
+    return ConfigMeasurement(
+        config=config_from_wire(w.get("config"), at.at("config")),
+        time=KernelTime(
+            compute_us=float(at.number(w, "compute_us")),
+            memory_us=float(at.number(w, "memory_us")),
+            launch_us=float(at.number(w, "launch_us")),
+        ),
+    )
 
 
 def selection_to_entry_wire(selection) -> dict:
@@ -226,27 +205,6 @@ def selection_to_entry_wire(selection) -> dict:
 # The content digest: the identity of one tuning problem
 # ---------------------------------------------------------------------------
 
-def _signature_op(wire_op: dict) -> dict:
-    """The digest-relevant view of one wire operator (drops nothing today;
-    kept as a hook so cosmetic wire additions never split digests)."""
-    return wire_op
-
-
-def graph_signature(graph: DataflowGraph) -> dict:
-    """Canonical JSON-able identity of a graph for schedule digests.
-
-    Keeps names and stages (selection assigns configurations to named
-    operators of specific stages) — deliberately *not* the sweep store's
-    name-free structural sharing: two schedules for structurally identical
-    but differently named graphs are different artifacts.
-    """
-    return {
-        "name": graph.name,
-        "inputs": [tensor_to_wire(t) for t in graph.graph_inputs],
-        "ops": [_signature_op(w) for w in graph_to_wire(graph)["ops"]],
-    }
-
-
 def schedule_digest(
     graph: DataflowGraph,
     env: DimEnv,
@@ -259,7 +217,7 @@ def schedule_digest(
 ) -> str:
     """Stable content digest of one schedule's tuning problem.
 
-    Hashes ``(graph signature, dim sizes, GPUSpec, knobs, cost-model
+    Hashes ``(graph wire form, dim sizes, GPUSpec, knobs, cost-model
     version)`` — everything that determines the selection — so the digest
     is process- and session-independent (pinned by a spawned-interpreter
     test, like the sweep store's).  Builders pass the ``version`` of the
@@ -272,7 +230,7 @@ def schedule_digest(
         "kind": "schedule",
         "format": REGISTRY_FORMAT,
         "version": version,
-        "graph": graph_signature(graph),
+        "graph": graph_to_wire(graph),
         "env": sorted((d, env[d]) for d in _graph_dims(graph)),
         "gpu": gpu_to_wire(gpu),
         "knobs": {"cap": cap, "seed": seed, "source": source},
@@ -293,19 +251,6 @@ def _graph_dims(graph: DataflowGraph) -> set[str]:
 # The entry
 # ---------------------------------------------------------------------------
 
-_REQUIRED_FIELDS = (
-    "digest",
-    "registry_format",
-    "cost_model_version",
-    "graph",
-    "env",
-    "gpu",
-    "knobs",
-    "selection",
-    "provenance",
-)
-
-
 @dataclass
 class ScheduleEntry:
     """One registered schedule: problem, solution, and provenance."""
@@ -325,104 +270,96 @@ class ScheduleEntry:
     def total_us(self) -> float:
         return float(self.selection["total_us"])
 
-    def build_graph(self) -> DataflowGraph:
-        return graph_from_wire(self.graph)
+    def build_graph(self, at: At = _ENTRY) -> DataflowGraph:
+        return graph_from_wire(self.graph, at.at("graph"))
 
-    def recompute_digest(self, graph: DataflowGraph | None = None) -> str:
+    def recompute_digest(
+        self, graph: DataflowGraph | None = None, at: At = _ENTRY
+    ) -> str:
         """The digest this entry's own content implies (under its recorded
-        cost-model version — staleness must not masquerade as tampering)."""
-        graph = graph or self.build_graph()
-        knobs = self.knobs
+        cost-model version — staleness must not masquerade as tampering).
+
+        ``at`` is where the entry was read from, so a malformed graph, GPU
+        or knob raises that boundary's error.
+        """
+        graph = graph or self.build_graph(at)
+        env = at.at("env").build(DimEnv, self.env)
+        missing = sorted(_graph_dims(graph) - set(env))
+        if missing:
+            at.fail(f"is missing sizes for {missing}", "env")
+        cap, seed, source = self.knob_values(at)
         return schedule_digest(
             graph,
-            DimEnv({str(k): int(v) for k, v in self.env.items()}),
-            _gpu_from_entry(self.gpu),
-            cap=knobs.get("cap"),
-            seed=int(knobs.get("seed", 0)),
-            source=str(knobs.get("source", "x")),
+            env,
+            gpu_from_wire(self.gpu, at.at("gpu")),
+            cap=cap,
+            seed=seed,
+            source=source,
             version=self.cost_model_version,
+        )
+
+    def knob_values(self, at: At = _ENTRY) -> tuple[int | None, int, str]:
+        """The selection knobs ``(cap, seed, source)``."""
+        knobs = at.at("knobs")
+        return (
+            knobs.integer(self.knobs, "cap", None, null=True),
+            knobs.integer(self.knobs, "seed", 0),
+            knobs.string(self.knobs, "source", "x"),
         )
 
     # -- serialization -------------------------------------------------------
     def to_wire(self) -> dict:
-        return {
-            "digest": self.digest,
-            "registry_format": self.registry_format,
-            "cost_model_version": self.cost_model_version,
-            "graph": self.graph,
-            "env": self.env,
-            "gpu": self.gpu,
-            "knobs": self.knobs,
-            "selection": self.selection,
-            "provenance": self.provenance,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def to_bytes(self) -> bytes:
         return canonical_json_bytes(self.to_wire())
 
     @classmethod
-    def from_wire(cls, wire: dict, where: str = "entry") -> "ScheduleEntry":
-        if not isinstance(wire, dict):
-            raise EntryError(f"{where} must be a JSON object")
-        missing = [k for k in _REQUIRED_FIELDS if k not in wire]
+    def from_wire(cls, wire, at: At = _ENTRY) -> "ScheduleEntry":
+        w = at.object(wire)
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in w]
         if missing:
-            raise EntryError(f"{where} is missing required fields {missing}")
-        fmt = wire["registry_format"]
+            at.fail(f"is missing required fields {missing}")
+        fmt = w["registry_format"]
         if fmt != REGISTRY_FORMAT:
-            raise EntryError(
-                f"{where} uses registry format {fmt!r}, not {REGISTRY_FORMAT!r}"
-            )
-        sel = wire["selection"]
-        if not isinstance(sel, dict) or "chosen" not in sel or "total_us" not in sel:
-            raise EntryError(f"{where}.selection is missing chosen/total_us")
-        version = wire["cost_model_version"]
-        # int for default-params models, string tags ("1-cal-<digest12>")
-        # for promoted calibration candidates — both are valid identities.
-        if isinstance(version, bool) or not isinstance(version, (int, str)):
-            raise EntryError(
-                f"{where}.cost_model_version must be an integer or string tag"
-            )
-        try:
-            return cls(
-                digest=str(wire["digest"]),
-                registry_format=int(fmt),
-                cost_model_version=version,
-                graph=wire["graph"],
-                env={str(k): int(v) for k, v in dict(wire["env"]).items()},
-                gpu=wire["gpu"],
-                knobs=dict(wire["knobs"]),
-                selection=sel,
-                provenance=dict(wire["provenance"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise EntryError(f"{where}: {exc}") from exc
+            at.fail(f"uses registry format {fmt!r}, not {REGISTRY_FORMAT!r}")
+        sel, sel_at = at.mapping(w, "selection"), at.at("selection")
+        sel_at.number(sel, "total_us")
+        sel_at.number(sel, "transpose_us", 0.0)
+        sel_at.number(sel, "chain_cost_us", 0.0)
+        sel_at.array(sel, "chosen")
+        sel_at.strings(sel, "chain", ())
+        return cls(
+            digest=at.string(w, "digest"),
+            registry_format=REGISTRY_FORMAT,
+            # int for default-params models, string tags ("1-cal-<digest12>")
+            # for promoted calibration candidates — both are valid identities.
+            cost_model_version=at.version(w, "cost_model_version"),
+            graph=at.mapping(w, "graph"),
+            env=at.mapping(w, "env"),
+            gpu=w["gpu"],
+            knobs=at.mapping(w, "knobs"),
+            selection=sel,
+            provenance=at.mapping(w, "provenance"),
+        )
 
     @classmethod
-    def from_bytes(cls, raw: bytes, where: str = "entry") -> "ScheduleEntry":
+    def from_bytes(cls, raw: bytes, at: At = _ENTRY) -> "ScheduleEntry":
         try:
             wire = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise EntryError(f"{where} is not valid JSON: {exc}") from exc
-        return cls.from_wire(wire, where)
+        except ValueError as exc:
+            at.fail(f"is not valid JSON: {exc}")
+        return cls.from_wire(wire, at)
 
     # -- typed views of the selection ---------------------------------------
     def chosen_measurements(self) -> dict[str, ConfigMeasurement]:
         """Assignment-order ``{op name: measurement}`` (dict preserves it)."""
+        at = _ENTRY.at("selection")
         out: dict[str, ConfigMeasurement] = {}
-        for i, wire in enumerate(self.selection["chosen"]):
-            name = str(wire.get("op", ""))
-            if not name:
-                raise EntryError(f"selection.chosen[{i}] has no op name")
+        for i, wire in enumerate(at.array(self.selection, "chosen")):
+            item = at.at("chosen", i)
+            name = item.name(item.object(wire), "op")
             if name in out:
-                raise EntryError(f"selection.chosen has duplicate op {name!r}")
-            out[name] = measurement_from_wire(wire, f"selection.chosen[{i}]")
+                at.fail(f"has duplicate op {name!r}", "chosen")
+            out[name] = measurement_from_wire(wire, item)
         return out
-
-
-def _gpu_from_entry(wire: dict) -> GPUSpec:
-    from repro.service.protocol import gpu_from_wire
-
-    try:
-        return gpu_from_wire(wire)
-    except ProtocolError as exc:
-        raise EntryError(f"entry.gpu: {exc}") from exc

@@ -38,8 +38,9 @@ from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
 from repro.service.protocol import gpu_to_wire
 
+from repro.wire import At
+
 from .entry import (
-    EntryError,
     ScheduleEntry,
     graph_to_wire,
     schedule_digest,
@@ -122,17 +123,15 @@ class ScheduleRegistry:
             with self._lock:
                 self.misses += 1
             return None
-        where = f"registry entry {path}"
+        at = At(RegistryError, f"registry entry {path}")
         try:
-            entry = ScheduleEntry.from_bytes(raw, where)
+            entry = ScheduleEntry.from_bytes(raw, at)
             if entry.digest != digest:
-                raise RegistryError(
-                    f"{where} declares digest {entry.digest!r}, expected {digest!r}"
-                )
-            recomputed = entry.recompute_digest()
+                at.fail(f"declares digest {entry.digest!r}, expected {digest!r}")
+            recomputed = entry.recompute_digest(at=at)
             if recomputed != digest:
-                raise RegistryError(
-                    f"{where} does not hash to its address: its problem tuple "
+                at.fail(
+                    f"does not hash to its address: its problem tuple "
                     f"digests to {recomputed!r} (entry tampered or truncated; "
                     f"re-register it)"
                 )
@@ -140,10 +139,6 @@ class ScheduleRegistry:
             with self._lock:
                 self.rejected += 1
             raise
-        except EntryError as exc:
-            with self._lock:
-                self.rejected += 1
-            raise RegistryError(f"{where}: {exc}") from exc
         with self._lock:
             self.loads += 1
         return entry

@@ -32,7 +32,6 @@ jobs is byte-for-byte the single-node response.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -47,8 +46,10 @@ from repro.obs.metrics import (
     relabel_exposition,
     wants_prometheus,
 )
+from repro.wire import env_number
 
 from ..protocol import (
+    REQUEST,
     ProtocolError,
     parse_fleet_heartbeat,
     parse_fleet_register,
@@ -69,16 +70,6 @@ __all__ = ["FleetService", "make_fleet_server"]
 
 #: Concurrent remote fetches per batch request (not per daemon).
 DEFAULT_FAN_OUT = 8
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
 
 
 class FleetService(TuningService):
@@ -103,17 +94,17 @@ class FleetService(TuningService):
     ) -> None:
         super().__init__(**kwargs)
         if deadline_s is None:
-            deadline_s = _env_float("REPRO_FLEET_DEADLINE_S", 30.0)
+            deadline_s = env_number("REPRO_FLEET_DEADLINE_S", 30.0)
         if attempts is None:
-            attempts = int(_env_float("REPRO_FLEET_ATTEMPTS", 4))
+            attempts = int(env_number("REPRO_FLEET_ATTEMPTS", 4))
         if backoff_s is None:
-            backoff_s = _env_float("REPRO_FLEET_BACKOFF_S", 0.05)
+            backoff_s = env_number("REPRO_FLEET_BACKOFF_S", 0.05)
         if backoff_cap_s is None:
-            backoff_cap_s = _env_float("REPRO_FLEET_BACKOFF_CAP_S", 1.0)
+            backoff_cap_s = env_number("REPRO_FLEET_BACKOFF_CAP_S", 1.0)
         if quarantine_s is None:
-            quarantine_s = _env_float("REPRO_FLEET_QUARANTINE_S", 30.0)
+            quarantine_s = env_number("REPRO_FLEET_QUARANTINE_S", 30.0)
         if ttl_s is None:
-            ttl_s = _env_float("REPRO_FLEET_TTL_S", DEFAULT_TTL_S)
+            ttl_s = env_number("REPRO_FLEET_TTL_S", DEFAULT_TTL_S)
         if attempts < 1:
             raise ValueError("attempts must be at least 1")
         self.deadline_s = deadline_s
@@ -300,11 +291,7 @@ class FleetService(TuningService):
         }
 
     def handle_fleet_deregister(self, body: dict) -> dict:
-        if not isinstance(body, dict) or not isinstance(
-            body.get("worker_id"), str
-        ):
-            raise ProtocolError("deregister requires a worker_id string")
-        worker_id = body["worker_id"]
+        worker_id = REQUEST.string(REQUEST.object(body), "worker_id")
         return {
             "worker_id": worker_id,
             "deregistered": self.workers.deregister(worker_id),

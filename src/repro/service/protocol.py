@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from dataclasses import fields as dataclass_fields
 
 from repro.engine.store import _op_dims
 from repro.hardware.cost_model import CostModel
@@ -34,10 +35,12 @@ from repro.ir.operator import OpClass, OpSpec
 from repro.ir.tensor import TensorSpec
 from repro.ir.dtypes import FP16, FP32, FP64, DType
 from repro.layouts.config import OpConfig
+from repro.wire import At, ProtocolError
 
 __all__ = [
     "BINARY_CONTENT_TYPE",
     "PROTOCOL_VERSION",
+    "REQUEST",
     "OptimizeRequest",
     "ProtocolError",
     "SweepRequest",
@@ -88,13 +91,16 @@ DEFAULT_OPTIMIZE_CAP = 400
 
 #: Graph builders servable by ``/v1/optimize``.
 OPTIMIZE_MODELS = ("mha", "encoder", "decoder")
+QKV_FUSIONS = ("unfused", "qk", "qkv")
 
 _DTYPES: dict[str, DType] = {d.name: d for d in (FP16, FP32, FP64)}
+_OP_CLASSES: dict[str, OpClass] = {c.value: c for c in OpClass}
 _NAMED_GPUS: dict[str, GPUSpec] = {"V100": V100, "A100": A100}
 
 
-class ProtocolError(ValueError):
-    """A malformed or unserviceable request body (HTTP 400)."""
+#: Where a request body is read from: every failed read raises ProtocolError.
+REQUEST = At(ProtocolError, "request")
+_OP, _GPU, _DIMS = REQUEST.at("op"), REQUEST.at("gpu"), REQUEST.at("dims")
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -110,22 +116,6 @@ def canonical_json_bytes(obj) -> bytes:
 # Wire forms of the IR pieces a sweep reads
 # ---------------------------------------------------------------------------
 
-def _require(mapping: dict, key: str, where: str):
-    if not isinstance(mapping, dict):
-        raise ProtocolError(f"{where} must be a JSON object, got {type(mapping).__name__}")
-    if key not in mapping:
-        raise ProtocolError(f"{where} is missing required field {key!r}")
-    return mapping[key]
-
-
-def _str_tuple(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(x, str) for x in value
-    ):
-        raise ProtocolError(f"{where} must be a list of strings")
-    return tuple(value)
-
-
 def tensor_to_wire(t: TensorSpec) -> dict:
     return {
         "name": t.name,
@@ -135,24 +125,15 @@ def tensor_to_wire(t: TensorSpec) -> dict:
     }
 
 
-def tensor_from_wire(wire: dict, where: str = "tensor") -> TensorSpec:
-    dtype_name = wire.get("dtype", FP16.name)
-    dtype = _DTYPES.get(dtype_name)
-    if dtype is None:
-        raise ProtocolError(
-            f"{where}: unknown dtype {dtype_name!r}; known: {sorted(_DTYPES)}"
-        )
-    try:
-        return TensorSpec(
-            name=_require(wire, "name", where),
-            dims=_str_tuple(_require(wire, "dims", where), f"{where}.dims"),
-            dtype=dtype,
-            is_param=bool(wire.get("is_param", False)),
-        )
-    except ProtocolError:
-        raise
-    except ValueError as exc:
-        raise ProtocolError(f"{where}: {exc}") from exc
+def tensor_from_wire(wire, at: At) -> TensorSpec:
+    t = at.object(wire)
+    return at.build(
+        TensorSpec,  # positional: the four fields in declaration order
+        at.string(t, "name"),
+        at.strings(t, "dims"),
+        at.choice(t, "dtype", _DTYPES, FP16.name),
+        at.boolean(t, "is_param", False),
+    )
 
 
 def op_to_wire(op: OpSpec) -> dict:
@@ -179,59 +160,39 @@ def op_to_wire(op: OpSpec) -> dict:
     return wire
 
 
-def op_from_wire(wire: dict, where: str = "op") -> OpSpec:
+def op_from_wire(wire, at: At = _OP) -> OpSpec:
     """Rebuild an :class:`OpSpec` from its wire form.
 
     The round trip preserves every field the store digest reads, so
     ``sweep_digest(op_from_wire(op_to_wire(op)), ...) == sweep_digest(op,
     ...)`` — the protocol's central invariant (pinned in tests).
     """
-    class_value = _require(wire, "class", where)
-    try:
-        op_class = OpClass(class_value)
-    except ValueError:
-        raise ProtocolError(
-            f"{where}: unknown operator class {class_value!r}; "
-            f"known: {sorted(c.value for c in OpClass)}"
-        ) from None
-    einsum = wire.get("einsum")
-    if einsum is not None and not isinstance(einsum, str):
-        raise ProtocolError(f"{where}.einsum must be a string")
-    members = wire.get("members", [])
-    if not isinstance(members, list):
-        raise ProtocolError(f"{where}.members must be a list")
-    try:
-        return OpSpec(
-            name=_require(wire, "name", where),
-            op_class=op_class,
-            inputs=tuple(
-                tensor_from_wire(t, f"{where}.inputs[{i}]")
-                for i, t in enumerate(_require(wire, "inputs", where))
-            ),
-            outputs=tuple(
-                tensor_from_wire(t, f"{where}.outputs[{i}]")
-                for i, t in enumerate(_require(wire, "outputs", where))
-            ),
-            ispace=IterationSpace(
-                independent=_str_tuple(
-                    _require(wire, "independent", where), f"{where}.independent"
-                ),
-                reduction=_str_tuple(
-                    wire.get("reduction", ()), f"{where}.reduction"
-                ),
-            ),
-            flop_per_point=float(wire.get("flop_per_point", 1.0)),
-            einsum=einsum,
-            is_view=bool(wire.get("is_view", False)),
-            members=tuple(
-                op_from_wire(m, f"{where}.members[{i}]")
-                for i, m in enumerate(members)
-            ),
-        )
-    except ProtocolError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"{where}: {exc}") from exc
+    w = at.object(wire)
+    return at.build(
+        OpSpec,
+        name=at.string(w, "name"),
+        op_class=at.choice(w, "class", _OP_CLASSES, what="operator class"),
+        inputs=tuple(
+            tensor_from_wire(t, at.at("inputs", i))
+            for i, t in enumerate(at.array(w, "inputs"))
+        ),
+        outputs=tuple(
+            tensor_from_wire(t, at.at("outputs", i))
+            for i, t in enumerate(at.array(w, "outputs"))
+        ),
+        ispace=at.build(
+            IterationSpace,
+            at.strings(w, "independent"),
+            at.strings(w, "reduction", ()),
+        ),
+        flop_per_point=float(at.number(w, "flop_per_point", 1.0)),
+        einsum=at.string(w, "einsum", None, null=True),
+        is_view=at.boolean(w, "is_view", False),
+        members=tuple(
+            op_from_wire(m, at.at("members", i))
+            for i, m in enumerate(at.array(w, "members", ()))
+        ),
+    )
 
 
 def gpu_to_wire(gpu: GPUSpec) -> dict:
@@ -240,54 +201,35 @@ def gpu_to_wire(gpu: GPUSpec) -> dict:
     return wire
 
 
-def gpu_from_wire(wire, where: str = "gpu") -> GPUSpec:
-    """A GPU from the wire: a known name (``"V100"``) or a full spec."""
+def gpu_from_wire(wire, at: At = _GPU) -> GPUSpec:
+    """A GPU from the wire: absent (V100), a known name (``"V100"``) or a
+    full spec, whose ranges :class:`GPUSpec` itself checks."""
     if wire is None:
         return V100
-    if isinstance(wire, str):
-        spec = _NAMED_GPUS.get(wire)
-        if spec is None:
-            raise ProtocolError(
-                f"{where}: unknown GPU name {wire!r}; known: {sorted(_NAMED_GPUS)}"
-            )
-        return spec
-    if not isinstance(wire, dict):
-        raise ProtocolError(f"{where} must be a GPU name or a spec object")
-    fields = dict(wire)
-    if "gemm_tile" in fields:
-        tile = fields["gemm_tile"]
-        if not isinstance(tile, (list, tuple)) or len(tile) != 2:
-            raise ProtocolError(f"{where}.gemm_tile must be a [rows, cols] pair")
-        fields["gemm_tile"] = (int(tile[0]), int(tile[1]))
-    try:
-        return GPUSpec(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"{where}: {exc}") from exc
+    return at.named(wire, _NAMED_GPUS, "GPU name", _gpu_from_object)
 
 
-def _dims_from_wire(wire, where: str = "dims") -> DimEnv:
-    if not isinstance(wire, dict) or not wire:
-        raise ProtocolError(f"{where} must be a non-empty object of dim sizes")
-    try:
-        return DimEnv({str(k): v for k, v in wire.items()})
-    except ValueError as exc:
-        raise ProtocolError(f"{where}: {exc}") from exc
+def _gpu_from_object(wire: dict, at: At) -> GPUSpec:
+    if not wire.keys() <= _GPU_READS.keys():
+        at.fail(f"has unknown fields {sorted(wire.keys() - _GPU_READS.keys())}")
+    return at.build(
+        GPUSpec,  # positional: _GPU_READS holds the fields in order
+        *[read(at, wire, name, default) for name, (read, default) in _GPU_READS.items()],
+    )
 
 
-def _parse_cap(body: dict, *, default: int) -> int | None:
-    cap = body.get("cap", default)
-    if cap is None:
-        return None
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
-        raise ProtocolError("cap must be a positive integer or null")
-    return cap
+#: How each GPUSpec field is read — a number but for the name and the tile
+#: — with its default.  The ranges, integrality among them, are the spec's.
+_GPU_READS = {
+    f.name: ({"name": At.string, "gemm_tile": At.numbers}.get(f.name, At.number), f.default)
+    for f in dataclass_fields(GPUSpec)
+}
 
 
-def _parse_seed(body: dict) -> int:
-    seed = body.get("seed", 0x5EED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ProtocolError("seed must be an integer")
-    return seed
+def _dims_from_wire(sizes: dict) -> DimEnv:
+    if not sizes:
+        _DIMS.fail("must be a non-empty object of dim sizes")
+    return _DIMS.build(DimEnv, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +270,22 @@ def sweep_request_wire(
 
 
 def parse_sweep_request(body: dict) -> SweepRequest:
-    if not isinstance(body, dict):
-        raise ProtocolError("request body must be a JSON object")
-    protocol = body.get("protocol", PROTOCOL_VERSION)
-    if protocol != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {protocol!r}; "
-            f"this server speaks {PROTOCOL_VERSION}"
-        )
-    op = op_from_wire(_require(body, "op", "request"))
+    at = REQUEST
+    body = _request_object(body)
+    op = op_from_wire(body.get("op"))
     if op.is_view:
-        raise ProtocolError("view operators have no configurations to sweep")
-    env = _dims_from_wire(_require(body, "dims", "request"))
+        at.fail("is a view: view operators have no configurations to sweep", "op")
+    env = _dims_from_wire(at.mapping(body, "dims"))
     missing = sorted(_op_dims(op) - set(env))
     if missing:
-        raise ProtocolError(f"dims is missing sizes for {missing}")
-    top_k = body.get("top_k", DEFAULT_TOP_K)
-    if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
-        raise ProtocolError("top_k must be a positive integer")
+        at.fail(f"is missing sizes for {missing}", "dims")
     return SweepRequest(
         op=op,
         env=env,
         gpu=gpu_from_wire(body.get("gpu")),
-        cap=_parse_cap(body, default=DEFAULT_SWEEP_CAP),
-        seed=_parse_seed(body),
-        top_k=min(top_k, MAX_TOP_K),
+        cap=at.integer(body, "cap", DEFAULT_SWEEP_CAP, min=1, null=True),
+        seed=at.integer(body, "seed", 0x5EED),
+        top_k=min(at.integer(body, "top_k", DEFAULT_TOP_K, min=1), MAX_TOP_K),
     )
 
 
@@ -413,39 +346,31 @@ def optimize_request_wire(
 
 
 def parse_optimize_request(body: dict) -> OptimizeRequest:
-    if not isinstance(body, dict):
-        raise ProtocolError("request body must be a JSON object")
+    at = REQUEST
+    body = _request_object(body)
+    sizes = at.mapping(body, "dims", None, null=True)
+    return OptimizeRequest(
+        model=at.choice(body, "model", OPTIMIZE_MODELS, "encoder"),
+        qkv_fusion=at.choice(body, "qkv_fusion", QKV_FUSIONS, "qkv"),
+        include_backward=at.boolean(body, "include_backward", True),
+        fused=at.boolean(body, "fused", True),
+        env=bert_large_dims() if sizes is None else _dims_from_wire(sizes),
+        gpu=gpu_from_wire(body.get("gpu")),
+        cap=at.integer(body, "cap", DEFAULT_OPTIMIZE_CAP, min=1, null=True),
+        seed=at.integer(body, "seed", 0x5EED),
+    )
+
+
+def _request_object(body) -> dict:
+    """The body as an object, checked to speak this protocol version."""
+    body = REQUEST.object(body)
     protocol = body.get("protocol", PROTOCOL_VERSION)
     if protocol != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {protocol!r}; "
+        REQUEST.fail(
+            f"uses unsupported protocol version {protocol!r}; "
             f"this server speaks {PROTOCOL_VERSION}"
         )
-    model = body.get("model", "encoder")
-    if model not in OPTIMIZE_MODELS:
-        raise ProtocolError(
-            f"unknown model {model!r}; known: {list(OPTIMIZE_MODELS)}"
-        )
-    qkv_fusion = body.get("qkv_fusion", "qkv")
-    if qkv_fusion not in ("unfused", "qk", "qkv"):
-        raise ProtocolError(
-            f"unknown qkv_fusion {qkv_fusion!r}; known: ['unfused', 'qk', 'qkv']"
-        )
-    dims = body.get("dims")
-    if dims is None:
-        env = bert_large_dims()
-    else:
-        env = _dims_from_wire(dims)
-    return OptimizeRequest(
-        model=model,
-        qkv_fusion=qkv_fusion,
-        include_backward=bool(body.get("include_backward", True)),
-        fused=bool(body.get("fused", True)),
-        env=env,
-        gpu=gpu_from_wire(body.get("gpu")),
-        cap=_parse_cap(body, default=DEFAULT_OPTIMIZE_CAP),
-        seed=_parse_seed(body),
-    )
+    return body
 
 
 def build_request_graph(req: OptimizeRequest) -> DataflowGraph:
@@ -505,25 +430,6 @@ def optimize_request_digest(req: OptimizeRequest, cost: CostModel) -> str:
 # Fleet membership: /v1/fleet/register and /v1/fleet/heartbeat
 # ---------------------------------------------------------------------------
 
-def _parse_member_version(body: dict, where: str) -> int | str | None:
-    """The cost-model version a fleet member claims to serve.
-
-    Optional (older workers omit it — reported as ``None``, which the
-    coordinator surfaces as unknown skew); when present it must be an int
-    or a non-empty string tag such as ``"1-cal-<digest12>"``.
-    """
-    version = body.get("cost_model_version")
-    if version is None:
-        return None
-    if isinstance(version, bool) or not isinstance(version, (int, str)):
-        raise ProtocolError(
-            f"{where}.cost_model_version must be an integer or string tag"
-        )
-    if isinstance(version, str) and not version:
-        raise ProtocolError(f"{where}.cost_model_version must be non-empty")
-    return version
-
-
 def fleet_register_wire(
     *,
     worker_id: str,
@@ -548,18 +454,21 @@ def fleet_register_wire(
 
 
 def parse_fleet_register(body: dict) -> tuple[str, str, bool, int | str | None]:
-    """Validate a register body into ``(worker_id, url, ready, version)``."""
-    worker_id = _require(body, "worker_id", "register")
-    if not isinstance(worker_id, str) or not worker_id:
-        raise ProtocolError("worker_id must be a non-empty string")
-    url = _require(body, "url", "register")
-    if not isinstance(url, str) or not url.startswith(("http://", "https://")):
-        raise ProtocolError(f"url must be an http(s) URL, got {url!r}")
+    """Validate a register body into ``(worker_id, url, ready, version)``.
+
+    The version is optional (older workers omit it — reported as ``None``,
+    which the coordinator surfaces as unknown skew).
+    """
+    at = REQUEST
+    body = at.object(body)
+    url = at.string(body, "url")
+    if not url.startswith(("http://", "https://")):
+        at.fail(f"must be an http(s) URL, got {url!r}", "url")
     return (
-        worker_id,
+        at.name(body, "worker_id"),
         url.rstrip("/"),
-        bool(body.get("ready", False)),
-        _parse_member_version(body, "register"),
+        at.boolean(body, "ready", False),
+        at.version(body, "cost_model_version", None, null=True),
     )
 
 
@@ -582,13 +491,12 @@ def fleet_heartbeat_wire(
 
 def parse_fleet_heartbeat(body: dict) -> tuple[str, bool, int | str | None]:
     """Validate a heartbeat body into ``(worker_id, ready, version)``."""
-    worker_id = _require(body, "worker_id", "heartbeat")
-    if not isinstance(worker_id, str) or not worker_id:
-        raise ProtocolError("worker_id must be a non-empty string")
+    at = REQUEST
+    body = at.object(body)
     return (
-        worker_id,
-        bool(body.get("ready", False)),
-        _parse_member_version(body, "heartbeat"),
+        at.name(body, "worker_id"),
+        at.boolean(body, "ready", False),
+        at.version(body, "cost_model_version", None, null=True),
     )
 
 

@@ -70,7 +70,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from json import JSONDecodeError, loads
+from json import loads
 from time import monotonic, perf_counter, time
 from typing import BinaryIO
 
@@ -101,6 +101,7 @@ from .metrics import ServiceMetrics
 from .protocol import (
     BINARY_CONTENT_TYPE,
     PROTOCOL_VERSION,
+    REQUEST,
     ProtocolError,
     accepts_packed,
     build_request_graph,
@@ -504,7 +505,6 @@ class TuningService:
         result.
         """
         from repro.registry import ScheduleEntry
-        from repro.registry.entry import EntryError
         from repro.validation import validate_entry
 
         if self.registry is None:
@@ -512,14 +512,11 @@ class TuningService:
                 "this daemon has no schedule registry configured "
                 "(set REPRO_SCHEDULE_REGISTRY or attach a sweep store)"
             )
-        if not isinstance(body, dict):
-            raise ProtocolError("request body must be a JSON object")
+        body = REQUEST.object(body)
         if "entry" in body:
-            try:
-                entry = ScheduleEntry.from_wire(body["entry"], "entry")
-                recomputed = entry.recompute_digest()
-            except EntryError as exc:
-                raise ProtocolError(str(exc)) from exc
+            at = REQUEST.at("entry")
+            entry = ScheduleEntry.from_wire(body["entry"], at)
+            recomputed = entry.recompute_digest(at=at)
             if recomputed != entry.digest:
                 raise ProtocolError(
                     f"entry declares digest {entry.digest}, but its content "
@@ -588,25 +585,22 @@ class TuningService:
         that is not the served one, unknown fields) is rejected with a
         structured 400 and the feedback store's bytes are unchanged.
         """
-        from repro.calibrate import FeedbackError, validate_record
+        from repro.calibrate import validate_record
 
-        if not isinstance(body, dict):
-            raise ProtocolError("request body must be a JSON object")
-        records = body.get("records")
-        if not isinstance(records, list) or not records:
-            raise ProtocolError("report requires a non-empty records list")
+        records = REQUEST.array(REQUEST.object(body), "records")
+        if not records:
+            REQUEST.fail("must hold at least one record", "records")
         served = active_cost_model_version()
-        validated = []
         try:
-            for i, wire in enumerate(records):
-                validated.append(
-                    validate_record(
-                        wire, f"records[{i}]", served_version=served
-                    )
+            validated = [
+                validate_record(
+                    wire, REQUEST.at("records", i), served_version=served
                 )
-        except FeedbackError as exc:
+                for i, wire in enumerate(records)
+            ]
+        except ProtocolError:
             self.metrics.record_calibration("report_rejected")
-            raise ProtocolError(str(exc)) from exc
+            raise
         accepted = self.feedback.append(validated)
         self.metrics.record_calibration("report")
         return {
@@ -626,34 +620,23 @@ class TuningService:
         candidate (with ``force=true`` to skip the shadow gate — the
         canary guardrail still stands).
         """
-        from repro.calibrate import CandidateModel, RolloutError, fit_candidate
-        from repro.hardware.params import ParamsError, params_from_wire
+        from repro.calibrate import CandidateModel, fit_candidate
+        from repro.hardware.params import params_from_wire
 
-        if not isinstance(body, dict):
-            raise ProtocolError("request body must be a JSON object")
-        force = body.get("force", False)
-        if not isinstance(force, bool):
-            raise ProtocolError("force must be a boolean")
+        body = REQUEST.object(body)
+        force = REQUEST.boolean(body, "force", False)
         records = self.feedback.records()
-        try:
-            if "params" in body:
-                params = params_from_wire(body["params"], "params")
-                candidate = CandidateModel.build(
-                    params, {"source": "explicit-params"}
-                )
-            else:
-                if not records:
-                    raise ProtocolError(
-                        "the feedback store is empty; POST /v1/report "
-                        "(or run `repro report`) before proposing"
-                    )
-                candidate = fit_candidate(records)
-        except ParamsError as exc:
-            raise ProtocolError(str(exc)) from exc
-        try:
-            status = self.rollout.propose(candidate, records, force=force)
-        except RolloutError as exc:
-            raise ProtocolError(str(exc)) from exc
+        if "params" in body:
+            params = params_from_wire(body["params"], REQUEST.at("params"))
+            candidate = CandidateModel.build(params, {"source": "explicit-params"})
+        elif records:
+            candidate = fit_candidate(records)
+        else:
+            raise ProtocolError(
+                "the feedback store is empty; POST /v1/report "
+                "(or run `repro report`) before proposing"
+            )
+        status = self.rollout.propose(candidate, records, force=force)
         return {
             "proposed": True,
             "candidate_version": candidate.version,
@@ -666,25 +649,12 @@ class TuningService:
 
     def handle_rollout_action(self, body: dict) -> dict:
         """``POST /v1/rollout``: manual ``promote`` / ``rollback``."""
-        from repro.calibrate import RolloutError
-
-        if not isinstance(body, dict):
-            raise ProtocolError("request body must be a JSON object")
-        action = body.get("action")
-        try:
-            if action == "promote":
-                status = self.rollout.promote()
-            elif action == "rollback":
-                status = self.rollout.rollback(
-                    str(body.get("reason", "manual"))
-                )
-            else:
-                raise ProtocolError(
-                    f"unknown rollout action {action!r}; "
-                    f"known: promote, rollback"
-                )
-        except RolloutError as exc:
-            raise ProtocolError(str(exc)) from exc
+        body = REQUEST.object(body)
+        action = REQUEST.choice(body, "action", ("promote", "rollback"))
+        if action == "promote":
+            status = self.rollout.promote()
+        else:
+            status = self.rollout.rollback(REQUEST.string(body, "reason", "manual"))
         return {"action": action, "rollout": status}
 
     def revalidate_registry(self, *, deep: bool = False) -> dict:
@@ -964,7 +934,7 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(n)
         try:
             return loads(raw)
-        except JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes
             raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
     def _run(self, endpoint: str, fn) -> None:

@@ -26,12 +26,9 @@ from repro.hardware.cost_model import CostModel
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
 from repro.layouts.layout import Layout
-from repro.registry.entry import (
-    EntryError,
-    ScheduleEntry,
-    _gpu_from_entry,
-    _layout_from_wire,
-)
+from repro.registry.entry import EntryError, ScheduleEntry, _layout_from_wire
+from repro.service.protocol import gpu_from_wire
+from repro.wire import At
 
 __all__ = [
     "BaseValidator",
@@ -141,15 +138,10 @@ class ValidationContext:
     def __init__(self, entry: ScheduleEntry, *, deep: bool = False) -> None:
         self.entry = entry
         self.deep = deep
-        try:
-            self.graph: DataflowGraph = entry.build_graph()
-        except EntryError as exc:
-            raise ValidationError(f"entry graph does not build: {exc}") from exc
-        self.env = DimEnv({str(k): int(v) for k, v in entry.env.items()})
-        try:
-            self.cost = CostModel(_gpu_from_entry(entry.gpu))
-        except EntryError as exc:
-            raise ValidationError(f"entry GPU spec does not parse: {exc}") from exc
+        at = At(ValidationError, "entry")
+        self.graph: DataflowGraph = entry.build_graph(at)
+        self.env = at.at("env").build(DimEnv, entry.env)
+        self.cost = CostModel(gpu_from_wire(entry.gpu, at.at("gpu")))
 
         self.chosen: dict = {}
         self.chosen_error: str | None = None
@@ -158,37 +150,40 @@ class ValidationContext:
         except EntryError as exc:
             self.chosen_error = str(exc)
 
+        selection = At(EntryError, "selection")
         self.pinned: dict[str, Layout] = {}
         self.pinned_error: str | None = None
         try:
-            for name, dims in entry.selection.get("pinned_layouts", {}).items():
-                self.pinned[str(name)] = _layout_from_wire(
-                    dims, f"selection.pinned_layouts[{name!r}]"
-                )
+            pinned = selection.at("pinned_layouts")
+            for name, dims in selection.mapping(
+                entry.selection, "pinned_layouts", {}
+            ).items():
+                self.pinned[name] = _layout_from_wire(dims, pinned.at(name))
         except EntryError as exc:
             self.pinned_error = str(exc)
 
         self.transposes: list[TransposeInsertion] = []
         self.transposes_error: str | None = None
         try:
-            for i, w in enumerate(entry.selection.get("transposes", ())):
-                where = f"selection.transposes[{i}]"
-                if not isinstance(w, dict):
-                    raise EntryError(f"{where} must be a JSON object")
+            for i, wire in enumerate(
+                selection.array(entry.selection, "transposes", ())
+            ):
+                at = selection.at("transposes", i)
+                w = at.object(wire)
                 self.transposes.append(
                     TransposeInsertion(
-                        tensor=str(w["tensor"]),
+                        tensor=at.string(w, "tensor"),
                         from_layout=_layout_from_wire(
-                            w["from_layout"], f"{where}.from_layout"
+                            w.get("from_layout"), at.at("from_layout")
                         ),
                         to_layout=_layout_from_wire(
-                            w["to_layout"], f"{where}.to_layout"
+                            w.get("to_layout"), at.at("to_layout")
                         ),
-                        time_us=float(w["time_us"]),
-                        before_op=str(w["before_op"]),
+                        time_us=float(at.number(w, "time_us")),
+                        before_op=at.string(w, "before_op"),
                     )
                 )
-        except (EntryError, KeyError, TypeError, ValueError) as exc:
+        except EntryError as exc:
             self.transposes_error = str(exc)
 
 

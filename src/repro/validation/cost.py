@@ -150,10 +150,7 @@ class CostValidator(BaseValidator):
         from repro.engine import sweep_graph
 
         issues: list[ValidationIssue] = []
-        knobs = ctx.entry.knobs
-        cap = knobs.get("cap")
-        seed = int(knobs.get("seed", 0x5EED))
-        source = str(knobs.get("source", "x"))
+        cap, seed, source = ctx.entry.knob_values()
         sweeps = sweep_graph(ctx.graph, ctx.env, ctx.cost, cap=cap, seed=seed)
         for fast, label in ((True, "fast layered"), (False, "scalar reference")):
             sel = select_configurations(

@@ -47,14 +47,14 @@ class StalenessValidator(BaseValidator):
 
         served = ctx.cost.version
         if entry.cost_model_version != served:
-            knobs = entry.knobs
+            cap, seed, source = entry.knob_values()
             fresh = schedule_digest(
                 ctx.graph,
                 ctx.env,
                 ctx.cost.gpu,
-                cap=knobs.get("cap"),
-                seed=int(knobs.get("seed", 0)),
-                source=str(knobs.get("source", "x")),
+                cap=cap,
+                seed=seed,
+                source=source,
                 version=served,
             )
             issues.append(

@@ -1,10 +1,14 @@
-"""Shared Hypothesis strategies for the engine, store, delta and codec suites.
+"""Shared Hypothesis strategies for the engine, store, delta, codec and
+wire suites.
 
 Random operators with random dimension sizes: memory-bound kernels (with
-their sampling knobs) and the contraction shapes the paper's encoder uses.
+their sampling knobs) and the contraction shapes the paper's encoder uses;
+and mutations of valid JSON documents, for the parsers of outside bytes.
 """
 
 from __future__ import annotations
+
+import copy
 
 from hypothesis import strategies as st
 
@@ -65,3 +69,49 @@ def contraction_ops(draw, sizes=st.sampled_from(SIZES)):
     einsum, da, db, dc = draw(st.sampled_from(EINSUMS))
     env = DimEnv({d: draw(sizes) for d in sorted(set(da) | set(db) | set(dc))})
     return contraction_spec("c", einsum, ("a", "b"), "y"), env
+
+
+#: Values a mutated JSON field takes: every JSON type, boundary numbers,
+#: the non-finite floats ``json.loads`` accepts, an integer beyond the
+#: float range, and strings that spell other types.
+JSON_ODDITIES = [
+    None, True, False, 0, -1, 1, 7, 2**70, 10**400, 0.0, -0.5, 1.5,
+    float("nan"), float("inf"), -float("inf"), "", "x", "false", "0",
+    [], [0], ["x", 1], {}, {"x": 1},
+]
+
+
+def _json_paths(doc, prefix=()):
+    """Every path to a value inside a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ()
+    )
+    for key, value in items:
+        yield from _json_paths(value, (*prefix, key))
+
+
+@st.composite
+def json_mutations(draw, doc, max_edits: int = 2):
+    """A deep copy of the JSON document ``doc`` with one or two edits: a
+    value replaced by one of :data:`JSON_ODDITIES`, a field or item
+    deleted, or an unknown field added to an object."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, max_edits))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        oddity = copy.deepcopy(draw(st.sampled_from(JSON_ODDITIES)))
+        if not path:
+            doc = oddity
+            continue
+        *parent_path, key = path
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        edit = draw(st.sampled_from(("replace", "delete", "add")))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "add" and isinstance(parent, dict):
+            parent["unknown_field"] = oddity
+        else:
+            parent[key] = oddity
+    return doc

@@ -1,4 +1,5 @@
-"""Hypothesis property tests: concurrent metric recording never loses counts.
+"""Hypothesis property tests: concurrent metric recording never loses
+counts, and only W3C-shaped traceparent headers are adopted.
 
 The daemon's handler threads race into the same ``Counter``/``Gauge``/
 ``Histogram`` children constantly; the whole point of the per-metric lock
@@ -13,11 +14,12 @@ from __future__ import annotations
 
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, format_traceparent, parse_traceparent
 
 _PER_THREAD = st.lists(st.integers(1, 50), min_size=1, max_size=8)
 
@@ -115,3 +117,31 @@ def test_concurrent_span_finishes_all_reach_the_ring(plan):
 
     _run_threads([worker(n) for n in plan])
     assert len(tracer.finished()) == sum(plan)
+
+
+_HEX = "0123456789abcdef"
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    trace_id=st.text(_HEX, min_size=32, max_size=32),
+    span_id=st.text(_HEX, min_size=16, max_size=16),
+)
+def test_traceparent_round_trips_lowercase_hex(trace_id, span_id):
+    header = format_traceparent(trace_id, span_id)
+    zero = trace_id == "0" * 32 or span_id == "0" * 16
+    assert parse_traceparent(header) == (None if zero else (trace_id, span_id))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        # ``int(x, 16)`` accepts each of these; W3C trace context does not.
+        "00-1_1_1_1_1_1_1_1_1_1_1_1_1_1_1_11-00000000000000_1-01",  # "_"
+        "00-+0af7651916cd43dd8448eb211c80319-b7ad6b7169203331-01",  # sign
+        "00- 0af7651916cd43dd8448eb211c8031 -b7ad6b7169203331-01",  # spaces
+        "00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",  # uppercase
+    ],
+)
+def test_traceparent_outside_w3c_is_absent(header):
+    assert parse_traceparent(header) is None
