@@ -204,18 +204,36 @@ def _drain_deadline(args) -> float:
     return env_number("REPRO_DRAIN_DEADLINE_S", 10.0)
 
 
-def _serve_until_signaled(
-    server, service, *, name: str, drain_deadline_s: float, cleanup=None
-) -> None:
-    """Serve until SIGINT/SIGTERM, then drain gracefully and exit 0.
+def _run_daemon(service, args, *, name: str, label: str = "", join=None) -> None:
+    """Run ``service`` as a daemon until SIGINT/SIGTERM, then drain and exit 0.
 
-    On SIGTERM: readiness flips off (``/readyz`` answers 503, so fleet
-    coordinators and load balancers stop routing here), the accept loop
-    stops, in-flight requests get ``drain_deadline_s`` to finish, and the
-    process prints ``<name>: clean shutdown`` on its way to exit code 0.
+    The one start-up routine of ``repro serve`` and ``repro fleet serve``:
+    engine warm-up on a background thread, bind, the ``listening on``
+    banner, then ``join(url)`` (a worker's fleet agent; it returns the
+    cleanup to run at shutdown).  The banner names the daemon ``label``
+    (default ``name``).  On SIGTERM: readiness flips off
+    (``/readyz`` answers 503, so fleet coordinators and load balancers
+    stop routing here), the accept loop stops, in-flight requests get the
+    drain deadline to finish, and the process prints ``<name>: clean
+    shutdown`` on its way to exit code 0.
     """
     import signal
     import threading
+
+    from repro.service import make_server
+
+    service.start_warmup()
+    server = make_server(service, args.host, args.port)
+    host, port = server.server_address[:2]
+    url = f"http://{host}:{port}"
+    store = service.store
+    print(
+        f"{label or name} {__version__} (cost model v{COST_MODEL_VERSION}) "
+        f"listening on {url}"
+    )
+    print(f"sweep store: {store.root if store is not None else 'disabled'}")
+    cleanup = None if join is None else join(url)
+    drain_deadline_s = _drain_deadline(args)
 
     def _sigterm(signum, frame):  # pragma: no cover - signal plumbing
         # One-shot: a second TERM during the shutdown path must not
@@ -247,24 +265,9 @@ def _serve_until_signaled(
 
 def _cmd_serve(args) -> None:
     """Run the tuning daemon until interrupted (SIGINT/SIGTERM)."""
-    from repro.service import TuningService, make_server
+    from repro.service import TuningService
 
-    service = TuningService(warm=False)
-    service.start_warmup()
-    server = make_server(service, args.host, args.port)
-    host, port = server.server_address[:2]
-    store = service.store
-    print(
-        f"repro-tuningd {__version__} (cost model v{COST_MODEL_VERSION}) "
-        f"listening on http://{host}:{port}"
-    )
-    print(f"sweep store: {store.root if store is not None else 'disabled'}")
-    _serve_until_signaled(
-        server,
-        service,
-        name="repro-tuningd",
-        drain_deadline_s=_drain_deadline(args),
-    )
+    _run_daemon(TuningService(warm=False), args, name="repro-tuningd")
 
 
 def _cmd_query(args) -> None:
@@ -416,63 +419,38 @@ def _cmd_trace(args) -> int:
 
 def _cmd_fleet_serve(args) -> None:
     """Run a fleet coordinator or worker daemon until signaled."""
-    from repro.service import TuningService, make_server
+    from repro.service import TuningService
 
     if args.role == "coordinator":
-        from repro.service.fleet.coordinator import (
-            FleetService,
-            make_fleet_server,
-        )
+        from repro.service.fleet.coordinator import FleetService
 
-        service = FleetService(warm=False)
-        server = make_fleet_server(service, args.host, args.port)
+        service, join = FleetService(warm=False), None
+    elif args.coordinator_url is None:
+        print("repro fleet serve: a worker needs --coordinator-url", file=sys.stderr)
+        raise SystemExit(2)
     else:
         service = TuningService(warm=False)
-        server = make_server(service, args.host, args.port)
-    service.start_warmup()
-    host, port = server.server_address[:2]
-    store = service.store
-    print(
-        f"repro-fleetd {args.role} {__version__} "
-        f"(cost model v{COST_MODEL_VERSION}) "
-        f"listening on http://{host}:{port}"
-    )
-    print(f"sweep store: {store.root if store is not None else 'disabled'}")
 
-    agent = None
-    if args.role == "worker":
-        if args.coordinator_url is None:
-            print(
-                "repro fleet serve: a worker needs --coordinator-url",
-                file=sys.stderr,
+        def join(url: str):
+            from repro.service.fleet.worker import WorkerAgent
+
+            agent = WorkerAgent(
+                args.coordinator_url,
+                args.advertise_url or url,
+                worker_id=args.worker_id,
+                service=service,
             )
-            raise SystemExit(2)
-        from repro.service.fleet.worker import WorkerAgent
+            # Name the worker's spans/metrics after its fleet identity so the
+            # coordinator-assembled trace tree shows which member did the work.
+            service.service_name = f"worker:{agent.worker_id}"
+            agent.start()
+            print(f"fleet: registering {agent.worker_id} with {args.coordinator_url}")
+            # At shutdown, tell the coordinator we are leaving so our keys
+            # re-route now instead of after a TTL expiry.
+            return lambda: agent.stop(deregister=True)
 
-        agent = WorkerAgent(
-            args.coordinator_url,
-            args.advertise_url or f"http://{host}:{port}",
-            worker_id=args.worker_id,
-            service=service,
-        )
-        # Name the worker's spans/metrics after its fleet identity so the
-        # coordinator-assembled trace tree shows which member did the work.
-        service.service_name = f"worker:{agent.worker_id}"
-        agent.start()
-        print(f"fleet: registering {agent.worker_id} with {args.coordinator_url}")
-
-    def _cleanup() -> None:
-        if agent is not None:
-            # Tell the coordinator we are leaving so our keys re-route
-            # now instead of after a TTL expiry.
-            agent.stop(deregister=True)
-
-    _serve_until_signaled(
-        server,
-        service,
-        name="repro-fleetd",
-        drain_deadline_s=_drain_deadline(args),
-        cleanup=_cleanup,
+    _run_daemon(
+        service, args, name="repro-fleetd", label=f"repro-fleetd {args.role}", join=join
     )
 
 

@@ -15,17 +15,19 @@ consumer was a batch process.  This package turns the engine into a
   requests for one digest trigger exactly one evaluation.
 * :mod:`repro.service.metrics` — per-tier hit counters and p50/p95/p99
   request latencies, served at ``GET /metrics``.
-* :mod:`repro.service.server` — the ``ThreadingHTTPServer`` daemon:
+* :mod:`repro.service.server` — the ``ThreadingHTTPServer`` daemon, one
+  handler dispatching through the service's route table
+  (``TuningService.routes()``, which the fleet coordinator extends):
   ``POST /v1/sweep`` (best configurations + predicted times for one
   operator), ``POST /v1/optimize`` (whole-graph tuned schedule through
   the parallel scheduler), ``POST /v1/register`` / ``GET
   /v1/schedule/<digest>`` (the validate-then-store schedule registry,
   with a background revalidation loop surfaced in ``/metrics``),
   ``GET /healthz``, ``GET /metrics``.
-* :mod:`repro.service.client` — a stdlib ``urllib`` client, used by the
-  ``repro serve`` / ``repro query`` CLI pair, with bounded
-  exponential-backoff retry for transient transport failures on
-  idempotent requests.
+* :mod:`repro.service.client` — a stdlib ``http.client`` client (one
+  round trip per request), used by the ``repro query`` CLI and the fleet,
+  with bounded exponential-backoff retry for transient transport failures
+  on idempotent requests.
 * :mod:`repro.service.fleet` — the fault-tolerant sharded fleet: a
   coordinator that consistent-hashes sweep digests across registered
   worker daemons (``POST /v1/optimize_batch``) with per-request

@@ -1,9 +1,12 @@
-"""A stdlib client for the tuning daemon (``urllib``, no dependencies).
+"""A stdlib client for the tuning daemon (``http.client``, no dependencies).
 
-Used by the ``repro query`` CLI, the load-test harness and the quickstart
-example.  :meth:`TuningClient.sweep_raw` returns the exact response bytes,
-which is what the byte-identity acceptance test compares; the convenience
-methods parse JSON for human consumers.
+Used by the ``repro query`` CLI, the fleet coordinator and worker agent,
+the load-test harness and the quickstart example.
+:meth:`TuningClient.sweep_raw` returns the exact response bytes, which is
+what the byte-identity acceptance test compares; the convenience methods
+parse JSON for human consumers, reading each reply through
+``At(ServiceError, ...)``: a body that is not a JSON object raises
+:class:`ServiceError`.
 """
 
 from __future__ import annotations
@@ -11,19 +14,17 @@ from __future__ import annotations
 import json
 import random
 import time
-import urllib.error
-import urllib.request
+from functools import partial
+from http.client import HTTPConnection, HTTPException, HTTPMessage, HTTPSConnection
 
 from repro.hardware.spec import V100, GPUSpec
 from repro.ir.dims import DimEnv
 from repro.ir.operator import OpSpec
 from repro.obs.trace import TRACEPARENT_HEADER, current_traceparent
+from repro.wire import At
 
 from .protocol import (
     BINARY_CONTENT_TYPE,
-    DEFAULT_OPTIMIZE_CAP,
-    DEFAULT_SWEEP_CAP,
-    DEFAULT_TOP_K,
     canonical_json_bytes,
     fleet_heartbeat_wire,
     fleet_register_wire,
@@ -69,17 +70,28 @@ class ServiceError(RuntimeError):
         self.body = body
 
 
+def _json_object(at: At, raw: bytes) -> dict:
+    """A daemon reply's bytes as a JSON object, or ``at``'s error."""
+    try:
+        value = json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes
+        at.fail(f"is not JSON: {exc}")
+    return at.object(value)
+
+
 class TuningClient:
     """Talk to one tuning daemon at ``base_url``.
 
-    Transient transport failures (connection refused/reset while a daemon
-    restarts, a half-open socket from a crashed peer) are retried with
-    capped exponential backoff + jitter — but only for requests that are
-    safe to repeat: GETs and the idempotent POSTs in
-    :data:`_IDEMPOTENT_POSTS`.  HTTP error *responses* are never retried
-    (the daemon answered; repeating won't change its mind), and
-    ``retries=0`` disables the loop entirely — the fleet coordinator does
-    that, because its retries must move to a different worker instead.
+    Each request is one ``http.client`` round trip on a connection of its
+    own (the daemon speaks HTTP/1.0).  Transient transport failures
+    (connection refused/reset while a daemon restarts, a half-open socket
+    from a crashed peer) are retried with capped exponential backoff +
+    jitter — but only for requests that are safe to repeat: GETs and the
+    idempotent POSTs in :data:`_IDEMPOTENT_POSTS`.  HTTP error *responses*
+    are never retried (the daemon answered; repeating won't change its
+    mind), and ``retries=0`` disables the loop entirely — the fleet
+    coordinator does that, because its retries must move to a different
+    worker instead.
     """
 
     def __init__(
@@ -96,26 +108,48 @@ class TuningClient:
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
+        scheme, _, rest = self.base_url.partition("://")
+        netloc, slash, path = rest.partition("/")
+        self._prefix = slash + path
+        self._connection = partial(
+            HTTPSConnection if scheme == "https" else HTTPConnection,
+            netloc,
+            timeout=timeout,
+        )
 
     # -- transport -----------------------------------------------------------
-    def _raw_once(
+    def _round_trip(self, method: str, path: str, data, headers) -> tuple:
+        """One request on a fresh connection: ``(status, reason, headers,
+        body bytes)``, whatever the status."""
+        conn = self._connection()
+        try:
+            conn.request(method, self._prefix + path, body=data, headers=headers)
+            resp = conn.getresponse()
+            return resp.status, resp.reason, resp.headers, resp.read()
+        finally:
+            conn.close()
+
+    def _raw(
         self,
         path: str,
-        body: dict | None,
+        body: dict | None = None,
         *,
-        headers: dict[str, str] | None,
-    ) -> tuple[int, dict[str, str], bytes]:
-        """One round trip: ``(status, response headers, body bytes)``.
+        headers: dict[str, str] | None = None,
+        answers: tuple[int, ...] = (),
+    ) -> tuple[int, HTTPMessage, bytes]:
+        """``(status, response headers, body bytes)`` of a 2xx reply or of
+        one whose status is in ``answers`` (a ``304`` revalidation, a
+        ``503`` readiness verdict); any other status raises
+        :class:`ServiceError`.
 
         ``Accept-Encoding: identity`` is always sent explicitly — the
         byte-identity and payload-size checks this client backs are
         meaningless if a transparent proxy re-compresses the body.  A
-        ``304 Not Modified`` is a successful revalidation, returned as
-        ``(304, headers, b"")`` rather than raised.  Transport-level
-        failures (``URLError``/``ConnectionResetError``/timeouts)
-        propagate raw for :meth:`_raw` to classify.
+        transport failure is retried (idempotent requests only) and then
+        raised as :class:`ServiceError`; a timeout is raised as
+        ``TimeoutError`` at once — the work may still be running
+        server-side, and the caller owns that policy.
         """
-        url = f"{self.base_url}{path}"
         data = None if body is None else canonical_json_bytes(body)
         merged = {"Accept-Encoding": "identity"}
         if data is not None:
@@ -127,42 +161,9 @@ class TuningClient:
             merged[TRACEPARENT_HEADER] = carrier
         if headers:
             merged.update(headers)
-        req = urllib.request.Request(
-            url,
-            data=data,
-            headers=merged,
-            method="POST" if data is not None else "GET",
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, dict(resp.headers), resp.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code == 304:
-                return 304, dict(exc.headers), b""
-            raise self._service_error(path, exc) from exc
-        except TimeoutError:
-            # Distinguishable from connection failures: a deadline blown
-            # mid-read is never retried here (the work may still be
-            # running server-side; the caller owns that policy).
-            raise
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, TimeoutError):
-                raise TimeoutError(
-                    f"{url} timed out after {self.timeout}s"
-                ) from exc
-            raise
-
-    def _raw(
-        self,
-        path: str,
-        body: dict | None = None,
-        *,
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, dict[str, str], bytes]:
-        """:meth:`_raw_once` plus bounded retry for transient failures."""
+        method = "GET" if data is None else "POST"
         retryable = body is None or path in _IDEMPOTENT_POSTS
         attempts = 1 + (self.retries if retryable else 0)
-        last: Exception | None = None
         for attempt in range(attempts):
             if attempt:
                 delay = min(
@@ -170,52 +171,53 @@ class TuningClient:
                 )
                 time.sleep(delay * (0.5 + random.random()))
             try:
-                return self._raw_once(path, body, headers=headers)
+                status, reason, resp_headers, raw = self._round_trip(
+                    method, path, data, merged
+                )
+                break
             except TimeoutError:
                 raise
-            except (urllib.error.URLError, ConnectionResetError) as exc:
+            except (OSError, HTTPException) as exc:
                 last = exc
-        reason = getattr(last, "reason", last)
-        raise ServiceError(
-            f"cannot reach {self.base_url}{path} "
-            f"after {attempts} attempt(s): {reason}"
-        ) from last
+        else:
+            raise ServiceError(
+                f"cannot reach {self.base_url}{path} "
+                f"after {attempts} attempt(s): {last}"
+            ) from last
+        if 200 <= status < 300 or status in answers:
+            return status, resp_headers, raw
+        raise self._service_error(path, status, reason, raw)
 
     @staticmethod
-    def _service_error(path: str, exc: urllib.error.HTTPError) -> "ServiceError":
+    def _service_error(path: str, status: int, reason: str, raw: bytes) -> "ServiceError":
         """Surface as much of an HTTP error body as the daemon sent.
 
         Structured JSON errors contribute their ``error`` message and, for
         ``/v1/register`` rejections, a summary of the validation report;
-        non-JSON bodies are carried raw (truncated) instead of dropped.
+        any other body is carried raw (truncated) instead of dropped.
         """
-        raw = b""
+        at = At(ServiceError, f"{path} error reply")
+        report = at.at("report")
         try:
-            raw = exc.read()
-        except Exception:  # noqa: BLE001 - the socket may already be gone
-            pass
-        error_body: dict | None = None
-        detail = ""
-        try:
-            error_body = json.loads(raw)
-            detail = error_body.get("error", "")
-            report = error_body.get("report")
-            if isinstance(report, dict):
-                issues = report.get("issues")
-                if isinstance(issues, list) and issues:
-                    rendered = "; ".join(
-                        f"{i.get('validator')}/{i.get('code')}: {i.get('message')}"
-                        for i in issues[:3]
-                        if isinstance(i, dict)
+            body = _json_object(at, raw)
+            detail = at.string(body, "error", "")
+            issues = report.array(
+                at.mapping(body, "report", None, null=True) or {}, "issues", ()
+            )
+            if issues:
+                rendered = "; ".join(
+                    "{0[validator]}/{0[code]}: {0[message]}".format(
+                        report.at("issues", i).object(issue)
                     )
-                    detail = f"{detail} [{len(issues)} issue(s): {rendered}]"
-        except Exception:  # noqa: BLE001 - best-effort error detail
-            error_body = None
-            detail = raw.decode("utf-8", "replace")[:500]
+                    for i, issue in enumerate(issues[:3])
+                )
+                detail = f"{detail} [{len(issues)} issue(s): {rendered}]"
+        except (ServiceError, KeyError):
+            body, detail = None, raw.decode("utf-8", "replace")[:500]
         return ServiceError(
-            f"{path} failed with HTTP {exc.code}: {detail or exc.reason}",
-            status=exc.code,
-            body=error_body,
+            f"{path} failed with HTTP {status}: {detail or reason}",
+            status=status,
+            body=body,
         )
 
     def _request(
@@ -228,7 +230,7 @@ class TuningClient:
         return self._raw(path, body, headers=headers)[2]
 
     def _request_json(self, path: str, body: dict | None = None) -> dict:
-        return json.loads(self._request(path, body))
+        return _json_object(At(ServiceError, f"{path} reply"), self._request(path, body))
 
     # -- endpoints -----------------------------------------------------------
     def healthz(self) -> dict:
@@ -236,13 +238,8 @@ class TuningClient:
 
     def readyz(self) -> tuple[bool, dict]:
         """Readiness: ``(ready, detail)``; a 503 is an answer, not an error."""
-        try:
-            status, _, data = self._raw("/readyz")
-        except ServiceError as exc:
-            if exc.status == 503 and exc.body is not None:
-                return False, exc.body
-            raise
-        return status == 200, json.loads(data)
+        status, _, data = self._raw("/readyz", answers=(503,))
+        return status == 200, _json_object(At(ServiceError, "/readyz reply"), data)
 
     def metrics(self) -> dict:
         return self._request_json("/metrics")
@@ -268,34 +265,17 @@ class TuningClient:
         when the daemon is a coordinator)."""
         return self._request_json(f"/v1/trace/{trace_id}")
 
-    def sweep_raw(
-        self,
-        op: OpSpec,
-        env: DimEnv,
-        gpu: GPUSpec = V100,
-        *,
-        cap: int | None = DEFAULT_SWEEP_CAP,
-        seed: int = 0x5EED,
-        top_k: int = DEFAULT_TOP_K,
-    ) -> bytes:
+    # The sweep and optimize methods take the keyword arguments of the
+    # protocol's request builders (sweep_request_wire: cap, seed, top_k;
+    # optimize_request_wire: model, qkv_fusion, include_backward, fused,
+    # env, gpu, cap, seed), with the same defaults.
+    def sweep_raw(self, op: OpSpec, env: DimEnv, gpu: GPUSpec = V100, **request) -> bytes:
         """The exact ``/v1/sweep`` response bytes (for identity checks)."""
-        return self._request(
-            "/v1/sweep",
-            sweep_request_wire(op, env, gpu, cap=cap, seed=seed, top_k=top_k),
-        )
+        return self._request("/v1/sweep", sweep_request_wire(op, env, gpu, **request))
 
-    def sweep(
-        self,
-        op: OpSpec,
-        env: DimEnv,
-        gpu: GPUSpec = V100,
-        *,
-        cap: int | None = DEFAULT_SWEEP_CAP,
-        seed: int = 0x5EED,
-        top_k: int = DEFAULT_TOP_K,
-    ) -> dict:
+    def sweep(self, op: OpSpec, env: DimEnv, gpu: GPUSpec = V100, **request) -> dict:
         """Ranked configurations + predicted times for one operator."""
-        return json.loads(self.sweep_raw(op, env, gpu, cap=cap, seed=seed, top_k=top_k))
+        return self._request_json("/v1/sweep", sweep_request_wire(op, env, gpu, **request))
 
     def sweep_conditional(
         self,
@@ -303,10 +283,8 @@ class TuningClient:
         env: DimEnv,
         gpu: GPUSpec = V100,
         *,
-        cap: int | None = DEFAULT_SWEEP_CAP,
-        seed: int = 0x5EED,
-        top_k: int = DEFAULT_TOP_K,
         etag: str | None = None,
+        **request,
     ) -> tuple[int, str | None, bytes]:
         """A revalidating sweep: ``(status, etag, body bytes)``.
 
@@ -318,8 +296,9 @@ class TuningClient:
         headers = {"If-None-Match": etag} if etag else None
         status, resp_headers, data = self._raw(
             "/v1/sweep",
-            sweep_request_wire(op, env, gpu, cap=cap, seed=seed, top_k=top_k),
+            sweep_request_wire(op, env, gpu, **request),
             headers=headers,
+            answers=(304,),
         )
         return status, resp_headers.get("ETag"), data
 
@@ -329,9 +308,8 @@ class TuningClient:
         env: DimEnv,
         gpu: GPUSpec = V100,
         *,
-        cap: int | None = DEFAULT_SWEEP_CAP,
-        seed: int = 0x5EED,
         etag: str | None = None,
+        **request,
     ) -> tuple[int, str | None, bytes]:
         """The packed binary ``/v1/sweep`` response: ``(status, etag, bytes)``.
 
@@ -344,19 +322,14 @@ class TuningClient:
             headers["If-None-Match"] = etag
         status, resp_headers, data = self._raw(
             "/v1/sweep",
-            sweep_request_wire(op, env, gpu, cap=cap, seed=seed),
+            sweep_request_wire(op, env, gpu, **request),
             headers=headers,
+            answers=(304,),
         )
         return status, resp_headers.get("ETag"), data
 
     def sweep_packed(
-        self,
-        op: OpSpec,
-        env: DimEnv,
-        gpu: GPUSpec = V100,
-        *,
-        cap: int | None = DEFAULT_SWEEP_CAP,
-        seed: int = 0x5EED,
+        self, op: OpSpec, env: DimEnv, gpu: GPUSpec = V100, **request
     ) -> dict:
         """The full measurement payload, decoded from the packed response.
 
@@ -364,99 +337,32 @@ class TuningClient:
         times (not a ``top_k`` truncation), validated by the store's own
         deserializer and checked against the response ``ETag`` digest.
         """
-        _, etag, data = self.sweep_packed_raw(op, env, gpu, cap=cap, seed=seed)
+        _, etag, data = self.sweep_packed_raw(op, env, gpu, **request)
         digest = etag.strip('"') if etag else None
         return payload_from_packed(data, digest=digest)
 
-    def optimize(
-        self,
-        *,
-        model: str = "encoder",
-        qkv_fusion: str = "qkv",
-        include_backward: bool = True,
-        fused: bool = True,
-        env: DimEnv | None = None,
-        gpu: GPUSpec = V100,
-        cap: int | None = DEFAULT_OPTIMIZE_CAP,
-        seed: int = 0x5EED,
-    ) -> dict:
+    def optimize(self, **request) -> dict:
         """A whole-graph tuned schedule from ``/v1/optimize``."""
-        return self._request_json(
-            "/v1/optimize",
-            optimize_request_wire(
-                model=model,
-                qkv_fusion=qkv_fusion,
-                include_backward=include_backward,
-                fused=fused,
-                env=env,
-                gpu=gpu,
-                cap=cap,
-                seed=seed,
-            ),
-        )
+        return self._request_json("/v1/optimize", optimize_request_wire(**request))
 
-    def optimize_raw(
-        self,
-        *,
-        model: str = "encoder",
-        qkv_fusion: str = "qkv",
-        include_backward: bool = True,
-        fused: bool = True,
-        env: DimEnv | None = None,
-        gpu: GPUSpec = V100,
-        cap: int | None = DEFAULT_OPTIMIZE_CAP,
-        seed: int = 0x5EED,
-    ) -> bytes:
+    def optimize_raw(self, **request) -> bytes:
         """The exact ``/v1/optimize`` response bytes (for identity checks)."""
-        return self._request(
-            "/v1/optimize",
-            optimize_request_wire(
-                model=model,
-                qkv_fusion=qkv_fusion,
-                include_backward=include_backward,
-                fused=fused,
-                env=env,
-                gpu=gpu,
-                cap=cap,
-                seed=seed,
-            ),
-        )
+        return self._request("/v1/optimize", optimize_request_wire(**request))
 
-    def optimize_batch_raw(
-        self,
-        *,
-        model: str = "encoder",
-        qkv_fusion: str = "qkv",
-        include_backward: bool = True,
-        fused: bool = True,
-        env: DimEnv | None = None,
-        gpu: GPUSpec = V100,
-        cap: int | None = DEFAULT_OPTIMIZE_CAP,
-        seed: int = 0x5EED,
-    ) -> bytes:
+    def optimize_batch_raw(self, **request) -> bytes:
         """The exact ``/v1/optimize_batch`` (coordinator) response bytes.
 
         The body schema — and, by the chaos suite's acceptance criterion,
         the exact bytes — match :meth:`optimize_raw` for the same request;
         only the evaluation is sharded across the fleet.
         """
-        return self._request(
-            "/v1/optimize_batch",
-            optimize_request_wire(
-                model=model,
-                qkv_fusion=qkv_fusion,
-                include_backward=include_backward,
-                fused=fused,
-                env=env,
-                gpu=gpu,
-                cap=cap,
-                seed=seed,
-            ),
-        )
+        return self._request("/v1/optimize_batch", optimize_request_wire(**request))
 
-    def optimize_batch(self, **kwargs) -> dict:
+    def optimize_batch(self, **request) -> dict:
         """A whole-graph tuned schedule from the fleet coordinator."""
-        return json.loads(self.optimize_batch_raw(**kwargs))
+        return self._request_json(
+            "/v1/optimize_batch", optimize_request_wire(**request)
+        )
 
     # -- fleet membership ------------------------------------------------------
     def fleet_register(
@@ -484,32 +390,9 @@ class TuningClient:
         """Coordinator fleet state: per-worker health, quarantines, knobs."""
         return self._request_json("/v1/fleet/status")
 
-    def register(
-        self,
-        *,
-        model: str = "encoder",
-        qkv_fusion: str = "qkv",
-        include_backward: bool = True,
-        fused: bool = True,
-        env: DimEnv | None = None,
-        gpu: GPUSpec = V100,
-        cap: int | None = DEFAULT_OPTIMIZE_CAP,
-        seed: int = 0x5EED,
-    ) -> dict:
+    def register(self, **request) -> dict:
         """Have the daemon tune a model and register the schedule."""
-        return self._request_json(
-            "/v1/register",
-            optimize_request_wire(
-                model=model,
-                qkv_fusion=qkv_fusion,
-                include_backward=include_backward,
-                fused=fused,
-                env=env,
-                gpu=gpu,
-                cap=cap,
-                seed=seed,
-            ),
-        )
+        return self._request_json("/v1/register", optimize_request_wire(**request))
 
     # -- calibration & rollout --------------------------------------------------
     def report(self, records: list[dict]) -> dict:

@@ -45,13 +45,11 @@ __all__ = [
     "WorkerAgent",
     "WorkerInfo",
     "WorkerRegistry",
-    "make_fleet_server",
     "parse_fault_spec",
 ]
 
 _LAZY = {
     "FleetService": ("repro.service.fleet.coordinator", "FleetService"),
-    "make_fleet_server": ("repro.service.fleet.coordinator", "make_fleet_server"),
     "WorkerAgent": ("repro.service.fleet.worker", "WorkerAgent"),
 }
 

@@ -40,7 +40,6 @@ from functools import partial
 
 from repro import obs
 from repro.engine.store import compute_payload
-from repro.obs.export import trace_tree
 from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
     relabel_exposition,
@@ -56,17 +55,11 @@ from ..protocol import (
     parse_optimize_request,
     payload_from_packed,
 )
-from ..server import (
-    NotFoundError,
-    TuningService,
-    WireReply,
-    _Handler,
-    make_server,
-)
+from ..server import NotFoundError, TuningService, WireReply
 from .hashring import HashRing
 from .registry import DEFAULT_TTL_S, WorkerRegistry
 
-__all__ = ["FleetService", "make_fleet_server"]
+__all__ = ["FleetService"]
 
 #: Concurrent remote fetches per batch request (not per daemon).
 DEFAULT_FAN_OUT = 8
@@ -158,7 +151,7 @@ class FleetService(TuningService):
         does, immediately after, via the registry) — but within this job
         it is never asked twice.
         """
-        from ..client import ServiceError, TuningClient
+        from ..client import TuningClient
 
         excluded: set[str] = set()
         for attempt in range(1, self.attempts + 1):
@@ -167,7 +160,6 @@ class FleetService(TuningService):
                 break  # fleet drained for this key: degrade locally
             worker_id, url = picked
             self.workers.record(worker_id, "dispatched")
-            reason = None
             try:
                 # retries=0: the coordinator *is* the retry loop, and its
                 # retries must move to the next worker, not hammer a dead one.
@@ -178,16 +170,14 @@ class FleetService(TuningService):
                 payload = payload_from_packed(
                     data, digest=digest, version=cost.version
                 )
+            except TimeoutError:
+                reason = "timeout"  # the deadline passed: connect or read
             except ProtocolError:
                 # Transport said 200 but the bytes fail digest/structure
                 # verification: the worker is lying or sick — bench it.
                 reason = "corrupt"
-            except TimeoutError:
-                reason = "timeout"  # socket timed out mid-read
-            except ServiceError as exc:
-                reason = "timeout" if "timed out" in str(exc).lower() else "error"
-            except OSError:
-                reason = "error"  # connection reset: a worker died mid-send
+            except Exception:  # noqa: BLE001 - an error reply, a reset, ...
+                reason = "error"
             else:
                 self.workers.record(worker_id, "ok")
                 self.metrics.record_fleet("job_remote")
@@ -385,87 +375,39 @@ class FleetService(TuningService):
                 workers[worker_id] = None
         return {"coordinator": self.metrics_body(), "workers": workers}
 
-    def handle_trace(self, trace_id: str) -> dict:
-        """The fleet-wide view of one trace: local spans plus every
-        reachable worker's, deduplicated by span id.
+    def member_spans(self, trace_id: str) -> list[dict]:
+        """Every reachable worker's retained spans of one trace.
 
         This is what makes a traced ``/v1/optimize_batch`` export as one
         connected tree — the worker-side server/sweep spans live in the
         workers' ring buffers, not here.
         """
-        if not trace_id or "/" in trace_id:
-            raise ProtocolError(f"malformed trace id {trace_id!r}")
-        spans = list(obs.get_tracer().trace(trace_id))
-        seen = {s["span_id"] for s in spans}
-        for worker_id, info in sorted(self.workers.snapshot().items()):
+        spans: list[dict] = []
+        for _, info in sorted(self.workers.snapshot().items()):
             try:
-                remote = self._worker_client(info["url"]).trace(trace_id)
+                spans += self._worker_client(info["url"]).trace(trace_id)["spans"]
             except Exception:  # noqa: BLE001 - a 404/dead worker has no spans
                 continue
-            for rec in remote.get("spans", []):
-                if isinstance(rec, dict) and rec.get("span_id") not in seen:
-                    seen.add(rec["span_id"])
-                    spans.append(rec)
-        if not spans:
-            raise NotFoundError(f"no spans retained for trace {trace_id}")
-        tree = trace_tree(spans)
+        return spans
+
+    def routes(self) -> dict:
+        """The single-node routes plus the coordinator's fleet endpoints."""
         return {
-            "trace_id": trace_id,
-            "span_count": tree["spans"],
-            "connected": tree["connected"],
-            "spans": spans,
+            **super().routes(),
+            ("GET", "/v1/fleet/status"): lambda r: self.fleet_status(),
+            ("GET", "/v1/fleet_metrics"): lambda r: self.handle_fleet_metrics(
+                r.headers.get("Accept")
+            ),
+            ("POST", "/v1/optimize_batch"): lambda r: self.handle_optimize_batch(
+                r.body()
+            ),
+            ("POST", "/v1/fleet/register"): lambda r: self.handle_fleet_register(
+                r.body()
+            ),
+            ("POST", "/v1/fleet/heartbeat"): lambda r: self.handle_fleet_heartbeat(
+                r.body()
+            ),
+            ("POST", "/v1/fleet/deregister"): lambda r: self.handle_fleet_deregister(
+                r.body()
+            ),
         }
-
-
-class _FleetHandler(_Handler):
-    """The single-node routes plus the coordinator's fleet endpoints."""
-
-    service: FleetService
-
-    def _route_get(self, path: str) -> bool:
-        if path == "/v1/fleet/status":
-            self._run("/v1/fleet/status", self.service.fleet_status)
-            return True
-        if path == "/v1/fleet_metrics":
-            self._run(
-                "/v1/fleet_metrics",
-                lambda: self.service.handle_fleet_metrics(
-                    self.headers.get("Accept")
-                ),
-            )
-            return True
-        return super()._route_get(path)
-
-    def _route_post(self, path: str) -> bool:
-        if path == "/v1/optimize_batch":
-            self._run(
-                "/v1/optimize_batch",
-                lambda: self.service.handle_optimize_batch(self._read_body()),
-            )
-            return True
-        if path == "/v1/fleet/register":
-            self._run(
-                "/v1/fleet/register",
-                lambda: self.service.handle_fleet_register(self._read_body()),
-            )
-            return True
-        if path == "/v1/fleet/heartbeat":
-            self._run(
-                "/v1/fleet/heartbeat",
-                lambda: self.service.handle_fleet_heartbeat(self._read_body()),
-            )
-            return True
-        if path == "/v1/fleet/deregister":
-            self._run(
-                "/v1/fleet/deregister",
-                lambda: self.service.handle_fleet_deregister(self._read_body()),
-            )
-            return True
-        return super()._route_post(path)
-
-
-def make_fleet_server(
-    service: FleetService, host: str = "127.0.0.1", port: int = 0
-):
-    """Bind a threaded HTTP server exposing the coordinator's routes."""
-    return make_server(service, host, port, handler_cls=_FleetHandler)

@@ -96,6 +96,7 @@ QKV_FUSIONS = ("unfused", "qk", "qkv")
 _DTYPES: dict[str, DType] = {d.name: d for d in (FP16, FP32, FP64)}
 _OP_CLASSES: dict[str, OpClass] = {c.value: c for c in OpClass}
 _NAMED_GPUS: dict[str, GPUSpec] = {"V100": V100, "A100": A100}
+_GPU_NAMES = {gpu: name for name, gpu in _NAMED_GPUS.items()}
 
 
 #: Where a request body is read from: every failed read raises ProtocolError.
@@ -196,9 +197,15 @@ def op_from_wire(wire, at: At = _OP) -> OpSpec:
 
 
 def gpu_to_wire(gpu: GPUSpec) -> dict:
+    """The full spec: what registry entries and request digests hash."""
     wire = asdict(gpu)
     wire["gemm_tile"] = list(gpu.gemm_tile)
     return wire
+
+
+def _gpu_request_wire(gpu: GPUSpec) -> str | dict:
+    """A request's GPU: a preset's name, else its full spec."""
+    return _GPU_NAMES.get(gpu) or gpu_to_wire(gpu)
 
 
 def gpu_from_wire(wire, at: At = _GPU) -> GPUSpec:
@@ -262,7 +269,7 @@ def sweep_request_wire(
         "protocol": PROTOCOL_VERSION,
         "op": op_to_wire(op),
         "dims": dict(env),
-        "gpu": gpu_to_wire(gpu),
+        "gpu": _gpu_request_wire(gpu),
         "cap": cap,
         "seed": seed,
         "top_k": top_k,
@@ -339,7 +346,7 @@ def optimize_request_wire(
         "include_backward": include_backward,
         "fused": fused,
         "dims": dict(env if env is not None else bert_large_dims()),
-        "gpu": gpu_to_wire(gpu),
+        "gpu": _gpu_request_wire(gpu),
         "cap": cap,
         "seed": seed,
     }

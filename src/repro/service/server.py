@@ -252,6 +252,8 @@ class TuningService:
         self.rollout = RolloutManager(
             root, metrics=self.metrics, faults=self.faults
         )
+        #: ``routes()``, built once: what the HTTP handler dispatches on.
+        self.route_table = self.routes()
 
     # -- tiered resolution ---------------------------------------------------
     def _resolve(self, digest: str, rep, evaluate, *, version, l1, store):
@@ -850,14 +852,20 @@ class TuningService:
         return self.metrics_body()
 
     def handle_trace(self, trace_id: str) -> dict:
-        """``GET /v1/trace/<id>``: this process's retained spans of a trace.
+        """``GET /v1/trace/<id>``: the retained spans of a trace, this
+        process's and its members' (:meth:`member_spans`), by span id.
 
         404 distinguishes "never saw it / aged out" from an empty list —
         the coordinator's fleet aggregation skips 404ing members.
         """
         if not trace_id or "/" in trace_id:
             raise ProtocolError(f"malformed trace id {trace_id!r}")
-        spans = obs.get_tracer().trace(trace_id)
+        spans = list(obs.get_tracer().trace(trace_id))
+        seen = {s["span_id"] for s in spans}
+        for rec in self.member_spans(trace_id):
+            if isinstance(rec, dict) and rec.get("span_id") not in seen:
+                seen.add(rec.get("span_id"))
+                spans.append(rec)
         if not spans:
             raise NotFoundError(f"no spans retained for trace {trace_id}")
         tree = trace_tree(spans)
@@ -866,6 +874,45 @@ class TuningService:
             "span_count": tree["spans"],
             "connected": tree["connected"],
             "spans": spans,
+        }
+
+    def member_spans(self, trace_id: str) -> list[dict]:
+        """Spans of ``trace_id`` held by other processes this one answers
+        for; a single daemon has none (a coordinator has its workers')."""
+        return []
+
+    # -- HTTP routes -----------------------------------------------------------
+    def routes(self) -> dict:
+        """The route table: ``(method, path) → fn(request)``.
+
+        A path ending in ``/`` is a prefix, and ``request.tail`` holds the
+        rest of the requested path; every other path matches exactly.  The
+        endpoint label (``/metrics``, the ``server<label>`` span, fault
+        specs) is the path without a prefix's trailing slash.  ``fn``
+        returns a dict (a 200 JSON body) or a :class:`WireReply`; it reads
+        a POST body with ``request.body()`` and headers with
+        ``request.headers``.  Subclasses extend the table with
+        ``{**super().routes(), ...}``.
+        """
+        return {
+            ("GET", "/healthz"): lambda r: self.healthz(),
+            ("GET", "/readyz"): lambda r: self.handle_readyz(),
+            ("GET", "/metrics"): lambda r: self.metrics_reply(r.headers.get("Accept")),
+            ("GET", "/v1/trace/"): lambda r: self.handle_trace(r.tail),
+            ("GET", "/v1/schedule/"): lambda r: self.handle_schedule(r.tail),
+            ("GET", "/v1/rollout"): lambda r: self.handle_rollout_status(),
+            ("POST", "/v1/sweep"): lambda r: self.handle_sweep_wire(
+                r.body(),
+                accept=r.headers.get("Accept"),
+                if_none_match=r.headers.get("If-None-Match"),
+            ),
+            ("POST", "/v1/optimize"): lambda r: self.handle_optimize(r.body()),
+            ("POST", "/v1/register"): lambda r: self.handle_register(r.body()),
+            ("POST", "/v1/report"): lambda r: self.handle_report(r.body()),
+            ("POST", "/v1/calibrate/propose"): lambda r: self.handle_calibrate_propose(
+                r.body()
+            ),
+            ("POST", "/v1/rollout"): lambda r: self.handle_rollout_action(r.body()),
         }
 
 
@@ -879,27 +926,55 @@ def _json_reply(status: int, obj: dict) -> WireReply:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP onto a :class:`TuningService` (set per server class)."""
+    """Serves HTTP through its server's service's route table."""
 
-    service: TuningService  # injected by make_server
     quiet = True
     server_version = f"repro-tuningd/{__version__}"
     # Socket timeout: a client that claims a Content-Length and then stalls
     # must not pin a handler thread of a weeks-lived daemon forever.
     timeout = 60
+    #: The requested path past a prefix route's ``/`` (see ``routes()``).
+    tail = ""
 
-    # -- plumbing ------------------------------------------------------------
+    @property
+    def service(self) -> TuningService:
+        return self.server.service
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.quiet:  # pragma: no cover - debug aid
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, obj: dict) -> None:
-        body = canonical_json_bytes(obj)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self._dispatch("POST")
+
+    def _dispatch(self, method: str) -> None:
+        """Find the route: the exact path, else the prefix it starts with."""
+        routes = self.service.route_table
+        key = (method, self.path)
+        if key not in routes:
+            key = next(
+                (
+                    (m, p)
+                    for m, p in routes
+                    if m == method and p.endswith("/") and self.path.startswith(p)
+                ),
+                None,
+            )
+        if key is None:
+            self.service.metrics.record_error("404")
+            reply = _json_reply(
+                404, {"error": f"no such endpoint: {method} {self.path}"}
+            )
+            try:
+                self._send_reply(reply)
+            except (ConnectionError, TimeoutError):
+                pass  # scanner closed the socket mid-404; nothing to answer
+            return
+        self.tail = self.path[len(key[1]):]
+        self._run(key[1].rstrip("/"), routes[key])
 
     def _send_reply(self, reply: WireReply) -> None:
         try:
@@ -919,7 +994,8 @@ class _Handler(BaseHTTPRequestHandler):
             if reply.stream is not None:
                 reply.stream.close()
 
-    def _read_body(self) -> dict:
+    def body(self) -> dict:
+        """The request's JSON body (a route's ``request.body()``)."""
         length = self.headers.get("Content-Length")
         if length is None:
             raise ProtocolError("missing Content-Length")
@@ -940,31 +1016,24 @@ class _Handler(BaseHTTPRequestHandler):
     def _run(self, endpoint: str, fn) -> None:
         # In-flight tracking lives here (not in handle_one_request) so an
         # idle keep-alive connection never counts against graceful drain.
-        tracker = getattr(self.server, "track_request", None)
-        if tracker is None:
-            self._run_tracked(endpoint, fn)
-        else:
-            with tracker():
-                self._run_tracked(endpoint, fn)
-
-    def _run_tracked(self, endpoint: str, fn) -> None:
         # Latency from a monotonic clock (an NTP step must never yield a
         # negative sample), inside a server span that adopts the caller's
         # traceparent header — the cross-process link of a fleet trace.
         metrics = self.service.metrics
-        metrics.request_started()
-        start = perf_counter()
-        try:
-            with obs.span(
-                f"server{endpoint}",
-                parent=self.headers.get(obs.TRACEPARENT_HEADER),
-                service=self.service.service_name,
-                endpoint=endpoint,
-            ):
-                self._respond(endpoint, fn)
-        finally:
-            metrics.request_finished()
-            metrics.record_request(endpoint, perf_counter() - start)
+        with self.server.track_request():
+            metrics.request_started()
+            start = perf_counter()
+            try:
+                with obs.span(
+                    f"server{endpoint}",
+                    parent=self.headers.get(obs.TRACEPARENT_HEADER),
+                    service=self.service.service_name,
+                    endpoint=endpoint,
+                ):
+                    self._respond(endpoint, fn)
+            finally:
+                metrics.request_finished()
+                metrics.record_request(endpoint, perf_counter() - start)
 
     def _respond(self, endpoint: str, fn) -> None:
         try:
@@ -979,7 +1048,7 @@ class _Handler(BaseHTTPRequestHandler):
             # return a plain dict (a 200 JSON body) or a WireReply carrying
             # its own status, headers and bytes/stream.
             try:
-                result = fn()
+                result = fn(self)
                 if isinstance(result, WireReply):
                     reply = result
                 else:
@@ -1010,90 +1079,6 @@ class _Handler(BaseHTTPRequestHandler):
             # The client went away mid-send; nothing left to answer.
             pass
 
-    def _not_found(self, method: str) -> None:
-        self.service.metrics.record_error("404")
-        try:
-            self._send_json(
-                404, {"error": f"no such endpoint: {method} {self.path}"}
-            )
-        except (ConnectionError, TimeoutError):
-            pass  # scanner closed the socket mid-404; nothing to answer
-
-    # -- routes --------------------------------------------------------------
-    # Split into overridable ``_route_*`` predicates so subclasses (the
-    # fleet coordinator's handler) can add endpoints without re-stating
-    # the base routing table.
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        if not self._route_get(self.path):
-            self._not_found("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        if not self._route_post(self.path):
-            self._not_found("POST")
-
-    def _route_get(self, path: str) -> bool:
-        if path == "/healthz":
-            self._run("/healthz", self.service.healthz)
-        elif path == "/readyz":
-            self._run("/readyz", self.service.handle_readyz)
-        elif path == "/metrics":
-            self._run(
-                "/metrics",
-                lambda: self.service.metrics_reply(self.headers.get("Accept")),
-            )
-        elif path.startswith("/v1/trace/"):
-            trace_id = path[len("/v1/trace/"):]
-            self._run("/v1/trace", lambda: self.service.handle_trace(trace_id))
-        elif path.startswith("/v1/schedule/"):
-            digest = path[len("/v1/schedule/"):]
-            self._run(
-                "/v1/schedule", lambda: self.service.handle_schedule(digest)
-            )
-        elif path == "/v1/rollout":
-            self._run("/v1/rollout", self.service.handle_rollout_status)
-        else:
-            return False
-        return True
-
-    def _route_post(self, path: str) -> bool:
-        if path == "/v1/sweep":
-            self._run(
-                "/v1/sweep",
-                lambda: self.service.handle_sweep_wire(
-                    self._read_body(),
-                    accept=self.headers.get("Accept"),
-                    if_none_match=self.headers.get("If-None-Match"),
-                ),
-            )
-        elif path == "/v1/optimize":
-            self._run(
-                "/v1/optimize",
-                lambda: self.service.handle_optimize(self._read_body()),
-            )
-        elif path == "/v1/register":
-            self._run(
-                "/v1/register",
-                lambda: self.service.handle_register(self._read_body()),
-            )
-        elif path == "/v1/report":
-            self._run(
-                "/v1/report",
-                lambda: self.service.handle_report(self._read_body()),
-            )
-        elif path == "/v1/calibrate/propose":
-            self._run(
-                "/v1/calibrate/propose",
-                lambda: self.service.handle_calibrate_propose(self._read_body()),
-            )
-        elif path == "/v1/rollout":
-            self._run(
-                "/v1/rollout",
-                lambda: self.service.handle_rollout_action(self._read_body()),
-            )
-        else:
-            return False
-        return True
-
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
     """A threading server that can count — and drain — in-flight requests.
@@ -1106,8 +1091,9 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, service: TuningService, address) -> None:
+        self.service = service
+        super().__init__(address, _Handler)
         self._inflight = 0
         self._inflight_cv = threading.Condition()
 
@@ -1139,38 +1125,25 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
 
 
 def make_server(
-    service: TuningService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    handler_cls: type[_Handler] = _Handler,
+    service: TuningService, host: str = "127.0.0.1", port: int = 0
 ) -> _ServiceHTTPServer:
-    """Bind a threaded HTTP server for ``service``.
+    """Bind a threaded HTTP server for ``service`` and its route table.
 
     ``port=0`` binds an ephemeral port; read the actual one from
     ``server.server_address[1]``.  One thread per connection: concurrent
     identical requests genuinely race into the single-flight layer.
-    ``handler_cls`` lets the fleet coordinator extend the routing table.
     """
-    handler = type("BoundHandler", (handler_cls,), {"service": service})
-    return _ServiceHTTPServer((host, port), handler)
+    return _ServiceHTTPServer(service, (host, port))
 
 
 @contextmanager
-def serve_background(
-    service: TuningService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    factory=make_server,
-):
+def serve_background(service: TuningService, host: str = "127.0.0.1", port: int = 0):
     """Run a server on a background thread; yields its base URL.
 
     The in-process harness used by tests, benchmarks and the quickstart
     example — requests travel through real sockets and real threads.
-    Pass ``factory=make_fleet_server`` to serve a coordinator.
     """
-    server = factory(service, host, port)
+    server = make_server(service, host, port)
     bound_host, bound_port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

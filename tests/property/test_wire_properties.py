@@ -45,6 +45,7 @@ from repro.service import ProtocolError, TuningService
 from repro.service.protocol import (
     fleet_heartbeat_wire,
     fleet_register_wire,
+    gpu_to_wire,
     optimize_request_wire,
     parse_fleet_heartbeat,
     parse_fleet_register,
@@ -76,7 +77,9 @@ def _sweep_bodies() -> tuple[dict, ...]:
         build_mha_graph(qkv_fusion="qkv", include_backward=False), ENV
     )
     ops = [graph.op("SM"), next(op for op in graph.ops if op.einsum)]
-    return tuple(sweep_request_wire(op, ENV, A100, cap=CAP, seed=1) for op in ops)
+    bodies = [sweep_request_wire(op, ENV, A100, cap=CAP, seed=1) for op in ops]
+    # The builder names the preset GPU; mutate its full spec too.
+    return tuple(bodies + [{**body, "gpu": gpu_to_wire(A100)} for body in bodies])
 
 
 def _round_trips_sweep(req) -> None:
@@ -121,10 +124,13 @@ def test_parsed_small_sweeps_are_served(data):
     clear_sweep_memo()
 
 
+_OPTIMIZE = optimize_request_wire(model="mha", include_backward=False, gpu=A100, cap=CAP)
+
+
 @FUZZ
 @given(
-    body=_mutants(
-        optimize_request_wire(model="mha", include_backward=False, gpu=A100, cap=CAP)
+    body=st.sampled_from((_OPTIMIZE, {**_OPTIMIZE, "gpu": gpu_to_wire(A100)})).flatmap(
+        _mutants
     )
 )
 def test_optimize_request_is_typed_or_refused(body):

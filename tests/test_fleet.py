@@ -13,6 +13,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.engine.store import SweepStore, structural_sweep_digest
 from repro.hardware.cost_model import CostModel
 from repro.ir.dims import bert_large_dims
 from repro.service.client import ServiceError, TuningClient
-from repro.service.fleet.coordinator import FleetService, make_fleet_server
+from repro.service.fleet.coordinator import FleetService
 from repro.service.fleet.faults import (
     KILL_EXIT_CODE,
     FaultInjector,
@@ -39,7 +40,7 @@ from repro.service.protocol import (
     parse_fleet_register,
     parse_optimize_request,
 )
-from repro.service.server import TuningService, serve_background
+from repro.service.server import TuningService, make_server, serve_background
 
 ENV = bert_large_dims()
 CAP = 60
@@ -430,7 +431,7 @@ class TestCoordinator:
         coord = _fleet()
         with serve_background(_storeless()) as u1, \
                 serve_background(_storeless()) as u2, \
-                serve_background(coord, factory=make_fleet_server) as cu:
+                serve_background(coord) as cu:
             client = TuningClient(cu)
             self._register(client, w1=u1, w2=u2)
             assert _batch_raw(client) == single_node_bytes
@@ -456,7 +457,7 @@ class TestCoordinator:
         coord = _fleet()
         with serve_background(bad) as u1, \
                 serve_background(_storeless()) as u2, \
-                serve_background(coord, factory=make_fleet_server) as cu:
+                serve_background(coord) as cu:
             client = TuningClient(cu)
             self._register(client, bad=u1, good=u2)
             assert _batch_raw(client) == single_node_bytes
@@ -480,7 +481,7 @@ class TestCoordinator:
         coord = _fleet(deadline_s=0.8)
         with serve_background(hang) as u1, \
                 serve_background(_storeless()) as u2, \
-                serve_background(coord, factory=make_fleet_server) as cu:
+                serve_background(coord) as cu:
             client = TuningClient(cu)
             self._register(client, hang=u1, good=u2)
             assert _batch_raw(client) == single_node_bytes
@@ -499,7 +500,7 @@ class TestCoordinator:
         coord = _fleet(store=store)
         with serve_background(_storeless()) as u1, \
                 serve_background(_storeless()) as u2, \
-                serve_background(coord, factory=make_fleet_server) as cu:
+                serve_background(coord) as cu:
             client = TuningClient(cu)
             self._register(client, w1=u1, w2=u2)
             client.optimize_batch_raw(
@@ -527,7 +528,7 @@ class TestCoordinator:
 
     def test_zero_workers_degrades_to_local_engine(self, single_node_bytes):
         coord = _fleet()
-        with serve_background(coord, factory=make_fleet_server) as cu:
+        with serve_background(coord) as cu:
             client = TuningClient(cu)
             assert _batch_raw(client) == single_node_bytes  # never a 5xx
             events = client.metrics()["fleet"]["events"]
@@ -537,7 +538,7 @@ class TestCoordinator:
     def test_unready_workers_receive_no_traffic(self, single_node_bytes):
         coord = _fleet()
         with serve_background(_storeless()) as u1, \
-                serve_background(coord, factory=make_fleet_server) as cu:
+                serve_background(coord) as cu:
             client = TuningClient(cu)
             client.fleet_register(worker_id="cold", url=u1, ready=False)
             assert _batch_raw(client) == single_node_bytes
@@ -547,7 +548,7 @@ class TestCoordinator:
 
     def test_heartbeat_lifecycle_over_http(self):
         coord = _fleet(ttl_s=5.0)
-        with serve_background(coord, factory=make_fleet_server) as cu:
+        with serve_background(coord) as cu:
             client = TuningClient(cu)
             reply = client.fleet_register(
                 worker_id="w1", url="http://127.0.0.1:1", ready=True
@@ -562,3 +563,136 @@ class TestCoordinator:
             assert client.fleet_deregister(worker_id="w1")["deregistered"]
             counts = client.fleet_status()["counts"]
             assert counts["registered"] == 0
+
+
+# ---------------------------------------------------------------------------
+# one route table per role
+# ---------------------------------------------------------------------------
+
+#: Every route a coordinator serves, and the endpoint label its /metrics
+#: latency, its ``server<label>`` span and its fault specs use.  A prefix
+#: route ends in "/".  A single daemon serves all but the fleet rows.
+ROUTES = {
+    ("GET", "/healthz"): "/healthz",
+    ("GET", "/readyz"): "/readyz",
+    ("GET", "/metrics"): "/metrics",
+    ("GET", "/v1/trace/"): "/v1/trace",
+    ("GET", "/v1/schedule/"): "/v1/schedule",
+    ("GET", "/v1/rollout"): "/v1/rollout",
+    ("POST", "/v1/sweep"): "/v1/sweep",
+    ("POST", "/v1/optimize"): "/v1/optimize",
+    ("POST", "/v1/register"): "/v1/register",
+    ("POST", "/v1/report"): "/v1/report",
+    ("POST", "/v1/calibrate/propose"): "/v1/calibrate/propose",
+    ("POST", "/v1/rollout"): "/v1/rollout",
+    ("GET", "/v1/fleet/status"): "/v1/fleet/status",
+    ("GET", "/v1/fleet_metrics"): "/v1/fleet_metrics",
+    ("POST", "/v1/optimize_batch"): "/v1/optimize_batch",
+    ("POST", "/v1/fleet/register"): "/v1/fleet/register",
+    ("POST", "/v1/fleet/heartbeat"): "/v1/fleet/heartbeat",
+    ("POST", "/v1/fleet/deregister"): "/v1/fleet/deregister",
+}
+FLEET_ROUTES = {k for k in ROUTES if "fleet" in k[1] or k[1] == "/v1/optimize_batch"}
+
+
+class _FaultSpy:
+    """A fault injector that only records the endpoint keys it is asked."""
+
+    def __init__(self) -> None:
+        self.endpoints: set[str] = set()
+
+    def before(self, endpoint: str) -> None:
+        self.endpoints.add(endpoint)
+
+    def mangle_reply(self, endpoint: str, reply):
+        self.endpoints.add(endpoint)
+        return reply
+
+
+def _send(url: str, method: str, path: str, headers=None) -> tuple[int, dict]:
+    """One request; a POST carries ``[]``, which every POST route refuses
+    with a 400 before doing any work."""
+    import http.client
+    import json
+
+    host, port = url.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        body = b"[]" if method == "POST" else None
+        conn.request(method, path, body=body, headers=headers or {})
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+@contextmanager
+def _serving(service):
+    """``make_server`` on a background thread: yields ``(url, server)``."""
+    server = make_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class TestRouteTable:
+    def test_default_server_serves_a_coordinators_fleet_routes(self):
+        coord = _fleet()
+        with serve_background(coord) as url:
+            assert TuningClient(url).fleet_status()["role"] == "coordinator"
+        with _serving(coord) as (url, _):
+            assert TuningClient(url).fleet_status()["counts"]["registered"] == 0
+
+    def test_each_role_has_its_table(self):
+        assert set(_fleet().route_table) == set(ROUTES)
+        assert set(_storeless().route_table) == set(ROUTES) - FLEET_ROUTES
+
+    def test_every_route_keeps_its_label_span_and_fault_key(self):
+        from repro import obs
+        from repro.obs.trace import current_traceparent
+
+        coord = _fleet(calibration_dir=None)
+        coord.faults = _FaultSpy()
+        obs.set_tracing(True)
+        try:
+            with _serving(coord) as (url, server), obs.span("test.routes") as root:
+                headers = {obs.TRACEPARENT_HEADER: current_traceparent()}
+                for method, path in ROUTES:
+                    tail = "x" if path.endswith("/") else ""
+                    status, _ = _send(url, method, path + tail, headers)
+                    assert status != 404 or path == "/v1/trace/", (method, path)
+                # A request's span and latency are recorded after its reply
+                # is sent: wait for the handler threads to finish.
+                assert server.drain(10)
+            spans = {s["name"] for s in obs.get_tracer().trace(root.trace_id)}
+        finally:
+            obs.set_tracing(None)
+        labels = set(ROUTES.values())
+        assert set(coord.metrics.snapshot()["latency_ms"]) == labels
+        assert coord.faults.endpoints == labels
+        assert {f"server{label}" for label in labels} <= spans
+
+    def test_prefix_routes_pass_the_rest_of_the_path(self):
+        with serve_background(_storeless(calibration_dir=None)) as url:
+            status, reply = _send(url, "GET", "/v1/trace/a/b")
+            assert status == 400 and "malformed trace id 'a/b'" in reply["error"]
+            status, reply = _send(url, "GET", "/v1/trace/")
+            assert status == 400 and "malformed trace id ''" in reply["error"]
+
+    def test_unknown_path_answers_json_404_counted_under_404(self):
+        svc = _storeless(calibration_dir=None)
+        with serve_background(svc) as url:
+            for method, path in (("GET", "/nope"), ("POST", "/healthz"), ("GET", "/healthz?x")):
+                status, reply = _send(url, method, path)
+                assert status == 404
+                assert reply == {"error": f"no such endpoint: {method} {path}"}
+            # A single daemon has no fleet routes.
+            assert _send(url, "GET", "/v1/fleet/status")[0] == 404
+        snapshot = svc.metrics.snapshot()
+        assert snapshot["errors"] == {"404": 4}
+        assert snapshot["latency_ms"] == {}

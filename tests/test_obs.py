@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import re
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -488,7 +489,15 @@ class TestTracedHop:
             client = TuningClient(url)
             with obs.span("client.request", service="test") as root:
                 client.healthz()
-            served = client.trace(root.trace_id)
+            # The server span ends after its reply's last byte is sent, so
+            # the client can ask for the trace before the span is recorded.
+            deadline = time.monotonic() + 10
+            while True:
+                served = client.trace(root.trace_id)
+                names = [s["name"] for s in served["spans"]]
+                if "server/healthz" in names or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
 
         assert served["trace_id"] == root.trace_id
         assert served["connected"] is True

@@ -14,6 +14,8 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -182,6 +184,32 @@ class TestSweepRequestParsing:
             parse_optimize_request({"model": "resnet"})
         with pytest.raises(ProtocolError, match="unknown qkv_fusion"):
             parse_optimize_request({"qkv_fusion": "qkvqkv"})
+
+    def test_named_and_full_spec_gpus_are_one_request(self):
+        # The builders name a preset GPU; spelled out in full it is the same
+        # request: the same spec, sweep digest and optimize digest.
+        from dataclasses import replace
+
+        from repro.service.protocol import optimize_request_digest, optimize_request_wire
+
+        for gpu, name in ((V100, "V100"), (A100, "A100")):
+            named = self._body(gpu=name)
+            assert sweep_request_wire(_ops()[0], ENV, gpu)["gpu"] == name
+            full = parse_sweep_request(self._body(gpu=gpu_to_wire(gpu)))
+            req = parse_sweep_request(named)
+            assert req == full and req.gpu == gpu
+            cost = CostModel(gpu)
+            assert sweep_request_digest(req, cost) == sweep_request_digest(full, cost)
+            body = optimize_request_wire(model="mha", gpu=gpu, cap=CAP)
+            assert body["gpu"] == name
+            by_name = parse_optimize_request(body)
+            by_spec = parse_optimize_request({**body, "gpu": gpu_to_wire(gpu)})
+            assert by_name == by_spec
+            assert optimize_request_digest(by_name, cost) == optimize_request_digest(
+                by_spec, cost
+            )
+        custom = replace(V100, sm_count=40)
+        assert sweep_request_wire(_ops()[0], ENV, custom)["gpu"] == gpu_to_wire(custom)
 
     def test_omitted_caps_match_the_client_defaults(self):
         # A hand-written body must land on the same cache keys as a
@@ -937,19 +965,41 @@ class TestDeltaTier:
         assert svc2.metrics.tier_counts()["l2"] == 1
 
 
+@contextmanager
+def _canned_daemon(status: int, body: bytes):
+    """A client of a server that answers every request with ``status`` and
+    ``body``: the daemon's replies, good or garbage, over a real socket."""
+
+    class Canned(BaseHTTPRequestHandler):
+        def _answer(self) -> None:
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        do_GET = do_POST = _answer
+
+        def log_message(self, format, *args) -> None:  # noqa: A002
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Canned)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield TuningClient(f"http://127.0.0.1:{server.server_address[1]}", retries=0)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
 class TestClientErrorSurfacing:
-    def _http_error(self, code: int, body: bytes):
-        import io
-        import urllib.error
-
-        return urllib.error.HTTPError(
-            "http://x/v1/register", code, "Bad Request", {}, io.BytesIO(body)
-        )
-
     def test_json_error_detail_is_surfaced(self):
-        exc = TuningClient._service_error(
-            "/v1/sweep", self._http_error(400, b'{"error": "cap must be positive"}')
-        )
+        with _canned_daemon(400, b'{"error": "cap must be positive"}') as client:
+            with pytest.raises(ServiceError) as info:
+                client.rollout_status()
+        exc = info.value
         assert "cap must be positive" in str(exc)
         assert exc.status == 400 and exc.body == {"error": "cap must be positive"}
 
@@ -978,19 +1028,54 @@ class TestClientErrorSurfacing:
                 },
             }
         )
-        exc = TuningClient._service_error("/v1/register", self._http_error(400, body))
+        with _canned_daemon(400, body) as client:
+            with pytest.raises(ServiceError) as info:
+                client.register_entry({"digest": "x"})
+        exc = info.value
         msg = str(exc)
         assert "2 issue(s)" in msg
         assert "costs/total-us: claimed 1.0us, recomputed 2.0us" in msg
         assert exc.body["report"]["issues"]  # full report still attached
 
     def test_non_json_error_body_is_carried_truncated(self):
-        exc = TuningClient._service_error(
-            "/v1/sweep", self._http_error(502, b"<html>bad gateway" + b"x" * 1000)
-        )
+        body = b"<html>bad gateway" + b"x" * 1000
+        with _canned_daemon(502, body) as client:
+            with pytest.raises(ServiceError) as info:
+                client.healthz()
+        exc = info.value
         assert "<html>bad gateway" in str(exc)
         assert len(str(exc)) < 600
-        assert exc.body is None
+        assert exc.status == 502 and exc.body is None
+
+    def test_empty_error_body_names_the_status_reason(self):
+        with _canned_daemon(500, b"") as client:
+            with pytest.raises(ServiceError, match="HTTP 500: Internal Server Error"):
+                client.metrics()
+
+
+class TestClientReadsRepliesTyped:
+    """A 2xx reply that is not a JSON object is the daemon's fault, raised
+    as ``ServiceError`` (not ``JSONDecodeError`` or ``AttributeError``)."""
+
+    @pytest.mark.parametrize("body", [b"garbage", b"", b"\xff\xfe", b"[1, 2]", b'"ok"'])
+    def test_garbage_2xx_body_is_a_service_error(self, body):
+        with _canned_daemon(200, body) as client:
+            with pytest.raises(ServiceError, match="/healthz reply"):
+                client.healthz()
+            with pytest.raises(ServiceError, match="/v1/optimize reply"):
+                client.optimize(model="mha", cap=8)
+
+    def test_garbage_503_readiness_is_a_service_error(self):
+        with _canned_daemon(503, b"<html>") as client:
+            with pytest.raises(ServiceError, match="/readyz reply"):
+                client.readyz()
+
+    def test_304_and_503_are_answers(self):
+        op = build_mha_graph(qkv_fusion="unfused", include_backward=False).op("q_proj")
+        with _canned_daemon(304, b"") as client:
+            assert client.sweep_packed_raw(op, ENV, etag='"x"') == (304, None, b"")
+        with _canned_daemon(503, b'{"status": "unavailable"}') as client:
+            assert client.readyz() == (False, {"status": "unavailable"})
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ from repro.ir.dims import bert_large_dims
 from repro.registry import ScheduleRegistry, build_entry
 from repro.registry.entry import EntryError, graph_from_wire, graph_to_wire
 from repro.service import ProtocolError, TuningService
-from repro.service.fleet.coordinator import FleetService, make_fleet_server
+from repro.service.fleet.coordinator import FleetService
 from repro.service.protocol import (
     fleet_register_wire,
+    gpu_to_wire,
     parse_fleet_heartbeat,
     parse_fleet_register,
     parse_optimize_request,
@@ -46,8 +47,9 @@ CAP = 60
 
 
 def _sweep_body() -> dict:
+    """A sweep body whose GPU is spelled out in full (the builder names it)."""
     op = build_mha_graph(qkv_fusion="unfused", include_backward=False).op("q_proj")
-    return sweep_request_wire(op, ENV, cap=CAP, seed=0)
+    return {**sweep_request_wire(op, ENV, cap=CAP, seed=0), "gpu": gpu_to_wire(V100)}
 
 
 def _with_gpu(**fields) -> dict:
@@ -259,7 +261,7 @@ def test_bad_sweeps_answer_400(daemon_url):
 
 def test_worker_saying_ready_false_as_a_string_is_refused():
     svc = FleetService(store=None, registry=None, calibration_dir=None)
-    with serve_background(svc, factory=make_fleet_server) as url:
+    with serve_background(svc) as url:
         body = {"worker_id": "w1", "url": "http://127.0.0.1:1", "ready": "false"}
         status, reply = _post(url, "/v1/fleet/register", json.dumps(body).encode())
     assert status == 400 and "ready" in reply["error"]
