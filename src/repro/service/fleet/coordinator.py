@@ -52,7 +52,6 @@ from ..protocol import (
     ProtocolError,
     parse_fleet_heartbeat,
     parse_fleet_register,
-    parse_optimize_request,
     payload_from_packed,
 )
 from ..server import NotFoundError, TuningService, WireReply
@@ -235,19 +234,16 @@ class FleetService(TuningService):
                 yield done.result()
 
     # -- endpoints ----------------------------------------------------------------
-    def handle_optimize_batch(self, body: dict) -> dict:
-        """``/v1/optimize`` semantics, sharded: byte-identical responses.
+    def _optimize_batch(self, d) -> bytes:
+        """``/v1/optimize`` semantics, sharded: byte-identical replies.
 
-        Same parse, request digest, guard and response assembly as
-        :meth:`handle_optimize` — only the sweep evaluation is distributed
-        (and survives worker faults).
+        The same decision (parse, model snapshot, request digest), guard
+        and reply assembly as ``/v1/optimize`` — only the sweep evaluation
+        is distributed (and survives worker faults).
         """
-        req = parse_optimize_request(body)
         self.metrics.record_fleet("batch")
         return self._optimize(
-            req,
-            "optimize_batch",
-            lambda cost: partial(self._fleet_sweeps, req, cost),
+            d, "optimize_batch", partial(self._fleet_sweeps, d.req, d.cost)
         )
 
     def handle_fleet_register(self, body: dict) -> dict:
@@ -398,8 +394,10 @@ class FleetService(TuningService):
             ("GET", "/v1/fleet_metrics"): lambda r: self.handle_fleet_metrics(
                 r.headers.get("Accept")
             ),
-            ("POST", "/v1/optimize_batch"): lambda r: self.handle_optimize_batch(
-                r.body()
+            ("POST", "/v1/optimize_batch"): lambda r: self._optimize_batch(
+                self._decided(
+                    "/v1/optimize_batch", r.raw_body(), self._optimize_decision
+                )
             ),
             ("POST", "/v1/fleet/register"): lambda r: self.handle_fleet_register(
                 r.body()

@@ -75,8 +75,8 @@ PROTOCOL_VERSION = 1
 
 #: Media type of the packed binary ``/v1/sweep`` representation: the wire
 #: bytes are exactly the L2 store's ``.npz`` payload file, so a server with
-#: a warm store streams the response zero-copy from disk and the client
-#: decodes it with the store's own reader.
+#: a warm store ``sendfile``s that file to the socket (the bytes never pass
+#: through Python) and the client decodes it with the store's own reader.
 BINARY_CONTENT_TYPE = "application/x-repro-npz"
 
 #: Default number of ranked configurations returned by ``/v1/sweep``.

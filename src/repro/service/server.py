@@ -12,7 +12,8 @@ Endpoints (all JSON, canonical serialization):
   ``If-None-Match`` gets ``304 Not Modified`` with an empty body, before
   any resolution work.  ``Accept: application/x-repro-npz`` opts into the
   packed binary representation — the L2 store's own ``.npz`` payload,
-  streamed zero-copy from the store file when one exists.
+  sent from the store file to the socket by ``sendfile`` (the bytes never
+  pass through Python) when one exists.
 * ``POST /v1/optimize`` — a whole-graph tuned schedule through the
   parallel scheduler (:func:`repro.engine.scheduler.sweep_graph`), with
   the same coalescing over a request-level digest and a cache of whole
@@ -57,20 +58,27 @@ Each service holds one payload L1 of its own (byte-bounded, see
 :mod:`repro.engine.memo`) and resolves its ``/v1/sweep`` and its graph
 sweeps (local or, on a coordinator, fleet) through it, so a digest one
 endpoint resolved is an L1 hit for the others and services sharing a
-process stay isolated.  Whole ``/v1/optimize``
-responses live in a second, entry-bounded LRU of the same class.
+process stay isolated.  Two more byte-bounded LRUs of the same class sit
+on the wire path.  The *decision map* remembers, per route, raw body
+bytes and served cost-model version, what the body decides to: the
+parsed request, its model snapshot, digest, size estimate and store
+file — so a repeated body is not parsed, hashed or size-checked again.
+The *response cache* holds encoded reply bodies (whole ``/v1/optimize``
+replies, JSON ``/v1/sweep`` replies), so a warm reply is not encoded
+again.  Resolution still runs on every request: tier metrics,
+single-flight and the canary see every request.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json import loads
+from pathlib import Path
 from time import monotonic, perf_counter, time
 from typing import BinaryIO
 
@@ -78,6 +86,7 @@ from repro import __version__, obs
 from repro.engine.memo import BoundedCache, new_payload_cache
 from repro.engine.scheduler import (
     DISABLE_STORE,
+    _estimated_configs,
     local_evaluator,
     resolve,
     sweep_graph,
@@ -102,7 +111,9 @@ from .protocol import (
     BINARY_CONTENT_TYPE,
     PROTOCOL_VERSION,
     REQUEST,
+    OptimizeRequest,
     ProtocolError,
+    SweepRequest,
     accepts_packed,
     build_request_graph,
     canonical_json_bytes,
@@ -117,6 +128,7 @@ from .protocol import (
 )
 
 __all__ = [
+    "Decision",
     "NotFoundError",
     "RegistrationRejected",
     "TuningService",
@@ -141,8 +153,22 @@ MAX_OPTIMIZE_CAP = 20_000
 #: failing its own request — a hung leader must not park waiters forever.
 FLIGHT_TIMEOUT_S = 600.0
 
-#: Entry bound of the cache of whole ``/v1/optimize`` responses.
-RESPONSE_CACHE_ENTRIES = 1024
+#: Byte bound of the cache of encoded reply bodies.  A fused encoder
+#: ``/v1/optimize`` reply is ~25 KB, a JSON ``/v1/sweep`` reply ~2 KB.
+RESPONSE_CACHE_BYTES = 32 * 2**20
+
+#: Byte bound of the decision map.  An entry weighs its body's length plus
+#: :data:`DECISION_ENTRY_BYTES`, so the bound holds for tiny bodies too
+#: (``{}`` is a valid optimize body).  A fused encoder sweep entry weighs
+#: ~5 KB, so this holds about eight hundred: every sweep of a few dozen
+#: problem shapes.
+DECISION_CACHE_BYTES = 4 * 2**20
+
+#: What one remembered decision holds besides its body bytes, rounded up:
+#: measured with ``tracemalloc`` at ~3.9 KB for a fused encoder sweep (its
+#: ``OpSpec``, ``DimEnv`` and ``CostModel``) and ~1.1 KB for an optimize
+#: body.
+DECISION_ENTRY_BYTES = 4096
 
 _UNSET = object()
 
@@ -156,9 +182,10 @@ class WireReply:
     """A fully-determined HTTP response below the JSON layer.
 
     ``body`` carries in-memory responses; ``stream`` (exclusive with a
-    non-empty body) is an open binary file the handler copies straight to
-    the socket — the zero-copy path for packed payloads already sitting in
-    the L2 store.  Whoever sends the reply owns closing the stream.
+    non-empty body) is an open binary file the handler hands to the
+    socket's ``sendfile``, so a packed payload already sitting in the L2
+    store goes from the page cache to the socket without a copy through
+    Python.  Whoever sends the reply owns closing the stream.
     """
 
     status: int
@@ -166,6 +193,26 @@ class WireReply:
     body: bytes = b""
     stream: BinaryIO | None = None
     stream_len: int = 0
+
+
+@dataclass(frozen=True)
+class Decision:
+    """What one request body decides to before any resolution work.
+
+    The parsed request, its cost-model snapshot and the digest under it;
+    for a sweep also its size estimate and the store file of its payload
+    (``None`` without a store).  ``refused`` marks a body its route's guard
+    answers 400 (a sweep over the size guard, a whole graph over the cap).
+    A pure function of the body and the served model, which is what lets
+    :meth:`TuningService._decided` remember it by the body's bytes.
+    """
+
+    req: SweepRequest | OptimizeRequest
+    cost: CostModel
+    digest: str
+    estimated: int = 0
+    path: Path | None = None
+    refused: bool = False
 
 
 class RegistrationRejected(ProtocolError):
@@ -207,7 +254,13 @@ class TuningService:
         self.jobs = jobs
         #: The payload L1 every sweep this service resolves goes through.
         self.cache = new_payload_cache()
-        self.responses = BoundedCache(RESPONSE_CACHE_ENTRIES)
+        #: Encoded reply bodies (see the module docstring).
+        self.responses = BoundedCache(RESPONSE_CACHE_BYTES, weigh=len)
+        #: ``(route, body bytes, model version) → (body bytes, Decision)``.
+        self.decisions = BoundedCache(
+            DECISION_CACHE_BYTES,
+            weigh=lambda item: len(item[0]) + DECISION_ENTRY_BYTES,
+        )
         self.flights = SingleFlight()
         self.metrics = ServiceMetrics()
         # How this process labels its spans/metrics in a fleet trace; the
@@ -217,6 +270,11 @@ class TuningService:
             "repro_l1_cache_entries",
             "Entries currently held by the L1 payload cache.",
             lambda: self.cache.stats()["entries"],
+        )
+        self.metrics.registry.gauge_callback(
+            "repro_decision_cache_entries",
+            "Request bodies currently remembered by the decision map.",
+            lambda: len(self.decisions),
         )
         self.metrics.registry.gauge_callback(
             "repro_coalesced_inflight",
@@ -276,12 +334,13 @@ class TuningService:
         obs.set_attr("resolve.tier", tier)
         return value
 
-    def _cached_response(self, digest: str, compute) -> dict:
-        """A whole response body through the response cache, single-flighted.
+    def _cached_response(self, digest: str, compute) -> bytes:
+        """A whole reply body through the response cache, single-flighted.
 
-        The value is a response, not a store payload, so there is no L2;
-        the response's per-sweep work is shared with ``/v1/sweep`` through
-        the payload L1 and the store inside the sweeps ``compute`` runs.
+        The value is a reply's encoded bytes, not a store payload, so there
+        is no L2; the reply's per-sweep work is shared with ``/v1/sweep``
+        through the payload L1 and the store inside the sweeps ``compute``
+        runs.
         """
         return self._resolve(
             digest,
@@ -292,32 +351,80 @@ class TuningService:
             store=None,
         )
 
-    # -- endpoint bodies -----------------------------------------------------
-    def _resolve_sweep(self, req, cost, digest: str) -> dict:
-        """One sweep request's payload through the full tier chain."""
-        # The size estimate is the scheduler's own pool-threshold helper:
-        # cheap (cached feasibility/space scans), and exact enough to keep
-        # an uncapped wide-kernel request from OOM-killing the daemon.
-        from repro.engine.scheduler import _estimated_configs
+    # -- deciding a request ----------------------------------------------------
+    def _decided(self, route: str, raw: bytes, decide) -> Decision:
+        """``decide`` of one raw ``route`` body, remembered by its bytes.
 
-        obs.set_attr("store.digest", digest)
+        The key holds the served cost-model version, so after a promote
+        the same bytes miss and decide under the new model (new snapshot,
+        new digest).  Only bodies that are served are remembered: one that
+        fails to parse raises anew each time, and a ``refused`` one is
+        decided anew each time, so a flood of refused bodies cannot evict
+        served ones.
+
+        A miss pays the whole decision: for a fused encoder sweep body
+        that is the JSON decode, parse and digest (170–250 µs in process on
+        2 vCPUs) plus the size estimate (~30 µs) and, with a store, the
+        store path (~20 µs).  So a 304 on a miss, or for a refused body,
+        costs that much; a hit costs ~7 µs.
+        """
+        item = self.decisions.get((route, raw, active_cost_model_version()))
+        if item is not None:
+            return item[1]
+        decision = decide(_json_body(raw))
+        if not decision.refused:
+            self.decisions.put((route, raw, decision.cost.version), (raw, decision))
+        return decision
+
+    def _sweep_decision(self, body) -> Decision:
+        req = parse_sweep_request(body)
+        cost = CostModel(req.gpu)
+        digest = sweep_request_digest(req, cost)
+        # The scheduler's own pool-threshold helper: cheap (cached
+        # feasibility/space scans), and exact enough to keep an uncapped
+        # wide-kernel request from OOM-killing the daemon.
         estimated = _estimated_configs(req.op, req.env, req.cap)
-        if estimated > MAX_SWEEP_CONFIGS:
+        return Decision(
+            req,
+            cost,
+            digest,
+            estimated=estimated,
+            path=None if self.store is None else self.store.path_for(digest),
+            refused=estimated > MAX_SWEEP_CONFIGS,
+        )
+
+    def _optimize_decision(self, body) -> Decision:
+        req = parse_optimize_request(body)
+        cost = CostModel(req.gpu)
+        return Decision(
+            req,
+            cost,
+            optimize_request_digest(req, cost),
+            refused=_over_optimize_cap(req.cap),
+        )
+
+    # -- endpoint bodies -----------------------------------------------------
+    def _resolve_sweep(self, d: Decision) -> dict:
+        """One decided sweep's payload through the size guard and the full
+        tier chain."""
+        req = d.req
+        obs.set_attr("store.digest", d.digest)
+        if d.refused:
             raise ProtocolError(
-                f"sweep of ~{estimated} configurations exceeds the served "
+                f"sweep of ~{d.estimated} configurations exceeds the served "
                 f"limit of {MAX_SWEEP_CONFIGS}; pass a smaller cap"
             )
         payload = self._resolve(
-            digest,
+            d.digest,
             req.op,
             local_evaluator(
-                req.env, cost, cap=req.cap, seed=req.seed, store=self.store
+                req.env, d.cost, cap=req.cap, seed=req.seed, store=self.store
             ),
-            version=cost.version,
+            version=d.cost.version,
             l1=self.cache,
             store=self.store,
         )
-        self._maybe_canary(req, digest, payload)
+        self._maybe_canary(req, d.digest, payload)
         return payload
 
     def _maybe_canary(self, req, digest: str, payload: dict) -> None:
@@ -358,96 +465,100 @@ class TuningService:
         self.metrics.record_calibration("canary_request")
         rollout.record_canary(divergence)
 
+    def _sweep_response(self, d: Decision, payload: dict) -> dict:
+        sweep = sweep_from_payload(d.req.op, payload)
+        return sweep_response_from_sweep(
+            sweep, d.cost, digest=d.digest, top_k=d.req.top_k
+        )
+
     def handle_sweep(self, body: dict) -> dict:
-        req = parse_sweep_request(body)
-        cost = CostModel(req.gpu)
-        digest = sweep_request_digest(req, cost)
-        payload = self._resolve_sweep(req, cost, digest)
-        sweep = sweep_from_payload(req.op, payload)
-        return sweep_response_from_sweep(sweep, cost, digest=digest, top_k=req.top_k)
+        d = self._sweep_decision(body)
+        return self._sweep_response(d, self._resolve_sweep(d))
 
     def handle_sweep_wire(
-        self, body: dict, *, accept: str | None = None, if_none_match: str | None = None
+        self, raw: bytes, *, accept: str | None = None, if_none_match: str | None = None
     ) -> WireReply:
         """``/v1/sweep`` below the JSON layer: ETag revalidation + packing.
 
         The ETag is revalidated *before* the size guard and any resolution
-        work — a 304 costs one digest computation, nothing else.  That is
+        work — a 304 costs one decision (a lookup for a remembered body, see
+        :meth:`_decided`), nothing else.  That is
         sound because responses are pure functions of the request digest
         (and ``top_k``, which the JSON tag carries): a client holding a
         representation under a matching tag holds the current bytes.
         """
-        req = parse_sweep_request(body)
-        cost = CostModel(req.gpu)
-        digest = sweep_request_digest(req, cost)
+        d = self._decided("/v1/sweep", raw, self._sweep_decision)
         binary = accepts_packed(accept)
-        etag = sweep_etag(digest, top_k=None if binary else req.top_k)
+        etag = sweep_etag(d.digest, top_k=None if binary else d.req.top_k)
         if etag_matches(if_none_match, etag):
             self.metrics.record_response("not_modified")
             return WireReply(status=304, headers={"ETag": etag})
-        payload = self._resolve_sweep(req, cost, digest)
+        payload = self._resolve_sweep(d)
         if binary:
-            reply = self._packed_reply(digest, payload, etag)
             self.metrics.record_response("binary")
-            return reply
-        sweep = sweep_from_payload(req.op, payload)
-        response = sweep_response_from_sweep(
-            sweep, cost, digest=digest, top_k=req.top_k
-        )
+            return self._packed_reply(d, payload, etag)
+        # The JSON body is a function of the digest, top_k and the op's
+        # name: a contraction's digest is name-free, but its reply names it.
+        key = (d.digest, d.req.top_k, d.req.op.name)
+        body = self.responses.get(key)
+        if body is None:
+            body = canonical_json_bytes(self._sweep_response(d, payload))
+            self.responses.put(key, body)
         self.metrics.record_response("json")
         return WireReply(
             status=200,
             headers={"Content-Type": "application/json", "ETag": etag},
-            body=canonical_json_bytes(response),
+            body=body,
         )
 
-    def _packed_reply(self, digest: str, payload: dict, etag: str) -> WireReply:
+    def _packed_reply(self, d: Decision, payload: dict, etag: str) -> WireReply:
         """The packed binary representation, streamed from L2 when possible.
 
         The wire bytes are exactly the store's ``.npz`` file, so a warm
-        store serves an open file handle and the handler copies it to the
-        socket without deserializing; a storeless daemon (or a just-evicted
-        entry) packs the in-memory payload instead — byte-identical content
-        either way, since the store writer is deterministic.
+        store serves an open file handle that the handler ``sendfile``s to
+        the socket; a storeless daemon (or a just-evicted entry) packs the
+        in-memory payload instead — byte-identical content either way,
+        since the store writer is deterministic.
         """
         headers = {"Content-Type": BINARY_CONTENT_TYPE, "ETag": etag}
-        if self.store is not None:
+        if d.path is not None:
             try:
-                fh = open(self.store.path_for(digest), "rb")
+                fh = open(d.path, "rb")
             except OSError:
-                fh = None  # evicted or never persisted; fall through to pack
-            if fh is not None:
+                pass  # evicted or never persisted; fall through to pack
+            else:
                 size = os.fstat(fh.fileno()).st_size
                 return WireReply(
                     status=200, headers=headers, stream=fh, stream_len=size
                 )
         return WireReply(
-            status=200, headers=headers, body=pack_payload_bytes(digest, payload)
+            status=200, headers=headers, body=pack_payload_bytes(d.digest, payload)
         )
 
-    def handle_optimize(self, body: dict) -> dict:
-        return self._optimize(parse_optimize_request(body), "optimize")
+    def handle_optimize_wire(self, raw: bytes) -> bytes:
+        """``/v1/optimize`` from its raw body: the encoded reply."""
+        d = self._decided("/v1/optimize", raw, self._optimize_decision)
+        return self._optimize(d, "optimize")
 
-    def _optimize(self, req, endpoint: str, evaluator=None) -> dict:
-        """A whole-graph response through the response cache.
+    def _optimize(self, d: Decision, endpoint: str, evaluate=None) -> bytes:
+        """A whole-graph reply's bytes through the response cache.
 
         ``/v1/optimize`` sweeps on this daemon's engine; the coordinator's
-        ``/v1/optimize_batch`` passes ``evaluator(cost)``, which builds its
-        fleet ``evaluate`` for the request's model snapshot — the only
-        difference between the two, so they answer byte-identically.
+        ``/v1/optimize_batch`` passes its fleet ``evaluate``, built for the
+        decision's model snapshot — the only difference between the two,
+        so they answer byte-identically.
         """
-        cost = CostModel(req.gpu)
-        digest = optimize_request_digest(req, cost)
-        obs.set_attr("request.digest", digest)
-        evaluate = None if evaluator is None else evaluator(cost)
+        obs.set_attr("request.digest", d.digest)
 
-        def compute() -> dict:
-            graph, sweeps, selection = self._tune(req, cost, endpoint, evaluate)
-            return optimize_response_from_sweeps(
-                graph, sweeps, cost, digest=digest, selection=selection
+        def compute() -> bytes:
+            graph, sweeps, selection = self._tune(d.req, d.cost, endpoint, evaluate)
+            return canonical_json_bytes(
+                optimize_response_from_sweeps(
+                    graph, sweeps, d.cost, digest=d.digest, selection=selection
+                )
             )
 
-        return self._cached_response(digest, compute)
+        return self._cached_response(d.digest, compute)
 
     def _tune(self, req, cost, endpoint: str, evaluate=None):
         """Tune one optimize-style request: the paper's recipe, once.
@@ -463,7 +574,7 @@ class TuningService:
         from repro.configsel.selector import select_configurations
         from repro.configsel.sssp import SSSPError
 
-        if req.cap is None or req.cap > MAX_OPTIMIZE_CAP:
+        if _over_optimize_cap(req.cap):
             raise ProtocolError(
                 f"{endpoint} requires a cap of at most {MAX_OPTIMIZE_CAP} "
                 "(whole graphs contain kernels with ~1e10-config spaces)"
@@ -833,6 +944,8 @@ class TuningService:
             "inflight": self.flights.inflight(),
         }
         body["cache"] = self.cache.stats()
+        body["response_cache"] = self.responses.stats()
+        body["decisions"] = self.decisions.stats()
         body["store"] = None if self.store is None else self.store.stats()
         body["registry"]["store"] = (
             None if self.registry is None else self.registry.stats()
@@ -889,8 +1002,10 @@ class TuningService:
         rest of the requested path; every other path matches exactly.  The
         endpoint label (``/metrics``, the ``server<label>`` span, fault
         specs) is the path without a prefix's trailing slash.  ``fn``
-        returns a dict (a 200 JSON body) or a :class:`WireReply`; it reads
-        a POST body with ``request.body()`` and headers with
+        returns a dict or its canonical bytes (a 200 JSON body) or a
+        :class:`WireReply`; it reads a POST body with ``request.body()``
+        (decoded) or ``request.raw_body()`` (bytes, for a route that decides
+        its request through :meth:`_decided`) and headers with
         ``request.headers``.  Subclasses extend the table with
         ``{**super().routes(), ...}``.
         """
@@ -902,11 +1017,13 @@ class TuningService:
             ("GET", "/v1/schedule/"): lambda r: self.handle_schedule(r.tail),
             ("GET", "/v1/rollout"): lambda r: self.handle_rollout_status(),
             ("POST", "/v1/sweep"): lambda r: self.handle_sweep_wire(
-                r.body(),
+                r.raw_body(),
                 accept=r.headers.get("Accept"),
                 if_none_match=r.headers.get("If-None-Match"),
             ),
-            ("POST", "/v1/optimize"): lambda r: self.handle_optimize(r.body()),
+            ("POST", "/v1/optimize"): lambda r: self.handle_optimize_wire(
+                r.raw_body()
+            ),
             ("POST", "/v1/register"): lambda r: self.handle_register(r.body()),
             ("POST", "/v1/report"): lambda r: self.handle_report(r.body()),
             ("POST", "/v1/calibrate/propose"): lambda r: self.handle_calibrate_propose(
@@ -916,13 +1033,27 @@ class TuningService:
         }
 
 
-def _json_reply(status: int, obj: dict) -> WireReply:
-    """A canonical-JSON :class:`WireReply` (the handler's default shape)."""
+def _json_reply(status: int, obj: dict | bytes) -> WireReply:
+    """A canonical-JSON :class:`WireReply` (the handler's default shape) of
+    ``obj`` or of its already encoded bytes."""
     return WireReply(
         status=status,
         headers={"Content-Type": "application/json"},
-        body=canonical_json_bytes(obj),
+        body=obj if isinstance(obj, bytes) else canonical_json_bytes(obj),
     )
+
+
+def _over_optimize_cap(cap: int | None) -> bool:
+    """Whether a whole-graph request's cap is one ``_tune`` refuses."""
+    return cap is None or cap > MAX_OPTIMIZE_CAP
+
+
+def _json_body(raw: bytes):
+    """A request body's JSON value; undecodable bytes are a 400."""
+    try:
+        return loads(raw)
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes
+        raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -984,7 +1115,7 @@ class _Handler(BaseHTTPRequestHandler):
             if reply.stream is not None:
                 self.send_header("Content-Length", str(reply.stream_len))
                 self.end_headers()
-                shutil.copyfileobj(reply.stream, self.wfile)
+                self.connection.sendfile(reply.stream, count=reply.stream_len)
             else:
                 self.send_header("Content-Length", str(len(reply.body)))
                 self.end_headers()
@@ -994,8 +1125,12 @@ class _Handler(BaseHTTPRequestHandler):
             if reply.stream is not None:
                 reply.stream.close()
 
-    def body(self) -> dict:
+    def body(self):
         """The request's JSON body (a route's ``request.body()``)."""
+        return _json_body(self.raw_body())
+
+    def raw_body(self) -> bytes:
+        """The request's body bytes (a route's ``request.raw_body()``)."""
         length = self.headers.get("Content-Length")
         if length is None:
             raise ProtocolError("missing Content-Length")
@@ -1007,11 +1142,7 @@ class _Handler(BaseHTTPRequestHandler):
             # Negative would turn rfile.read into read-until-close, pinning
             # this handler thread for as long as the client keeps the socket.
             raise ProtocolError(f"Content-Length outside [0, {MAX_BODY_BYTES}]")
-        raw = self.rfile.read(n)
-        try:
-            return loads(raw)
-        except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes
-            raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
+        return self.rfile.read(n)
 
     def _run(self, endpoint: str, fn) -> None:
         # In-flight tracking lives here (not in handle_one_request) so an
@@ -1045,8 +1176,8 @@ class _Handler(BaseHTTPRequestHandler):
             # Compute the full body before sending anything: exactly one
             # response ever goes on the wire, so a handler failure cannot
             # corrupt a half-written 200 with a trailing 500.  ``fn`` may
-            # return a plain dict (a 200 JSON body) or a WireReply carrying
-            # its own status, headers and bytes/stream.
+            # return a plain dict or its bytes (a 200 JSON body) or a
+            # WireReply carrying its own status, headers and bytes/stream.
             try:
                 result = fn(self)
                 if isinstance(result, WireReply):
@@ -1090,6 +1221,11 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    #: Listen backlog.  Every request opens a connection of its own, so a
+    #: burst of clients reconnects at once; past the backlog the kernel
+    #: drops their SYNs and each waits out a 1 s retransmit.  The
+    #: socketserver default of 5 did that with 8 closed-loop clients.
+    request_queue_size = 128
 
     def __init__(self, service: TuningService, address) -> None:
         self.service = service

@@ -9,15 +9,22 @@ for entries, ``ParamsError`` for params and candidates, ``FeedbackError``
 for the feedback file, ``RolloutError`` for the rollout state — or returns
 a value that round-trips through its ``*_wire`` builder.  No other
 exception may escape.  Parsed sweep requests at a small cap are also
-served through ``handle_sweep``, which must answer them.
+served through ``handle_sweep``, which must answer them.  Over HTTP, a
+mutated sweep or optimize body answers the same status and bytes every
+time it is sent, on a daemon that has seen it before as on a fresh one:
+the daemon remembers what a body decides to, never what it refused.
 """
 
 from __future__ import annotations
 
 import functools
+import http.client
 import json
 import tempfile
+import threading
 from pathlib import Path
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -43,6 +50,7 @@ from repro.registry import ScheduleEntry, build_entry
 from repro.registry.entry import EntryError
 from repro.service import ProtocolError, TuningService
 from repro.service.protocol import (
+    BINARY_CONTENT_TYPE,
     fleet_heartbeat_wire,
     fleet_register_wire,
     gpu_to_wire,
@@ -53,6 +61,7 @@ from repro.service.protocol import (
     parse_sweep_request,
     sweep_request_wire,
 )
+from repro.service.server import make_server
 from repro.transformer.graph_builder import build_mha_graph
 from strategies import json_mutations
 
@@ -140,6 +149,93 @@ def test_optimize_request_is_typed_or_refused(body):
         return
     fields = {k: getattr(req, k) for k in req.__dataclass_fields__}
     assert parse_optimize_request(optimize_request_wire(**fields)) == req
+
+
+def _storeless() -> TuningService:
+    return TuningService(store=None, registry=None, calibration_dir=None)
+
+
+@pytest.fixture(scope="module")
+def daemons():
+    """Two live daemons: ``seen`` keeps its service (and what it decided)
+    for the whole module; ``fresh`` is given a new service per example."""
+    servers = {"seen": make_server(_storeless()), "fresh": make_server(_storeless())}
+    threads = [
+        threading.Thread(target=server.serve_forever, daemon=True)
+        for server in servers.values()
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        yield servers
+    finally:
+        for server in servers.values():
+            server.shutdown()
+            server.server_close()
+        for thread in threads:
+            thread.join(timeout=10)
+
+
+def _post(server, path: str, raw: bytes, headers: dict) -> tuple[int, bytes]:
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=120)
+    try:
+        conn.request("POST", path, body=raw, headers=headers)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
+def _wire_bodies():
+    """``(path, mutated body, headers)``: a sweep (JSON or packed) or an
+    optimize body, as bytes."""
+    sweep = st.tuples(
+        st.just("/v1/sweep"),
+        st.sampled_from(_sweep_bodies()).flatmap(_mutants),
+        st.sampled_from([{}, {"Accept": BINARY_CONTENT_TYPE}]),
+    )
+    optimize = st.tuples(
+        st.just("/v1/optimize"),
+        st.sampled_from(
+            (_OPTIMIZE, {**_OPTIMIZE, "gpu": gpu_to_wire(A100)})
+        ).flatmap(_mutants),
+        st.just({}),
+    )
+    return st.one_of(sweep, optimize)
+
+
+def _expensive(path: str, body) -> bool:
+    """A body that parses with a cap above the suite's: tuning it would
+    cost seconds, and the size guards have their own tests."""
+    parse = parse_sweep_request if path == "/v1/sweep" else parse_optimize_request
+    try:
+        req = parse(body)
+    except ProtocolError:
+        return False
+    return req.cap is None or req.cap > CAP
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[
+        HealthCheck.too_slow,
+        HealthCheck.data_too_large,
+        HealthCheck.function_scoped_fixture,
+    ],
+)
+@given(sent=_wire_bodies())
+def test_a_repeated_body_answers_what_a_fresh_daemon_answers(daemons, sent):
+    path, body, headers = sent
+    if _expensive(path, body):
+        return
+    raw = json.dumps(body).encode()
+    daemons["fresh"].service = _storeless()
+    first = _post(daemons["seen"], path, raw, headers)
+    assert _post(daemons["seen"], path, raw, headers) == first
+    assert _post(daemons["fresh"], path, raw, headers) == first
+    assert first[0] in (200, 400)
 
 
 _REGISTER = fleet_register_wire(

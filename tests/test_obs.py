@@ -517,11 +517,18 @@ class TestTracedHop:
             assert excinfo.value.status == 404
 
     def test_metrics_accept_negotiation_over_http(self):
+        healthz = 'repro_requests_total{endpoint="/healthz"}'
         with serve_background(TuningService(store=None, registry=None)) as url:
             client = TuningClient(url)
             client.healthz()
             as_json = client.metrics()
-            as_text = client.metrics_prometheus()
+            # A request is counted after its reply's last byte is sent, so
+            # the client can scrape before its healthz is recorded.
+            deadline = time.monotonic() + 10
+            while True:
+                samples = _parse_exposition(client.metrics_prometheus())
+                if samples.get(healthz, 0) >= 1 or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
         assert isinstance(as_json, dict) and "requests" in as_json
-        samples = _parse_exposition(as_text)
-        assert samples['repro_requests_total{endpoint="/healthz"}'] >= 1
+        assert samples[healthz] >= 1

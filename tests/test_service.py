@@ -8,6 +8,7 @@ to one derived from a fresh scalar ``sweep_op_reference`` sweep.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
@@ -49,7 +50,7 @@ from repro.service.protocol import (
     sweep_request_wire,
     sweep_response_from_sweep,
 )
-from repro.service.server import serve_background
+from repro.service.server import make_server, serve_background
 from repro.transformer.graph_builder import build_mha_graph
 
 ENV = bert_large_dims()
@@ -67,6 +68,11 @@ def _cold_memo():
 def _ops():
     g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
     return g.op("q_proj"), g.op("softmax")
+
+
+def _optimize(svc, body: dict) -> dict:
+    """``/v1/optimize`` of ``body`` through the service's wire path."""
+    return json.loads(svc.handle_optimize_wire(canonical_json_bytes(body)))
 
 
 def _fused_op():
@@ -554,9 +560,7 @@ class TestTieredResolution:
         global_store = set_sweep_store(tmp_path / "global")
         try:
             svc = TuningService(store=None)
-            svc.handle_optimize(
-                {"model": "mha", "include_backward": False, "cap": CAP}
-            )
+            _optimize(svc, {"model": "mha", "include_backward": False, "cap": CAP})
             assert global_store.stats()["saves"] == 0
             assert global_store.stats()["entries"] == 0
         finally:
@@ -568,7 +572,7 @@ class TestTieredResolution:
 
         svc = TuningService(store=None)
         body = {"model": "mha", "include_backward": False, "cap": CAP}
-        resp = svc.handle_optimize(body)
+        resp = _optimize(svc, body)
         sel = resp["selection"]
         assert sel is not None
         assert len(sel["chain"]) > 0
@@ -590,7 +594,7 @@ class TestTieredResolution:
         assert breakdown["sweep_ms_total"] > 0
         assert breakdown["select_ms_total"] > 0
         # A warm (L1) replay serves the same body without recomputing.
-        assert svc.handle_optimize(body) == resp
+        assert _optimize(svc, body) == resp
         assert svc.metrics.snapshot()["optimize_breakdown"]["computed"] == 1
 
     def test_engine_memo_stays_bounded(self):
@@ -599,14 +603,14 @@ class TestTieredResolution:
         # growing, and the response is unchanged.
         body = {"model": "mha", "include_backward": False, "cap": CAP}
         svc = TuningService(store=None)
-        resp = svc.handle_optimize(body)
+        resp = _optimize(svc, body)
         assert sweep_memo_stats()["entries"] == 0
         full = svc.cache.stats()
         assert full["capacity"] == PAYLOAD_L1_BYTES
         assert 0 < full["size"] <= full["capacity"]
         small = TuningService(store=None)
         small.cache = BoundedCache(full["size"] // 2, weigh=payload_nbytes)
-        assert small.handle_optimize(body) == resp
+        assert _optimize(small, body) == resp
         stats = small.cache.stats()
         assert stats["evictions"] > 0
         assert stats["size"] <= full["size"] // 2
@@ -626,9 +630,7 @@ class TestTieredResolution:
         svc = TuningService(store=None)
         for cap in (None, 10**6):
             with pytest.raises(ProtocolError, match="cap of at most"):
-                svc.handle_optimize(
-                    {"model": "mha", "include_backward": False, "cap": cap}
-                )
+                _optimize(svc, {"model": "mha", "include_backward": False, "cap": cap})
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +739,27 @@ class TestHTTPServer:
             client.optimize(model="mha", env=bert_large_dims(), cap=-1)
         assert exc_info.value.status == 400
         assert "cap must be" in str(exc_info.value)
+
+    def test_a_burst_of_connections_waits_in_the_backlog(self):
+        # Each request opens its own connection, so clients reconnect in
+        # bursts; past the listen backlog the kernel drops their SYNs and
+        # each waits out a 1 s retransmit.  Nothing accepts here: only the
+        # backlog holds the burst.
+        import socket
+
+        server = make_server(
+            TuningService(store=None, registry=None, calibration_dir=None)
+        )
+        socks = []
+        try:
+            for _ in range(32):
+                socks.append(
+                    socket.create_connection(server.server_address[:2], timeout=0.5)
+                )
+        finally:
+            for sock in socks:
+                sock.close()
+            server.server_close()
 
     def test_unknown_route_is_404(self, live_service):
         _, client = live_service
@@ -927,6 +950,220 @@ class TestWirePath:
         assert after["json"] - before["json"] == 1
         assert after["binary"] - before["binary"] == 1
         assert after["not_modified"] - before["not_modified"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Decide once, encode once, send without copying
+# ---------------------------------------------------------------------------
+
+def _post_raw(url: str, path: str, data: bytes, headers=None):
+    """One POST of raw bytes: ``(status, headers, body)``."""
+    import http.client
+
+    host, port = url.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=60)
+    try:
+        conn.request("POST", path, body=data, headers=headers or {})
+        resp = conn.getresponse()
+        return resp.status, dict(resp.getheaders()), resp.read()
+    finally:
+        conn.close()
+
+
+def _aib_uncapped_body() -> bytes:
+    """A sweep body over the size guard (~1e10 configurations)."""
+    aib = apply_paper_fusion(
+        build_mha_graph(qkv_fusion="qkv", include_backward=False), ENV
+    ).op("AIB")
+    return canonical_json_bytes(sweep_request_wire(aib, ENV, cap=None))
+
+
+class TestDecideOnce:
+    def test_a_promote_between_identical_bodies_serves_the_new_version(self):
+        from repro.hardware.params import (
+            DEFAULT_PARAMS,
+            install_params,
+            params_from_wire,
+            reset_active_params,
+        )
+        from repro.service.protocol import optimize_request_wire, sweep_etag
+
+        op, _ = _ops()
+        raw = canonical_json_bytes(sweep_request_wire(op, ENV, cap=CAP, seed=41))
+        opt = canonical_json_bytes(
+            optimize_request_wire(model="mha", include_backward=False, cap=CAP)
+        )
+        svc = TuningService(store=None, registry=None, calibration_dir=None)
+        before = svc.handle_sweep_wire(raw)
+        before_opt = json.loads(svc.handle_optimize_wire(opt))
+        candidate = params_from_wire({**DEFAULT_PARAMS.to_wire(), "jitter": 0.2})
+        install_params(candidate)
+        try:
+            after = svc.handle_sweep_wire(raw)
+            after_opt = json.loads(svc.handle_optimize_wire(opt))
+        finally:
+            reset_active_params()
+        promoted = CostModel(params=candidate)
+        digest = sweep_digest(op, ENV, promoted, cap=CAP, seed=41)
+        assert after.headers["ETag"] == sweep_etag(digest, top_k=3)
+        assert after.headers["ETag"] != before.headers["ETag"]
+        assert json.loads(after.body)["cost_model_version"] == promoted.version
+        assert after_opt["cost_model_version"] == promoted.version
+        assert after_opt["digest"] != before_opt["digest"]
+        # Rolled back: the same bytes decide under the default model again.
+        assert svc.handle_sweep_wire(raw).headers == before.headers
+        assert svc.decisions.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("kind", ["bad_json", "view_op", "over_cap"])
+    def test_a_refused_body_is_400_every_time_and_never_remembered(self, kind):
+        import dataclasses
+
+        view = dataclasses.replace(_ops()[0], is_view=True)
+        raw = {
+            "bad_json": b"{not json",
+            "view_op": canonical_json_bytes(
+                sweep_request_wire(_ops()[0], ENV, cap=CAP) | {"op": op_to_wire(view)}
+            ),
+            "over_cap": _aib_uncapped_body(),
+        }[kind]
+        svc = TuningService(store=None, registry=None, calibration_dir=None)
+        with serve_background(svc) as url:
+            replies = [_post_raw(url, "/v1/sweep", raw) for _ in range(3)]
+        assert [status for status, _, _ in replies] == [400] * 3
+        assert len({body for _, _, body in replies}) == 1
+        assert svc.decisions.stats()["entries"] == 0
+        assert not any(svc.metrics.tier_counts().values())  # never resolved
+
+    def test_a_304_for_an_over_cap_body_stays_a_304(self):
+        from repro.service.protocol import sweep_etag
+
+        raw = _aib_uncapped_body()
+        digest = sweep_request_digest(parse_sweep_request(json.loads(raw)), COST)
+        etag = sweep_etag(digest, top_k=3)
+        svc = TuningService(store=None, registry=None, calibration_dir=None)
+        with serve_background(svc) as url:
+            revalidated = [
+                _post_raw(url, "/v1/sweep", raw, {"If-None-Match": etag})
+                for _ in range(2)
+            ]
+            refused = _post_raw(url, "/v1/sweep", raw)
+        assert [(s, h["ETag"], b) for s, h, b in revalidated] == [
+            (304, etag, b""),
+        ] * 2
+        assert refused[0] == 400
+        assert "exceeds the served limit" in json.loads(refused[2])["error"]
+
+    def test_a_flood_of_distinct_bodies_stays_within_the_byte_bound(self):
+        from repro.service.server import DECISION_CACHE_BYTES, DECISION_ENTRY_BYTES
+
+        op, _ = _ops()
+        svc = TuningService(store=None, registry=None, calibration_dir=None)
+        bodies = (
+            canonical_json_bytes(sweep_request_wire(op, ENV, cap=CAP, seed=seed))
+            for seed in itertools.count()
+        )
+        sent = DECISION_CACHE_BYTES // DECISION_ENTRY_BYTES + 100
+        for raw in itertools.islice(bodies, sent):
+            # "*" revalidates every tag: decided, never resolved.
+            assert svc.handle_sweep_wire(raw, if_none_match="*").status == 304
+        stats = svc.decisions.stats()
+        assert stats["capacity"] == DECISION_CACHE_BYTES
+        assert 0 < stats["size"] <= DECISION_CACHE_BYTES
+        assert stats["evictions"] > 0 and stats["entries"] < sent
+
+    def test_tiny_bodies_are_weighed_and_refused_graphs_kept_out(self):
+        from repro.service.server import DECISION_CACHE_BYTES, DECISION_ENTRY_BYTES
+
+        svc = TuningService(store=None, registry=None, calibration_dir=None)
+
+        def decide(raw: bytes):
+            # Decided only: tuning a whole graph per body would take minutes.
+            return svc._decided("/v1/optimize", raw, svc._optimize_decision)
+
+        decide(b"{}")  # a served body: every field defaults
+        for seed in range(200):
+            # Over the whole-graph cap: refused every time, never remembered.
+            with pytest.raises(ProtocolError, match="cap of at most"):
+                svc.handle_optimize_wire(b'{"cap":20001,"seed":%d}' % seed)
+        assert len(svc.decisions) == 1
+        decide(b"{}")
+        assert svc.decisions.stats()["hits"] == 1  # the flood evicted nothing
+        # ~12-byte bodies: the per-entry weight, not the body, bounds the count.
+        limit = DECISION_CACHE_BYTES // DECISION_ENTRY_BYTES
+        for seed in range(limit + 100):
+            decide(b'{"seed":%d}' % seed)
+        assert limit // 2 < len(svc.decisions) <= limit
+
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_streamed_packed_bytes_are_the_packed_payload(self, stored, tmp_path):
+        from repro.engine.store import pack_payload_bytes
+
+        op, _ = _ops()
+        digest = sweep_digest(op, ENV, COST, cap=CAP, seed=42)
+        expected = pack_payload_bytes(
+            digest, compute_payload(op, ENV, COST, cap=CAP, seed=42)
+        )
+        svc = TuningService(
+            store=SweepStore(tmp_path) if stored else None,
+            registry=None,
+            calibration_dir=None,
+        )
+        with serve_background(svc) as url:
+            client = TuningClient(url)
+            # Cold, then warm: a decided body answers from the L1 (and, with
+            # a store, from the store file).
+            served = [
+                client.sweep_packed_raw(op, ENV, cap=CAP, seed=42) for _ in range(2)
+            ]
+        assert [data for _, _, data in served] == [expected] * 2
+        assert svc.decisions.stats()["hits"] == 1
+
+    def test_a_corrupt_fault_still_mangles_a_streamed_reply(self, tmp_path):
+        from repro.engine.store import pack_payload_bytes
+        from repro.service.fleet.faults import FaultInjector
+
+        op, _ = _ops()
+        digest = sweep_digest(op, ENV, COST, cap=CAP, seed=43)
+        expected = pack_payload_bytes(
+            digest, compute_payload(op, ENV, COST, cap=CAP, seed=43)
+        )
+        svc = TuningService(
+            store=SweepStore(tmp_path),
+            registry=None,
+            calibration_dir=None,
+            faults=FaultInjector.from_spec("corrupt:path=/v1/sweep:after=2"),
+        )
+        with serve_background(svc) as url:
+            client = TuningClient(url)
+            _, _, clean = client.sweep_packed_raw(op, ENV, cap=CAP, seed=43)
+            _, _, mangled = client.sweep_packed_raw(op, ENV, cap=CAP, seed=43)
+        assert svc.store.path_for(digest).read_bytes() == clean == expected
+        assert len(mangled) == len(clean) and mangled != clean
+
+    def test_metrics_report_the_decision_map(self):
+        op, _ = _ops()
+        svc = TuningService(store=None, registry=None, calibration_dir=None)
+        with serve_background(svc) as url:
+            client = TuningClient(url)
+            for _ in range(3):
+                client.sweep_raw(op, ENV, cap=CAP, seed=45)
+            body = client.metrics()
+            text = client.metrics_prometheus()
+        decisions = body["decisions"]
+        assert (decisions["hits"], decisions["misses"], decisions["entries"]) == (
+            2, 1, 1,
+        )
+        assert body["response_cache"]["entries"] == 1
+        assert "repro_decision_cache_entries 1" in text.splitlines()
+
+    def test_warm_replies_are_encoded_once(self):
+        op, _ = _ops()
+        raw = canonical_json_bytes(sweep_request_wire(op, ENV, cap=CAP, seed=44))
+        svc = TuningService(store=None, registry=None, calibration_dir=None)
+        first, second = (svc.handle_sweep_wire(raw).body for _ in range(2))
+        assert second is first  # the cached bytes themselves
+        assert json.loads(first) == svc.handle_sweep(json.loads(raw))
+        assert svc.metrics.tier_counts()["l1"] == 2  # still resolved each time
 
 
 class TestDeltaTier:
