@@ -263,7 +263,7 @@ def sweep_graph(
     Routes through the engine scheduler: structurally identical operators
     share one sweep, results persist in the engine's cache tiers, and cold
     sweeps run on ``jobs`` worker processes (``None`` defers to
-    ``REPRO_JOBS``; results are identical at any job count).
+    ``set_default_jobs``; results are identical at any job count).
     """
     from repro.engine.scheduler import sweep_graph as _engine_sweep_graph
 

@@ -47,7 +47,6 @@ from repro.hardware.params import (
     install_params,
     params_from_wire,
 )
-from repro.hardware.spec import V100, GPUSpec
 from repro.wire import At, ProtocolError, env_number
 
 from .fit import CandidateModel, calibration_targets, score_params
@@ -88,38 +87,19 @@ class RolloutManager:
 
     ``root=None`` keeps everything in memory (tests, ephemeral daemons):
     the state machine works identically but does not survive the process.
+    The three canary settings are the ``REPRO_CANARY_*`` variables, read
+    here once; the shadow gate scores on the V100.
     """
 
     def __init__(
-        self,
-        root: str | Path | None = None,
-        *,
-        metrics=None,
-        faults=None,
-        gpu: GPUSpec = V100,
-        fraction: float | None = None,
-        min_samples: int | None = None,
-        max_divergence: float | None = None,
+        self, root: str | Path | None = None, *, metrics=None, faults=None
     ) -> None:
         self.root = Path(root).expanduser() if root is not None else None
         self.metrics = metrics
         self.faults = faults
-        self.gpu = gpu
-        self.fraction = (
-            fraction
-            if fraction is not None
-            else env_number(CANARY_FRACTION_ENV_VAR, 0.25)
-        )
-        self.min_samples = (
-            min_samples
-            if min_samples is not None
-            else int(env_number(CANARY_MIN_SAMPLES_ENV_VAR, 8))
-        )
-        self.max_divergence = (
-            max_divergence
-            if max_divergence is not None
-            else env_number(CANARY_MAX_DIVERGENCE_ENV_VAR, 0.5)
-        )
+        self.fraction = env_number(CANARY_FRACTION_ENV_VAR, 0.25)
+        self.min_samples = int(env_number(CANARY_MIN_SAMPLES_ENV_VAR, 8))
+        self.max_divergence = env_number(CANARY_MAX_DIVERGENCE_ENV_VAR, 0.5)
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError("canary fraction must be within [0, 1]")
         if self.min_samples < 1:
@@ -270,10 +250,8 @@ class RolloutManager:
                     "POST /v1/report (or `repro report`) first"
                 )
             targets = calibration_targets()
-            base = score_params(served, records, gpu=self.gpu, targets=targets)
-            cand = score_params(
-                candidate.params, records, gpu=self.gpu, targets=targets
-            )
+            base = score_params(served, records, targets=targets)
+            cand = score_params(candidate.params, records, targets=targets)
             shadow.update({"base_error": base["error"], "candidate_error": cand["error"],
                            "scored": cand["scored"]})
             if cand["error"] is None or base["error"] is None:

@@ -18,9 +18,10 @@ Sweep caching and parallelism::
 ``--sweep-store DIR`` persists every evaluated sweep on disk (the L2 tier
 under the in-process payload L1), so later invocations skip re-sweeping; the
 ``REPRO_SWEEP_STORE`` environment variable sets the same default.
-``--jobs N`` fans cold whole-graph sweeps over N worker processes
-(``REPRO_JOBS`` sets the default; 0 means one per CPU).  Neither option
-changes any reported number — results are bit-identical.
+``--jobs N`` fans cold whole-graph sweeps over N worker processes (default
+serial; 0 means one per CPU).  Neither option changes any reported number —
+results are bit-identical.  Every command and every daemon role
+(``serve``, ``fleet serve``) takes the two the same way.
 
 Configuration selection runs one pipeline: layered min-plus SSSP plus
 batched inference.  Its scalar reference (:mod:`repro.configsel.reference`)
@@ -38,8 +39,9 @@ Tuning as a service::
 tuned schedule (or its health/metrics).  The daemon shares the L2 sweep
 store with every batch command, so anything a nightly run swept is served
 warm.  SIGTERM drains gracefully: the daemon stops accepting, finishes
-in-flight requests within ``--drain-deadline`` seconds (default
-``REPRO_DRAIN_DEADLINE_S`` or 10), and exits 0.
+in-flight requests within ``--drain-deadline`` seconds (default 10), and
+exits 0.  ``--host``, ``--port`` and ``--drain-deadline`` mean the same for
+``fleet serve``.
 
 The sharded tuning fleet::
 
@@ -50,9 +52,10 @@ The sharded tuning fleet::
 
 A coordinator is a full daemon plus ``POST /v1/optimize_batch`` and the
 fleet membership endpoints; workers are plain daemons that register and
-heartbeat (:mod:`repro.service.fleet`).  Retry/quarantine knobs come from
-``REPRO_FLEET_*`` environment variables; ``REPRO_FAULT_SPEC`` arms the
-fault-injection harness (see the README's Fleet section).
+heartbeat (:mod:`repro.service.fleet`).  The coordinator's lease, deadline
+and backoff come from ``REPRO_FLEET_*`` environment variables;
+``REPRO_FAULT_SPEC`` arms the fault-injection harness (see the README's
+Fleet section and its settings table).
 
 Distributed tracing::
 
@@ -195,15 +198,6 @@ def _cmd_movement(args) -> None:
     )
 
 
-def _drain_deadline(args) -> float:
-    """``--drain-deadline``, else ``REPRO_DRAIN_DEADLINE_S``, else 10 s."""
-    if getattr(args, "drain_deadline", None) is not None:
-        return args.drain_deadline
-    from repro.wire import env_number
-
-    return env_number("REPRO_DRAIN_DEADLINE_S", 10.0)
-
-
 def _run_daemon(service, args, *, name: str, label: str = "", join=None) -> None:
     """Run ``service`` as a daemon until SIGINT/SIGTERM, then drain and exit 0.
 
@@ -233,7 +227,7 @@ def _run_daemon(service, args, *, name: str, label: str = "", join=None) -> None
     )
     print(f"sweep store: {store.root if store is not None else 'disabled'}")
     cleanup = None if join is None else join(url)
-    drain_deadline_s = _drain_deadline(args)
+    drain_deadline_s = args.drain_deadline
 
     def _sigterm(signum, frame):  # pragma: no cover - signal plumbing
         # One-shot: a second TERM during the shutdown path must not
@@ -437,17 +431,15 @@ def _cmd_fleet_serve(args) -> None:
             agent = WorkerAgent(
                 args.coordinator_url,
                 args.advertise_url or url,
+                service,
                 worker_id=args.worker_id,
-                service=service,
             )
             # Name the worker's spans/metrics after its fleet identity so the
             # coordinator-assembled trace tree shows which member did the work.
             service.service_name = f"worker:{agent.worker_id}"
             agent.start()
             print(f"fleet: registering {agent.worker_id} with {args.coordinator_url}")
-            # At shutdown, tell the coordinator we are leaving so our keys
-            # re-route now instead of after a TTL expiry.
-            return lambda: agent.stop(deregister=True)
+            return agent.stop
 
     _run_daemon(
         service, args, name="repro-fleetd", label=f"repro-fleetd {args.role}", join=join
@@ -476,6 +468,43 @@ def _cmd_fleet_status(args) -> int:
     return 0
 
 
+def _shared_options() -> argparse.ArgumentParser:
+    """The engine and daemon options of ``repro`` and ``repro fleet serve``,
+    declared once (an argparse parent)."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes for cold whole-graph sweeps "
+             "(default: serial; 0 = one per CPU)",
+    )
+    shared.add_argument(
+        "--sweep-store", default=None, metavar="DIR",
+        help="directory of the persistent sweep store "
+             "(default: REPRO_SWEEP_STORE or disabled)",
+    )
+    daemon = shared.add_argument_group("daemon (serve / fleet serve)")
+    daemon.add_argument("--host", default="127.0.0.1", help="bind address")
+    daemon.add_argument(
+        "--port", type=int, default=DEFAULT_PORT,
+        help=f"bind port (default {DEFAULT_PORT}; 0 = ephemeral)",
+    )
+    daemon.add_argument(
+        "--drain-deadline", type=float, default=10.0, metavar="S",
+        help="SIGTERM: seconds to let in-flight requests finish (default 10)",
+    )
+    return shared
+
+
+def _apply_engine_options(args) -> None:
+    """Install ``--sweep-store`` and ``--jobs`` as the process defaults."""
+    from repro.engine import set_default_jobs, set_sweep_store
+
+    if args.sweep_store is not None:
+        set_sweep_store(args.sweep_store)
+    if args.jobs is not None:
+        set_default_jobs(args.jobs)
+
+
 def _fleet_main(argv: list[str]) -> int:
     """``repro fleet <serve|status>`` — its own parser, shared options."""
     parser = argparse.ArgumentParser(
@@ -485,16 +514,12 @@ def _fleet_main(argv: list[str]) -> int:
     sub = parser.add_subparsers(dest="fleet_command", required=True)
 
     serve = sub.add_parser(
-        "serve", help="run a coordinator or worker daemon"
+        "serve", parents=[_shared_options()],
+        help="run a coordinator or worker daemon",
     )
     serve.add_argument(
         "--role", choices=("coordinator", "worker"), default="coordinator",
         help="what this daemon is (default: coordinator)",
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help=f"bind port (default {DEFAULT_PORT}; 0 = ephemeral)",
     )
     serve.add_argument(
         "--coordinator-url", default=None, metavar="URL",
@@ -510,21 +535,6 @@ def _fleet_main(argv: list[str]) -> int:
         help="worker: URL to announce to the coordinator "
              "(default: the bound http://host:port)",
     )
-    serve.add_argument(
-        "--sweep-store", default=None, metavar="DIR",
-        help="persistent sweep store directory "
-             "(default: REPRO_SWEEP_STORE or disabled)",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for cold sweeps (default: REPRO_JOBS)",
-    )
-    serve.add_argument(
-        "--drain-deadline", type=float, default=None, metavar="S",
-        help="SIGTERM: seconds to let in-flight requests finish "
-             "(default: REPRO_DRAIN_DEADLINE_S or 10)",
-    )
-
     status = sub.add_parser(
         "status", help="print a coordinator's fleet state"
     )
@@ -536,14 +546,7 @@ def _fleet_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.fleet_command == "status":
         return _cmd_fleet_status(args)
-    if args.sweep_store is not None:
-        from repro.engine import set_sweep_store
-
-        set_sweep_store(args.sweep_store)
-    if args.jobs is not None:
-        from repro.engine import set_default_jobs
-
-        set_default_jobs(args.jobs)
+    _apply_engine_options(args)
     _cmd_fleet_serve(args)
     return 0
 
@@ -597,10 +600,12 @@ def _cmd_register(args) -> None:
 
 def _cmd_validate(args) -> None:
     """Re-validate registered schedules; exit 1 if any entry fails."""
+    from repro.engine import get_sweep_store
     from repro.registry import RegistryError
     from repro.validation import validate_entry
 
     registry = _resolve_registry(args)
+    store = get_sweep_store()
     if args.digest is not None:
         digests = [args.digest]
     elif args.all:
@@ -626,7 +631,7 @@ def _cmd_validate(args) -> None:
             print(f"FAIL {digest} (not found in {registry.root})")
             failed += 1
             continue
-        report = validate_entry(entry, deep=args.deep)
+        report = validate_entry(entry, store=store, deep=args.deep)
         print(report.summary())
         if not report.ok:
             failed += 1
@@ -727,6 +732,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Data Movement Is All You Need' (MLSys 2021).",
+        parents=[_shared_options()],
     )
     parser.add_argument(
         "--version",
@@ -740,32 +746,10 @@ def main(argv: list[str] | None = None) -> int:
         "--cap", type=int, default=400,
         help="sampled-configuration cap for wide kernel sweeps",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for cold whole-graph sweeps "
-             "(default: REPRO_JOBS or serial; 0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--sweep-store", default=None, metavar="DIR",
-        help="directory of the persistent sweep store "
-             "(default: REPRO_SWEEP_STORE or disabled)",
-    )
-    service = parser.add_argument_group("tuning service (serve / query)")
-    service.add_argument(
-        "--host", default="127.0.0.1", help="serve: bind address"
-    )
-    service.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help=f"serve: bind port (default {DEFAULT_PORT}; 0 = ephemeral)",
-    )
+    service = parser.add_argument_group("tuning service (query)")
     service.add_argument(
         "--url", default=f"http://127.0.0.1:{DEFAULT_PORT}",
         help="query: base URL of a running daemon",
-    )
-    service.add_argument(
-        "--drain-deadline", type=float, default=None, metavar="S",
-        help="serve: SIGTERM drain — seconds to let in-flight requests "
-             "finish (default: REPRO_DRAIN_DEADLINE_S or 10)",
     )
     service.add_argument(
         "--health", action="store_true", help="query: print /healthz and exit"
@@ -856,14 +840,7 @@ def main(argv: list[str] | None = None) -> int:
         help="rollout: abandon the canary candidate",
     )
     args = parser.parse_args(argv)
-    if args.sweep_store is not None:
-        from repro.engine import set_sweep_store
-
-        set_sweep_store(args.sweep_store)
-    if args.jobs is not None:
-        from repro.engine import set_default_jobs
-
-        set_default_jobs(args.jobs)
+    _apply_engine_options(args)
     rc = _COMMANDS[args.command](args)
     return int(rc) if rc else 0
 

@@ -28,7 +28,7 @@ scalar loop with a batched pipeline:
    a stored structural twin — found in the store directory named by the
    digest's structural first half — then a cold evaluation.  Whole graphs are
    deduplicated by digest up front and cold sweeps fan out over a process
-   pool (``jobs`` / ``REPRO_JOBS``), merging byte-for-byte equal to the
+   pool (``jobs`` / ``--jobs``), merging byte-for-byte equal to the
    serial path.
 
 All sweep consumers (`repro.autotuner.tuner.sweep_op` / ``sweep_graph``)

@@ -18,9 +18,9 @@ entries of the other model are unreachable and age out of the LRU.
 The bound is :data:`PAYLOAD_L1_BYTES` of payload arrays, above the working
 set of any graph the engine sweeps.  This module's instance is the engine's
 (emptied by :func:`clear_sweep_memo`); each tuning daemon holds one of its
-own from :func:`new_payload_cache`, and bounds its whole-response cache
-with the same :class:`BoundedCache` class, by entries.  The persistent
-store of :mod:`repro.engine.store` sits under the L1 as L2.
+own from :func:`new_payload_cache`, and bounds its encoded-reply cache and
+its decision map with the same :class:`BoundedCache` class, by bytes.  The
+persistent store of :mod:`repro.engine.store` sits under the L1 as L2.
 """
 
 from __future__ import annotations

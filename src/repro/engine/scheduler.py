@@ -31,9 +31,8 @@ single sweep.  Pool workers return serializable payloads (the same form
 the store persists), and each operator's sweep is rebuilt from its
 payload in graph order, so the result is byte-for-byte equal to the serial
 path no matter the job count — ``jobs`` changes wall-clock, never results.
-``jobs=None`` defers to ``set_default_jobs`` (the CLI's ``--jobs``) and
-then the ``REPRO_JOBS`` environment variable; ``jobs <= 0`` means one
-worker per CPU.
+``jobs=None`` defers to ``set_default_jobs`` (the CLI's ``--jobs``), else
+serial; ``jobs <= 0`` means one worker per CPU.
 
 A cold batch draws each distinct kernel sampling key (knob sizes, cap,
 seed) once (:func:`repro.engine.sampling.shared_samples`): the serial path
@@ -62,7 +61,6 @@ from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
-from repro.wire import env_number
 
 from .memo import ENGINE_L1, BoundedCache
 from .sampling import shared_samples
@@ -89,9 +87,6 @@ __all__ = [
     "sweep_op",
 ]
 
-#: Environment variable giving the default worker count (CLI: ``--jobs``).
-JOBS_ENV_VAR = "REPRO_JOBS"
-
 #: Sentinel for the entry points' ``store=``: run store-free even when a
 #: process-wide store is active (``store=None`` means "use the active one").
 DISABLE_STORE = object()
@@ -100,8 +95,8 @@ _DEFAULT_JOBS: int | None = None
 
 
 def set_default_jobs(jobs: int | None) -> None:
-    """Set the process-wide default worker count (``None`` re-enables
-    ``REPRO_JOBS`` / serial resolution)."""
+    """Set the process-wide default worker count (the CLI's ``--jobs``;
+    ``None``: serial)."""
     global _DEFAULT_JOBS
     _DEFAULT_JOBS = jobs
 
@@ -109,13 +104,11 @@ def set_default_jobs(jobs: int | None) -> None:
 def resolve_jobs(jobs: int | None = None) -> int:
     """Resolve an effective worker count.
 
-    Order: explicit argument, :func:`set_default_jobs`, ``REPRO_JOBS``,
-    serial.  Zero or negative means one worker per CPU.
+    Order: explicit argument, :func:`set_default_jobs`, serial.  Zero or
+    negative means one worker per CPU.
     """
     if jobs is None:
-        jobs = _DEFAULT_JOBS
-    if jobs is None:
-        jobs = env_number(JOBS_ENV_VAR, 1, int)
+        jobs = 1 if _DEFAULT_JOBS is None else _DEFAULT_JOBS
     jobs = int(jobs)
     if jobs <= 0:
         jobs = os.cpu_count() or 1

@@ -24,7 +24,7 @@ from repro.layouts.configspace import default_config
 from repro.layouts.layout import transpose_cost_bytes
 
 from .efficiency import Efficiency, op_efficiency
-from .params import DEFAULT_VERSION, EfficiencyParams, active_params, candidate_version
+from .params import DEFAULT_VERSION, EfficiencyParams, active_model, candidate_version
 from .spec import GPUSpec, V100
 
 __all__ = ["KernelTime", "CostModel", "COST_MODEL_VERSION"]
@@ -88,18 +88,21 @@ class CostModel:
 
     A cost model is one request's **snapshot** of the served model: the
     constructor resolves ``params`` once (``None``: the process-active
-    params) and derives ``version``, the tag every digest, payload stamp
-    and wire response of the request embeds.  It no longer follows a
-    promotion made after it was built — a request in flight finishes under
-    the model it started with, and the next request builds a new snapshot.
+    params, with the version they were installed under) and derives
+    ``version``, the tag every digest, payload stamp and wire response of
+    the request embeds.  It no longer follows a promotion made after it
+    was built — a request in flight finishes under the model it started
+    with, and the next request builds a new snapshot.
     """
 
     def __init__(
         self, gpu: GPUSpec = V100, params: EfficiencyParams | None = None
     ) -> None:
         self.gpu = gpu
-        self.params = active_params() if params is None else params
-        self.version = candidate_version(self.params)
+        if params is None:
+            self.params, self.version = active_model()
+        else:
+            self.params, self.version = params, candidate_version(params)
 
     # -- core prediction -----------------------------------------------------
     def time_op(

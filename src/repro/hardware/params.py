@@ -42,6 +42,7 @@ __all__ = [
     "EfficiencyParams",
     "ParamsError",
     "active_cost_model_version",
+    "active_model",
     "active_params",
     "candidate_version",
     "install_params",
@@ -175,21 +176,29 @@ def candidate_version(params: EfficiencyParams) -> str:
 # The process-active model
 # ---------------------------------------------------------------------------
 
-#: The params new requests get; swapped atomically, read without a lock.
-_params: EfficiencyParams = DEFAULT_PARAMS
+#: The params new requests get and the version they serve under, derived
+#: once at install: one tuple, swapped atomically, read without a lock.
+_active: tuple[EfficiencyParams, int | str] = (DEFAULT_PARAMS, DEFAULT_VERSION)
+
+
+def active_model() -> tuple[EfficiencyParams, int | str]:
+    """The active ``(params, served version)`` pair, read as one value —
+    what a :class:`~repro.hardware.cost_model.CostModel` built now
+    snapshots (request-path code reads its model's, never this)."""
+    return _active
 
 
 def active_params() -> EfficiencyParams:
-    """The params a :class:`~repro.hardware.cost_model.CostModel` built now
-    snapshots (request-path code reads its model's, never this)."""
-    return _params
+    """The active params (see :func:`active_model`)."""
+    return _active[0]
 
 
 def active_cost_model_version() -> int | str:
     """The *served* cost-model version: :func:`candidate_version` of the
     active params — the integer :data:`DEFAULT_VERSION` under the defaults,
-    a derived ``"1-cal-<hex12>"`` tag after a candidate promotion."""
-    return candidate_version(_params)
+    a derived ``"1-cal-<hex12>"`` tag after a candidate promotion.  Derived
+    once by :func:`install_params`, so reading it never hashes."""
+    return _active[1]
 
 
 def install_params(params: EfficiencyParams) -> int | str:
@@ -201,9 +210,9 @@ def install_params(params: EfficiencyParams) -> int | str:
     the process never admitted to serving.  Requests already in flight
     finish under the snapshot they started with.
     """
-    global _params
-    _params = params
-    return candidate_version(params)
+    global _active
+    _active = (params, candidate_version(params))
+    return _active[1]
 
 
 def reset_active_params() -> None:

@@ -33,7 +33,10 @@ from .protocol import (
     sweep_request_wire,
 )
 
-__all__ = ["ServiceError", "TuningClient"]
+__all__ = ["ServiceError", "TuningClient", "backoff_sleep"]
+
+#: Ceiling of the client's transport-retry backoff, in seconds.
+BACKOFF_CAP_S = 2.0
 
 #: POST paths that are safe to retry on a transient transport failure:
 #: sweeps/optimizations are pure functions of the request (content-
@@ -70,6 +73,12 @@ class ServiceError(RuntimeError):
         self.body = body
 
 
+def backoff_sleep(retry: int, base_s: float, cap_s: float) -> None:
+    """Wait before retry number ``retry`` (1 is the first): ``base_s``
+    doubled per retry, capped at ``cap_s``, jittered by ×[0.5, 1.5)."""
+    time.sleep(min(cap_s, base_s * 2 ** (retry - 1)) * (0.5 + random.random()))
+
+
 def _json_object(at: At, raw: bytes) -> dict:
     """A daemon reply's bytes as a JSON object, or ``at``'s error."""
     try:
@@ -101,13 +110,11 @@ class TuningClient:
         timeout: float = 60.0,
         retries: int = 2,
         backoff_s: float = 0.1,
-        backoff_cap_s: float = 2.0,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
         scheme, _, rest = self.base_url.partition("://")
         netloc, slash, path = rest.partition("/")
         self._prefix = slash + path
@@ -166,10 +173,7 @@ class TuningClient:
         attempts = 1 + (self.retries if retryable else 0)
         for attempt in range(attempts):
             if attempt:
-                delay = min(
-                    self.backoff_cap_s, self.backoff_s * 2 ** (attempt - 1)
-                )
-                time.sleep(delay * (0.5 + random.random()))
+                backoff_sleep(attempt, self.backoff_s, BACKOFF_CAP_S)
             try:
                 status, reason, resp_headers, raw = self._round_trip(
                     method, path, data, merged
@@ -293,14 +297,7 @@ class TuningClient:
         current.  Without ``etag`` this is a plain fetch that also returns
         the tag to revalidate with later.
         """
-        headers = {"If-None-Match": etag} if etag else None
-        status, resp_headers, data = self._raw(
-            "/v1/sweep",
-            sweep_request_wire(op, env, gpu, **request),
-            headers=headers,
-            answers=(304,),
-        )
-        return status, resp_headers.get("ETag"), data
+        return self._sweep_tagged({}, op, env, gpu, etag, request)
 
     def sweep_packed_raw(
         self,
@@ -317,7 +314,12 @@ class TuningClient:
         ``etag`` (from a previous call) turns this into a revalidation
         that answers ``304`` with no body when still current.
         """
-        headers = {"Accept": BINARY_CONTENT_TYPE}
+        return self._sweep_tagged(
+            {"Accept": BINARY_CONTENT_TYPE}, op, env, gpu, etag, request
+        )
+
+    def _sweep_tagged(self, headers, op, env, gpu, etag, request) -> tuple:
+        """One ``/v1/sweep`` that may answer ``304``: ``(status, etag, body)``."""
         if etag:
             headers["If-None-Match"] = etag
         status, resp_headers, data = self._raw(
@@ -442,11 +444,7 @@ class TuningClient:
         return self._request_json(f"/v1/schedule/{digest}")
 
     def wait_until_ready(
-        self,
-        *,
-        timeout: float = 30.0,
-        interval: float = 0.1,
-        readiness: bool = False,
+        self, *, timeout: float = 30.0, readiness: bool = False
     ) -> dict:
         """Poll until the daemon answers (or raise).
 
@@ -468,7 +466,7 @@ class TuningClient:
                     return self.healthz()
             except ServiceError as exc:
                 last = exc
-            time.sleep(interval)
+            time.sleep(0.1)
         raise ServiceError(
             f"daemon at {self.base_url} not ready after {timeout}s: {last}"
         )

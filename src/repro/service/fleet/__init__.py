@@ -27,15 +27,15 @@ from .faults import (
     FaultSpecError,
     parse_fault_spec,
 )
-from .hashring import DEFAULT_REPLICAS, HashRing
+from .hashring import REPLICAS, HashRing
 from .registry import DEFAULT_TTL_S, WORKER_EVENTS, WorkerInfo, WorkerRegistry
 
 __all__ = [
-    "DEFAULT_REPLICAS",
     "DEFAULT_TTL_S",
     "ENV_VAR",
     "FAULT_KINDS",
     "KILL_EXIT_CODE",
+    "REPLICAS",
     "FaultClause",
     "FaultInjector",
     "FaultSpecError",

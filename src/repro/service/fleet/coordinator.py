@@ -14,10 +14,10 @@ Failure semantics (the point of this module):
 * every remote fetch has a hard deadline (``REPRO_FLEET_DEADLINE_S``);
 * a worker that times out, errors, resets the connection, or returns a
   payload failing digest verification is **quarantined** for
-  ``REPRO_FLEET_QUARANTINE_S`` and the job retried on the next worker in
-  the ring's failover order — capped exponential backoff with jitter
-  between attempts (``REPRO_FLEET_ATTEMPTS``, ``REPRO_FLEET_BACKOFF_S``,
-  ``REPRO_FLEET_BACKOFF_CAP_S``);
+  :data:`QUARANTINE_S` and the job retried on the next worker in the
+  ring's failover order, at most :data:`ATTEMPTS` workers per job —
+  capped exponential backoff with jitter between attempts
+  (``REPRO_FLEET_BACKOFF_S``, ``REPRO_FLEET_BACKOFF_CAP_S``);
 * when no eligible worker remains (all quarantined, dead, or unready) the
   job falls back to the coordinator's **local engine** — graceful
   degradation: a computable request is never answered with a 5xx.
@@ -32,7 +32,6 @@ jobs is byte-for-byte the single-node response.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -60,8 +59,12 @@ from .registry import DEFAULT_TTL_S, WorkerRegistry
 
 __all__ = ["FleetService"]
 
+#: Workers tried per job before the local-engine fallback.
+ATTEMPTS = 4
+#: Seconds a worker stays benched after a failed fetch.
+QUARANTINE_S = 30.0
 #: Concurrent remote fetches per batch request (not per daemon).
-DEFAULT_FAN_OUT = 8
+FAN_OUT = 8
 
 
 class FleetService(TuningService):
@@ -69,43 +72,18 @@ class FleetService(TuningService):
 
     Every single-node endpoint keeps working (the coordinator *is* a full
     daemon — that is what the local-engine fallback runs on); the fleet
-    endpoints are layered on top.
+    endpoints are layered on top.  Its four settings are ``REPRO_FLEET_*``
+    variables, read here once.
     """
 
-    def __init__(
-        self,
-        *,
-        ttl_s: float | None = None,
-        deadline_s: float | None = None,
-        attempts: int | None = None,
-        backoff_s: float | None = None,
-        backoff_cap_s: float | None = None,
-        quarantine_s: float | None = None,
-        fan_out: int = DEFAULT_FAN_OUT,
-        **kwargs,
-    ) -> None:
+    def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        if deadline_s is None:
-            deadline_s = env_number("REPRO_FLEET_DEADLINE_S", 30.0)
-        if attempts is None:
-            attempts = int(env_number("REPRO_FLEET_ATTEMPTS", 4))
-        if backoff_s is None:
-            backoff_s = env_number("REPRO_FLEET_BACKOFF_S", 0.05)
-        if backoff_cap_s is None:
-            backoff_cap_s = env_number("REPRO_FLEET_BACKOFF_CAP_S", 1.0)
-        if quarantine_s is None:
-            quarantine_s = env_number("REPRO_FLEET_QUARANTINE_S", 30.0)
-        if ttl_s is None:
-            ttl_s = env_number("REPRO_FLEET_TTL_S", DEFAULT_TTL_S)
-        if attempts < 1:
-            raise ValueError("attempts must be at least 1")
-        self.deadline_s = deadline_s
-        self.attempts = attempts
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
-        self.quarantine_s = quarantine_s
-        self.fan_out = max(1, fan_out)
-        self.workers = WorkerRegistry(ttl_s=ttl_s)
+        self.deadline_s = env_number("REPRO_FLEET_DEADLINE_S", 30.0)
+        self.backoff_s = env_number("REPRO_FLEET_BACKOFF_S", 0.05)
+        self.backoff_cap_s = env_number("REPRO_FLEET_BACKOFF_CAP_S", 1.0)
+        self.workers = WorkerRegistry(
+            ttl_s=env_number("REPRO_FLEET_TTL_S", DEFAULT_TTL_S)
+        )
         self.service_name = "coordinator"
         self._ring_lock = threading.Lock()
         self._ring: HashRing | None = None
@@ -150,10 +128,10 @@ class FleetService(TuningService):
         does, immediately after, via the registry) — but within this job
         it is never asked twice.
         """
-        from ..client import TuningClient
+        from ..client import TuningClient, backoff_sleep
 
         excluded: set[str] = set()
-        for attempt in range(1, self.attempts + 1):
+        for attempt in range(1, ATTEMPTS + 1):
             picked = self._pick_worker(digest, excluded)
             if picked is None:
                 break  # fleet drained for this key: degrade locally
@@ -184,19 +162,16 @@ class FleetService(TuningService):
                 obs.set_attr("fleet.attempts", attempt)
                 return payload
             self.workers.record(worker_id, reason)
-            self.workers.quarantine(worker_id, self.quarantine_s, reason)
+            self.workers.quarantine(worker_id, QUARANTINE_S, reason)
             self.metrics.record_fleet("quarantine")
             obs.add_event("quarantine", worker=worker_id, reason=reason)
             excluded.add(worker_id)
-            if attempt < self.attempts:
+            if attempt < ATTEMPTS:
                 self.metrics.record_fleet("retry")
                 obs.add_event(
                     "retry", worker=worker_id, reason=reason, attempt=attempt
                 )
-                delay = min(
-                    self.backoff_cap_s, self.backoff_s * 2 ** (attempt - 1)
-                )
-                time.sleep(delay * (0.5 + random.random()))
+                backoff_sleep(attempt, self.backoff_s, self.backoff_cap_s)
         # Graceful degradation: the coordinator's own engine computes the
         # identical payload (same digest, same deterministic evaluation).
         self.metrics.record_fleet("job_local_fallback")
@@ -210,7 +185,7 @@ class FleetService(TuningService):
         ``/v1/optimize``; each digest neither holds is fetched from its worker
         (:meth:`_fleet_payload`): L1 → L2 → remote worker → local cold
         fallback, so a warm store never touches the network.  Jobs run on
-        ``fan_out`` threads and are yielded as they complete, so each
+        :data:`FAN_OUT` threads and are yielded as they complete, so each
         payload is saved while the rest are in flight.
 
         The coordinator never delta-re-sweeps locally.  A delta needs only
@@ -228,7 +203,7 @@ class FleetService(TuningService):
                 payload = self._fleet_payload(digest, op, req, cost)
             return digest, (payload, "computed")
 
-        with ThreadPoolExecutor(max_workers=min(self.fan_out, len(misses))) as pool:
+        with ThreadPoolExecutor(max_workers=min(FAN_OUT, len(misses))) as pool:
             jobs = [pool.submit(job, *item) for item in misses.items()]
             for done in as_completed(jobs):
                 yield done.result()
@@ -306,11 +281,11 @@ class FleetService(TuningService):
             "config": {
                 "ttl_s": self.workers.ttl_s,
                 "deadline_s": self.deadline_s,
-                "attempts": self.attempts,
+                "attempts": ATTEMPTS,
                 "backoff_s": self.backoff_s,
                 "backoff_cap_s": self.backoff_cap_s,
-                "quarantine_s": self.quarantine_s,
-                "fan_out": self.fan_out,
+                "quarantine_s": QUARANTINE_S,
+                "fan_out": FAN_OUT,
             },
             "counts": self.workers.counts(),
             "cost_model_version": served,

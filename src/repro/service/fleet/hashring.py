@@ -18,7 +18,7 @@ retry-with-exclusion depends on:
 * :meth:`preference` yields the full failover order for a key, which is
   what the coordinator walks when its first choice is quarantined.
 
-Virtual nodes (``replicas`` points per worker) smooth the key
+Virtual nodes (:data:`REPLICAS` points per worker) smooth the key
 distribution; 64 is plenty for fleets of a handful of daemons.
 """
 
@@ -28,11 +28,11 @@ import bisect
 import hashlib
 from typing import Iterable, Iterator
 
-__all__ = ["DEFAULT_REPLICAS", "HashRing"]
+__all__ = ["REPLICAS", "HashRing"]
 
 #: Virtual nodes per worker.  More replicas → smoother key distribution
-#: at slightly higher ring-build cost (``replicas`` SHA-256 hashes/node).
-DEFAULT_REPLICAS = 64
+#: at slightly higher ring-build cost (one SHA-256 hash per replica).
+REPLICAS = 64
 
 
 def _point(data: str) -> int:
@@ -48,12 +48,7 @@ class HashRing:
     concurrently (reads never mutate).
     """
 
-    def __init__(
-        self, nodes: Iterable[str] = (), *, replicas: int = DEFAULT_REPLICAS
-    ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
+    def __init__(self, nodes: Iterable[str] = ()) -> None:
         self._points: list[int] = []
         # point -> sorted claimant node ids.  A 64-bit point collision
         # between two nodes is a ~2**-64 event, but resolving it by the
@@ -66,7 +61,7 @@ class HashRing:
 
     # -- membership -----------------------------------------------------------
     def _node_points(self, node: str) -> list[int]:
-        return [_point(f"{node}#{i}") for i in range(self.replicas)]
+        return [_point(f"{node}#{i}") for i in range(REPLICAS)]
 
     def add(self, node: str) -> bool:
         """Add ``node``; returns False if it was already on the ring."""
@@ -140,6 +135,6 @@ class HashRing:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"HashRing({len(self._nodes)} nodes x {self.replicas} replicas, "
+            f"HashRing({len(self._nodes)} nodes x {REPLICAS} replicas, "
             f"{len(self._points)} points)"
         )

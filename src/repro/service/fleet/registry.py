@@ -12,8 +12,8 @@ registry distinguishes the two states the fleet's routing needs:
   but unready worker is *up* but not *usable*, and receives no traffic.
 
 Quarantine is the coordinator's own verdict, orthogonal to both: a worker
-that timed out, errored, or returned a corrupt payload is benched for
-``quarantine_s`` regardless of what its heartbeats claim.  Its ring keys
+that timed out, errored, or returned a corrupt payload is benched (30 s,
+the coordinator's ``QUARANTINE_S``) regardless of what its heartbeats claim.  Its ring keys
 re-route to the next worker clockwise (see
 :mod:`repro.service.fleet.hashring`); when the quarantine lapses — or the
 worker re-registers, which clears it — the keys come home.

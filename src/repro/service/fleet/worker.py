@@ -30,19 +30,16 @@ class WorkerAgent:
         self,
         coordinator_url: str,
         worker_url: str,
+        service,
         *,
         worker_id: str | None = None,
-        service=None,
-        heartbeat_s: float | None = None,
     ) -> None:
         self.coordinator_url = coordinator_url.rstrip("/")
         self.worker_url = worker_url.rstrip("/")
         self.worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
         self.service = service
-        self._heartbeat_s = heartbeat_s
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self.registered = threading.Event()
 
     def _client(self):
         from repro.service.client import TuningClient
@@ -52,8 +49,6 @@ class WorkerAgent:
         return TuningClient(self.coordinator_url, timeout=5.0, retries=0)
 
     def _ready(self) -> bool:
-        if self.service is None:
-            return True
         try:
             ok, _ = self.service.ready()
             return ok
@@ -65,9 +60,7 @@ class WorkerAgent:
         reply = client.fleet_register(
             worker_id=self.worker_id, url=self.worker_url, ready=self._ready()
         )
-        self.registered.set()
-        ttl = float(reply.get("ttl_s", 15.0))
-        return self._heartbeat_s if self._heartbeat_s is not None else ttl / 3.0
+        return float(reply.get("ttl_s", 15.0)) / 3.0
 
     def _loop(self) -> None:
         from repro.service.client import ServiceError
@@ -104,13 +97,14 @@ class WorkerAgent:
         )
         self._thread.start()
 
-    def stop(self, *, deregister: bool = False) -> None:
+    def stop(self) -> None:
+        """Stop beating and deregister, so our keys re-route now instead of
+        after a TTL expiry."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        if deregister:
-            try:
-                self._client().fleet_deregister(worker_id=self.worker_id)
-            except Exception:  # noqa: BLE001 - best-effort goodbye
-                pass
+        try:
+            self._client().fleet_deregister(worker_id=self.worker_id)
+        except Exception:  # noqa: BLE001 - best-effort goodbye
+            pass

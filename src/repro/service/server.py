@@ -637,7 +637,7 @@ class TuningService:
                 )
         else:
             entry = self._tune_entry(body)
-        report = validate_entry(entry)
+        report = validate_entry(entry, store=self.store)
         if not report.ok:
             self.metrics.record_registry("rejected")
             raise RegistrationRejected(
@@ -798,7 +798,7 @@ class TuningService:
                 summary["failures"][digest] = [f"error(registry/load): {item}"]
                 self.metrics.record_registry("revalidate_fail")
                 continue
-            report = validate_entry(item, deep=deep)
+            report = validate_entry(item, store=self.store, deep=deep)
             if report.ok:
                 summary["passed"] += 1
                 self.metrics.record_registry("revalidate_pass")

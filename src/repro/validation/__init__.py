@@ -21,7 +21,7 @@ validator       catches
                 reference disagreeing with the entry
 ``staleness``   ``COST_MODEL_VERSION`` / registry-format drift (an
                 actionable re-register report, never a crash), provenance
-                citing sweeps the active L2 store no longer holds
+                citing sweeps the caller's L2 store no longer holds
 ==============  ===========================================================
 
 :func:`validate_entry` runs them all and merges one
@@ -32,6 +32,7 @@ exactly the right one.
 
 from __future__ import annotations
 
+from repro.engine.store import SweepStore
 from repro.registry.entry import ScheduleEntry
 
 from .base import (
@@ -71,10 +72,15 @@ DEFAULT_VALIDATORS: tuple[BaseValidator, ...] = (
 def validate_entry(
     entry: ScheduleEntry,
     *,
+    store: SweepStore | None,
     deep: bool = False,
     validators: tuple[BaseValidator, ...] | None = None,
 ) -> ValidationReport:
     """Run the validator stack over one entry and merge the findings.
+
+    ``store`` is the caller's sweep store (``None``: none) — the daemon's
+    own, or the CLI's active one; validation never reads the process
+    default behind the caller's back.
 
     ``deep=True`` additionally re-runs configuration selection end to end
     (both pipelines) inside the cost validator — expensive, but the
@@ -86,7 +92,7 @@ def validate_entry(
     stack = DEFAULT_VALIDATORS if validators is None else validators
     report = ValidationReport(digest=entry.digest)
     try:
-        ctx = ValidationContext(entry, deep=deep)
+        ctx = ValidationContext(entry, store=store, deep=deep)
     except ValidationError as exc:
         report.validators = [v.name for v in stack]
         report.issues.append(

@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.configsel.selector import TransposeInsertion
+from repro.engine.store import SweepStore
 from repro.hardware.cost_model import CostModel
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
@@ -132,11 +133,16 @@ class ValidationContext:
     validator checks semantics, not JSON.  A selection too malformed to
     parse surfaces as ``chosen_error`` (the structural validator reports
     it); the *graph* failing to build raises :class:`ValidationError`,
-    because no validator can run without one.
+    because no validator can run without one.  ``store`` is the caller's
+    sweep store (``None``: none): provenance is checked against it and a
+    deep reselection resolves through it.
     """
 
-    def __init__(self, entry: ScheduleEntry, *, deep: bool = False) -> None:
+    def __init__(
+        self, entry: ScheduleEntry, *, store: SweepStore | None, deep: bool = False
+    ) -> None:
         self.entry = entry
+        self.store = store
         self.deep = deep
         at = At(ValidationError, "entry")
         self.graph: DataflowGraph = entry.build_graph(at)

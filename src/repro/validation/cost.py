@@ -147,11 +147,18 @@ class CostValidator(BaseValidator):
     # -- deep: full reselection through both pipelines ------------------------
     def _check_reselect(self, ctx) -> list[ValidationIssue]:
         from repro.configsel.selector import select_configurations
-        from repro.engine import sweep_graph
+        from repro.engine.scheduler import DISABLE_STORE, sweep_graph
 
         issues: list[ValidationIssue] = []
         cap, seed, source = ctx.entry.knob_values()
-        sweeps = sweep_graph(ctx.graph, ctx.env, ctx.cost, cap=cap, seed=seed)
+        sweeps = sweep_graph(
+            ctx.graph,
+            ctx.env,
+            ctx.cost,
+            cap=cap,
+            seed=seed,
+            store=DISABLE_STORE if ctx.store is None else ctx.store,
+        )
         for fast, label in ((True, "fast layered"), (False, "scalar reference")):
             sel = select_configurations(
                 ctx.graph,

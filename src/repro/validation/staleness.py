@@ -12,14 +12,13 @@ bump changes the content address, so the stale entry is orphaned, not
 overwritten).
 
 Softer drift is warned about rather than failed: provenance citing sweep
-digests the active L2 store no longer holds means the schedule outlived
+digests the caller's L2 store no longer holds means the schedule outlived
 its evidence (still valid — cost validation re-derives everything — but an
 operator should know the audit trail is broken).
 """
 
 from __future__ import annotations
 
-from repro.engine.store import get_sweep_store
 from repro.registry.entry import REGISTRY_FORMAT, schedule_digest
 
 from .base import BaseValidator, ValidationContext, ValidationIssue
@@ -97,7 +96,7 @@ class StalenessValidator(BaseValidator):
                     f"provenance cites no sweep digest for {uncited}",
                 )
             )
-        store = get_sweep_store()
+        store = ctx.store
         if store is not None:
             # Stale provenance only matters against a version-matched store:
             # a bumped model orphans every sweep anyway (already reported).
@@ -111,7 +110,7 @@ class StalenessValidator(BaseValidator):
                     self.warning(
                         "provenance-orphaned",
                         f"{len(missing)} of {len(sweeps)} cited sweep digests "
-                        f"are absent from the active store ({missing[:5]}"
+                        f"are absent from the sweep store ({missing[:5]}"
                         f"{'…' if len(missing) > 5 else ''}); the schedule "
                         f"outlived its sweep evidence",
                     )

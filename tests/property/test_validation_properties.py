@@ -41,7 +41,7 @@ def seeded():
     entry = build_entry(graph, ENV, COST, sel, cap=CAP)
     clear_sweep_memo()
 
-    ctx = ValidationContext(entry)
+    ctx = ValidationContext(entry, store=None)
     # Layouts each tensor is actually accessed in, as structural sees them.
     realized: dict[str, set[tuple[str, ...]]] = {}
     for name, m in ctx.chosen.items():
@@ -62,7 +62,7 @@ def seeded():
     )
     assert safe_pins, "fixture graph must offer a reversible pin"
     assert entry.selection["transposes"], "fixture graph must insert a transpose"
-    report = validate_entry(entry)
+    report = validate_entry(entry, store=None)
     assert report.ok, report.summary()
     return entry, safe_pins
 
@@ -133,7 +133,7 @@ def test_single_mutation_caught_by_exactly_the_right_validator(seeded, data):
     mutate(wire)
     mutated = ScheduleEntry.from_wire(wire)
 
-    report = validate_entry(mutated)
+    report = validate_entry(mutated, store=None)
     assert not report.ok, (expected, report.summary())
     owners = {i.validator for i in report.errors()}
     assert owners == {expected}, (expected, report.summary())
@@ -157,7 +157,7 @@ def test_untouched_entry_always_passes(seeded, _):
     """Serialization round trips never manufacture a finding."""
     entry, _pins = seeded
     round_tripped = ScheduleEntry.from_bytes(entry.to_bytes())
-    report = validate_entry(round_tripped)
+    report = validate_entry(round_tripped, store=None)
     assert report.ok, report.summary()
     assert report.errors() == []
 

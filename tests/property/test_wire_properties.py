@@ -356,7 +356,10 @@ def _rollout_states() -> tuple[dict, ...]:
     states = []
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            mgr = RolloutManager(tmp, fraction=1.0, min_samples=1, max_divergence=0.5)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("REPRO_CANARY_FRACTION", "1.0")
+                mp.setenv("REPRO_CANARY_MIN_SAMPLES", "1")
+                mgr = RolloutManager(tmp)
             mgr.propose(_candidate(), table3_corpus())
             states.append(json.loads(mgr.state_path.read_bytes()))
             mgr.promote()

@@ -250,10 +250,13 @@ def test_candidate_from_wire_rejects_forged_version():
 # ---------------------------------------------------------------------------
 
 
-def _canary_manager(tmp_path=None, **over) -> RolloutManager:
-    kw = dict(fraction=1.0, min_samples=3, max_divergence=0.5)
-    kw.update(over)
-    return RolloutManager(tmp_path, **kw)
+def _canary_manager(tmp_path=None, fraction="1.0") -> RolloutManager:
+    """A manager built under deterministic ``REPRO_CANARY_*`` settings."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CANARY_FRACTION", fraction)
+        mp.setenv("REPRO_CANARY_MIN_SAMPLES", "3")
+        mp.setenv("REPRO_CANARY_MAX_DIVERGENCE", "0.5")
+        return RolloutManager(tmp_path)
 
 
 def _proposed(tmp_path=None, **over):
@@ -323,7 +326,7 @@ def test_manual_promote_and_rollback(tmp_path):
 
 
 def test_hash_slice_respects_fraction():
-    mgr, _ = _proposed(fraction=0.25)
+    mgr, _ = _proposed(fraction="0.25")
     # Spread the leading 32 bits across the whole hash space.
     digests = [f"{(i * 0x00100001) & 0xFFFFFFFF:08x}{'0' * 56}" for i in range(4096)]
     hits = sum(mgr.should_canary(d) for d in digests)

@@ -52,13 +52,16 @@ def _storeless(**kwargs) -> TuningService:
     return TuningService(store=None, registry=None, **kwargs)
 
 
-def _fleet(**kwargs) -> FleetService:
+def _fleet(env: dict[str, str] | None = None, **kwargs) -> FleetService:
+    """A storeless coordinator under fast ``REPRO_FLEET_<NAME>`` settings
+    (``env`` overrides them), read as a daemon reads them."""
     kwargs.setdefault("store", None)
     kwargs.setdefault("registry", None)
-    kwargs.setdefault("ttl_s", 10.0)
-    kwargs.setdefault("backoff_s", 0.01)
-    kwargs.setdefault("backoff_cap_s", 0.05)
-    return FleetService(**kwargs)
+    env = {"TTL_S": "10", "BACKOFF_S": "0.01", "BACKOFF_CAP_S": "0.05", **(env or {})}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in env.items():
+            mp.setenv(f"REPRO_FLEET_{name}", value)
+        return FleetService(**kwargs)
 
 
 def _batch_raw(client: TuningClient) -> bytes:
@@ -478,7 +481,7 @@ class TestCoordinator:
                 "hang:path=/v1/sweep:delay=5:count=0"
             )
         )
-        coord = _fleet(deadline_s=0.8)
+        coord = _fleet(env={"DEADLINE_S": "0.8"})
         with serve_background(hang) as u1, \
                 serve_background(_storeless()) as u2, \
                 serve_background(coord) as cu:
@@ -547,7 +550,7 @@ class TestCoordinator:
             assert client.metrics()["fleet"]["events"]["job_local_fallback"] > 0
 
     def test_heartbeat_lifecycle_over_http(self):
-        coord = _fleet(ttl_s=5.0)
+        coord = _fleet(env={"TTL_S": "5"})
         with serve_background(coord) as cu:
             client = TuningClient(cu)
             reply = client.fleet_register(

@@ -163,7 +163,7 @@ class TestRoundTrip:
             assert chosen[name].config == m.config
             assert chosen[name].time == m.time
 
-        report = validate_entry(loaded)
+        report = validate_entry(loaded, store=None)
         assert report.ok, report.summary()
         assert report.validators == ["structural", "cost", "staleness"]
 
@@ -277,7 +277,7 @@ class TestConcurrency:
                 if loaded is None:
                     failures.append("entry vanished mid-race")
                     continue
-                report = validate_entry(loaded)
+                report = validate_entry(loaded, store=None)
                 if not report.ok:
                     failures.append(report.summary())
 
@@ -359,7 +359,7 @@ class TestActiveRegistry:
         digests = registry.digests()
         assert len(digests) == 1
         loaded = registry.load(digests[0])
-        report = validate_entry(loaded)
+        report = validate_entry(loaded, store=None)
         assert report.ok, report.summary()
         # The registered total is the selection's, before per-kernel overhead.
         overhead = OURS.per_kernel_overhead_us * len(loaded.selection["chosen"])

@@ -365,14 +365,11 @@ class TestJobsResolution:
         set_default_jobs(7)
         assert resolve_jobs(3) == 3
 
-    def test_default_jobs_then_env(self, monkeypatch):
-        monkeypatch.setenv(sched_mod.JOBS_ENV_VAR, "5")
-        assert resolve_jobs(None) == 5
+    def test_default_jobs_applies_without_an_argument(self):
         set_default_jobs(2)
         assert resolve_jobs(None) == 2
 
-    def test_serial_without_configuration(self, monkeypatch):
-        monkeypatch.delenv(sched_mod.JOBS_ENV_VAR, raising=False)
+    def test_serial_without_configuration(self):
         assert resolve_jobs(None) == 1
 
     def test_nonpositive_means_cpu_count(self):
@@ -565,7 +562,7 @@ class TestOneModelSnapshot:
     """CI guard: request-path code reads its ``CostModel``, not the global."""
 
     SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-    GLOBALS = {"active_params", "active_cost_model_version"}
+    GLOBALS = {"active_model", "active_params", "active_cost_model_version"}
     PROTOCOL_BUILDERS = {
         "sweep_request_digest",
         "optimize_request_digest",

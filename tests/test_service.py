@@ -1014,6 +1014,39 @@ class TestDecideOnce:
         assert svc.handle_sweep_wire(raw).headers == before.headers
         assert svc.decisions.stats()["hits"] == 1
 
+    def test_a_promoted_version_is_never_rehashed(self, monkeypatch):
+        """The installed params carry their version: after a promote no
+        model snapshot and no decision hit hashes the params again."""
+        from repro.hardware import params as params_mod
+        from repro.hardware.params import (
+            DEFAULT_PARAMS,
+            install_params,
+            params_from_wire,
+            reset_active_params,
+        )
+
+        op, _ = _ops()
+        raw = canonical_json_bytes(sweep_request_wire(op, ENV, cap=CAP, seed=44))
+        svc = TuningService(store=None, registry=None, calibration_dir=None)
+        install_params(params_from_wire({**DEFAULT_PARAMS.to_wire(), "jitter": 0.2}))
+        try:
+            first = svc._decided("/v1/sweep", raw, svc._sweep_decision)
+            hashed = []
+            digest = params_mod.params_digest
+            monkeypatch.setattr(
+                params_mod, "params_digest", lambda p: hashed.append(p) or digest(p)
+            )
+            models = [CostModel() for _ in range(5)]
+            hits = [
+                svc._decided("/v1/sweep", raw, svc._sweep_decision) for _ in range(5)
+            ]
+        finally:
+            reset_active_params()
+        assert hashed == []
+        assert {m.version for m in models} == {first.cost.version}
+        assert first.cost.version != COST.version
+        assert all(hit is first for hit in hits)
+
     @pytest.mark.parametrize("kind", ["bad_json", "view_op", "over_cap"])
     def test_a_refused_body_is_400_every_time_and_never_remembered(self, kind):
         import dataclasses

@@ -16,7 +16,7 @@ import dataclasses
 import pytest
 
 from repro.configsel.selector import select_configurations
-from repro.engine import clear_sweep_memo
+from repro.engine import SweepStore, clear_sweep_memo
 from repro.hardware.cost_model import COST_MODEL_VERSION, CostModel
 from repro.ir.dims import bert_large_dims
 from repro.registry import ScheduleEntry, ScheduleRegistry, build_entry
@@ -79,7 +79,7 @@ def _error_validators(report) -> set[str]:
 
 class TestCleanEntry:
     def test_passes_all_validators(self, clean_entry):
-        report = validate_entry(clean_entry)
+        report = validate_entry(clean_entry, store=None)
         assert report.ok, report.summary()
         assert report.errors() == [] and report.warnings() == []
         assert report.validators == ["structural", "cost", "staleness"]
@@ -87,11 +87,11 @@ class TestCleanEntry:
     def test_deep_validation_bit_exact_against_both_pipelines(self, clean_entry):
         """The acceptance bar: full reselection through the fast layered
         path AND the scalar reference reproduces the entry bit for bit."""
-        report = validate_entry(clean_entry, deep=True)
+        report = validate_entry(clean_entry, store=None, deep=True)
         assert report.ok, report.summary()
 
     def test_report_wire_form(self, clean_entry):
-        wire = validate_entry(clean_entry).to_wire()
+        wire = validate_entry(clean_entry, store=None).to_wire()
         assert wire["ok"] is True
         assert wire["digest"] == clean_entry.digest
         assert wire["issues"] == []
@@ -111,7 +111,7 @@ class TestStructuralValidator:
                 sum(m["total_us"] for m in sel["chosen"]) + sel["transpose_us"]
             )
 
-        report = validate_entry(_mutate(clean_entry, drop_first))
+        report = validate_entry(_mutate(clean_entry, drop_first), store=None)
         assert not report.ok
         assert "unassigned-op" in _error_codes(report, "structural")
 
@@ -119,14 +119,14 @@ class TestStructuralValidator:
         def rename(wire):
             wire["selection"]["chosen"][0]["op"] = "ghost_op"
 
-        report = validate_entry(_mutate(clean_entry, rename))
+        report = validate_entry(_mutate(clean_entry, rename), store=None)
         codes = _error_codes(report, "structural")
         assert {"unknown-op", "unassigned-op"} <= codes
         # The cost validator skips ops it cannot find; totals are unchanged.
         assert _error_validators(report) == {"structural"}
 
     def test_reassigned_pinned_layout_caught_by_structural_only(self, clean_entry):
-        ctx = ValidationContext(clean_entry)
+        ctx = ValidationContext(clean_entry, store=None)
         tensor = next(
             t for t, pin in ctx.pinned.items()
             if len(pin.dims) >= 2 and tuple(reversed(pin.dims)) != pin.dims
@@ -136,7 +136,7 @@ class TestStructuralValidator:
             pins = wire["selection"]["pinned_layouts"]
             pins[tensor] = list(reversed(pins[tensor]))
 
-        report = validate_entry(_mutate(clean_entry, flip_pin))
+        report = validate_entry(_mutate(clean_entry, flip_pin), store=None)
         assert not report.ok
         assert _error_validators(report) == {"structural"}
         assert _error_codes(report, "structural") & {
@@ -148,7 +148,7 @@ class TestStructuralValidator:
         def dangle(wire):
             wire["selection"]["transposes"][0]["before_op"] = "ghost_op"
 
-        report = validate_entry(_mutate(clean_entry, dangle))
+        report = validate_entry(_mutate(clean_entry, dangle), store=None)
         assert "transpose-dangling" in _error_codes(report, "structural")
 
     def test_transpose_endpoint_mismatch_caught(self, clean_entry):
@@ -156,7 +156,7 @@ class TestStructuralValidator:
             t = wire["selection"]["transposes"][0]
             t["to_layout"], t["from_layout"] = t["from_layout"], t["to_layout"]
 
-        report = validate_entry(_mutate(clean_entry, retarget))
+        report = validate_entry(_mutate(clean_entry, retarget), store=None)
         assert _error_codes(report, "structural") & {
             "transpose-endpoint",
             "edge-incoherent",
@@ -167,14 +167,14 @@ class TestStructuralValidator:
             cfg = wire["selection"]["chosen"][0]["config"]
             cfg["input_layouts"][0] = ["bogus_dim"]
 
-        report = validate_entry(_mutate(clean_entry, corrupt_layout))
+        report = validate_entry(_mutate(clean_entry, corrupt_layout), store=None)
         assert "layout-dims" in _error_codes(report, "structural")
 
     def test_unparseable_selection_is_structural(self, clean_entry):
         def corrupt(wire):
             wire["selection"]["chosen"][0]["config"] = "not a config"
 
-        report = validate_entry(_mutate(clean_entry, corrupt))
+        report = validate_entry(_mutate(clean_entry, corrupt), store=None)
         assert _error_codes(report, "structural") == {"selection-unparseable"}
         assert report.by_validator("cost") == []  # cost defers, not double-reports
 
@@ -182,7 +182,7 @@ class TestStructuralValidator:
         def corrupt(wire):
             wire["graph"]["ops"][0]["stage"] = "sideways"
 
-        report = validate_entry(_mutate(clean_entry, corrupt))
+        report = validate_entry(_mutate(clean_entry, corrupt), store=None)
         assert not report.ok
         assert _error_codes(report, "structural") == {"graph-unbuildable"}
 
@@ -196,7 +196,7 @@ class TestCostValidator:
         def bump(wire):
             wire["selection"]["total_us"] += 1.0
 
-        report = validate_entry(_mutate(clean_entry, bump))
+        report = validate_entry(_mutate(clean_entry, bump), store=None)
         assert not report.ok
         assert _error_validators(report) == {"cost"}
         assert _error_codes(report, "cost") == {"total-drift"}
@@ -205,7 +205,7 @@ class TestCostValidator:
         def bump(wire):
             wire["selection"]["chosen"][0]["compute_us"] += 0.5
 
-        report = validate_entry(_mutate(clean_entry, bump))
+        report = validate_entry(_mutate(clean_entry, bump), store=None)
         assert _error_validators(report) == {"cost"}
         codes = _error_codes(report, "cost")
         assert "kernel-time-drift" in codes
@@ -215,7 +215,7 @@ class TestCostValidator:
         def bump(wire):
             wire["selection"]["transposes"][0]["time_us"] += 0.25
 
-        report = validate_entry(_mutate(clean_entry, bump))
+        report = validate_entry(_mutate(clean_entry, bump), store=None)
         assert _error_validators(report) == {"cost"}
         codes = _error_codes(report, "cost")
         assert "transpose-time-drift" in codes
@@ -224,7 +224,7 @@ class TestCostValidator:
     def test_swapped_configuration_time_disagrees(self, clean_entry):
         """A kernel re-timed under a *different* stored configuration: the
         recomputation (fresh scalar-reference ``time_op``) must disagree."""
-        ctx = ValidationContext(clean_entry)
+        ctx = ValidationContext(clean_entry, store=None)
         names = list(ctx.chosen)
         a = next(
             n for n in names
@@ -241,22 +241,22 @@ class TestCostValidator:
             for f in ("compute_us", "memory_us", "launch_us", "total_us"):
                 chosen[a][f], chosen[b][f] = chosen[b][f], chosen[a][f]
 
-        report = validate_entry(_mutate(clean_entry, swap_times))
+        report = validate_entry(_mutate(clean_entry, swap_times), store=None)
         assert "kernel-time-drift" in _error_codes(report, "cost")
 
     def test_deep_reselect_catches_consistent_lies(self, clean_entry):
         """An entry whose parts are internally consistent but describe a
         schedule selection never produced: only ``deep`` catches it."""
-        ctx = ValidationContext(clean_entry)
+        ctx = ValidationContext(clean_entry, store=None)
         # Claim different knobs: seed drift means reselection disagrees.
         lied = dataclasses.replace(
             clean_entry,
             knobs={**clean_entry.knobs, "cap": 12},
         )
         lied = dataclasses.replace(lied, digest=lied.recompute_digest())
-        shallow = validate_entry(lied)
+        shallow = validate_entry(lied, store=None)
         assert shallow.ok, shallow.summary()  # the lie is self-consistent
-        deep = validate_entry(lied, deep=True)
+        deep = validate_entry(lied, store=None, deep=True)
         if deep.ok:
             pytest.skip("cap=12 selects the same schedule on this graph")
         assert _error_validators(deep) == {"cost"}
@@ -276,7 +276,7 @@ class TestStalenessValidator:
         stale = dataclasses.replace(
             clean_entry, cost_model_version=COST_MODEL_VERSION + 7
         )
-        report = validate_entry(stale)
+        report = validate_entry(stale, store=None)
         assert not report.ok
         assert _error_validators(report) == {"staleness"}
         assert _error_codes(report, "staleness") == {"cost-model-version"}
@@ -287,7 +287,7 @@ class TestStalenessValidator:
         stale = dataclasses.replace(
             clean_entry, cost_model_version=COST_MODEL_VERSION + 7
         )
-        report = validate_entry(stale)
+        report = validate_entry(stale, store=None)
         [issue] = [i for i in report.errors() if i.code == "cost-model-version"]
         fresh = clean_entry.recompute_digest()  # recorded version == current
         assert fresh in issue.message  # where to re-register
@@ -301,33 +301,46 @@ class TestStalenessValidator:
             cost_model_version=COST_MODEL_VERSION + 7,
             selection={**clean_entry.selection, "total_us": 1.0},  # a "lie"
         )
-        report = validate_entry(stale)
+        report = validate_entry(stale, store=None)
         cost_issues = report.by_validator("cost")
         assert [i.code for i in cost_issues] == ["recompute-skipped"]
         assert cost_issues[0].severity is Severity.INFO
 
     def test_registry_format_drift_caught(self, clean_entry):
         odd = dataclasses.replace(clean_entry, registry_format=99)
-        report = validate_entry(odd)
+        report = validate_entry(odd, store=None)
         assert "registry-format" in _error_codes(report, "staleness")
 
     def test_orphaned_provenance_warns(self, clean_entry, tmp_path):
-        """Provenance citing sweeps the active store no longer holds is a
+        """Provenance citing sweeps the caller's store no longer holds is a
         warning — the schedule still validates, but it cannot be re-derived
         from stored sweeps."""
-        from repro.engine import set_sweep_store
-
-        store = set_sweep_store(tmp_path / "empty-store")
-        try:
-            report = validate_entry(clean_entry)
-        finally:
-            set_sweep_store(None)
+        report = validate_entry(clean_entry, store=SweepStore(tmp_path / "empty"))
         assert report.ok  # warnings do not fail validation
         assert {i.code for i in report.warnings()} == {"provenance-orphaned"}
 
+    def test_the_daemon_checks_provenance_against_its_own_store(
+        self, clean_entry, tmp_path, monkeypatch
+    ):
+        """A daemon built on store ``S`` validates against ``S``, even with
+        no process-wide store installed."""
+        from repro.engine import store as store_mod
+        from repro.service.server import TuningService
+
+        monkeypatch.setattr(store_mod, "_ACTIVE", None)
+        svc = TuningService(
+            store=SweepStore(tmp_path / "store"),
+            registry=ScheduleRegistry(tmp_path / "registry"),
+            calibration_dir=None,
+        )
+        reply = svc.handle_register({"entry": clean_entry.to_wire()})
+        assert reply["registered"]
+        codes = {issue["code"] for issue in reply["report"]["issues"]}
+        assert codes == {"provenance-orphaned"}
+
     def test_missing_provenance_warns(self, clean_entry):
         bare = dataclasses.replace(clean_entry, provenance={})
-        report = validate_entry(bare)
+        report = validate_entry(bare, store=None)
         assert report.ok
         assert "provenance-missing" in {i.code for i in report.warnings()}
 
@@ -348,7 +361,7 @@ class TestSeededViolationsThroughRegistry:
         )
         registry.register(tampered)
         loaded = registry.load(tampered.digest)  # hash still verifies
-        report = validate_entry(loaded)
+        report = validate_entry(loaded, store=None)
         assert not report.ok
         assert _error_validators(report) == {"cost"}
 
@@ -371,7 +384,7 @@ class TestSeededViolationsThroughRegistry:
             ),
         }
         for expected, entry in seeded.items():
-            report = validate_entry(entry)
+            report = validate_entry(entry, store=None)
             assert not report.ok
             assert _error_validators(report) == {expected}, (
                 expected,
@@ -380,10 +393,14 @@ class TestSeededViolationsThroughRegistry:
 
     def test_custom_validator_stack(self, clean_entry):
         report = validate_entry(
-            clean_entry, validators=(StructuralValidator(), StalenessValidator())
+            clean_entry,
+            store=None,
+            validators=(StructuralValidator(), StalenessValidator()),
         )
         assert report.validators == ["structural", "staleness"]
         assert report.by_validator("cost") == []
-        report = validate_entry(clean_entry, validators=(CostValidator(),))
+        report = validate_entry(
+            clean_entry, store=None, validators=(CostValidator(),)
+        )
         assert report.validators == ["cost"]
         assert report.ok

@@ -11,7 +11,6 @@ built.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import http.client
 import json
@@ -20,7 +19,6 @@ from dataclasses import replace
 import pytest
 
 from repro.calibrate import RolloutError, RolloutManager
-from repro.cli import _drain_deadline
 from repro.configsel.selector import select_configurations
 from repro.hardware.cost_model import CostModel
 from repro.hardware.spec import V100
@@ -194,17 +192,6 @@ def test_rollout_state_that_is_not_an_object_is_a_rollout_error(tmp_path):
         (tmp_path / "rollout_state.json").write_text(text, encoding="utf-8")
         with pytest.raises(RolloutError, match="rollout state"):
             RolloutManager(tmp_path)
-
-
-def test_bad_drain_deadline_names_the_variable(monkeypatch):
-    args = argparse.Namespace(drain_deadline=None)
-    monkeypatch.setenv("REPRO_DRAIN_DEADLINE_S", "soon")
-    with pytest.raises(ValueError, match="REPRO_DRAIN_DEADLINE_S"):
-        _drain_deadline(args)
-    monkeypatch.setenv("REPRO_DRAIN_DEADLINE_S", "2.5")
-    assert _drain_deadline(args) == 2.5
-    monkeypatch.delenv("REPRO_DRAIN_DEADLINE_S")
-    assert _drain_deadline(args) == 10.0
 
 
 def test_env_number_reads_ints_and_floats(monkeypatch):
