@@ -16,8 +16,8 @@ Failure semantics (the point of this module):
   payload failing digest verification is **quarantined** for
   :data:`QUARANTINE_S` and the job retried on the next worker in the
   ring's failover order, at most :data:`ATTEMPTS` workers per job —
-  capped exponential backoff with jitter between attempts
-  (``REPRO_FLEET_BACKOFF_S``, ``REPRO_FLEET_BACKOFF_CAP_S``);
+  exponential backoff with jitter between attempts
+  (``REPRO_FLEET_BACKOFF_S``, capped at :data:`BACKOFF_CAP_S`);
 * when no eligible worker remains (all quarantined, dead, or unready) the
   job falls back to the coordinator's **local engine** — graceful
   degradation: a computable request is never answered with a 5xx.
@@ -61,6 +61,8 @@ __all__ = ["FleetService"]
 
 #: Workers tried per job before the local-engine fallback.
 ATTEMPTS = 4
+#: Ceiling, in seconds, of the jittered backoff between attempts.
+BACKOFF_CAP_S = 1.0
 #: Seconds a worker stays benched after a failed fetch.
 QUARANTINE_S = 30.0
 #: Concurrent remote fetches per batch request (not per daemon).
@@ -72,7 +74,7 @@ class FleetService(TuningService):
 
     Every single-node endpoint keeps working (the coordinator *is* a full
     daemon — that is what the local-engine fallback runs on); the fleet
-    endpoints are layered on top.  Its four settings are ``REPRO_FLEET_*``
+    endpoints are layered on top.  Its three settings are ``REPRO_FLEET_*``
     variables, read here once.
     """
 
@@ -80,7 +82,6 @@ class FleetService(TuningService):
         super().__init__(**kwargs)
         self.deadline_s = env_number("REPRO_FLEET_DEADLINE_S", 30.0)
         self.backoff_s = env_number("REPRO_FLEET_BACKOFF_S", 0.05)
-        self.backoff_cap_s = env_number("REPRO_FLEET_BACKOFF_CAP_S", 1.0)
         self.workers = WorkerRegistry(
             ttl_s=env_number("REPRO_FLEET_TTL_S", DEFAULT_TTL_S)
         )
@@ -171,7 +172,7 @@ class FleetService(TuningService):
                 obs.add_event(
                     "retry", worker=worker_id, reason=reason, attempt=attempt
                 )
-                backoff_sleep(attempt, self.backoff_s, self.backoff_cap_s)
+                backoff_sleep(attempt, self.backoff_s, BACKOFF_CAP_S)
         # Graceful degradation: the coordinator's own engine computes the
         # identical payload (same digest, same deterministic evaluation).
         self.metrics.record_fleet("job_local_fallback")
@@ -283,7 +284,7 @@ class FleetService(TuningService):
                 "deadline_s": self.deadline_s,
                 "attempts": ATTEMPTS,
                 "backoff_s": self.backoff_s,
-                "backoff_cap_s": self.backoff_cap_s,
+                "backoff_cap_s": BACKOFF_CAP_S,
                 "quarantine_s": QUARANTINE_S,
                 "fan_out": FAN_OUT,
             },

@@ -57,7 +57,7 @@ def _fleet(env: dict[str, str] | None = None, **kwargs) -> FleetService:
     (``env`` overrides them), read as a daemon reads them."""
     kwargs.setdefault("store", None)
     kwargs.setdefault("registry", None)
-    env = {"TTL_S": "10", "BACKOFF_S": "0.01", "BACKOFF_CAP_S": "0.05", **(env or {})}
+    env = {"TTL_S": "10", "BACKOFF_S": "0.01", **(env or {})}
     with pytest.MonkeyPatch.context() as mp:
         for name, value in env.items():
             mp.setenv(f"REPRO_FLEET_{name}", value)
