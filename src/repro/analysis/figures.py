@@ -199,7 +199,12 @@ def fig6_config_graph_stats(
     """Build the Fig.-6 configuration graph and report its shape + SSSP cost."""
     from repro.configsel.chain import primary_chain
     from repro.engine import sweep_graph
-    from repro.configsel.reference import _SOURCE, _TARGET, build_config_graph
+    from repro.configsel.reference import (
+        _SOURCE,
+        _TARGET,
+        build_config_graph,
+        transpose_pricer,
+    )
     from repro.configsel.sssp import shortest_path, shortest_path_networkx
     from repro.fusion.encoder_kernels import apply_paper_fusion
     from repro.transformer.graph_builder import build_encoder_graph
@@ -208,7 +213,7 @@ def fig6_config_graph_stats(
     graph = apply_paper_fusion(build_encoder_graph(qkv_fusion="qkv"), env)
     chain = primary_chain(graph)
     sweeps = sweep_graph(graph, env, cost, cap=cap, jobs=jobs)
-    cg = build_config_graph(graph, chain, sweeps, env, cost)
+    cg = build_config_graph(graph, chain, sweeps, transpose_pricer(cost, env))
     cost_own, path = shortest_path(cg, _SOURCE, _TARGET)
     cost_nx, _ = shortest_path_networkx(cg, _SOURCE, _TARGET)
     return {

@@ -21,6 +21,7 @@ Two implementations produce the same result:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from repro.layouts.configspace import contraction_configs, kernel_configs
 
 __all__ = [
     "ConfigMeasurement",
+    "OperandLayouts",
     "SweepResult",
     "sweep_op",
     "sweep_op_reference",
@@ -52,6 +54,35 @@ class ConfigMeasurement:
         return self.time.total_us
 
 
+class OperandLayouts(NamedTuple):
+    """A sweep's operand layouts as small integer ids, one per config.
+
+    ``vocabs[s]`` lists the distinct layouts of operand slot ``s`` (the
+    op's inputs, then its outputs); a ``None`` entry stands for configs
+    that do not carry slot ``s`` (operand arity can differ across
+    algorithm variants), which selection treats as unconstrained.
+    ``ids[s]`` maps each config to its ``vocabs[s]`` index and ``totals``
+    holds its ``total_us``, both in evaluation order.  ``order`` is the
+    evaluation index at each sorted position (``measurements`` order), or
+    ``None`` where evaluation order is sorted order.  So the first config
+    in sorted order among any set is the one of least total, then least
+    evaluation index.
+    """
+
+    vocabs: list[list]
+    ids: list[np.ndarray]
+    totals: np.ndarray
+    order: np.ndarray | None
+
+    def first(self, k: int) -> np.ndarray:
+        """The evaluation indices of the first ``k`` configs in sorted order."""
+        return np.arange(k) if self.order is None else self.order[:k]
+
+    def position(self, j: int) -> int:
+        """The sorted position (``measurements`` index) of config ``j``."""
+        return j if self.order is None else int(np.flatnonzero(self.order == j)[0])
+
+
 @dataclass
 class SweepResult:
     """The full runtime distribution of one operator's configuration space."""
@@ -65,7 +96,7 @@ class SweepResult:
         self.measurements.sort(key=lambda m: m.total_us)
         self._pair_minima: dict[tuple[int, int], dict] = {}
         self._totals_arr: np.ndarray | None = None
-        self._operand_arrays: tuple[list, list] | None = None
+        self._operand_arrays: OperandLayouts | None = None
 
     # -- distribution queries ------------------------------------------------
     @property
@@ -110,28 +141,23 @@ class SweepResult:
                 )
         return self._totals_arr
 
-    def operand_layout_arrays(self) -> tuple[list, list]:
-        """Per-operand layout vocabularies plus per-measurement layout ids.
+    def operand_layout_arrays(self) -> OperandLayouts:
+        """Per-operand layout ids, per-config totals, and the sort order.
 
-        Returns ``(vocabs, ids)``: for operand slot ``s`` (the op's inputs
-        followed by its outputs), ``vocabs[s]`` is the list of layout
-        choices seen for that operand and ``ids[s]`` an int array mapping
-        each (sorted-order) measurement to its ``vocabs[s]`` index.  A
-        measurement that does not carry slot ``s`` (operand arity can
-        differ across algorithm variants) maps to a ``None`` vocabulary
-        entry, which consumers treat as unconstrained.
-
-        Engine-backed sweeps derive both straight from the enumerated
-        config space; list-backed sweeps are indexed in one pass.  Layout
-        predicates (consistency with pins, penalty terms) then become one
-        small vocabulary scan plus a NumPy gather instead of a Python loop
-        over every measurement.
+        Engine-backed sweeps read them straight from the config space,
+        which interned each operand slot's layouts where it built them, in
+        evaluation order (no per-measurement gather); list-backed sweeps
+        are indexed in one pass, in sorted order.  Layout predicates
+        (consistency with pins, penalty terms) then become one small
+        vocabulary scan plus a NumPy comparison per accepted id instead of
+        a Python loop over every measurement.
         """
         if self._operand_arrays is None:
             fast = getattr(self.measurements, "operand_layout_index", None)
             arrays = fast() if fast is not None else None
             if arrays is None:
-                arrays = self._index_operand_layouts()
+                vocabs, ids = self._index_operand_layouts()
+                arrays = OperandLayouts(vocabs, ids, self.totals_array(), None)
             self._operand_arrays = arrays
         return self._operand_arrays
 

@@ -1,7 +1,6 @@
 """Global configuration selection via SSSP (paper Sec. VI-A, Fig. 6)."""
 
 from .chain import ChainError, ChainStep, primary_chain, project_layout
-from .refinement import RefinementResult, refine_selection
 from .selector import (
     ChainMatrices,
     SelectedConfiguration,
@@ -20,8 +19,6 @@ from .sssp import (
 __all__ = [
     "ChainError",
     "ChainMatrices",
-    "RefinementResult",
-    "refine_selection",
     "ChainStep",
     "ConfigGraph",
     "SSSPError",

@@ -2,19 +2,23 @@
 
 :func:`~repro.configsel.selector.select_configurations` runs one skeleton
 (chain transposes, chain-step picks, contractions-then-flexible inference)
-over five per-step operations.  Production uses the vectorized five in
-:mod:`repro.configsel.selector`; this module holds the scalar five with
+over six per-step operations.  Production uses the vectorized six in
+:mod:`repro.configsel.selector`; this module holds the scalar six with
 the same signatures, selected with ``select_configurations(fast=False)``:
 
 * :func:`solve_chain` — the explicit Fig.-6 DAG (:func:`build_config_graph`),
   node-by-node relaxation (:func:`~repro.configsel.sssp.shortest_path`)
   and path decoding (:func:`_decode_path`);
 * :func:`chain_pick`, :func:`best_coherent`, :func:`best_consistent` and
-  :func:`transpose_alt` — Python scans over the sorted measurements.
+  :func:`transpose_alt` — Python scans over the sorted measurements;
+* :func:`construct_consistent` — one scalar ``cost.time_op`` call per
+  point of the consistent-kernel grid.
 
-They are slow but obviously faithful, and the fast five must follow
-them: chosen configurations, inserted transposes and the chain cost are
-equal object for object (tier-1, ``repro validate --deep`` and
+Every transpose is priced by calling ``cost.time_transpose`` afresh
+(:func:`transpose_pricer`), where production fills one table per
+selection.  They are slow but obviously faithful, and the fast six must
+follow them: chosen configurations, inserted transposes and the chain
+cost are equal object for object (tier-1, ``repro validate --deep`` and
 ``benchmarks/test_configsel_speedup.py`` pin this).  Ties resolve
 identically because these scans keep the first minimum in
 sorted-measurement order, as ``np.argmin`` does.  Fig. 6
@@ -24,12 +28,15 @@ shape of the explicit DAG built here.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.autotuner.tuner import ConfigMeasurement, SweepResult
 from repro.hardware.cost_model import CostModel
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpSpec
 from repro.ir.tensor import TensorSpec
+from repro.layouts.config import OpConfig
 from repro.layouts.layout import Layout, all_layouts
 
 from .chain import ChainStep, project_layout
@@ -39,14 +46,19 @@ from .selector import (
     _chain_penalty,
     _iter_operand_layouts,
     _needed_transposes,
-    _transpose_us,
 )
 from .sssp import ConfigGraph, SSSPError, shortest_path
 
-__all__ = ["PIPELINE", "build_config_graph", "solve_chain"]
+__all__ = ["PIPELINE", "build_config_graph", "solve_chain", "transpose_pricer"]
 
 _SOURCE = ("source",)
 _TARGET = ("target",)
+
+
+def transpose_pricer(cost: CostModel, env: DimEnv) -> Callable[[TensorSpec], float]:
+    """Price each transpose with its own ``cost.time_transpose`` call: no
+    table, so the fast pipeline's per-selection table has an oracle."""
+    return lambda spec: cost.time_transpose(spec, env).total_us
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +69,7 @@ def build_config_graph(
     graph: DataflowGraph,
     chain: list[ChainStep],
     sweeps: dict[str, SweepResult],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> ConfigGraph:
     """The layered Fig.-6 DAG: layout nodes per chain boundary, operator
     edges weighted by layout-conditioned minima, and transpose edges.
@@ -98,7 +109,7 @@ def build_config_graph(
 
         # Transpose edges within this boundary (0-cost to stay put).
         in_spec = graph.container(step.in_tensor)
-        t_time = _transpose_us(cost, in_spec, env)
+        t_time = transpose_us(in_spec)
         layouts = boundary_layouts(idx)
         for a in layouts:
             cg.add_edge(arr(idx, a), dep(idx, a), 0.0)
@@ -178,11 +189,10 @@ def solve_chain(
     graph: DataflowGraph,
     chain: list[ChainStep],
     sweeps: dict[str, SweepResult],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> tuple[float, list[tuple[Layout, Layout | None]], list[tuple[int, Layout, Layout]]]:
     """Build the explicit DAG, walk it, and decode the boundary layouts."""
-    cg = build_config_graph(graph, chain, sweeps, env, cost)
+    cg = build_config_graph(graph, chain, sweeps, transpose_us)
     chain_cost, path = shortest_path(cg, _SOURCE, _TARGET)
     steps, transposes = _decode_path(chain, path)
     return chain_cost, steps, transposes
@@ -201,8 +211,7 @@ def chain_pick(
     out_spec: TensorSpec,
     next_spec: TensorSpec | None,
     pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> ConfigMeasurement:
     """Best penalized config matching the SSSP boundary layouts."""
 
@@ -232,7 +241,7 @@ def chain_pick(
     if best is None:
         raise SSSPError(f"decoded path has no configuration for {step.op_name!r}")
     return min(
-        candidates, key=lambda m: m.total_us + _chain_penalty(op, m, pinned, env, cost)
+        candidates, key=lambda m: m.total_us + _chain_penalty(op, m, pinned, transpose_us)
     )
 
 
@@ -254,8 +263,7 @@ def best_coherent(
     op: OpSpec,
     sweep: SweepResult,
     pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
     *,
     tolerance: float = 1.5,
 ) -> ConfigMeasurement | None:
@@ -280,7 +288,7 @@ def best_coherent(
         p = 0.0
         for t, l in _iter_operand_layouts(op, m):
             if t.name not in pinned and l.dims != t.dims and t.rank > 1:
-                p += 0.5 * _transpose_us(cost, t, env)
+                p += 0.5 * transpose_us(t)
         return p
 
     winner: ConfigMeasurement | None = None
@@ -303,8 +311,7 @@ def transpose_alt(
     op: OpSpec,
     sweep: SweepResult,
     pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> tuple[ConfigMeasurement | None, list[TransposeInsertion], float]:
     """Cheapest (kernel + pin-fixing transposes) point of the whole sweep.
 
@@ -317,17 +324,70 @@ def transpose_alt(
     for m in sweep.measurements:
         if m.total_us >= best_cost:
             break
-        needed = _needed_transposes(op, m, pinned, env, cost)
+        needed = _needed_transposes(op, m, pinned, transpose_us)
         total = m.total_us + sum(t.time_us for t in needed)
         if total < best_cost:
             best, best_needed, best_cost = m, needed, total
     return best, best_needed, best_cost
 
 
+def construct_consistent(
+    op: OpSpec,
+    sweep: SweepResult,
+    pinned: dict[str, Layout],
+    env: DimEnv,
+    cost: CostModel,
+) -> ConfigMeasurement | None:
+    """Build the best pin-consistent configuration for a flexible kernel.
+
+    Pinned operands keep their pinned layouts; free operands are tried both
+    in the sweep-best layouts and in default layouts (coherence); the
+    vectorization and warp-reduce dims are re-optimized under each choice.
+    One scalar ``cost.time_op`` call per grid point; the first minimum in
+    loop order wins.
+    """
+    best_cfg = sweep.best.config
+    layout_variants: list[tuple[tuple[Layout, ...], tuple[Layout, ...]]] = []
+    layout_variants.append(
+        (
+            tuple(pinned.get(t.name, l) for t, l in zip(op.inputs, best_cfg.input_layouts)),
+            tuple(pinned.get(t.name, l) for t, l in zip(op.outputs, best_cfg.output_layouts)),
+        )
+    )
+    layout_variants.append(
+        (
+            tuple(pinned.get(t.name, Layout(t.dims)) for t in op.inputs),
+            tuple(pinned.get(t.name, Layout(t.dims)) for t in op.outputs),
+        )
+    )
+    vec_options: list[str | None] = list(op.ispace.all_dims) or [None]
+    warp_options: list[str | None] = list(op.ispace.reduction) or [None]
+    best: ConfigMeasurement | None = None
+    for in_layouts, out_layouts in layout_variants:
+        for vec in vec_options:
+            for warp in warp_options:
+                config = OpConfig(
+                    op_name=op.name,
+                    input_layouts=in_layouts,
+                    output_layouts=out_layouts,
+                    vector_dim=vec,
+                    warp_reduce_dim=warp,
+                )
+                kt = cost.time_op(op, config, env)
+                if kt is None:
+                    continue
+                m = ConfigMeasurement(config=config, time=kt)
+                if best is None or m.total_us < best.total_us:
+                    best = m
+    return best
+
+
 PIPELINE = Pipeline(
+    transposes=transpose_pricer,
     solve_chain=solve_chain,
     chain_pick=chain_pick,
     best_coherent=best_coherent,
     best_consistent=best_consistent,
     transpose_alt=transpose_alt,
+    construct_consistent=construct_consistent,
 )

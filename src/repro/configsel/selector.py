@@ -9,18 +9,24 @@ remaining operators (backward, dW, residual side chains) from the pinned
 activation layouts, inserting explicit transposes where no compatible
 configuration exists.
 
-:func:`select_configurations` is one skeleton over five per-step
+:func:`select_configurations` is one skeleton over six per-step
 operations (a :class:`Pipeline`): solve the chain, pick a chain config,
-best coherent GEMM, best consistent kernel, and transpose alternative.
-This module holds the vectorized five: each chain step becomes a dense
-``(n_layouts_in, n_layouts_out)`` min-plus cost matrix
-(:func:`build_chain_matrices`), the chain is solved with one broadcast
-relaxation per layer (:func:`~repro.configsel.sssp.shortest_path_layered`),
-and remaining-operator inference runs as masked argmins over the sweep's
-array views (:meth:`~repro.autotuner.tuner.SweepResult.totals_array` /
-``operand_layout_arrays``) instead of per-measurement Python loops.
+best coherent GEMM, best consistent kernel, transpose alternative, and
+construct a consistent kernel.  This module holds the vectorized six.
+They work on small integer ids, not on ``Layout`` objects: a sweep's
+``operand_layout_arrays()`` gives each operand slot its distinct layouts
+(at most rank!, 24 for rank 4) and one id per measurement, so a pin, a
+boundary layout or a projected layout is judged once per distinct
+layout, and a mask or a penalty is that small table gathered by the ids.
+Each chain step becomes a dense ``(n_layouts_in, n_layouts_out)``
+min-plus cost matrix (:func:`build_chain_matrices`), the chain is solved
+with one broadcast relaxation per layer
+(:func:`~repro.configsel.sssp.shortest_path_layered`), and the
+consistent-kernel grid (2 layout variants x vector dims x warp dims) is
+timed in one batched roofline call.  Transposes are priced from a table
+filled once per selection (:func:`transpose_table`).
 
-The scalar reference five live in :mod:`repro.configsel.reference`
+The scalar reference six live in :mod:`repro.configsel.reference`
 (``fast=False``), mirroring the ``sweep_op`` / ``sweep_op_reference``
 contract of the sweep engine.  The two are **bit-identical**: chosen
 configurations, inserted transposes and the chain cost are equal object
@@ -37,9 +43,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro import obs
-from repro.autotuner.tuner import ConfigMeasurement, SweepResult
+from repro.autotuner.tuner import ConfigMeasurement, OperandLayouts, SweepResult
 from repro.engine import sweep_graph
-from repro.hardware.cost_model import CostModel
+from repro.engine.batched import evaluate_kernel, roofline_totals
+from repro.engine.space import KernelSpace
+from repro.hardware.cost_model import CostModel, KernelTime
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
@@ -56,31 +64,32 @@ __all__ = [
     "build_chain_matrices",
     "ChainMatrices",
     "Pipeline",
+    "transpose_table",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Transpose-cost memo
+# Transpose costs: one table per selection
 # ---------------------------------------------------------------------------
 
-#: Transpose cost depends only on the tensor's dims/sizes/dtype and the
-#: GPU — never on the particular (from, to) layout pair — yet selection
-#: re-costs the same tensors across chain steps, penalties and inference.
-#: One process-wide memo turns those repeats into dict hits.  Bounded: the
-#: daemon optimizes arbitrary client-supplied dims and GPU specs, and a
-#: weeks-lived process must not grow with request variety.
-_TRANSPOSE_MEMO: dict[tuple, float] = {}
-_TRANSPOSE_MEMO_LIMIT = 65536
+def transpose_table(cost: CostModel, env: DimEnv) -> Callable[[TensorSpec], float]:
+    """Each tensor's transpose time under one selection's model and sizes.
 
+    A transpose's cost depends only on the tensor, never on the (from, to)
+    layout pair, yet selection prices the same tensors across chain steps,
+    penalties and inference.  The table computes each on first use; it
+    lives as long as the selection that made it, so nothing outlives a
+    request.
+    """
+    table: dict[TensorSpec, float] = {}
 
-def _transpose_us(cost: CostModel, spec: TensorSpec, env: DimEnv) -> float:
-    key = (cost.gpu, spec.dtype, spec.dims, tuple(env[d] for d in spec.dims))
-    cached = _TRANSPOSE_MEMO.get(key)
-    if cached is None:
-        if len(_TRANSPOSE_MEMO) >= _TRANSPOSE_MEMO_LIMIT:
-            _TRANSPOSE_MEMO.clear()
-        cached = _TRANSPOSE_MEMO[key] = cost.time_transpose(spec, env).total_us
-    return cached
+    def transpose_us(spec: TensorSpec) -> float:
+        us = table.get(spec)
+        if us is None:
+            us = table[spec] = cost.time_transpose(spec, env).total_us
+        return us
+
+    return transpose_us
 
 
 @dataclass(frozen=True)
@@ -119,39 +128,37 @@ class SelectedConfiguration:
         """End-to-end predicted time: all kernels plus inserted transposes."""
         return sum(m.total_us for m in self.chosen.values()) + self.transpose_us
 
-    def stage_total_us(self, graph: DataflowGraph, *, backward: bool) -> float:
-        total = 0.0
-        for name, m in self.chosen.items():
-            op = graph.op(name)
-            if op.stage.is_backward == backward:
-                total += m.total_us
-        for t in self.transposes:
-            op = graph.op(t.before_op)
-            if op.stage.is_backward == backward:
-                total += t.time_us
-        return total
-
 
 class Pipeline(NamedTuple):
-    """The five per-step operations :func:`select_configurations` runs.
+    """How transposes are priced, and the six per-step operations
+    :func:`select_configurations` runs.
 
-    The vectorized five live here; :data:`repro.configsel.reference.PIPELINE`
-    holds the scalar five with the same signatures.
+    The vectorized six live here; :data:`repro.configsel.reference.PIPELINE`
+    holds the scalar six with the same signatures.  ``transpose_us`` below
+    is what ``transposes(cost, env)`` returned for the selection: a
+    ``TensorSpec -> float`` function.
     """
 
-    #: ``(graph, chain, sweeps, env, cost) -> (chain cost, boundary
+    #: ``(cost, env) -> transpose_us``, called once per selection.
+    transposes: Callable
+    #: ``(graph, chain, sweeps, transpose_us) -> (chain cost, boundary
     #: layouts per step, chain transposes)``.
     solve_chain: Callable
-    #: ``(op, sweep, step, lin, lnext, out_spec, next_spec, pinned, env,
-    #: cost) -> ConfigMeasurement`` honoring the SSSP boundary layouts.
+    #: ``(op, sweep, step, lin, lnext, out_spec, next_spec, pinned,
+    #: transpose_us) -> ConfigMeasurement`` honoring the SSSP boundary
+    #: layouts.
     chain_pick: Callable
-    #: ``(op, sweep, pinned, env, cost) -> ConfigMeasurement | None``.
+    #: ``(op, sweep, pinned, transpose_us) -> ConfigMeasurement | None``.
     best_coherent: Callable
     #: ``(op, sweep, pinned) -> ConfigMeasurement | None``.
     best_consistent: Callable
-    #: ``(op, sweep, pinned, env, cost) -> (config | None, transposes,
+    #: ``(op, sweep, pinned, transpose_us) -> (config | None, transposes,
     #: kernel + transpose cost)``.
     transpose_alt: Callable
+    #: ``(op, sweep, pinned, env, cost) -> ConfigMeasurement | None``: the
+    #: best pin-consistent configuration of a flexible kernel, built rather
+    #: than looked up.
+    construct_consistent: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +185,7 @@ def build_chain_matrices(
     graph: DataflowGraph,
     chain: list[ChainStep],
     sweeps: dict[str, SweepResult],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> ChainMatrices:
     """Chain-step cost matrices straight from the sweep's array views.
 
@@ -188,21 +194,19 @@ def build_chain_matrices(
     keeps its minimum — the same per-layout-pair minima the scalar
     :func:`~repro.configsel.reference.build_config_graph` derives
     measurement by measurement, computed here with one NumPy
-    gather/scatter per step.
+    gather/scatter per step.  Boundary positions and ``project_layout``
+    are evaluated once per distinct layout of the slot, not per
+    measurement.
     """
     boundaries = [
         tuple(all_layouts(graph.container(step.in_tensor).dims)) for step in chain
     ]
     positions = [{l.dims: k for k, l in enumerate(b)} for b in boundaries]
-    transpose_us = [
-        _transpose_us(cost, graph.container(step.in_tensor), env) for step in chain
-    ]
     op_cost: list[np.ndarray] = []
     for idx, step in enumerate(chain):
-        sweep = sweeps[step.op_name]
         op = graph.op(step.op_name)
-        totals = sweep.totals_array()
-        vocabs, ids = sweep.operand_layout_arrays()
+        arrays = sweeps[step.op_name].operand_layout_arrays()
+        vocabs = arrays.vocabs
         slot_out = len(op.inputs) + step.out_index
 
         rows_of = np.array(
@@ -231,16 +235,19 @@ def build_chain_matrices(
             cols_of = np.zeros(len(vocabs[slot_out]), dtype=np.int64)
             n_cols = 1
 
-        rows = rows_of[ids[step.in_index]]
-        cols = cols_of[ids[slot_out]]
+        rows = np.take(rows_of, arrays.ids[step.in_index])
+        cols = np.take(cols_of, arrays.ids[slot_out])
         valid = (rows >= 0) & (cols >= 0)
         m = np.full((len(boundaries[idx]), n_cols), np.inf)
-        np.minimum.at(m, (rows[valid], cols[valid]), totals[valid])
+        # On the flat view: a 1-D ``minimum.at`` is several times faster.
+        np.minimum.at(m.ravel(), rows[valid] * n_cols + cols[valid], arrays.totals[valid])
         if not np.isfinite(m).any():
             raise SSSPError(f"no usable configurations for chain op {step.op_name!r}")
         op_cost.append(m)
     return ChainMatrices(
-        boundaries=boundaries, transpose_us=transpose_us, op_cost=op_cost
+        boundaries=boundaries,
+        transpose_us=[transpose_us(graph.container(s.in_tensor)) for s in chain],
+        op_cost=op_cost,
     )
 
 
@@ -248,8 +255,7 @@ def _solve_chain_fast(
     graph: DataflowGraph,
     chain: list[ChainStep],
     sweeps: dict[str, SweepResult],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> tuple[float, list[tuple[Layout, Layout | None]], list[tuple[int, Layout, Layout]]]:
     """Solve the chain on the dense matrices and decode boundary layouts.
 
@@ -262,7 +268,7 @@ def _solve_chain_fast(
     # Both phases are called through this module's globals: the
     # benchmark's per-layer timers (benchmarks/perf/layers.py) replace
     # ``build_chain_matrices`` and ``shortest_path_layered`` here.
-    mats = build_chain_matrices(graph, chain, sweeps, env, cost)
+    mats = build_chain_matrices(graph, chain, sweeps, transpose_us)
     layers: list[np.ndarray] = [np.zeros((1, len(mats.boundaries[0])))]
     for idx in range(len(chain)):
         n = len(mats.boundaries[idx])
@@ -294,120 +300,173 @@ def _operands(op: OpSpec):
     return (*op.inputs, *op.outputs)
 
 
+def _matching(vocab: list, ids: np.ndarray, pred: Callable) -> np.ndarray:
+    """Per config: does its layout in this slot satisfy ``pred``?
+
+    ``pred`` is judged once per distinct layout; the mask is then one
+    comparison per accepted id, or per rejected id when fewer are.
+    """
+    hits = [pred(v) for v in vocab]
+    flip = 2 * sum(hits) > len(hits)
+    mask = np.zeros(ids.shape, dtype=bool)
+    for k, hit in enumerate(hits):
+        if hit != flip:
+            mask |= ids == k
+    return ~mask if flip else mask
+
+
 def _fast_consistent_mask(
-    op: OpSpec, sweep: SweepResult, pinned: dict[str, Layout]
+    op: OpSpec, arrays: OperandLayouts, pinned: dict[str, Layout]
 ) -> np.ndarray:
-    """Boolean per-measurement mask: every pinned operand in its pin."""
-    vocabs, ids = sweep.operand_layout_arrays()
-    mask: np.ndarray | None = None
+    """Boolean per-config mask: every pinned operand in its pin."""
+    mask = np.ones(arrays.totals.shape[0], dtype=bool)
     for s, t in enumerate(_operands(op)):
         pin = pinned.get(t.name)
-        if pin is None:
-            continue
-        ok = np.array([v is None or v == pin for v in vocabs[s]], dtype=bool)
-        col = ok[ids[s]]
-        mask = col if mask is None else mask & col
-    if mask is None:
-        return np.ones(sweep.totals_array().shape[0], dtype=bool)
+        if pin is not None:
+            mask &= _matching(
+                arrays.vocabs[s], arrays.ids[s], lambda v: v is None or v == pin
+            )
     return mask
 
 
 def _fast_penalty(
     op: OpSpec,
-    sweep: SweepResult,
-    rows: np.ndarray | None,
+    arrays: OperandLayouts,
+    rows: np.ndarray,
     pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
     *,
     pinned_full: bool,
     free_half: bool,
 ) -> np.ndarray:
-    """Per-measurement layout penalty of ``rows`` (``None``: every row).
+    """Per-config layout penalty of the configs ``rows``.
 
     ``pinned_full`` charges a pinned operand held in another layout its
     full transpose cost; ``free_half`` charges an unpinned operand of rank
-    > 1 held in a non-default layout half of it.  Each operand slot turns
-    its layout vocabulary into a penalty per vocabulary entry and gathers
-    it per row; slots accumulate in operand order, so every sum
-    associates as the scalar per-measurement loops do.
+    > 1 held in a non-default layout half of it.  Each operand slot adds
+    its charge where its ids say the charge applies; slots accumulate in
+    operand order, so every sum associates as the scalar per-measurement
+    loops do.
     """
-    vocabs, ids = sweep.operand_layout_arrays()
-    pen = np.zeros(sweep.totals_array().shape[0] if rows is None else rows.size)
+    pen = np.zeros(rows.size)
     for s, t in enumerate(_operands(op)):
         pin = pinned.get(t.name)
         if pin is not None:
             if not pinned_full:
                 continue
-            full = _transpose_us(cost, t, env)
-            vp = np.array([0.0 if (v is None or v == pin) else full for v in vocabs[s]])
+            charge = transpose_us(t)
+            charged = _matching(
+                arrays.vocabs[s], arrays.ids[s][rows], lambda v: not (v is None or v == pin)
+            )
         elif free_half and t.rank > 1:
-            half = 0.5 * _transpose_us(cost, t, env)
-            vp = np.array(
-                [half if (v is not None and v.dims != t.dims) else 0.0 for v in vocabs[s]]
+            charge = 0.5 * transpose_us(t)
+            charged = _matching(
+                arrays.vocabs[s],
+                arrays.ids[s][rows],
+                lambda v: v is not None and v.dims != t.dims,
             )
         else:
             continue
-        pen = pen + vp[ids[s] if rows is None else ids[s][rows]]
+        pen = pen + charged * charge
     return pen
+
+
+def _pick(
+    sweep: SweepResult,
+    arrays: OperandLayouts,
+    cand: np.ndarray,
+    score: np.ndarray | None = None,
+) -> ConfigMeasurement:
+    """The measurement minimizing ``score`` over the configs ``cand``
+    (ascending evaluation indices, or a prefix of the sorted order;
+    ``score`` ``None``: their totals).
+
+    Ties go to the first in sorted order — the least total, then the least
+    evaluation index — which is the config the scalar scans and an
+    ``np.argmin`` over sorted measurements keep.
+    """
+    if score is not None:
+        cand = cand[score == score.min()]
+    if cand.size > 1:
+        totals = arrays.totals[cand]
+        cand = cand[totals == totals.min()]
+    return sweep.measurements[arrays.position(int(cand[0]))]
+
+
+def _near_ties(arrays: OperandLayouts, mask: np.ndarray, tolerance: float) -> np.ndarray:
+    """The configs of ``mask`` within ``tolerance`` of its fastest one."""
+    limit = arrays.totals[mask].min() * tolerance
+    return np.flatnonzero(mask & (arrays.totals <= limit))
 
 
 def _fast_best_consistent(
     op: OpSpec, sweep: SweepResult, pinned: dict[str, Layout]
 ) -> ConfigMeasurement | None:
-    idxs = np.flatnonzero(_fast_consistent_mask(op, sweep, pinned))
-    if idxs.size == 0:
+    arrays = sweep.operand_layout_arrays()
+    cand = np.flatnonzero(_fast_consistent_mask(op, arrays, pinned))
+    if cand.size == 0:
         return None
-    return sweep.measurements[int(idxs[0])]
+    return _pick(sweep, arrays, cand)
 
 
 def _fast_best_coherent(
     op: OpSpec,
     sweep: SweepResult,
     pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
     *,
     tolerance: float = 1.5,
 ) -> ConfigMeasurement | None:
     """Best pin-consistent config within ``tolerance`` of the fastest one,
     charging each non-default unpinned operand half its transpose cost
     (see :func:`repro.configsel.reference.best_coherent`)."""
-    idxs = np.flatnonzero(_fast_consistent_mask(op, sweep, pinned))
-    if idxs.size == 0:
+    arrays = sweep.operand_layout_arrays()
+    mask = _fast_consistent_mask(op, arrays, pinned)
+    if not mask.any():
         return None
-    totals = sweep.totals_array()
-    limit = totals[int(idxs[0])] * tolerance
-    cand = idxs[idxs < np.searchsorted(totals, limit, side="right")]
+    cand = _near_ties(arrays, mask, tolerance)
     pen = _fast_penalty(
-        op, sweep, cand, pinned, env, cost, pinned_full=False, free_half=True
+        op, arrays, cand, pinned, transpose_us, pinned_full=False, free_half=True
     )
-    return sweep.measurements[int(cand[np.argmin(totals[cand] + pen)])]
+    return _pick(sweep, arrays, cand, arrays.totals[cand] + pen)
+
+
+#: How many sorted configs :func:`_fast_transpose_alt` scores to bound its
+#: search (a 20,000-config sweep then scores about a fifth of its configs).
+_ALT_HEAD = 64
 
 
 def _fast_transpose_alt(
     op: OpSpec,
     sweep: SweepResult,
     pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> tuple[ConfigMeasurement | None, list[TransposeInsertion], float]:
     """Cheapest (kernel + pin-fixing transposes) point of the whole sweep.
 
     The scalar scan walks the sorted measurements accumulating a
     shrinking bound; the closed form is a plain argmin of
-    ``total_us + transpose cost of every pinned mismatch``, which this
-    computes with one gather per operand slot.
+    ``total_us + transpose cost of every pinned mismatch``.  Transposes
+    only add time, so the best score among the first ``_ALT_HEAD`` sorted
+    configs bounds it: only the configs of a smaller total can beat that
+    one, and only those are scored.
     """
-    totals = sweep.totals_array()
-    if totals.size == 0:
+    arrays = sweep.operand_layout_arrays()
+    sorted_totals = sweep.totals_array()
+    if sorted_totals.size == 0:
         return None, [], float("inf")
-    cand = totals + _fast_penalty(
-        op, sweep, None, pinned, env, cost, pinned_full=True, free_half=False
-    )
-    i = int(np.argmin(cand))
-    m = sweep.measurements[i]
-    return m, _needed_transposes(op, m, pinned, env, cost), float(cand[i])
+
+    def scores(rows: np.ndarray) -> np.ndarray:
+        return arrays.totals[rows] + _fast_penalty(
+            op, arrays, rows, pinned, transpose_us, pinned_full=True, free_half=False
+        )
+
+    head = arrays.first(min(_ALT_HEAD, sorted_totals.size))
+    bound = int(np.searchsorted(sorted_totals, scores(head).min(), side="left"))
+    cand = arrays.first(max(bound, head.size))
+    score = scores(cand)
+    m = _pick(sweep, arrays, cand, score)
+    return m, _needed_transposes(op, m, pinned, transpose_us), float(score.min())
 
 
 def _fast_chain_pick(
@@ -419,17 +478,15 @@ def _fast_chain_pick(
     out_spec: TensorSpec,
     next_spec: TensorSpec | None,
     pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> ConfigMeasurement:
     """Boundary match, then the argmin of ``total_us`` plus
     :func:`_chain_penalty` among near-ties (within 1.5x)."""
-    totals = sweep.totals_array()
-    vocabs, ids = sweep.operand_layout_arrays()
-    in_ok = np.array(
-        [v is not None and v == lin for v in vocabs[step.in_index]], dtype=bool
+    arrays = sweep.operand_layout_arrays()
+    vocabs, ids = arrays.vocabs, arrays.ids
+    mask = _matching(
+        vocabs[step.in_index], ids[step.in_index], lambda v: v is not None and v == lin
     )
-    mask = in_ok[ids[step.in_index]]
     if lnext is not None:
         slot_out = len(op.inputs) + step.out_index
 
@@ -443,25 +500,79 @@ def _fast_chain_pick(
             )
             return projected == lnext
 
-        out_ok = np.array([ok(v) for v in vocabs[slot_out]], dtype=bool)
-        mask &= out_ok[ids[slot_out]]
-    cand = np.flatnonzero(mask)
-    if cand.size == 0:
+        mask &= _matching(vocabs[slot_out], ids[slot_out], ok)
+    if not mask.any():
         raise SSSPError(f"decoded path has no configuration for {step.op_name!r}")
-    limit = totals[int(cand[0])] * 1.5
-    cand = cand[cand < np.searchsorted(totals, limit, side="right")]
+    cand = _near_ties(arrays, mask, 1.5)
     pen = _fast_penalty(
-        op, sweep, cand, pinned, env, cost, pinned_full=True, free_half=True
+        op, arrays, cand, pinned, transpose_us, pinned_full=True, free_half=True
     )
-    return sweep.measurements[int(cand[np.argmin(totals[cand] + pen)])]
+    return _pick(sweep, arrays, cand, arrays.totals[cand] + pen)
+
+
+def _fast_construct_consistent(
+    op: OpSpec,
+    sweep: SweepResult,
+    pinned: dict[str, Layout],
+    env: DimEnv,
+    cost: CostModel,
+) -> ConfigMeasurement | None:
+    """Build the best pin-consistent configuration for a flexible kernel.
+
+    Pinned operands keep their pinned layouts; free operands are tried both
+    in the sweep-best layouts and in default layouts (coherence); the
+    vectorization and warp-reduce dims are re-optimized under each choice.
+    The grid — 2 layout variants x vector dims x warp dims, in the scalar
+    loop's order (:func:`repro.configsel.reference.construct_consistent`) —
+    is one :class:`~repro.engine.space.KernelSpace` timed by the batched
+    roofline, which is bit-identical to ``cost.time_op``; ``np.argmin``
+    keeps the scalar loop's first minimum.
+    """
+    variants = (
+        tuple(pinned.get(t.name, l) for t, l in _iter_operand_layouts(op, sweep.best)),
+        tuple(pinned.get(t.name, Layout(t.dims)) for t in _operands(op)),
+    )
+    # Per slot, its one or two layouts; each variant's row holds their ids.
+    choices = [list(dict.fromkeys(slot)) for slot in zip(*variants)]
+    vec_choices: list[str | None] = list(op.ispace.all_dims) or [None]
+    warp_choices: list[str | None] = list(op.ispace.reduction) or [None]
+    idx = np.array(
+        [
+            [c.index(l) for c, l in zip(choices, variant)] + [v, w]
+            for variant in variants
+            for v in range(len(vec_choices))
+            for w in range(len(warp_choices))
+        ],
+        dtype=np.int64,
+    )
+    space = KernelSpace(
+        op=op,
+        layout_choices=choices,
+        vec_choices=vec_choices,
+        warp_choices=warp_choices,
+        idx=idx,
+    )
+    compute_us, memory_us = evaluate_kernel(space, env, cost.gpu, cost.params)
+    launch_us = cost.gpu.kernel_launch_us
+    j = int(np.argmin(roofline_totals(launch_us, compute_us, memory_us)))
+    return ConfigMeasurement(
+        config=space.config_at(j),
+        time=KernelTime(
+            compute_us=float(compute_us[j]),
+            memory_us=float(memory_us[j]),
+            launch_us=launch_us,
+        ),
+    )
 
 
 FAST_PIPELINE = Pipeline(
+    transposes=transpose_table,
     solve_chain=_solve_chain_fast,
     chain_pick=_fast_chain_pick,
     best_coherent=_fast_best_coherent,
     best_consistent=_fast_best_consistent,
     transpose_alt=_fast_transpose_alt,
+    construct_consistent=_fast_construct_consistent,
 )
 
 
@@ -473,8 +584,7 @@ def _chain_penalty(
     op: OpSpec,
     m: ConfigMeasurement,
     pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> float:
     """Layout penalty of a chain-step candidate.
 
@@ -486,9 +596,9 @@ def _chain_penalty(
     for t, l in _iter_operand_layouts(op, m):
         if t.name in pinned:
             if pinned[t.name] != l:
-                p += _transpose_us(cost, t, env)
+                p += transpose_us(t)
         elif l.dims != t.dims and t.rank > 1:
-            p += 0.5 * _transpose_us(cost, t, env)
+            p += 0.5 * transpose_us(t)
     return p
 
 
@@ -496,8 +606,7 @@ def _needed_transposes(
     op: OpSpec,
     m: ConfigMeasurement,
     pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
+    transpose_us: Callable[[TensorSpec], float],
 ) -> list[TransposeInsertion]:
     """Transposes required to run ``m`` against the current pins."""
     return [
@@ -505,7 +614,7 @@ def _needed_transposes(
             tensor=t.name,
             from_layout=pinned[t.name],
             to_layout=layout,
-            time_us=_transpose_us(cost, t, env),
+            time_us=transpose_us(t),
             before_op=op.name,
         )
         for t, layout in _iter_operand_layouts(op, m)
@@ -573,9 +682,10 @@ def _select_configurations_swept(
     pipeline: Pipeline,
     register,
 ) -> SelectedConfiguration:
+    transpose_us = pipeline.transposes(cost, env)
     chain = primary_chain(graph, source=source)
     chain_cost, boundary, chain_transposes = pipeline.solve_chain(
-        graph, chain, sweeps, env, cost
+        graph, chain, sweeps, transpose_us
     )
 
     chosen: dict[str, ConfigMeasurement] = {}
@@ -588,7 +698,7 @@ def _select_configurations_swept(
                 tensor=spec.name,
                 from_layout=from_l,
                 to_layout=to_l,
-                time_us=_transpose_us(cost, spec, env),
+                time_us=transpose_us(spec),
                 before_op=chain[idx].op_name,
             )
         )
@@ -606,7 +716,7 @@ def _select_configurations_swept(
             else None
         )
         pick = pipeline.chain_pick(
-            op, sweep, step, lin, lnext, out_spec, next_spec, pinned, env, cost
+            op, sweep, step, lin, lnext, out_spec, next_spec, pinned, transpose_us
         )
 
         # Flexible chain kernels: also try free operands in default layouts
@@ -621,17 +731,19 @@ def _select_configurations_swept(
             temp_pins = dict(pinned)
             temp_pins[step.in_tensor] = lin
             temp_pins[step.out_tensor] = lnext
-            constructed = _construct_consistent(op, sweep, temp_pins, env, cost)
+            constructed = pipeline.construct_consistent(
+                op, sweep, temp_pins, env, cost
+            )
             if constructed is not None and (
-                constructed.total_us + _chain_penalty(op, constructed, pinned, env, cost)
-                < pick.total_us + _chain_penalty(op, pick, pinned, env, cost)
+                constructed.total_us + _chain_penalty(op, constructed, pinned, transpose_us)
+                < pick.total_us + _chain_penalty(op, pick, pinned, transpose_us)
             ):
                 pick = constructed
         chosen[step.op_name] = pick
         # Record real transposes for operands that were pinned earlier and
         # mismatch (e.g. the residual skip of BDRLN1 reading ``x`` in a
         # different layout than the projection chose).
-        transposes.extend(_needed_transposes(op, pick, pinned, env, cost))
+        transposes.extend(_needed_transposes(op, pick, pinned, transpose_us))
         _pin_config(op, pick, pinned, overwrite=False)
         # The SSSP boundary decision overrides any earlier soft pin.
         pinned[step.in_tensor] = lin
@@ -652,9 +764,9 @@ def _select_configurations_swept(
         # tradeoff).  Scanning all configurations lets the fallback choose
         # *which* operand to transpose — mismatching a small weight-gradient
         # tensor is far cheaper than mismatching a sequence-sized activation.
-        consistent = pipeline.best_coherent(op, sweep, pinned, env, cost)
+        consistent = pipeline.best_coherent(op, sweep, pinned, transpose_us)
         best_alt, best_alt_needed, best_alt_cost = pipeline.transpose_alt(
-            op, sweep, pinned, env, cost
+            op, sweep, pinned, transpose_us
         )
         if consistent is not None and consistent.total_us <= best_alt_cost:
             chosen[op.name] = consistent
@@ -668,7 +780,7 @@ def _select_configurations_swept(
     for op in flexible:
         sweep = sweeps[op.name]
         match = pipeline.best_consistent(op, sweep, pinned)
-        constructed = _construct_consistent(op, sweep, pinned, env, cost)
+        constructed = pipeline.construct_consistent(op, sweep, pinned, env, cost)
         if constructed is not None and (
             match is None or constructed.total_us < match.total_us
         ):
@@ -680,7 +792,7 @@ def _select_configurations_swept(
         # may win (the same tradeoff the SSSP transpose edges encode).  The
         # scan picks which operands to transpose.
         alt, alt_needed, alt_cost = pipeline.transpose_alt(
-            op, sweep, pinned, env, cost
+            op, sweep, pinned, transpose_us
         )
         if alt is not None and alt_cost < match.total_us:
             chosen[op.name] = alt
@@ -732,55 +844,3 @@ def _pin_config(
     for t, l in _iter_operand_layouts(op, m):
         if overwrite or t.name not in pinned:
             pinned[t.name] = l
-
-
-def _construct_consistent(
-    op: OpSpec,
-    sweep: SweepResult,
-    pinned: dict[str, Layout],
-    env: DimEnv,
-    cost: CostModel,
-) -> ConfigMeasurement | None:
-    """Build the best pin-consistent configuration for a flexible kernel.
-
-    Pinned operands keep their pinned layouts; free operands are tried both
-    in the sweep-best layouts and in default layouts (coherence); the
-    vectorization and warp-reduce dims are re-optimized under each choice.
-    Shared verbatim by the scalar and fast pipelines.
-    """
-    best_cfg = sweep.best.config
-    layout_variants: list[tuple[tuple[Layout, ...], tuple[Layout, ...]]] = []
-    layout_variants.append(
-        (
-            tuple(pinned.get(t.name, l) for t, l in zip(op.inputs, best_cfg.input_layouts)),
-            tuple(pinned.get(t.name, l) for t, l in zip(op.outputs, best_cfg.output_layouts)),
-        )
-    )
-    layout_variants.append(
-        (
-            tuple(pinned.get(t.name, Layout(t.dims)) for t in op.inputs),
-            tuple(pinned.get(t.name, Layout(t.dims)) for t in op.outputs),
-        )
-    )
-    vec_options: list[str | None] = list(op.ispace.all_dims) or [None]
-    warp_options: list[str | None] = list(op.ispace.reduction) or [None]
-    best: ConfigMeasurement | None = None
-    from repro.layouts.config import OpConfig
-
-    for in_layouts, out_layouts in layout_variants:
-        for vec in vec_options:
-            for warp in warp_options:
-                config = OpConfig(
-                    op_name=op.name,
-                    input_layouts=in_layouts,
-                    output_layouts=out_layouts,
-                    vector_dim=vec,
-                    warp_reduce_dim=warp,
-                )
-                kt = cost.time_op(op, config, env)
-                if kt is None:
-                    continue
-                m = ConfigMeasurement(config=config, time=kt)
-                if best is None or m.total_us < best.total_us:
-                    best = m
-    return best

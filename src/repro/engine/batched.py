@@ -136,6 +136,8 @@ def kernel_jitter_units(space: KernelSpace) -> np.ndarray:
 
 
 _ONES = 0xFFFFFFFF
+#: Row count up to which :func:`_crc32_rows` hashes each row whole.
+_WHOLE_ROWS = 64
 
 
 @lru_cache(maxsize=64)
@@ -167,8 +169,16 @@ def _crc32_rows(parts: list, n: int) -> np.ndarray:
     ``data`` to a message moves the register from ``r`` to
     ``Z(r) ^ R(data)``, where ``Z`` feeds ``len(data)`` zero bytes (one
     table lookup per register byte) and ``R(data)`` is the register ``data``
-    alone leaves from zero — one zlib call per distinct string.
+    alone leaves from zero — one zlib call per distinct string.  Up to
+    ``_WHOLE_ROWS`` rows (a selection's consistent-kernel grid), one zlib
+    call per whole row costs less than those table passes.
     """
+    if n <= _WHOLE_ROWS:
+        rows = (
+            "".join(p if isinstance(p, str) else p[0][p[1][i]] for p in parts)
+            for i in range(n)
+        )
+        return np.array([zlib.crc32(r.encode()) for r in rows], dtype=np.uint32)
     reg = np.full(n, _ONES, dtype=np.uint32)
     shared = ""  # text every row continues with, folded into the next choice
     for part in parts:

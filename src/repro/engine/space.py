@@ -22,7 +22,7 @@ objects are only built lazily, on measurement access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,17 +42,30 @@ __all__ = [
     "enumerate_kernel_space",
     "kernel_knob_sizes",
     "shapes_from_structures",
+    "slot_id_rows",
 ]
 
 
 @dataclass
 class ContractionSpace:
-    """A contraction's config space in structure-of-arrays form."""
+    """A contraction's config space in structure-of-arrays form.
+
+    Its feasible ``(layout_a, layout_b, layout_c)`` triples are interned per
+    operand slot: ``layouts[s]`` holds the distinct layouts slot ``s``
+    (A, B, then C) takes, in first-seen order — at most rank! of them,
+    where a space has hundreds of triples — and ``triple_layouts[s, t]`` is
+    triple ``t``'s id into that list.
+    """
 
     op: OpSpec
-    #: Feasible ``(layout_a, layout_b, layout_c, gemm_shape)`` triples.
-    triples: list[tuple[Layout, Layout, Layout, GemmShape]]
-    #: Per-config index into :attr:`triples`.
+    #: Per operand slot, its distinct layouts.
+    layouts: list[list[Layout]]
+    #: ``(3, num_triples)`` per-slot ids into :attr:`layouts`.
+    triple_layouts: np.ndarray
+    #: Per-triple GEMM shape; ``None`` when rebuilt from a payload, which
+    #: does not persist them (``config_at`` never reads them).
+    shapes: list[GemmShape] | None
+    #: Per-config index into the triples.
     triple_idx: np.ndarray
     #: Per-config requested tensor-core mode.
     tc_flags: np.ndarray
@@ -63,9 +76,19 @@ class ContractionSpace:
     def num_configs(self) -> int:
         return int(self.triple_idx.shape[0])
 
+    @cached_property
+    def triples(self) -> list[tuple[Layout, Layout, Layout, GemmShape | None]]:
+        """The feasible ``(layout_a, layout_b, layout_c, gemm_shape)``
+        triples in enumeration order (built on first use)."""
+        a, b, c = self.layouts
+        rows = self.triple_layouts.T.tolist()
+        shapes = self.shapes if self.shapes is not None else [None] * len(rows)
+        return [(a[i], b[j], c[k], s) for (i, j, k), s in zip(rows, shapes)]
+
     def config_at(self, j: int) -> OpConfig:
         """Materialize the ``j``-th config (enumeration order)."""
-        la, lb, lc, _shape = self.triples[int(self.triple_idx[j])]
+        t = int(self.triple_idx[j])
+        la, lb, lc = (self.layouts[s][self.triple_layouts[s, t]] for s in range(3))
         return OpConfig(
             op_name=self.op.name,
             input_layouts=(la, lb),
@@ -73,6 +96,13 @@ class ContractionSpace:
             algorithm=int(self.algos[j]),
             use_tensor_cores=bool(self.tc_flags[j]),
         )
+
+
+def slot_id_rows(flat_ids: list[int], vocab_size: int) -> np.ndarray:
+    """``(3, num_triples)`` slot ids from their triple-major flat list, in
+    the narrowest unsigned dtype a vocabulary of ``vocab_size`` fits."""
+    ids = np.array(flat_ids, dtype=np.min_scalar_type(vocab_size))
+    return np.ascontiguousarray(ids.reshape(-1, 3).T)
 
 
 @dataclass
@@ -116,8 +146,15 @@ def enumerate_contraction_space(op: OpSpec, env: DimEnv) -> ContractionSpace:
     The GEMM mapping runs once per layout triple here; the scalar path
     re-runs it for each of the triple's ``2 * NUM_GEMM_ALGORITHMS`` configs.
     """
-    triples = list(contraction_triples(op, env))
-    t = len(triples)
+    found = list(contraction_triples(op, env))
+    t = len(found)
+    # Intern each slot's layouts in the pass that reads the triples.
+    a, b, c = vocab = ({}, {}, {})
+    flat = [
+        k
+        for la, lb, lc, _shape in found
+        for k in (a.setdefault(la, len(a)), b.setdefault(lb, len(b)), c.setdefault(lc, len(c)))
+    ]
     per_triple = 2 * NUM_GEMM_ALGORITHMS
     # Order matches contraction_configs: triple-major, then tc in
     # (True, False), then algorithm ascending.
@@ -127,7 +164,13 @@ def enumerate_contraction_space(op: OpSpec, env: DimEnv) -> ContractionSpace:
     )
     algos = np.tile(np.arange(NUM_GEMM_ALGORITHMS, dtype=np.int64), 2 * t)
     return ContractionSpace(
-        op=op, triples=triples, triple_idx=triple_idx, tc_flags=tc_flags, algos=algos
+        op=op,
+        layouts=[list(v) for v in vocab],
+        triple_layouts=slot_id_rows(flat, max(map(len, vocab))),
+        shapes=[shape for *_layouts, shape in found],
+        triple_idx=triple_idx,
+        tc_flags=tc_flags,
+        algos=algos,
     )
 
 

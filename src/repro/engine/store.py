@@ -50,7 +50,7 @@ import json
 import os
 import tempfile
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import lru_cache
 from math import isfinite, prod
 from pathlib import Path
@@ -78,6 +78,7 @@ from .space import (
     enumerate_kernel_space,
     kernel_knob_sizes,
     shapes_from_structures,
+    slot_id_rows,
 )
 
 __all__ = [
@@ -361,7 +362,9 @@ def compute_payload_delta(
         # Validation made each slot's layouts permute one set: one triple
         # speaks for all.
         specs = (op.inputs[0], op.inputs[1], op.outputs[0])
-        fits = all(l.matches(s) for t in space.triples[:1] for l, s in zip(t, specs))
+        fits = all(
+            l.matches(s) for v, s in zip(space.layouts, specs) for l in v[:1]
+        )
         skeleton = {k: base[k] for k in ("structures", "layout_units")}
     else:
         tables = (space.layout_choices, space.vec_choices, space.warp_choices)
@@ -370,8 +373,7 @@ def compute_payload_delta(
     if not fits:
         raise CacheMismatch("delta base's choice tables are not this operator's")
     if contraction:
-        shapes = shapes_from_structures(base["structures"], env)
-        space.triples = [t[:3] + (s,) for t, s in zip(space.triples, shapes)]
+        space = replace(space, shapes=shapes_from_structures(base["structures"], env))
     return _evaluate_payload(op, env, cost, space, skeleton)
 
 
@@ -387,15 +389,25 @@ def space_from_payload(op: OpSpec, payload: dict) -> ContractionSpace | KernelSp
     Configurations materialize with ``op``'s name, which is how one stored
     contraction payload serves every structurally identical operator.  The
     per-triple ``GemmShape`` is not persisted (``config_at`` never reads
-    it), so reconstructed contraction triples carry ``None`` there.
+    it), so a reconstructed contraction space has no ``shapes``.
     """
     if payload["kind"] == "contraction":
+        # Intern each slot's layouts in the one pass that reads the triples.
+        a, b, c = vocab = ({}, {}, {})
+        flat = [
+            k
+            for la, lb, lc in payload["triples"]
+            for k in (
+                a.setdefault(tuple(la), len(a)),
+                b.setdefault(tuple(lb), len(b)),
+                c.setdefault(tuple(lc), len(c)),
+            )
+        ]
         return ContractionSpace(
             op=op,
-            triples=[
-                (_layout(tuple(la)), _layout(tuple(lb)), _layout(tuple(lc)), None)
-                for la, lb, lc in payload["triples"]
-            ],
+            layouts=[[_layout(dims) for dims in v] for v in vocab],
+            triple_layouts=slot_id_rows(flat, max(map(len, vocab))),
+            shapes=None,
             triple_idx=payload["triple_idx"],
             tc_flags=payload["tc_flags"],
             algos=payload["algos"],

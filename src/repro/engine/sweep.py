@@ -30,6 +30,7 @@ from repro.hardware.cost_model import CostModel, KernelTime
 from repro.ir.dims import DimEnv
 from repro.ir.operator import OpSpec
 
+from .batched import roofline_totals
 from .store import (
     CacheMismatch,
     SweepStore,
@@ -91,7 +92,7 @@ class PreSortedMeasurements(Sequence):
     a no-op rather than a forced materialization.
     """
 
-    __slots__ = ("_n", "_build", "_totals", "_items", "_space", "_order")
+    __slots__ = ("_n", "_build", "_totals", "_items", "_space", "_order", "_times")
 
     def __init__(
         self,
@@ -101,16 +102,19 @@ class PreSortedMeasurements(Sequence):
         *,
         space=None,
         order: np.ndarray | None = None,
+        times: tuple | None = None,
     ) -> None:
         self._n = n
         self._build = build
         self._totals = totals
         self._items: list[object | None] = [None] * n
-        # The enumerated config space and the stable-sort permutation, kept
-        # so array consumers (the configsel fast path) can read per-
-        # measurement layouts without materializing measurement objects.
+        # The enumerated config space, the stable-sort permutation and the
+        # evaluation-order ``(launch, compute, memory)`` times, kept so
+        # array consumers (the configsel fast path) can read per-config
+        # layouts and totals without materializing measurement objects.
         self._space = space
         self._order = order
+        self._times = times
 
     def __len__(self) -> int:
         return self._n
@@ -139,35 +143,31 @@ class PreSortedMeasurements(Sequence):
         return self._totals
 
     def operand_layout_index(self):
-        """Per-operand layout vocabularies and per-measurement layout ids.
+        """The sweep's :class:`~repro.autotuner.tuner.OperandLayouts`.
 
-        Returns ``(vocabs, ids)`` where ``vocabs[s]`` lists the layout
-        choices of operand slot ``s`` (inputs then outputs) and ``ids[s]``
-        maps each measurement — in sorted order — to its index in
-        ``vocabs[s]``.  Derived straight from the enumerated space plus the
-        sort permutation, so no measurement objects are built.  ``None``
-        when the sequence was constructed without a space.  The ids take
-        the narrowest unsigned dtype their vocabulary fits: every sweep
-        rebuilt from a cached payload holds its own copy.
+        Straight from the space, which interned each operand slot's
+        layouts where it built them: a kernel's ids are its index columns
+        and a contraction's a gather of its per-triple slot ids, all in
+        evaluation order, so no measurement object is built and nothing is
+        permuted into sorted order.  ``None`` when the sequence was
+        constructed without a space.
         """
         if self._space is None or self._order is None:
             return None
+        from repro.autotuner.tuner import OperandLayouts
+
         from .space import ContractionSpace
 
-        space, order = self._space, self._order
+        space = self._space
         if isinstance(space, ContractionSpace):
-            ids = space.triple_idx[order].astype(
-                np.min_scalar_type(len(space.triples))
-            )
-            vocabs = [
-                [t[0] for t in space.triples],
-                [t[1] for t in space.triples],
-                [t[2] for t in space.triples],
-            ]
-            return vocabs, [ids, ids, ids]
-        vocabs = [list(choices) for choices in space.layout_choices]
-        dtype = np.min_scalar_type(max(map(len, vocabs)))
-        return vocabs, list(np.take(space.idx.T.astype(dtype), order, axis=1))
+            vocabs = space.layouts
+            ids = list(np.take(space.triple_layouts, space.triple_idx, axis=1))
+        else:
+            vocabs = space.layout_choices
+            ids = [space.idx[:, s] for s in range(len(vocabs))]
+        launch_us, compute_us, memory_us = self._times
+        totals = roofline_totals(launch_us, compute_us, memory_us)
+        return OperandLayouts(vocabs, ids, totals, self._order)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (PreSortedMeasurements, list)):
@@ -208,6 +208,11 @@ def sweep_from_payload(op: OpSpec, payload: dict):
         )
 
     measurements = PreSortedMeasurements(
-        len(order), build, sorted_totals(payload), space=space, order=order
+        len(order),
+        build,
+        sorted_totals(payload),
+        space=space,
+        order=order,
+        times=(launch_us, compute_us, memory_us),
     )
     return SweepResult(op=op, measurements=measurements)

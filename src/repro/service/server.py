@@ -1150,10 +1150,14 @@ class _Handler(BaseHTTPRequestHandler):
         # Latency from a monotonic clock (an NTP step must never yield a
         # negative sample), inside a server span that adopts the caller's
         # traceparent header — the cross-process link of a fleet trace.
+        # The span closes and the latency is recorded before the reply is
+        # written: a caller that asks for its trace or for /metrics right
+        # after its reply finds its own request there.
         metrics = self.service.metrics
         with self.server.track_request():
             metrics.request_started()
             start = perf_counter()
+            reply = None
             try:
                 with obs.span(
                     f"server{endpoint}",
@@ -1161,12 +1165,18 @@ class _Handler(BaseHTTPRequestHandler):
                     service=self.service.service_name,
                     endpoint=endpoint,
                 ):
-                    self._respond(endpoint, fn)
+                    reply = self._respond(endpoint, fn)
             finally:
                 metrics.request_finished()
                 metrics.record_request(endpoint, perf_counter() - start)
+            if reply is not None:
+                try:
+                    self._send_reply(reply)
+                except (ConnectionError, TimeoutError):
+                    pass  # the client went away mid-send
 
-    def _respond(self, endpoint: str, fn) -> None:
+    def _respond(self, endpoint: str, fn) -> WireReply | None:
+        """The one reply to this request (``None``: the client is gone)."""
         try:
             faults = self.service.faults
             if faults is not None:
@@ -1205,10 +1215,10 @@ class _Handler(BaseHTTPRequestHandler):
             if faults is not None:
                 reply = faults.mangle_reply(endpoint, reply)
             obs.set_attr("http.status", reply.status)
-            self._send_reply(reply)
+            return reply
         except (ConnectionError, TimeoutError):
-            # The client went away mid-send; nothing left to answer.
-            pass
+            # The client went away before its reply; nothing left to answer.
+            return None
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):

@@ -19,7 +19,12 @@ and checks that the vectorized per-operator steps of
 :mod:`repro.configsel.selector` return the very same measurement,
 transposes and cost as the scalar scans of
 :mod:`repro.configsel.reference` — the merged per-slot penalty must add
-the same terms in the same order.
+the same terms in the same order.  The same holds on engine-backed sweeps
+(``sweep_from_payload``), whose interned per-slot ids and evaluation-order
+arrays are a different path from the list-backed one, for a contraction
+and for a kernel with many operands and a reduction, under random pins
+that include layouts no configuration holds; and the batched
+consistent-kernel construction equals the scalar grid loop.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ from repro.autotuner.tuner import ConfigMeasurement, SweepResult
 from repro.configsel import reference
 from repro.configsel.chain import ChainStep
 from repro.configsel.selector import FAST_PIPELINE
+from repro.engine.store import compute_payload
+from repro.engine.sweep import sweep_from_payload
+from repro.fusion.encoder_kernels import apply_paper_fusion
 from repro.configsel.sssp import (
     ConfigGraph,
     SSSPError,
@@ -43,8 +51,9 @@ from repro.configsel.sssp import (
 from repro.hardware.cost_model import CostModel, KernelTime
 from repro.ir.dims import bert_large_dims
 from repro.layouts.config import OpConfig
-from repro.layouts.layout import all_layouts
+from repro.layouts.layout import Layout, all_layouts
 from repro.ops.contraction import contraction_spec
+from repro.transformer.graph_builder import build_encoder_graph
 
 
 @st.composite
@@ -163,32 +172,130 @@ def sweeps_and_pins(draw):
     return SweepResult(op=_OP, measurements=measurements), pinned, lin
 
 
-@settings(max_examples=300, deadline=None)
-@given(sweeps_and_pins())
-def test_inference_steps_match_reference(case):
-    sweep, pinned, lin = case
+def _steps_match(op, sweep, pinned, step, lin, lnext, next_spec):
+    """Every pin-driven step of both pipelines returns the same objects."""
     fast, ref = FAST_PIPELINE, reference.PIPELINE
-    assert fast.best_consistent(_OP, sweep, pinned) is ref.best_consistent(
-        _OP, sweep, pinned
+    f_tr, r_tr = fast.transposes(_COST, _ENV), ref.transposes(_COST, _ENV)
+    assert fast.best_consistent(op, sweep, pinned) is ref.best_consistent(
+        op, sweep, pinned
     )
-    assert fast.best_coherent(_OP, sweep, pinned, _ENV, _COST) is ref.best_coherent(
-        _OP, sweep, pinned, _ENV, _COST
+    assert fast.best_coherent(op, sweep, pinned, f_tr) is ref.best_coherent(
+        op, sweep, pinned, r_tr
     )
-    f_alt, f_needed, f_cost = fast.transpose_alt(_OP, sweep, pinned, _ENV, _COST)
-    r_alt, r_needed, r_cost = ref.transpose_alt(_OP, sweep, pinned, _ENV, _COST)
+    f_alt, f_needed, f_cost = fast.transpose_alt(op, sweep, pinned, f_tr)
+    r_alt, r_needed, r_cost = ref.transpose_alt(op, sweep, pinned, r_tr)
     assert (f_alt, f_needed, f_cost) == (r_alt, r_needed, r_cost)
     assert f_alt is r_alt
 
-    step = ChainStep(_OP.name, "x", 1, "y", 0)
-    out_spec = _OP.outputs[0]
+    out_spec = op.outputs[step.out_index]
     picks = []
-    for pipeline in (fast, ref):
+    for pipeline, tr in ((fast, f_tr), (ref, r_tr)):
         try:
             picks.append(
                 pipeline.chain_pick(
-                    _OP, sweep, step, lin, None, out_spec, None, pinned, _ENV, _COST
+                    op, sweep, step, lin, lnext, out_spec, next_spec, pinned, tr
                 )
             )
         except SSSPError:
             picks.append(None)
     assert picks[0] is picks[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweeps_and_pins())
+def test_inference_steps_match_reference(case):
+    sweep, pinned, lin = case
+    step = ChainStep(_OP.name, "x", 1, "y", 0)
+    _steps_match(_OP, sweep, pinned, step, lin, None, None)
+
+
+# ---------------------------------------------------------------------------
+# Engine-backed sweeps: interned ids in evaluation order
+# ---------------------------------------------------------------------------
+
+_GRAPH = apply_paper_fusion(
+    build_encoder_graph(qkv_fusion="qkv", include_backward=True), _ENV
+)
+#: A contraction over 4-D operands, and a kernel with 7 operands of two
+#: shapes and two reduction dims.
+_ENGINE_OPS = ("gamma", "BDRB")
+_SWEEPS = {
+    name: sweep_from_payload(
+        _GRAPH.op(name),
+        compute_payload(_GRAPH.op(name), _ENV, _COST, cap=400, seed=11),
+    )
+    for name in _ENGINE_OPS
+}
+
+
+def _foreign(dims: tuple[str, ...]) -> Layout:
+    """A layout no configuration of a ``dims`` operand holds."""
+    return Layout((*dims, "zz"))
+
+
+@st.composite
+def engine_cases(draw):
+    name = draw(st.sampled_from(_ENGINE_OPS))
+    op = _GRAPH.op(name)
+    operands = (*op.inputs, *op.outputs)
+    pinned = {}
+    for t in operands:
+        if draw(st.booleans()):
+            pinned[t.name] = draw(
+                st.one_of(
+                    st.sampled_from(tuple(all_layouts(t.dims))), st.just(_foreign(t.dims))
+                )
+            )
+    in_index = draw(st.integers(min_value=0, max_value=len(op.inputs) - 1))
+    out_index = draw(st.integers(min_value=0, max_value=len(op.outputs) - 1))
+    in_t, out_t = op.inputs[in_index], op.outputs[out_index]
+    step = ChainStep(op.name, in_t.name, in_index, out_t.name, out_index)
+    lin = draw(st.sampled_from(tuple(all_layouts(in_t.dims))))
+    lnext = draw(
+        st.one_of(st.none(), st.sampled_from(tuple(all_layouts(out_t.dims))))
+    )
+    return op, pinned, step, lin, lnext
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_cases())
+def test_engine_backed_steps_match_reference(case):
+    op, pinned, step, lin, lnext = case
+    next_spec = None if lnext is None else op.outputs[step.out_index]
+    _steps_match(op, _SWEEPS[op.name], pinned, step, lin, lnext, next_spec)
+
+
+@st.composite
+def construct_pins(draw):
+    op = _GRAPH.op("BDRB")
+    return op, {
+        t.name: draw(st.sampled_from(tuple(all_layouts(t.dims))))
+        for t in (*op.inputs, *op.outputs)
+        if draw(st.booleans())
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(construct_pins())
+def test_construct_consistent_matches_scalar_grid(case):
+    op, pinned = case
+    sweep = _SWEEPS[op.name]
+    fast = FAST_PIPELINE.construct_consistent(op, sweep, pinned, _ENV, _COST)
+    ref = reference.PIPELINE.construct_consistent(op, sweep, pinned, _ENV, _COST)
+    assert fast == ref
+
+
+def test_construct_consistent_when_both_variants_coincide():
+    """Every operand pinned: the sweep-best and default variants are one
+    layout set, so each grid point appears twice with equal times and the
+    first of the tied minima must win on both sides."""
+    op = _GRAPH.op("BDRB")
+    sweep = _SWEEPS[op.name]
+    pinned = {
+        t.name: tuple(all_layouts(t.dims))[-1] for t in (*op.inputs, *op.outputs)
+    }
+    fast = FAST_PIPELINE.construct_consistent(op, sweep, pinned, _ENV, _COST)
+    ref = reference.PIPELINE.construct_consistent(op, sweep, pinned, _ENV, _COST)
+    assert fast == ref
+    layouts = (*fast.config.input_layouts, *fast.config.output_layouts)
+    assert layouts == tuple(pinned[t.name] for t in (*op.inputs, *op.outputs))

@@ -267,11 +267,21 @@ class TestFastPath:
 
     def test_chain_matrices_match_config_graph(self, fused_encoder, encoder_sweeps):
         """Every finite matrix cell is exactly one scalar-graph edge."""
-        from repro.configsel.reference import _SOURCE, _TARGET, build_config_graph
+        from repro.configsel.reference import (
+            _SOURCE,
+            _TARGET,
+            build_config_graph,
+            transpose_pricer,
+        )
+        from repro.configsel.selector import transpose_table
 
         chain = primary_chain(fused_encoder)
-        mats = build_chain_matrices(fused_encoder, chain, encoder_sweeps, ENV, COST)
-        cg = build_config_graph(fused_encoder, chain, encoder_sweeps, ENV, COST)
+        mats = build_chain_matrices(
+            fused_encoder, chain, encoder_sweeps, transpose_table(COST, ENV)
+        )
+        cg = build_config_graph(
+            fused_encoder, chain, encoder_sweeps, transpose_pricer(COST, ENV)
+        )
         for idx in range(len(chain)):
             layouts = mats.boundaries[idx]
             m = mats.op_cost[idx]
@@ -292,7 +302,7 @@ class TestFastPath:
         from repro.configsel.selector import _solve_chain_fast
 
         fast_cost, _, _ = _solve_chain_fast(
-            fused_encoder, chain, encoder_sweeps, ENV, COST
+            fused_encoder, chain, encoder_sweeps, transpose_table(COST, ENV)
         )
         assert fast_cost == scalar_cost
 
@@ -309,10 +319,17 @@ class TestSelection:
 
     def test_sssp_cross_check(self, fused_encoder, encoder_sweeps):
         from repro.configsel.chain import primary_chain
-        from repro.configsel.reference import _SOURCE, _TARGET, build_config_graph
+        from repro.configsel.reference import (
+            _SOURCE,
+            _TARGET,
+            build_config_graph,
+            transpose_pricer,
+        )
 
         chain = primary_chain(fused_encoder)
-        cg = build_config_graph(fused_encoder, chain, encoder_sweeps, ENV, COST)
+        cg = build_config_graph(
+            fused_encoder, chain, encoder_sweeps, transpose_pricer(COST, ENV)
+        )
         own, _ = shortest_path(cg, _SOURCE, _TARGET)
         nx, _ = shortest_path_networkx(cg, _SOURCE, _TARGET)
         assert own == pytest.approx(nx)

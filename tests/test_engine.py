@@ -195,7 +195,7 @@ class TestOperandLayoutQueries:
 
     def test_operand_layout_arrays_map_short_configs_to_none(self):
         sweep = self._mixed_arity_sweep()
-        vocabs, ids = sweep.operand_layout_arrays()
+        vocabs, ids, _totals, _order = sweep.operand_layout_arrays()
         # Operand 1 only exists in the slower, wider config: the narrow one
         # maps to a None entry, which selection treats as unconstrained.
         assert [vocabs[1][k] for k in ids[1]] == [None, Layout(("p", "h"))]

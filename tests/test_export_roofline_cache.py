@@ -1,13 +1,9 @@
-"""Tests for graph export, roofline analysis, and refinement."""
+"""Tests for graph export and roofline analysis."""
 
 import json
 
 import pytest
 
-from repro.autotuner.tuner import sweep_graph
-from repro.configsel.refinement import refine_selection
-from repro.configsel.selector import select_configurations
-from repro.fusion.encoder_kernels import apply_paper_fusion
 from repro.hardware.cost_model import CostModel
 from repro.hardware.roofline import graph_roofline, op_roofline, ridge_intensity
 from repro.hardware.spec import A100, V100
@@ -86,28 +82,3 @@ class TestRoofline:
         """More compute per byte of bandwidth: the A100 ridge moves right,
         making *more* operators memory bound (Sec. VIII-B)."""
         assert ridge_intensity(A100) > ridge_intensity(V100)
-
-
-class TestRefinement:
-    def test_refinement_is_monotone(self):
-        g = apply_paper_fusion(build_encoder_graph(qkv_fusion="qkv"), ENV)
-        sweeps = sweep_graph(g, ENV, COST, cap=200)
-        sel = select_configurations(g, ENV, COST, sweeps=sweeps, cap=200)
-        res = refine_selection(g, sel, sweeps, ENV, COST, max_rounds=2,
-                               candidates_per_op=16)
-        assert res.refined_total_us <= res.initial_total_us
-        assert res.rounds >= 1
-        # The refined assignment still covers every kernel.
-        kernel_names = {op.name for op in g.ops if not op.is_view}
-        assert set(res.selection.chosen) == kernel_names
-
-    def test_refinement_deterministic(self):
-        g = apply_paper_fusion(build_encoder_graph(qkv_fusion="qkv"), ENV)
-        sweeps = sweep_graph(g, ENV, COST, cap=150)
-        sel = select_configurations(g, ENV, COST, sweeps=sweeps, cap=150)
-        r1 = refine_selection(g, sel, sweeps, ENV, COST, max_rounds=1,
-                              candidates_per_op=8)
-        r2 = refine_selection(g, sel, sweeps, ENV, COST, max_rounds=1,
-                              candidates_per_op=8)
-        assert r1.refined_total_us == r2.refined_total_us
-        assert r1.moves == r2.moves

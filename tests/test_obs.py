@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import re
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -489,15 +488,7 @@ class TestTracedHop:
             client = TuningClient(url)
             with obs.span("client.request", service="test") as root:
                 client.healthz()
-            # The server span ends after its reply's last byte is sent, so
-            # the client can ask for the trace before the span is recorded.
-            deadline = time.monotonic() + 10
-            while True:
-                served = client.trace(root.trace_id)
-                names = [s["name"] for s in served["spans"]]
-                if "server/healthz" in names or time.monotonic() > deadline:
-                    break
-                time.sleep(0.01)
+            served = client.trace(root.trace_id)
 
         assert served["trace_id"] == root.trace_id
         assert served["connected"] is True
@@ -506,6 +497,30 @@ class TestTracedHop:
         assert server_span["parent_id"] == root.span_id
         assert server_span["attrs"]["service"] == "tuningd"
         assert server_span["attrs"]["http.status"] == 200
+
+    def test_request_is_recorded_before_its_reply_is_written(
+        self, tracer, monkeypatch
+    ):
+        """By the time a reply's bytes go out, its server span is closed and
+        its latency sampled, so a caller that asks for its trace or for
+        /metrics right after its reply finds its own request."""
+        from repro.service.server import _Handler
+
+        seen = []
+        send = _Handler._send_reply
+
+        def observing_send(handler, reply):
+            names = [s["name"] for s in tracer.finished()]
+            latency = handler.service.metrics.snapshot()["latency_ms"]
+            seen.append(
+                ("server/healthz" in names, latency.get("/healthz", {}).get("count"))
+            )
+            send(handler, reply)
+
+        monkeypatch.setattr(_Handler, "_send_reply", observing_send)
+        with serve_background(TuningService(store=None, registry=None)) as url:
+            TuningClient(url).healthz()
+        assert seen == [(True, 1)]
 
     def test_unknown_trace_is_404(self, tracer):
         from repro.service import ServiceError
@@ -522,13 +537,6 @@ class TestTracedHop:
             client = TuningClient(url)
             client.healthz()
             as_json = client.metrics()
-            # A request is counted after its reply's last byte is sent, so
-            # the client can scrape before its healthz is recorded.
-            deadline = time.monotonic() + 10
-            while True:
-                samples = _parse_exposition(client.metrics_prometheus())
-                if samples.get(healthz, 0) >= 1 or time.monotonic() > deadline:
-                    break
-                time.sleep(0.01)
+            samples = _parse_exposition(client.metrics_prometheus())
         assert isinstance(as_json, dict) and "requests" in as_json
         assert samples[healthz] >= 1
