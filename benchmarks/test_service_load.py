@@ -50,7 +50,7 @@ SEED = 0x5EED
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 25
 #: Binary-wire shape: with ``cap == top_k`` (at the protocol's MAX_TOP_K)
-#: the JSON body and the packed npz carry the same information — every
+#: the JSON body and the packed payload carry the same information — every
 #: sampled configuration's predicted times — so the size comparison below
 #: is between two honest encodings of one result, not truncation levels.
 PACKED_CAP = 50
@@ -169,7 +169,7 @@ def test_binary_wire_size_and_revalidation_latency(env, cost, tmp_path):
     with serve_background(service) as url:
         client = TuningClient(url)
 
-        # --- size: the packed npz vs the JSON body carrying every config.
+        # --- size: the packed payload vs the JSON body carrying every config.
         status, etag, packed = client.sweep_packed_raw(
             op, env, cap=PACKED_CAP, seed=SEED
         )

@@ -51,12 +51,11 @@ from .store import (
     compute_payload_delta,
     get_sweep_store,
     pack_payload_bytes,
-    read_payload_npz,
+    read_payload,
     set_sweep_store,
     structural_sweep_digest,
     sweep_digest,
     sweep_store_stats,
-    write_payload_npz,
 )
 from .scheduler import (
     contraction_time_split,
@@ -84,7 +83,7 @@ __all__ = [
     "get_sweep_store",
     "kernel_index_array",
     "pack_payload_bytes",
-    "read_payload_npz",
+    "read_payload",
     "resolve_jobs",
     "set_default_jobs",
     "set_sweep_store",

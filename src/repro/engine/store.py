@@ -33,14 +33,20 @@ sweep — the same sweep at other dim sizes, whose persisted skeleton a
 delta re-sweep re-times — is found by listing one directory; there is no
 separate index to keep in step with the entries.
 
-Payloads are ``.npz`` files holding the *evaluation-order* compute and
-memory times (totals are derived: :func:`sorted_totals`), the stable-sort
-permutation, and the (name-free) layout choice tables needed to rebuild
-configurations lazily — binary float64, so a round-trip is bit-identical
-to a fresh :func:`~repro.autotuner.tuner.sweep_op_reference` run.  One
-reader, :func:`read_payload_npz`, decodes and validates every payload: a
-mismatched or corrupt entry raises :class:`CacheMismatch` and is
-recomputed (and overwritten), never silently reused.
+A payload is one checksummed container file (:func:`pack_payload_bytes`)
+holding the *evaluation-order* compute and memory times (totals are
+derived: :func:`sorted_totals`), the stable-sort permutation, and the
+(name-free) layout choice tables needed to rebuild configurations lazily —
+raw float64, so a round-trip is bit-identical to a fresh
+:func:`~repro.autotuner.tuner.sweep_op_reference` run.  The container is a
+fixed header (magic, format, meta length, CRC-32 of the rest), a JSON
+meta naming each array's dtype, shape and offset, then the raw
+little-endian, C-ordered arrays at 8-byte-aligned offsets; a read is one
+``read_bytes()`` and one ``np.frombuffer`` view per array, so decoded
+arrays are read-only.  One reader, :func:`read_payload`, decodes and
+validates every payload: a mismatched or corrupt entry raises
+:class:`CacheMismatch` and is recomputed (and overwritten), never silently
+reused.
 """
 
 from __future__ import annotations
@@ -48,8 +54,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 import threading
+import zlib
 from dataclasses import asdict, replace
 from functools import lru_cache
 from math import isfinite, prod
@@ -78,7 +86,6 @@ from .space import (
     enumerate_kernel_space,
     kernel_knob_sizes,
     shapes_from_structures,
-    slot_id_rows,
 )
 
 __all__ = [
@@ -90,14 +97,13 @@ __all__ = [
     "compute_payload_delta",
     "get_sweep_store",
     "pack_payload_bytes",
-    "read_payload_npz",
+    "read_payload",
     "set_sweep_store",
     "sorted_totals",
     "space_from_payload",
     "structural_sweep_digest",
     "sweep_digest",
     "sweep_store_stats",
-    "write_payload_npz",
 ]
 
 
@@ -107,14 +113,23 @@ class CacheMismatch(ValueError):
     corrupt entry.  Callers recompute; they never reuse it."""
 
 
-#: Payload layout version; bump when the npz schema or the digest changes.
-#: Format 4 files each entry under its structural digest's directory,
-#: persists the delta-re-sweep skeleton (GEMM structures, layout and jitter
-#: units), packs the index matrix int32 and stores only the compute and
-#: memory times (totals are derived).  Entries of any other format are
-#: rejected with :class:`CacheMismatch` and recomputed, exactly like a
-#: cost-model bump.
-PAYLOAD_FORMAT = 4
+#: Payload layout version; bump when the container, the payload schema or
+#: the digest changes.  Format 5 replaced format 4's npz zip with the plain
+#: checksummed container (file suffix :data:`SUFFIX`), stores every index
+#: array int32 and C-ordered (a kernel's knob indices one row per knob), and
+#: a contraction's layout triples as each slot's distinct layouts plus a
+#: ``(3, triples)`` id array.  Entries of any other format are never read
+#: (older ones carry another suffix) or are rejected with
+#: :class:`CacheMismatch` and recomputed, exactly like a cost-model bump.
+PAYLOAD_FORMAT = 5
+
+#: A store entry's file suffix.
+SUFFIX = ".sweep"
+
+#: The suffix of format-4 (and older) entries: never read, but still
+#: counted and evicted under a budget, so a store upgraded in place ages
+#: them out.
+LEGACY_SUFFIX = ".npz"
 
 #: Environment variable naming the store directory (CLI: ``--sweep-store``).
 STORE_ENV_VAR = "REPRO_SWEEP_STORE"
@@ -275,10 +290,8 @@ def _evaluate_payload(
         )
         tables = {
             "kind": "contraction",
-            "triples": [
-                [list(la.dims), list(lb.dims), list(lc.dims)]
-                for la, lb, lc, _shape in space.triples
-            ],
+            "layouts": [[list(l.dims) for l in v] for v in space.layouts],
+            "triple_layouts": space.triple_layouts,
             "triple_idx": space.triple_idx,
             "tc_flags": space.tc_flags,
             "algos": space.algos,
@@ -392,21 +405,10 @@ def space_from_payload(op: OpSpec, payload: dict) -> ContractionSpace | KernelSp
     it), so a reconstructed contraction space has no ``shapes``.
     """
     if payload["kind"] == "contraction":
-        # Intern each slot's layouts in the one pass that reads the triples.
-        a, b, c = vocab = ({}, {}, {})
-        flat = [
-            k
-            for la, lb, lc in payload["triples"]
-            for k in (
-                a.setdefault(tuple(la), len(a)),
-                b.setdefault(tuple(lb), len(b)),
-                c.setdefault(tuple(lc), len(c)),
-            )
-        ]
         return ContractionSpace(
             op=op,
-            layouts=[[_layout(dims) for dims in v] for v in vocab],
-            triple_layouts=slot_id_rows(flat, max(map(len, vocab))),
+            layouts=[[_layout(tuple(dims)) for dims in v] for v in payload["layouts"]],
+            triple_layouts=payload["triple_layouts"],
             shapes=None,
             triple_idx=payload["triple_idx"],
             tc_flags=payload["tc_flags"],
@@ -440,15 +442,15 @@ def _in_range(idx: np.ndarray, size: int) -> bool:
 
 def _slot_names(layouts) -> frozenset | None:
     """The dim names every layout of one operand slot permutes: ``None``
-    unless ``layouts`` are lists of distinct names, all permuting one set.
-    Checked per distinct layout, as sweeps repeat a few of them."""
-    if not isinstance(layouts, (list, tuple)) or set(map(type, layouts)) - {list}:
+    unless ``layouts`` are distinct lists of distinct names, all permuting
+    one set (an empty slot permutes none)."""
+    if not isinstance(layouts, list) or set(map(type, layouts)) - {list}:
         return None
     distinct = set(map(tuple, layouts))
     sets = {frozenset(layout) for layout in distinct}
-    if len(sets) != 1:
+    if len(distinct) != len(layouts) or len(sets) > 1:
         return None
-    (names,) = sets
+    names = sets.pop() if sets else frozenset()
     ok = all(isinstance(d, str) for d in names)
     return names if ok and all(len(l) == len(names) for l in distinct) else None
 
@@ -515,11 +517,15 @@ def _validate_payload(
         for key in ("triple_idx", "tc_flags", "algos"):
             if payload[key].shape != (n,):
                 raise CacheMismatch(f"{where}: array {key!r} has inconsistent length")
-        triples = payload["triples"]
-        slots = [_slot_names(slot) for slot in zip(*triples)]
-        if not isinstance(triples, list) or {*map(len, triples)} - {3} or None in slots:
-            raise CacheMismatch(f"{where}: malformed layout triples")
-        t = len(triples)
+        if n and payload["tc_flags"].view(np.uint8).max() > 1:
+            raise CacheMismatch(f"{where}: tensor-core flags are not booleans")
+        layouts, ids = payload["layouts"], payload["triple_layouts"]
+        slots = list(map(_slot_names, layouts)) if isinstance(layouts, list) else []
+        if len(slots) != 3 or None in slots or ids.ndim != 2 or len(ids) != 3:
+            raise CacheMismatch(f"{where}: malformed layout tables")
+        t = ids.shape[1]
+        if not all(_in_range(row, len(v)) for row, v in zip(ids, layouts)):
+            raise CacheMismatch(f"{where}: layout id out of range")
         if not _in_range(payload["triple_idx"], t):
             raise CacheMismatch(f"{where}: triple index out of range")
         if not _in_range(payload["algos"], NUM_GEMM_ALGORITHMS):
@@ -531,7 +537,7 @@ def _validate_payload(
         lu = payload["layout_units"]
         if lu.shape != (t,) or (t and not bool(((lu >= 0.0) & (lu < 1.0)).all())):
             raise CacheMismatch(f"{where}: layout units missing or out of range")
-    elif payload["kind"] == "kernel":
+    else:
         choices = payload["layout_choices"]
         knobs = (payload["vec_choices"], payload["warp_choices"])
         if (
@@ -550,84 +556,142 @@ def _validate_payload(
         units = payload["units"]
         if units.shape != (n,) or (n and not bool(((units >= 0) & (units < 1)).all())):
             raise CacheMismatch(f"{where}: jitter units missing or out of range")
-    else:
-        raise CacheMismatch(f"{where}: unknown payload kind {payload['kind']!r}")
     return totals
 
 
 # ---------------------------------------------------------------------------
-# The npz serialization (shared by the store and the packed wire path)
+# The container (shared by the store and the packed wire path)
 # ---------------------------------------------------------------------------
 
-def write_payload_npz(fh, digest: str, payload: dict) -> None:
-    """Serialize one payload to an open binary file in the store's format.
+#: Fixed header: magic, payload format, meta length, CRC-32 of the rest.
+_HEADER = struct.Struct("<4sIII")
+_MAGIC = b"RPSW"
 
-    Three array members: the time matrix ``F`` (float64 — bit-exactness),
-    one row each of compute and memory times (totals are derived, not
-    stored); the index matrix ``I``; and the size-independent skeleton
-    floats ``T`` (layout-factor units per triple for contractions, jitter
-    units per config for kernels).  ``meta`` holds the payload's other
-    (JSON) entries.  ``I`` is stored int32 when its values
-    fit (they are indices into small choice tables, so they always do in
-    practice): half the bytes on disk and on the packed wire, widened back
-    to int64 on read.
+#: Per payload kind, its arrays in file order and the little-endian dtypes
+#: each may be stored in (the first is what the writer casts to).  Index
+#: arrays are int32: they index configs or small choice tables.
+_F8, _I4 = ("<f8",), ("<i4",)
+_ARRAYS = {
+    "contraction": {
+        "compute_us": _F8, "memory_us": _F8, "order": _I4, "triple_idx": _I4,
+        "algos": _I4, "tc_flags": ("|b1",), "triple_layouts": ("|u1", "<u2", "<u4"),
+        "layout_units": _F8,
+    },
+    "kernel": {
+        "compute_us": _F8, "memory_us": _F8, "order": _I4, "idx": _I4, "units": _F8,
+    },
+}
+
+#: Stored transposed: one row per knob, so each knob column of a decoded
+#: ``idx`` is contiguous.
+_TRANSPOSED = frozenset({"idx"})
+
+_DTYPES = frozenset(d for schema in _ARRAYS.values() for ds in schema.values() for d in ds)
+
+
+def _align(offset: int) -> int:
+    return -(-offset // 8) * 8
+
+
+def _seal(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """The container bytes of ``meta`` and C-contiguous little-endian
+    ``arrays``.  ``meta["arrays"]`` lists each array's name, dtype, shape
+    and offset (counted from the 8-aligned end of the meta) in file order."""
+    layout, offset = [], 0
+    for name, a in arrays.items():
+        layout.append([name, a.dtype.str, list(a.shape), offset])
+        offset = _align(offset + a.nbytes)
+    text = json.dumps({**meta, "arrays": layout}, sort_keys=True, separators=(",", ":"))
+    head = text.encode()
+    start = _align(_HEADER.size + len(head))
+    chunks = [head, bytes(start - _HEADER.size - len(head))]
+    for a in arrays.values():
+        chunks += [memoryview(a).cast("B"), bytes(_align(a.nbytes) - a.nbytes)]
+    body = b"".join(chunks)
+    return _HEADER.pack(_MAGIC, PAYLOAD_FORMAT, len(head), zlib.crc32(body)) + body
+
+
+def _unseal(data: bytes, where: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta and the read-only array views of one container.
+
+    The checksum covers every byte after the header, and the arrays must
+    lie back to back at the 8-aligned offsets :func:`_seal` gives them and
+    end the file, so a torn, padded or re-laid-out file is refused.
     """
-    floats = np.vstack([payload["compute_us"], payload["memory_us"]])
-    if payload["kind"] == "contraction":
-        ints = np.vstack(
-            [
-                payload["order"],
-                payload["triple_idx"],
-                payload["algos"],
-                payload["tc_flags"].astype(np.int64),
-            ]
-        )
-        skeleton = payload["layout_units"]
-    else:
-        ints = np.vstack([payload["order"], payload["idx"].T])
-        skeleton = payload["units"]
-    if ints.size == 0 or (
-        ints.min() >= np.iinfo(np.int32).min and ints.max() <= np.iinfo(np.int32).max
-    ):
-        ints = ints.astype(np.int32)
+    if len(data) < _HEADER.size:
+        raise CacheMismatch(f"corrupt {where}: {len(data)} bytes, shorter than a header")
+    magic, fmt, meta_len, crc = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise CacheMismatch(f"corrupt {where}: not a sweep payload (magic {magic!r})")
+    if fmt != PAYLOAD_FORMAT:  # it says how to read the rest
+        raise CacheMismatch(f"{where}: payload format {fmt!r}, not {PAYLOAD_FORMAT}")
+    if zlib.crc32(memoryview(data)[_HEADER.size:]) != crc:
+        raise CacheMismatch(f"corrupt {where}: checksum mismatch")
+    meta = json.loads(data[_HEADER.size : _HEADER.size + meta_len])
+    if not isinstance(meta, dict) or not isinstance(layout := meta.pop("arrays", None), list):
+        raise CacheMismatch(f"corrupt {where}: malformed meta")
+    start = offset = _align(_HEADER.size + meta_len)
+    arrays = {}
+    for name, dtype, shape, at in layout:
+        if not isinstance(name, str) or name in arrays:
+            raise CacheMismatch(f"corrupt {where}: array name {name!r}")
+        if not (isinstance(dtype, str) and dtype in _DTYPES):
+            raise CacheMismatch(f"corrupt {where}: array {name!r} has dtype {dtype!r}")
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise CacheMismatch(f"corrupt {where}: array {name!r} has shape {shape!r}")
+        if type(at) is not int or start + at != offset:
+            raise CacheMismatch(f"corrupt {where}: array {name!r} is not where it belongs")
+        a = np.frombuffer(data, dtype=np.dtype(dtype), count=prod(shape), offset=offset)
+        arrays[name] = a.reshape(shape)
+        offset = _align(offset + a.nbytes)
+    if offset != len(data):
+        raise CacheMismatch(f"corrupt {where}: {len(data) - offset} bytes past the arrays")
+    return meta, arrays
+
+
+def pack_payload_bytes(digest: str, payload: dict) -> bytes:
+    """One payload as container bytes: a store entry's whole file, and the
+    packed ``/v1/sweep`` body (the writer is deterministic, so packing a
+    decoded payload gives back its file byte for byte)."""
+    arrays = {}
+    for name, dtypes in _ARRAYS[payload["kind"]].items():
+        a = payload[name].T if name in _TRANSPOSED else payload[name]
+        dtype = a.dtype.str if a.dtype.str in dtypes else dtypes[0]
+        arrays[name] = np.ascontiguousarray(a, dtype=dtype)
     meta = {k: v for k, v in payload.items() if not isinstance(v, np.ndarray)}
     meta["digest"] = digest
-    np.savez(fh, meta=json.dumps(meta), F=floats, I=ints, T=skeleton)
+    return _seal(meta, arrays)
 
 
-def read_payload_npz(source, *, digest: str | None, version: int | str | None) -> dict:
-    """Decode and validate one payload from a path or binary file-like object.
+def read_payload(
+    source: Path | bytes, *, digest: str | None, version: int | str | None
+) -> dict:
+    """Decode and validate one payload from a path or its bytes.
 
     The one decoder: store loads, twin loads and packed ``/v1/sweep``
     bodies (the wire bytes *are* the stored file) all read through it.
     ``digest`` and ``version`` are what the payload must declare and carry
-    (``None``: any).  A missing file raises ``FileNotFoundError``; any
-    other failure — of the zip, npy or JSON decoders on outside bytes, or of
-    validation — raises :class:`CacheMismatch`.
+    (``None``: any).  Its arrays are read-only views of the bytes.  A
+    missing file raises ``FileNotFoundError``; any other failure — of the
+    container, of the JSON decoder on outside bytes, or of validation —
+    raises :class:`CacheMismatch`.
     """
     where = f"sweep-store entry {source}" if isinstance(source, Path) else "payload"
     try:
-        with np.load(source, allow_pickle=False) as z:
-            payload = dict(json.loads(str(z["meta"][()])))
-            fmt = payload.get("format")
-            if fmt != PAYLOAD_FORMAT:  # it says how to read the arrays
-                raise CacheMismatch(
-                    f"{where}: payload format {fmt!r}, not {PAYLOAD_FORMAT}"
-                )
-            # "safe" casts only: no complex time, no float index.
-            floats = z["F"].astype(np.float64, casting="safe", copy=False)
-            ints = z["I"].astype(np.int64, casting="safe")
-            skeleton = z["T"].astype(np.float64, casting="safe", copy=False)
-        payload["compute_us"], payload["memory_us"] = floats
-        payload["order"] = ints[0]
-        if payload.get("kind") == "contraction":
-            payload["triple_idx"] = ints[1]
-            payload["algos"] = ints[2]
-            payload["tc_flags"] = ints[3] != 0
-            payload["layout_units"] = skeleton
-        else:
-            payload["idx"] = ints[1:].T
-            payload["units"] = skeleton
+        data = source.read_bytes() if isinstance(source, Path) else bytes(source)
+        payload, arrays = _unseal(data, where)
+        if payload.get("format") != PAYLOAD_FORMAT:
+            raise CacheMismatch(
+                f"{where}: payload format {payload.get('format')!r}, not {PAYLOAD_FORMAT}"
+            )
+        kind = payload.get("kind")
+        schema = _ARRAYS.get(kind, {})
+        if list(arrays) != list(schema) or any(
+            a.dtype.str not in schema[k] for k, a in arrays.items()
+        ):
+            raise CacheMismatch(f"{where}: arrays do not fit a {kind!r} payload")
+        for name, a in arrays.items():
+            payload[name] = a.T if name in _TRANSPOSED else a
         payload[_TOTALS] = _validate_payload(
             payload, digest=digest, version=version, where=where
         )
@@ -636,16 +700,6 @@ def read_payload_npz(source, *, digest: str | None, version: int | str | None) -
     except Exception as exc:  # the decoders' errors on corrupt bytes are open-ended
         raise CacheMismatch(f"corrupt {where}: {exc!r}") from exc
     return payload
-
-
-def pack_payload_bytes(digest: str, payload: dict) -> bytes:
-    """One payload as in-memory npz bytes (the packed wire fallback when
-    the response cannot be streamed straight from a store file)."""
-    import io
-
-    buf = io.BytesIO()
-    write_payload_npz(buf, digest, payload)
-    return buf.getvalue()
 
 
 def atomic_write(path: Path, write, *, fsync: bool = False) -> None:
@@ -679,9 +733,9 @@ _COUNTERS = ("hits", "misses", "saves", "rejected", "evictions", "delta_hits")
 
 
 class SweepStore:
-    """A directory tree of content-addressed ``.npz`` sweep payloads.
+    """A directory tree of content-addressed sweep payload files.
 
-    Entry ``d`` lives at ``root / d[:32] / f"{d}.npz"``: the first half of
+    Entry ``d`` lives at ``root / d[:32] / f"{d}{SUFFIX}"``: the first half of
     every sweep digest is its structural digest, so all structural twins
     of a sweep (the same sweep at other dim sizes) share one directory and
     a delta re-sweep finds them by listing it — the path is the index.
@@ -716,7 +770,7 @@ class SweepStore:
         self.delta_hits = 0
 
     def path_for(self, digest: str) -> Path:
-        return self.root / digest[:32] / f"{digest}.npz"
+        return self.root / digest[:32] / f"{digest}{SUFFIX}"
 
     def __contains__(self, digest: str) -> bool:
         return self.path_for(digest).exists()
@@ -731,7 +785,7 @@ class SweepStore:
         """
         path = self.path_for(digest)
         try:
-            payload = read_payload_npz(path, digest=digest, version=version)
+            payload = read_payload(path, digest=digest, version=version)
         except FileNotFoundError:
             # No entry, or evicted (or pruned by another process) since it
             # was written: a clean miss, not corruption.
@@ -753,12 +807,13 @@ class SweepStore:
     def save(self, digest: str, payload: dict) -> Path:
         """Atomically persist one payload under its digest.
 
-        Serialization lives in :func:`write_payload_npz`; this adds the
+        Serialization lives in :func:`pack_payload_bytes`; this adds the
         atomic tmp-then-replace dance, counters and budget eviction.
         """
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write(path, lambda fh: write_payload_npz(fh, digest, payload))
+        data = pack_payload_bytes(digest, payload)
+        atomic_write(path, lambda fh: fh.write(data))
         with self._lock:
             self.saves += 1
         if self.max_bytes is not None:
@@ -786,11 +841,11 @@ class SweepStore:
             return None
         for name in names:
             digest, ext = os.path.splitext(name)
-            if ext != ".npz" or not digest.startswith(structural):
+            if ext != SUFFIX or not digest.startswith(structural):
                 continue
             path = directory / name
             try:
-                payload = read_payload_npz(path, digest=digest, version=version)
+                payload = read_payload(path, digest=digest, version=version)
             except (CacheMismatch, OSError):
                 continue
             _touch(path)
@@ -810,8 +865,9 @@ class SweepStore:
         it, and evicting it would turn every save into a
         save-evict-recompute loop.  Entries *newer* than it are skipped for
         the same reason — under concurrent saves they are other threads'
-        just-written entries.  Every ``*.npz`` under the root counts, so
-        entries of older layouts age out under the budget too.
+        just-written entries.  Every entry file under the root counts —
+        format-4 ``.npz`` files and flat leftovers of older layouts too — so
+        they age out under the budget.
         """
         try:
             keep_mtime = keep.stat().st_mtime
@@ -819,7 +875,7 @@ class SweepStore:
             keep_mtime = float("inf")
         entries: list[tuple[float, int, Path]] = []
         total = 0
-        for path in self.root.rglob("*.npz"):
+        for path in self._entry_files():
             try:
                 st = path.stat()
             except OSError:  # pragma: no cover - raced with another process
@@ -843,10 +899,14 @@ class SweepStore:
                 self.evictions += 1
             obs.add_event("store.evict", digest=path.stem)
 
-    def stats(self) -> dict[str, int]:
-        entries = (
-            sum(1 for _ in self.root.rglob("*.npz")) if self.root.is_dir() else 0
+    def _entry_files(self):
+        """Every entry file under the root, of this format or a legacy one."""
+        return (
+            p for p in self.root.rglob("*") if p.suffix in (SUFFIX, LEGACY_SUFFIX)
         )
+
+    def stats(self) -> dict[str, int]:
+        entries = sum(1 for _ in self._entry_files()) if self.root.is_dir() else 0
         return {"entries": entries, **{k: getattr(self, k) for k in _COUNTERS}}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -195,7 +195,7 @@ def build_entry(
 
     Provenance cites the L2 sweep digest of every configured operator —
     computed with the same knobs the selection swept under, so each cited
-    digest is the exact ``.npz`` entry a warmed store served (or would
+    digest is the exact store entry a warmed store served (or would
     have written).
     """
     gpu = cost.gpu

@@ -310,7 +310,7 @@ class TuningClient:
     ) -> tuple[int, str | None, bytes]:
         """The packed binary ``/v1/sweep`` response: ``(status, etag, bytes)``.
 
-        The bytes are the server's L2 store ``.npz`` file verbatim;
+        The bytes are the server's L2 store payload file verbatim;
         ``etag`` (from a previous call) turns this into a revalidation
         that answers ``304`` with no body when still current.
         """

@@ -30,10 +30,11 @@ Examples::
 written — the client sees a connection reset, exactly what a crashed
 worker looks like.  ``corrupt`` flips bytes mid-body while preserving
 ``Content-Length``, so the transport layer is happy and only payload
-verification (npz CRC / digest check) can notice.  ``crash-rollout`` is a
-kill aimed at the calibration rollout's commit hooks instead of an HTTP
-route: its default ``path`` is ``rollout-pre-commit`` (die just before
-the promote commit point; ``path=rollout-post-commit`` dies just after),
+verification (the payload container's CRC-32, the digest check) can
+notice.  ``crash-rollout`` is a kill aimed at the calibration rollout's
+commit hooks instead of an HTTP route: its default ``path`` is
+``rollout-pre-commit`` (die just before the promote commit point;
+``path=rollout-post-commit`` dies just after),
 which the chaos suite uses to prove promotion recovers to exactly one of
 {prior, promoted}.
 """
@@ -160,8 +161,8 @@ def _corrupt_bytes(data: bytes) -> bytes:
     if not data:
         return data
     out = bytearray(data)
-    # Three spread-out flips: one mid-body (hits array data in an npz, a
-    # value in JSON), plus the two quartile points for tiny bodies' sake.
+    # Three spread-out flips: one mid-body (array data in a packed payload,
+    # a value in JSON), plus the two quartile points for tiny bodies' sake.
     for pos in (len(out) // 2, len(out) // 4, (3 * len(out)) // 4):
         out[pos] ^= 0x5A
     return bytes(out)

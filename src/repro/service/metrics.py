@@ -49,7 +49,7 @@ __all__ = [
 RESOLVE_TIERS = ("l1", "coalesced", "l2", "delta", "computed")
 
 #: How a ``/v1/sweep`` response left the daemon: canonical JSON (the
-#: default), the packed binary npz representation, or a 304 Not Modified
+#: default), the packed binary payload representation, or a 304 Not Modified
 #: revalidation that carried no body at all.
 RESPONSE_KINDS = ("json", "binary", "not_modified")
 

@@ -7,7 +7,7 @@ sampling knobs — exactly the tuple the L2 store digests.  ``op_from_wire``
 rebuilds a real :class:`OpSpec` from the wire form, so the server keys its
 caches with the *store's own* digest function; the wire key and the store
 key are the same object, and a request served over HTTP hits the same
-``.npz`` entry a batch ``sweep_graph`` run would have written.
+store entry a batch ``sweep_graph`` run would have written.
 
 Responses are built through :func:`sweep_response_from_sweep`, a pure
 function of a :class:`~repro.autotuner.tuner.SweepResult` — the server
@@ -74,9 +74,12 @@ __all__ = [
 PROTOCOL_VERSION = 1
 
 #: Media type of the packed binary ``/v1/sweep`` representation: the wire
-#: bytes are exactly the L2 store's ``.npz`` payload file, so a server with
-#: a warm store ``sendfile``s that file to the socket (the bytes never pass
+#: bytes are exactly the L2 store's payload file (the checksummed container
+#: of :func:`~repro.engine.store.pack_payload_bytes`), so a server with a
+#: warm store ``sendfile``s that file to the socket (the bytes never pass
 #: through Python) and the client decodes it with the store's own reader.
+#: The name predates the container; what it names is the store's current
+#: payload format, which the decoder checks.
 BINARY_CONTENT_TYPE = "application/x-repro-npz"
 
 #: Default number of ranked configurations returned by ``/v1/sweep``.
@@ -559,20 +562,18 @@ def payload_from_packed(
 ) -> dict:
     """Decode and validate one packed ``/v1/sweep`` response body.
 
-    The bytes are an L2 store ``.npz`` file, read by the store's one
-    decoder (:func:`~repro.engine.store.read_payload_npz`), so a corrupt,
+    The bytes are an L2 store payload file, read by the store's one
+    decoder (:func:`~repro.engine.store.read_payload`), so a corrupt,
     truncated or misranked wire body surfaces as :class:`ProtocolError` —
     never as a silently wrong measurement downstream.  ``version`` is the
     cost-model version the caller prices under (the fleet coordinator's
     request snapshot), so a skewed worker's bytes stay out; a client serves
     no model and leaves it ``None``, checking only the digest.
     """
-    import io
-
-    from repro.engine.store import CacheMismatch, read_payload_npz
+    from repro.engine.store import CacheMismatch, read_payload
 
     try:
-        return read_payload_npz(io.BytesIO(data), digest=digest, version=version)
+        return read_payload(data, digest=digest, version=version)
     except CacheMismatch as exc:
         raise ProtocolError(f"packed sweep response failed validation: {exc}") from exc
 

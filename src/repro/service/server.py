@@ -11,9 +11,10 @@ Endpoints (all JSON, canonical serialization):
   Responses carry a strong ``ETag``; a request presenting it back via
   ``If-None-Match`` gets ``304 Not Modified`` with an empty body, before
   any resolution work.  ``Accept: application/x-repro-npz`` opts into the
-  packed binary representation — the L2 store's own ``.npz`` payload,
-  sent from the store file to the socket by ``sendfile`` (the bytes never
-  pass through Python) when one exists.
+  packed binary representation — the L2 store's own payload file (a
+  checksummed container of raw arrays), sent from the store file to the
+  socket by ``sendfile`` (the bytes never pass through Python) when one
+  exists.
 * ``POST /v1/optimize`` — a whole-graph tuned schedule through the
   parallel scheduler (:func:`repro.engine.scheduler.sweep_graph`), with
   the same coalescing over a request-level digest and a cache of whole
@@ -514,7 +515,7 @@ class TuningService:
     def _packed_reply(self, d: Decision, payload: dict, etag: str) -> WireReply:
         """The packed binary representation, streamed from L2 when possible.
 
-        The wire bytes are exactly the store's ``.npz`` file, so a warm
+        The wire bytes are exactly the store's payload file, so a warm
         store serves an open file handle that the handler ``sendfile``s to
         the socket; a storeless daemon (or a just-evicted entry) packs the
         in-memory payload instead — byte-identical content either way,

@@ -24,7 +24,7 @@ from repro.engine.store import (
     compute_payload,
     compute_payload_delta,
     pack_payload_bytes,
-    read_payload_npz,
+    read_payload,
     structural_sweep_digest,
     sweep_digest,
 )
@@ -151,9 +151,9 @@ def test_delta_from_every_stored_twin_is_the_cold_payload(case, firsts):
             )
         digest = sweep_digest(op, target, COST, cap=None, seed=0)
         cold = compute_payload(op, target, COST, cap=None, seed=0)
-        twins = sorted(Path(root, digest[:32]).glob("*.npz"))
+        twins = sorted(Path(root, digest[:32]).glob("*.sweep"))
         assert len(twins) == len(firsts)
         for path in twins:
-            base = read_payload_npz(path, digest=path.stem, version=COST.version)
+            base = read_payload(path, digest=path.stem, version=COST.version)
             delta = compute_payload_delta(op, target, COST, base=base)
             assert pack_payload_bytes(digest, delta) == pack_payload_bytes(digest, cold)

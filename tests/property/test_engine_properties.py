@@ -37,7 +37,7 @@ from repro.engine.store import (
     SweepStore,
     compute_payload,
     pack_payload_bytes,
-    read_payload_npz,
+    read_payload,
     sweep_digest,
 )
 from repro.engine.sweep import sweep_from_payload
@@ -229,8 +229,8 @@ def test_cached_payloads_match_their_embedded_model(steps):
                     evaluate=evaluate,
                 )
             entries = [(d, p) for d, (p, _) in ENGINE_L1._items.items()] + [
-                (path.stem, read_payload_npz(path, digest=path.stem, version=None))
-                for path in Path(root).rglob("*.npz")
+                (path.stem, read_payload(path, digest=path.stem, version=None))
+                for path in Path(root).rglob("*.sweep")
             ]
             for digest, payload in entries:
                 cost = CostModel(params=_MODELS[payload["version"]])

@@ -3,7 +3,9 @@
 Randomizes operators, dimension sizes and sampling knobs; every sweep is
 saved to an on-disk store, reloaded, and compared against the scalar
 ``sweep_op_reference`` — same configs, same order, exact float equality on
-every ``KernelTime`` component.  The digest is also checked to be stable
+every ``KernelTime`` component.  The loaded payload is the stored file:
+it re-packs to the same bytes, and its arrays are read-only views whose
+index columns are contiguous.  The digest is also checked to be stable
 under recomputation and under irrelevant environment growth.
 """
 
@@ -14,7 +16,14 @@ import tempfile
 from hypothesis import given, settings
 
 from repro.autotuner.tuner import sweep_op_reference
-from repro.engine.store import SweepStore, compute_payload, sweep_digest
+import numpy as np
+
+from repro.engine.store import (
+    SweepStore,
+    compute_payload,
+    pack_payload_bytes,
+    sweep_digest,
+)
 from repro.engine.sweep import sweep_from_payload
 from repro.hardware.cost_model import CostModel
 from repro.ir.dims import DimEnv
@@ -32,7 +41,18 @@ def _round_trip(op, env, *, cap, seed):
     digest = sweep_digest(op, env, COST, cap=cap, seed=seed)
     if STORE.load(digest, COST.version) is None:
         STORE.save(digest, compute_payload(op, env, COST, cap=cap, seed=seed))
-    return sweep_from_payload(op, STORE.load(digest, COST.version)), digest
+    payload = STORE.load(digest, COST.version)
+    _assert_stored_form(digest, payload)
+    return sweep_from_payload(op, payload), digest
+
+
+def _assert_stored_form(digest, payload):
+    assert pack_payload_bytes(digest, payload) == STORE.path_for(digest).read_bytes()
+    arrays = [v for k, v in payload.items() if isinstance(v, np.ndarray) and k[0] != "_"]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    columns = [payload["order"]]
+    columns += list(payload["idx"].T) if payload["kind"] == "kernel" else []
+    assert all(c.strides[0] == c.itemsize for c in columns)
 
 
 def _assert_bit_identical(ref, loaded):

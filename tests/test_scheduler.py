@@ -36,7 +36,7 @@ from repro.engine.store import (
     SweepStore,
     compute_payload,
     pack_payload_bytes,
-    read_payload_npz,
+    read_payload,
     sweep_digest,
 )
 from repro.engine.sweep import sweep_from_payload
@@ -550,8 +550,8 @@ class TestOneModelPerSweep:
             for cost in (default, candidate)
         }
         entries = [(d, p) for d, (p, _) in ENGINE_L1._items.items()] + [
-            (path.stem, read_payload_npz(path, digest=path.stem, version=None))
-            for path in tmp_path.rglob("*.npz")
+            (path.stem, read_payload(path, digest=path.stem, version=None))
+            for path in tmp_path.rglob("*.sweep")
         ]
         assert len(entries) == 2
         for digest, payload in entries:

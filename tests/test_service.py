@@ -902,7 +902,7 @@ class TestWirePath:
         from repro.service.protocol import payload_from_packed
 
         with pytest.raises(ProtocolError, match="packed sweep response"):
-            payload_from_packed(b"PK\x03\x04 definitely not an npz")
+            payload_from_packed(b"RPSW definitely not a sweep payload")
 
     def test_packed_digest_mismatch_is_rejected(self, live_service):
         _, client = live_service

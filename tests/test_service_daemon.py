@@ -100,7 +100,7 @@ def test_daemon_serves_coalesces_and_shuts_down_cleanly(daemon):
     assert tiers["computed"] == 1
     assert tiers["coalesced"] + tiers["l1"] == 7
     assert metrics["store"]["saves"] == 1
-    assert list(store_dir.rglob("*.npz"))  # the sweep is on disk
+    assert list(store_dir.rglob("*.sweep"))  # the sweep is on disk
 
     # The query CLI against the same daemon.
     cli_env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

@@ -7,7 +7,6 @@ and the ``sweep_op`` / active-store integration.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +54,16 @@ def _isolate_store_and_memo():
 def _ops():
     g = build_mha_graph(qkv_fusion="unfused", include_backward=False)
     return g.op("q_proj"), g.op("softmax")
+
+
+def _rewrite(path, edit):
+    """Re-seal the container at ``path`` after ``edit(meta, arrays)`` changed
+    its meta or (writeable copies of) its arrays: a well-formed file whose
+    checksum holds, so only the payload checks can refuse it."""
+    meta, arrays = store_mod._unseal(path.read_bytes(), str(path))
+    arrays = {k: a.copy() for k, a in arrays.items()}
+    edit(meta, arrays)
+    path.write_bytes(store_mod._seal(meta, arrays))
 
 
 def _resolve(op, env, store, *, cap, seed):
@@ -190,12 +199,7 @@ class TestRejection:
         return contraction, store, digest
 
     def _tamper_meta(self, store, digest, **changes):
-        path = store.path_for(digest)
-        with np.load(path, allow_pickle=False) as z:
-            arrays = {k: z[k] for k in z.files if k != "meta"}
-            meta = json.loads(str(z["meta"][()]))
-        meta.update(changes)
-        np.savez(path, meta=json.dumps(meta), **arrays)
+        _rewrite(store.path_for(digest), lambda meta, _arrays: meta.update(changes))
 
     def test_version_mismatch_raises(self, tmp_path):
         _, store, digest = self._saved(tmp_path)
@@ -220,7 +224,7 @@ class TestRejection:
 
     def test_corrupt_bytes_raise(self, tmp_path):
         _, store, digest = self._saved(tmp_path)
-        store.path_for(digest).write_bytes(b"not an npz file at all")
+        store.path_for(digest).write_bytes(b"not a sweep payload at all")
         with pytest.raises(CacheMismatch, match="corrupt"):
             store.load(digest, COST.version)
 
@@ -233,35 +237,32 @@ class TestRejection:
 
     def test_inconsistent_arrays_raise(self, tmp_path):
         _, store, digest = self._saved(tmp_path)
-        path = store.path_for(digest)
-        with np.load(path, allow_pickle=False) as z:
-            arrays = {k: z[k] for k in z.files if k != "meta"}
-            meta = str(z["meta"][()])
-        arrays["F"] = arrays["F"][:, :-1]  # timing arrays shorter than order
-        np.savez(path, meta=meta, **arrays)
+
+        def shorten(_meta, arrays):  # timing arrays shorter than order
+            arrays["compute_us"] = arrays["compute_us"][:-1]
+            arrays["memory_us"] = arrays["memory_us"][:-1]
+
+        _rewrite(store.path_for(digest), shorten)
         with pytest.raises(CacheMismatch, match="inconsistent length"):
             store.load(digest, COST.version)
 
     def test_out_of_range_permutation_raises(self, tmp_path):
         _, store, digest = self._saved(tmp_path)
-        path = store.path_for(digest)
-        with np.load(path, allow_pickle=False) as z:
-            arrays = {k: z[k] for k in z.files if k != "meta"}
-            meta = str(z["meta"][()])
-        arrays["I"][0, 0] = arrays["I"].shape[1] + 5  # corrupt sort order
-        np.savez(path, meta=meta, **arrays)
+
+        def corrupt(_meta, arrays):  # corrupt sort order
+            arrays["order"][0] = len(arrays["order"]) + 5
+
+        _rewrite(store.path_for(digest), corrupt)
         with pytest.raises(CacheMismatch, match="permutation"):
             store.load(digest, COST.version)
 
     def test_negative_triple_index_raises(self, tmp_path):
         # Negative indices would silently index from the end in config_at.
         _, store, digest = self._saved(tmp_path)
-        path = store.path_for(digest)
-        with np.load(path, allow_pickle=False) as z:
-            arrays = {k: z[k] for k in z.files if k != "meta"}
-            meta = str(z["meta"][()])
-        arrays["I"][1, 0] = -2  # triple_idx row
-        np.savez(path, meta=meta, **arrays)
+        _rewrite(
+            store.path_for(digest),
+            lambda _meta, arrays: arrays["triple_idx"].__setitem__(0, -2),
+        )
         with pytest.raises(CacheMismatch, match="triple index"):
             store.load(digest, COST.version)
 
@@ -270,33 +271,24 @@ class TestRejection:
         store = SweepStore(tmp_path)
         digest = sweep_digest(kernel, ENV, COST, cap=80, seed=0)
         store.save(digest, compute_payload(kernel, ENV, COST, cap=80, seed=0))
-        path = store.path_for(digest)
-        with np.load(path, allow_pickle=False) as z:
-            arrays = {k: z[k] for k in z.files if k != "meta"}
-            meta = str(z["meta"][()])
-        arrays["I"][1, 0] = 10**6  # first knob column, way past its table
-        np.savez(path, meta=meta, **arrays)
+        # First knob (stored one row per knob), way past its table.
+        _rewrite(
+            store.path_for(digest),
+            lambda _meta, arrays: arrays["idx"].__setitem__((0, 0), 10**6),
+        )
         with pytest.raises(CacheMismatch, match="knob index"):
             store.load(digest, COST.version)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [(10, 99), (10, 8), (8, 1)],
-        ids=["unknown-compression", "deflate-on-stored-bytes", "encrypted-flag"],
+        "field", [0, 8, 12], ids=["magic", "meta-length", "checksum"]
     )
-    def test_corrupt_zip_directory_is_a_mismatch_then_recomputed(
-        self, tmp_path, field, value
-    ):
-        # zipfile and zlib raise NotImplementedError, zlib.error and
-        # RuntimeError for these: outside the usual decode errors.
-        from repro.engine.store import pack_payload_bytes
+    def test_corrupt_header_is_a_mismatch_then_recomputed(self, tmp_path, field):
         from repro.service.protocol import ProtocolError, payload_from_packed
 
         contraction, store, digest = self._saved(tmp_path)
         path = store.path_for(digest)
         data = bytearray(path.read_bytes())
-        at = data.index(b"PK\x01\x02") + field  # first central-directory entry
-        data[at : at + 2] = value.to_bytes(2, "little")
+        data[field] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(CacheMismatch, match="corrupt"):
             store.load(digest, COST.version)
@@ -559,6 +551,101 @@ class TestEviction:
         )
 
 
+    def test_a_format_4_entry_is_evicted_first_and_never_read(self, tmp_path):
+        # A budgeted store upgraded in place: its format-4 files keep their
+        # ``.npz`` suffix, count against the budget and age out first, and
+        # their digests are clean misses, not a CacheMismatch cascade.
+        import os
+        import time
+
+        size = self._entry_size(tmp_path)
+        store = SweepStore(tmp_path / "s", max_bytes=2 * size + size // 2)
+        (d1, p1), (d2, p2) = self._payloads(2)
+        legacy = store.path_for(d1).with_suffix(store_mod.LEGACY_SUFFIX)
+        legacy.parent.mkdir(parents=True)
+        legacy.write_bytes(b"PK\x03\x04" + bytes(size))  # a format-4 zip
+        os.utime(legacy, (time.time() - 60, time.time() - 60))
+        assert store.stats()["entries"] == 1
+        assert store.load(d1, COST.version) is None
+        assert store.load_structural(d1[:32], COST.version) is None
+        assert store.stats()["misses"] == 1 and store.stats()["rejected"] == 0
+        store.save(d1, p1)
+        store.save(d2, p2)  # over budget: the legacy file goes, not an entry
+        assert not legacy.exists()
+        assert store.stats()["evictions"] == 1
+        assert store.load(d1, COST.version) is not None
+        assert store.load(d2, COST.version) is not None
+
+
+class TestContainer:
+    """The decoded form: read-only, contiguous views of the stored file."""
+
+    @staticmethod
+    def _decoded(tmp_path, op, cap):
+        from repro.engine.store import pack_payload_bytes
+        from repro.service.protocol import payload_from_packed
+
+        store = SweepStore(tmp_path)
+        digest = sweep_digest(op, ENV, COST, cap=cap, seed=0)
+        path = store.save(digest, compute_payload(op, ENV, COST, cap=cap, seed=0))
+        loaded = store.load(digest, COST.version)
+        unpacked = payload_from_packed(
+            path.read_bytes(), digest=digest, version=COST.version
+        )
+        assert pack_payload_bytes(digest, loaded) == path.read_bytes()
+        assert pack_payload_bytes(digest, unpacked) == path.read_bytes()
+        return loaded, unpacked
+
+    @pytest.mark.parametrize("which", ["contraction", "kernel"])
+    def test_index_arrays_are_contiguous(self, tmp_path, which):
+        contraction, kernel = _ops()
+        op = contraction if which == "contraction" else kernel
+        for payload in self._decoded(tmp_path, op, 80):
+            columns = [payload["order"]]
+            if which == "kernel":
+                columns += list(payload["idx"].T)
+            else:
+                columns += [payload[k] for k in ("triple_idx", "algos", "tc_flags")]
+                columns += list(payload["triple_layouts"])
+            assert all(c.strides[0] == c.itemsize for c in columns)
+
+    @pytest.mark.parametrize("which", ["contraction", "kernel"])
+    def test_decoded_arrays_are_read_only(self, tmp_path, which):
+        contraction, kernel = _ops()
+        op = contraction if which == "contraction" else kernel
+        for payload in self._decoded(tmp_path, op, 80):
+            arrays = [
+                k for k, v in payload.items()
+                if isinstance(v, np.ndarray) and k != "_sorted_totals"
+            ]
+            assert len(arrays) >= 5
+            for key in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    payload[key][..., :1] = 0
+
+    def test_consumers_never_write_into_a_decoded_payload(self, tmp_path):
+        # Materializing, ranking and selecting over store-loaded sweeps:
+        # an in-place write into a payload array would raise here.
+        from repro.configsel.selector import select_configurations
+        from repro.engine import sweep_graph
+        from repro.transformer.graph_builder import build_encoder_graph
+
+        store = SweepStore(tmp_path)
+        graph = build_encoder_graph()
+        cold = sweep_graph(graph, ENV, COST, cap=60, jobs=1, store=store)
+        clear_sweep_memo()
+        saved = store.stats()["saves"]
+        warm = sweep_graph(graph, ENV, COST, cap=60, jobs=1, store=store)
+        assert store.stats()["hits"] == saved
+        for name, sweep in warm.items():
+            _assert_bit_identical(cold[name], sweep)
+        picks = [
+            select_configurations(graph, ENV, COST, sweeps=s, cap=60, jobs=1)
+            for s in (cold, warm)
+        ]
+        assert picks[0].chosen == picks[1].chosen
+
+
 class TestTwinByPath:
     """Structural twins live in, and are found by, their digest's directory."""
 
@@ -578,15 +665,17 @@ class TestTwinByPath:
         _, _, d513, s513 = self._warm(store, seq=513)
         assert s512 == s513 and d512 != d513
         assert d512[:32] == d513[:32] == s512
-        assert store.path_for(d512) == tmp_path / s512 / f"{d512}.npz"
+        suffix = store_mod.SUFFIX
+        assert store.path_for(d512) == tmp_path / s512 / f"{d512}{suffix}"
         assert sorted(p.name for p in (tmp_path / s512).iterdir()) == sorted(
-            [f"{d512}.npz", f"{d513}.npz"]
+            [f"{d512}{suffix}", f"{d513}{suffix}"]
         )
 
     def test_fresh_store_finds_a_twin_with_no_index_file(self, tmp_path):
         _, _, _, structural = self._warm(SweepStore(tmp_path))
-        # Nothing but entry directories holding npz files.
-        assert {p.suffix for p in tmp_path.rglob("*") if p.is_file()} == {".npz"}
+        # Nothing but entry directories holding entry files.
+        files = {p.suffix for p in tmp_path.rglob("*") if p.is_file()}
+        assert files == {store_mod.SUFFIX}
         payload = SweepStore(tmp_path).load_structural(structural, COST.version)
         assert payload is not None
         assert "structural" not in payload
@@ -628,13 +717,13 @@ class TestTwinByPath:
         payload = store.load(digest, COST.version)
         store.save(stranger, payload)
         path.unlink()
-        store.path_for(stranger).rename(path.parent / f"{stranger}.npz")
+        store.path_for(stranger).rename(path.parent / f"{stranger}{store_mod.SUFFIX}")
         assert store.load_structural(structural, COST.version) is None
 
     def test_stray_temp_file_in_a_twin_directory_is_ignored(self, tmp_path):
         store = SweepStore(tmp_path)
         _, _, digest, structural = self._warm(store)
-        stray = store.path_for(digest).parent / f"{structural}0.npz.tmp"
+        stray = store.path_for(digest).parent / f"{structural}0{store_mod.SUFFIX}.tmp"
         stray.write_bytes(b"torn")
         assert sorted(p.name for p in stray.parent.iterdir())[0] == stray.name
         payload = store.load_structural(structural, COST.version)
@@ -658,7 +747,7 @@ class TestOneStoreMechanism:
         assert self.SOURCE.count(f"{name}(") == 1
 
     def test_one_reader_validates(self):
-        # The definition and the one call, in read_payload_npz.
+        # The definition and the one call, in read_payload.
         assert self.SOURCE.count("_validate_payload(") == 2
         assert not [
             p for p in self.SRC.rglob("*.py") if "skeleton_only" in p.read_text()
@@ -681,10 +770,10 @@ class TestOneStoreMechanism:
         digest = sweep_digest(kernel, ENV, COST, cap=80, seed=0)
         payload = compute_payload(kernel, ENV, COST, cap=80, seed=0)
         store = SweepStore(tmp_path)
-        with np.load(store.save(digest, payload)) as z:
-            assert sorted(z.files) == ["F", "I", "T", "meta"]
-            assert z["F"].shape == (2, len(payload["order"]))
-            assert not [k for k in json.loads(str(z["meta"][()])) if "totals" in k]
+        path = store.save(digest, payload)
+        meta, arrays = store_mod._unseal(path.read_bytes(), str(path))
+        assert list(arrays) == ["compute_us", "memory_us", "order", "idx", "units"]
+        assert not [k for k in [*meta, *arrays] if "totals" in k]
         # Derived on decode exactly as on evaluation.
         loaded = store.load(digest, COST.version)
         totals = payload["launch_us"] + np.maximum(
@@ -699,14 +788,7 @@ class TestOneStoreMechanism:
         digest = sweep_digest(contraction, ENV, COST, cap=100, seed=0)
         payload = compute_payload(contraction, ENV, COST, cap=100, seed=0)
         path = store.save(digest, payload)
-        with np.load(path, allow_pickle=False) as z:
-            meta = {**json.loads(str(z["meta"][()])), "format": 3}
-            compute, memory = z["F"]
-            order = z["I"][0]
-            arrays = {"I": z["I"], "T": z["T"]}
-        totals = np.maximum(compute, memory)[order] + meta["launch_us"]
-        old_f = np.vstack([compute, memory, totals])
-        np.savez(path, meta=json.dumps(meta), F=old_f, **arrays)
+        _rewrite(path, lambda meta, _arrays: meta.update(format=3))
         with pytest.raises(CacheMismatch, match="payload format 3"):
             store.load(digest, COST.version)
         _, tier = _resolve(contraction, ENV, store, cap=100, seed=0)
