@@ -111,8 +111,9 @@ def test_configsel_speedup_encoder(benchmark, env, cost, sweep_cap):
             graph, env, cost, sweeps=sweeps, cap=sweep_cap, fast=fast
         )
 
-    # Warm shared process-level caches (transpose memo, layout tables) so
-    # the measurement compares the two pipelines, not first-touch costs.
+    # Warm shared process-level caches (the cost model's lru-cached
+    # efficiency factors, the store's interned layouts) so the measurement
+    # compares the two pipelines, not first-touch costs.
     expected = run(fast=False)
     assert run(fast=True) == expected
 

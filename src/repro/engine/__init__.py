@@ -9,9 +9,11 @@ scalar loop with a batched pipeline:
 1. :mod:`repro.engine.space` enumerates a config space once into
    structure-of-arrays form (layout indices, vector/warp dims, algorithm,
    tensor-core flags) using the exact enumeration order of
-   :mod:`repro.layouts.configspace`; capped kernel spaces are subsampled
-   by :mod:`repro.engine.sampling`, which replays the scalar sampler's
-   random draws in bulk;
+   :mod:`repro.layouts.configspace`; kernel spaces larger than the cap (by
+   more than ``k`` times at large caps) are subsampled by
+   :mod:`repro.engine.sampling`, which replays the scalar sampler's random
+   draws in bulk, and smaller ones are swept whole
+   (:func:`repro.layouts.configspace.sweeps_whole`);
 2. :mod:`repro.engine.batched` evaluates the roofline formula
    ``launch + max(flop/(peak·eff_c), bytes/(bw·eff_m))`` over NumPy arrays,
    hoisting all per-(op, env) work out of the loop while staying

@@ -18,13 +18,11 @@ tier-1 pins via ``sweep_op`` vs ``sweep_op_reference``.
 
 from __future__ import annotations
 
-import zlib
-from functools import lru_cache
-
 import numpy as np
 
 from repro.hardware.efficiency import (
     contraction_triple_factors,
+    crc32_rows,
     operand_access_eff,
 )
 from repro.hardware.params import EfficiencyParams
@@ -68,7 +66,14 @@ def evaluate_contraction(
     """
     op = space.op
     pre_tc, pre_fp, wave, div8, algo_factors, _units = contraction_triple_factors(
-        op, space.triples, gpu, params, layout_units=layout_units
+        op,
+        space.layouts,
+        space.triple_layouts,
+        space.shapes,
+        space.triple_shapes,
+        gpu,
+        params,
+        layout_units=layout_units,
     )
 
     ti = space.triple_idx
@@ -106,8 +111,9 @@ def kernel_jitter_units(space: KernelSpace) -> np.ndarray:
     re-sweep reuses the persisted array instead of re-hashing every key.
     ``crc32 / 2**32`` is exact in float64, so the round trip through a
     stored payload is bit-identical.  The keys are never built: each is a
-    concatenation of per-knob choice strings, and :func:`_crc32_rows`
-    hashes all of them at once from the few distinct strings.
+    concatenation of per-knob choice strings, and
+    :func:`~repro.hardware.efficiency.crc32_rows` hashes all of them at
+    once from the few distinct strings.
     """
     op = space.op
     idx = space.idx
@@ -132,81 +138,7 @@ def kernel_jitter_units(space: KernelSpace) -> np.ndarray:
         "|warp:", ([str(w) for w in space.warp_choices], idx[:, -1]),
         "|algo:-1|tc:1",
     ]
-    return _crc32_rows(key, space.num_configs) / 2**32
-
-
-_ONES = 0xFFFFFFFF
-#: Row count up to which :func:`_crc32_rows` hashes each row whole.
-_WHOLE_ROWS = 64
-
-
-@lru_cache(maxsize=64)
-def _crc32_zeros_tables(n: int) -> np.ndarray:
-    """``(4, 256)`` byte tables of the CRC-32 register map "feed ``n`` zero bytes".
-
-    The map is linear over GF(2), so its value on any register is the XOR
-    of its values on the register's four bytes.  zlib's ``crc32(data, v)``
-    runs the register from ``v ^ 0xFFFFFFFF`` and returns it inverted.
-    """
-    basis = np.array(
-        [zlib.crc32(bytes(n), (1 << b) ^ _ONES) ^ _ONES for b in range(32)],
-        dtype=np.uint32,
-    )
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1 == 1
-    return np.stack(
-        [
-            np.bitwise_xor.reduce(np.where(bits, basis[8 * i: 8 * i + 8], 0), axis=1)
-            for i in range(4)
-        ]
-    ).astype(np.uint32)
-
-
-def _crc32_rows(parts: list, n: int) -> np.ndarray:
-    """``zlib.crc32`` of ``n`` byte strings given as concatenated parts.
-
-    A part is a ``str`` shared by every row or a ``(choices, column)``
-    pair: row ``i`` continues with ``choices[column[i]]``.  Appending
-    ``data`` to a message moves the register from ``r`` to
-    ``Z(r) ^ R(data)``, where ``Z`` feeds ``len(data)`` zero bytes (one
-    table lookup per register byte) and ``R(data)`` is the register ``data``
-    alone leaves from zero — one zlib call per distinct string.  Up to
-    ``_WHOLE_ROWS`` rows (a selection's consistent-kernel grid), one zlib
-    call per whole row costs less than those table passes.
-    """
-    if n <= _WHOLE_ROWS:
-        rows = (
-            "".join(p if isinstance(p, str) else p[0][p[1][i]] for p in parts)
-            for i in range(n)
-        )
-        return np.array([zlib.crc32(r.encode()) for r in rows], dtype=np.uint32)
-    reg = np.full(n, _ONES, dtype=np.uint32)
-    shared = ""  # text every row continues with, folded into the next choice
-    for part in parts:
-        if isinstance(part, str):
-            shared += part
-        else:
-            choices, col = part
-            _append(reg, [shared + c for c in choices], col)
-            shared = ""
-    if shared:
-        _append(reg, [shared], np.zeros(n, dtype=np.intp))
-    return reg ^ _ONES
-
-
-def _append(reg: np.ndarray, choices: list[str], col: np.ndarray) -> None:
-    """Advance CRC-32 registers in place: row ``i`` appends ``choices[col[i]]``."""
-    data = [c.encode() for c in choices]
-    alone = np.array([zlib.crc32(d, _ONES) ^ _ONES for d in data], dtype=np.uint32)
-    lengths = [len(d) for d in data]
-    distinct = set(lengths)
-    for length in distinct:
-        # All rows when every choice has this length (layout choices do).
-        rows = slice(None) if len(distinct) == 1 else np.array(lengths)[col] == length
-        r = reg[rows]
-        t = _crc32_zeros_tables(length)
-        reg[rows] = (
-            t[0][r & 0xFF] ^ t[1][(r >> 8) & 0xFF] ^ t[2][(r >> 16) & 0xFF] ^ t[3][r >> 24]
-        ) ^ alone[col[rows]]
+    return crc32_rows(key, space.num_configs) / 2**32
 
 
 def evaluate_kernel(

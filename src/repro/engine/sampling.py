@@ -1,17 +1,19 @@
 """Vectorized kernel config sampling, row-for-row equal to the scalar one.
 
-When a kernel's config space exceeds the sweep cap,
-:func:`repro.layouts.configspace.kernel_config_indices` (the scalar
-reference) draws configs as one ``random.Random(seed).randrange(size)``
-per knob, keeping the first ``cap`` distinct rows after the all-default
-one.  At ``cap=20000`` that is millions of Python-level calls per graph.
-This module replays the *same* draws in bulk:
+When a kernel's config space exceeds the sweep cap (by more than ``k``
+times at large caps, :func:`repro.layouts.configspace.sweeps_whole`), the
+scalar reference :func:`repro.layouts.configspace.kernel_config_indices`
+draws configs as one ``random.Random(seed).randrange(size)`` per knob,
+keeping the first ``cap`` distinct rows after the all-default one; a
+smaller space is enumerated whole.  At ``cap=20000`` that is millions of Python-level calls
+per graph.  This module replays the *same* draws in bulk:
 
 1. ``randrange(size)`` is rejection sampling on the generator's 32-bit
    output stream: it takes the top ``size.bit_length()`` bits of the next
-   word and retries while they are ``>= size``.  ``getrandbits(32 * n)``
-   returns the next ``n`` words of the same stream as one integer, least
-   significant word first, so the stream is read a block at a time.
+   word and retries while they are ``>= size``.  The stream is Mersenne
+   Twister MT19937, the generator numpy's ``np.random.MT19937`` also
+   implements: with its state set from ``random.Random(seed).getstate()``,
+   its raw outputs are the same words, read a block at a time.
 2. "Top ``k`` bits below ``size``" is ``word < size << (32 - k)``: each
    knob accepts the words below its *threshold*.  A word's *class* is how
    many of the distinct thresholds it reaches, and a knob accepts exactly
@@ -25,6 +27,11 @@ This module replays the *same* draws in bulk:
    two gathers ("first accepted word at or after the cursor").
 4. The keep-first-distinct filter is ``np.unique`` on row-major flat
    indices, in draw order.
+
+The rows are built knob-major: an ``int32`` array of shape
+``(knobs, rows)`` in C order, the layout the sweep store writes, and
+callers get its ``.T`` view, so every knob column is contiguous whether a
+payload was just computed or decoded from the store.
 
 Tier-1 and the property suite pin equality with the scalar generator.
 
@@ -48,6 +55,8 @@ from contextvars import ContextVar
 from math import log, prod
 
 import numpy as np
+
+from repro.layouts.configspace import sweeps_whole
 
 __all__ = ["kernel_index_array", "shared_samples"]
 
@@ -74,34 +83,39 @@ def shared_samples() -> Iterator[None]:
 
 
 def kernel_index_array(sizes: Sequence[int], *, cap: int | None, seed: int) -> np.ndarray:
-    """``(rows, len(sizes))`` knob indices, equal to ``kernel_config_indices``.
+    """``(rows, len(sizes))`` ``int32`` knob indices, equal to
+    ``kernel_config_indices``.
 
-    Exhaustive row-major enumeration when the product fits under ``cap``;
+    Exhaustive row-major enumeration when :func:`sweeps_whole` says so;
     otherwise the scalar generator's deterministic subsample of ``cap``
-    distinct rows (at least the all-default row), in the same order.
-    Outside a :func:`shared_samples` block every call returns a fresh
-    array; inside one, equal arguments return one read-only array.
+    distinct rows (at least the all-default row), in the same order.  The
+    result is the ``.T`` view of a knob-major C-ordered array, so each
+    column is contiguous.  Outside a :func:`shared_samples` block every
+    call returns a fresh array; inside one, equal arguments return one
+    read-only array.
     """
     sizes = tuple(int(s) for s in sizes)
     share = _SHARE.get()
     if share is None:
-        return _index_array(sizes, cap=cap, seed=seed)
+        return _index_array(sizes, cap=cap, seed=seed).T
     key = (sizes, cap, seed)
     idx = share.get(key)
     if idx is None:
-        idx = share[key] = _index_array(sizes, cap=cap, seed=seed)
-        idx.flags.writeable = False
+        knob_major = _index_array(sizes, cap=cap, seed=seed)
+        knob_major.flags.writeable = False
+        idx = share[key] = knob_major.T
     return idx
 
 
 def _index_array(sizes: tuple[int, ...], *, cap: int | None, seed: int) -> np.ndarray:
-    """:func:`kernel_index_array`'s draw, every call."""
-    if sizes and max(sizes) >= 1 << 32:
-        raise ValueError("knob sizes of 2**32 or more draw several words per randrange")
+    """:func:`kernel_index_array`'s draw, every call: the knob-major
+    ``(len(sizes), rows)`` ``int32`` array."""
+    if sizes and max(sizes) >= 1 << 31:
+        raise ValueError("knob sizes of 2**31 or more do not fit int32 index rows")
     total = prod(sizes)
-    if cap is None or total <= cap:
+    if sweeps_whole(total, cap):
         # Row-major unravel reproduces itertools.product order.
-        return np.stack(np.unravel_index(np.arange(total, dtype=np.int64), sizes), axis=1)
+        return np.array(np.unravel_index(np.arange(total), sizes), dtype=np.int32)
     wanted = max(cap - 1, 0)  # distinct rows to draw after the default one
     # Rows drawn before `wanted` distinct non-default ones have usually
     # appeared (coupon collector over `total` values, 10% margin).  The
@@ -122,15 +136,16 @@ def _index_array(sizes: tuple[int, ...], *, cap: int | None, seed: int) -> np.nd
         if len(first) >= wanted:
             break
         blocks, due = [flat], 0  # short: count again after every block
-    rows = np.stack(np.unravel_index(flat[first[:wanted]], sizes), axis=1)
-    return np.concatenate([np.zeros((1, len(sizes)), dtype=np.int64), rows])
+    rows = np.zeros((len(sizes), wanted + 1), dtype=np.int32)  # column 0: default
+    rows[:, 1:] = np.unravel_index(flat[first[:wanted]], sizes)
+    return rows
 
 
 def _draws(sizes: tuple[int, ...], seed: int, *, first: int) -> Iterator[np.ndarray]:
     """Flat row-major index of every row ``random.Random(seed)`` draws, in
     order, one array per block of the stream (endless).  The first block
     has ``first`` words, later ones ``_BLOCK_WORDS``."""
-    rng = random.Random(seed)
+    stream = _word_stream(seed)
     thresholds = [s << (32 - s.bit_length()) for s in sizes]
     levels = sorted(set(thresholds))
     ranks = [levels.index(t) for t in thresholds]
@@ -142,9 +157,7 @@ def _draws(sizes: tuple[int, ...], seed: int, *, first: int) -> Iterator[np.ndar
     classes = np.empty(0, dtype=np.uint8)
     n_words = first
     while True:
-        fresh = np.frombuffer(
-            rng.getrandbits(32 * n_words).to_bytes(4 * n_words, "little"), dtype="<u4"
-        )
+        fresh = stream.random_raw(n_words).astype(np.uint32)
         n_words = _BLOCK_WORDS
         fresh_classes = np.zeros(len(fresh), dtype=np.uint8)
         for level in levels:
@@ -173,6 +186,18 @@ def _draws(sizes: tuple[int, ...], seed: int, *, first: int) -> Iterator[np.ndar
         yield flat
         used = int(lengths.sum())
         words, classes = words[used:], classes[used:]
+
+
+def _word_stream(seed: int) -> np.random.MT19937:
+    """numpy's MT19937 in ``random.Random(seed)``'s state: its
+    ``random_raw`` words are the words ``getrandbits`` would return."""
+    *key, pos = random.Random(seed).getstate()[1]  # 624 key words, read position
+    stream = np.random.MT19937()
+    stream.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(key, dtype=np.uint32), "pos": pos},
+    }
+    return stream
 
 
 def _row_pattern(ranks: list[int], top: int) -> re.Pattern:

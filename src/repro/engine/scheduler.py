@@ -61,6 +61,7 @@ from repro.hardware.spec import GPUSpec
 from repro.ir.dims import DimEnv
 from repro.ir.graph import DataflowGraph
 from repro.ir.operator import OpClass, OpSpec
+from repro.layouts.configspace import sweeps_whole
 
 from .memo import ENGINE_L1, BoundedCache
 from .sampling import shared_samples
@@ -170,7 +171,10 @@ def _payload_job(args: tuple) -> tuple[list[dict], list | None]:
 #: sequence sizes, samples shared per batch (a cold sweep costs 1.9-2.1
 #: µs/config serially): the fused MHA fwd+bwd graph (128k configs, ~240
 #: ms serial) takes 5-10% longer on 2 workers; the fused encoder layer
-#: (242k, ~0.5 s serial) takes 10-15% less.
+#: swept alone (242k then, 255k since its 23,328-config spaces are swept
+#: whole; ~0.5 s serial) takes 10-15% less.  A cold tune of both graphs in
+#: one process never fans out: the MHA batch is 127,760 estimated configs
+#: and the encoder batch after the MHA's memo hits 127,376.
 _MIN_PARALLEL_CONFIGS = 200_000
 
 
@@ -196,7 +200,7 @@ def _estimated_configs(op: OpSpec, env: DimEnv, cap: int | None) -> int:
         )
         return len(triples) * 2 * NUM_GEMM_ALGORITHMS
     size = _kernel_space_size(op, env)
-    return size if cap is None else min(size, cap)
+    return size if sweeps_whole(size, cap) else cap
 
 
 def _sampling_groups(

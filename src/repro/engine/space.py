@@ -22,7 +22,7 @@ objects are only built lazily, on measurement access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class ContractionSpace:
     operand slot: ``layouts[s]`` holds the distinct layouts slot ``s``
     (A, B, then C) takes, in first-seen order — at most rank! of them,
     where a space has hundreds of triples — and ``triple_layouts[s, t]`` is
-    triple ``t``'s id into that list.
+    triple ``t``'s id into that list.  Their GEMM shapes are interned the
+    same way: a handful of distinct ``shapes`` and ``triple_shapes[t]``.
     """
 
     op: OpSpec
@@ -62,9 +63,11 @@ class ContractionSpace:
     layouts: list[list[Layout]]
     #: ``(3, num_triples)`` per-slot ids into :attr:`layouts`.
     triple_layouts: np.ndarray
-    #: Per-triple GEMM shape; ``None`` when rebuilt from a payload, which
-    #: does not persist them (``config_at`` never reads them).
+    #: The distinct GEMM shapes of the triples; ``None`` when rebuilt from a
+    #: payload, which does not persist them (``config_at`` never reads them).
     shapes: list[GemmShape] | None
+    #: Per-triple id into :attr:`shapes` (``None`` with it).
+    triple_shapes: np.ndarray | None
     #: Per-config index into the triples.
     triple_idx: np.ndarray
     #: Per-config requested tensor-core mode.
@@ -75,15 +78,6 @@ class ContractionSpace:
     @property
     def num_configs(self) -> int:
         return int(self.triple_idx.shape[0])
-
-    @cached_property
-    def triples(self) -> list[tuple[Layout, Layout, Layout, GemmShape | None]]:
-        """The feasible ``(layout_a, layout_b, layout_c, gemm_shape)``
-        triples in enumeration order (built on first use)."""
-        a, b, c = self.layouts
-        rows = self.triple_layouts.T.tolist()
-        shapes = self.shapes if self.shapes is not None else [None] * len(rows)
-        return [(a[i], b[j], c[k], s) for (i, j, k), s in zip(rows, shapes)]
 
     def config_at(self, j: int) -> OpConfig:
         """Materialize the ``j``-th config (enumeration order)."""
@@ -115,7 +109,9 @@ class KernelSpace:
     vec_choices: list[str | None]
     warp_choices: list[str | None]
     #: ``(num_configs, num_operands + 2)`` knob indices, enumeration order;
-    #: the last two columns are the vector and warp-reduce choice.
+    #: the last two columns are the vector and warp-reduce choice.  ``int32``
+    #: with contiguous columns: the ``.T`` view of a knob-major array, as
+    #: the sampler draws it and the store writes it.
     idx: np.ndarray
 
     @property
@@ -148,13 +144,20 @@ def enumerate_contraction_space(op: OpSpec, env: DimEnv) -> ContractionSpace:
     """
     found = list(contraction_triples(op, env))
     t = len(found)
-    # Intern each slot's layouts in the pass that reads the triples.
+    # Intern each slot's layouts and the shapes in the pass that reads the
+    # triples.
     a, b, c = vocab = ({}, {}, {})
+    shapes: dict[GemmShape, int] = {}
     flat = [
         k
         for la, lb, lc, _shape in found
         for k in (a.setdefault(la, len(a)), b.setdefault(lb, len(b)), c.setdefault(lc, len(c)))
     ]
+    triple_shapes = np.fromiter(
+        (shapes.setdefault(shape, len(shapes)) for *_layouts, shape in found),
+        dtype=np.intp,
+        count=t,
+    )
     per_triple = 2 * NUM_GEMM_ALGORITHMS
     # Order matches contraction_configs: triple-major, then tc in
     # (True, False), then algorithm ascending.
@@ -167,29 +170,41 @@ def enumerate_contraction_space(op: OpSpec, env: DimEnv) -> ContractionSpace:
         op=op,
         layouts=[list(v) for v in vocab],
         triple_layouts=slot_id_rows(flat, max(map(len, vocab))),
-        shapes=[shape for *_layouts, shape in found],
+        shapes=list(shapes),
+        triple_shapes=triple_shapes,
         triple_idx=triple_idx,
         tc_flags=tc_flags,
         algos=algos,
     )
 
 
-def shapes_from_structures(structures, env: DimEnv) -> list[GemmShape]:
+def shapes_from_structures(
+    structures, env: DimEnv
+) -> tuple[list[GemmShape], np.ndarray]:
     """Instantiate persisted GEMM-mapping structures at concrete dim sizes.
 
     ``structures`` is the JSON round-trip of the size-independent
     ``(m_group, n_group, k_group, batch_group, trans_a, trans_b)`` tuples
-    of :func:`repro.layouts.gemm_mapping.feasible_triple_structures` — the
-    skeleton a delta re-sweep reuses instead of re-running the rank!^3
-    feasibility scan.  Shapes come out identical to a fresh enumeration
-    because :func:`_shape_from_structure` is the single instantiation path.
+    of :func:`repro.layouts.gemm_mapping.feasible_triple_structures`, one
+    per triple — the skeleton a delta re-sweep reuses instead of re-running
+    the rank!^3 feasibility scan.  Returns the distinct shapes and each
+    triple's id into them (:attr:`ContractionSpace.shapes` /
+    ``triple_shapes``); each distinct structure is instantiated once.
+    Shapes come out identical to a fresh enumeration because
+    :func:`_shape_from_structure` is the single instantiation path.
     """
-    return [
-        _shape_from_structure(
-            (tuple(m), tuple(n), tuple(k), tuple(b), bool(ta), bool(tb)), env
-        )
-        for m, n, k, b, ta, tb in structures
-    ]
+    distinct: dict[tuple, int] = {}
+    ids = np.fromiter(
+        (
+            distinct.setdefault(
+                (tuple(m), tuple(n), tuple(k), tuple(b), bool(ta), bool(tb)), len(distinct)
+            )
+            for m, n, k, b, ta, tb in structures
+        ),
+        dtype=np.intp,
+        count=len(structures),
+    )
+    return [_shape_from_structure(st, env) for st in distinct], ids
 
 
 @lru_cache(maxsize=4096)

@@ -71,7 +71,7 @@ from repro.hardware.cost_model import CostModel
 from repro.ir.dims import DimEnv
 from repro.ir.operator import OpClass, OpSpec
 from repro.layouts.config import NUM_GEMM_ALGORITHMS
-from repro.layouts.configspace import kernel_space
+from repro.layouts.configspace import kernel_space, sweeps_whole
 from repro.layouts.gemm_mapping import feasible_triple_structures
 from repro.layouts.layout import Layout
 from repro.ops.einsum_utils import parse_einsum
@@ -180,20 +180,21 @@ def _op_dims(op: OpSpec) -> set[str]:
 
 def _kernel_space_size(op: OpSpec, env: DimEnv) -> int:
     """Full (uncapped) kernel config-space size: digest computation needs
-    only the size to decide whether ``cap`` binds."""
+    only the size to decide whether the space is swept whole."""
     return prod(kernel_knob_sizes(op, env))
 
 
 def _effective_knobs(op: OpSpec, env: DimEnv, *, cap: int | None, seed: int) -> list:
     """Sampling knobs as they actually bind.
 
-    Contraction sweeps are exhaustive, and a kernel sweep whose full space
-    fits under ``cap`` is too — both are keyed cap/seed-free so runs with
-    different caps share entries whenever the results coincide.
+    Contraction sweeps are exhaustive, and so is a kernel sweep whose full
+    space :func:`sweeps_whole` takes whole — both are keyed cap/seed-free
+    so runs with different caps share entries whenever the results
+    coincide.
     """
     if op.op_class is OpClass.TENSOR_CONTRACTION:
         return ["contraction"]
-    if cap is None or _kernel_space_size(op, env) <= cap:
+    if sweeps_whole(_kernel_space_size(op, env), cap):
         return ["kernel", "exhaustive"]
     return ["kernel", cap, seed]
 
@@ -214,8 +215,9 @@ def structural_sweep_digest(
     index rows, jitter keys) is a function of this key alone, which is
     what makes the delta re-sweep sound: on a structural hit only the
     size-dependent arrays (flops, bytes, times) need recomputing.  The
-    knobs are structural too: whether ``cap`` binds depends on the
-    choice-list lengths, never on sizes.  It is the first half of
+    knobs are structural too: whether a kernel space is swept whole
+    (:func:`sweeps_whole`) depends on the cap and the choice-list lengths,
+    never on sizes.  It is the first half of
     :func:`sweep_digest` and names the store directory of every twin.
     """
     include_name = op.op_class is not OpClass.TENSOR_CONTRACTION
@@ -255,8 +257,8 @@ def _contraction_structures(op: OpSpec) -> list[list]:
     ``(m_group, n_group, k_group, batch_group, trans_a, trans_b)`` of the
     mapping.  Reads the cached feasibility scan
     (:func:`feasible_triple_structures`), which is the same generator the
-    enumeration itself consumes — so index ``i`` here describes
-    ``triples[i]`` of the enumerated space.
+    enumeration itself consumes — so index ``i`` here describes triple
+    ``i`` of the enumerated space.
     """
     feasible = feasible_triple_structures(
         parse_einsum(op.einsum),
@@ -343,7 +345,9 @@ def compute_payload(
         space = enumerate_contraction_space(op, env)
         skeleton = {
             "structures": _contraction_structures(op),
-            "layout_units": contraction_layout_units(op, space.triples),
+            "layout_units": contraction_layout_units(
+                op, space.layouts, space.triple_layouts, space.shapes, space.triple_shapes
+            ),
         }
     else:
         space = enumerate_kernel_space(op, env, cap=cap, seed=seed)
@@ -386,7 +390,8 @@ def compute_payload_delta(
     if not fits:
         raise CacheMismatch("delta base's choice tables are not this operator's")
     if contraction:
-        space = replace(space, shapes=shapes_from_structures(base["structures"], env))
+        shapes, triple_shapes = shapes_from_structures(base["structures"], env)
+        space = replace(space, shapes=shapes, triple_shapes=triple_shapes)
     return _evaluate_payload(op, env, cost, space, skeleton)
 
 
@@ -410,6 +415,7 @@ def space_from_payload(op: OpSpec, payload: dict) -> ContractionSpace | KernelSp
             layouts=[[_layout(tuple(dims)) for dims in v] for v in payload["layouts"]],
             triple_layouts=payload["triple_layouts"],
             shapes=None,
+            triple_shapes=None,
             triple_idx=payload["triple_idx"],
             tc_flags=payload["tc_flags"],
             algos=payload["algos"],

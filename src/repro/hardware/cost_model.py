@@ -160,12 +160,6 @@ class CostModel:
         eff = Efficiency(compute=0.4, memory=0.80, tensor_cores=False)
         return self._time_from_eff(0.0, nbytes, eff, OpClass.ELEMENTWISE)
 
-    def achieved_bandwidth(self, nbytes: float, time_us: float) -> float:
-        """Bytes/s realized by a kernel that moved ``nbytes`` in ``time_us``."""
-        if time_us <= 0:
-            raise ValueError("time must be positive")
-        return nbytes / (time_us * 1e-6)
-
     def achieved_flops(self, flop: float, time_us: float) -> float:
         if time_us <= 0:
             raise ValueError("time must be positive")

@@ -58,6 +58,7 @@ __all__ = [
     "contraction_efficiency",
     "contraction_layout_units",
     "contraction_triple_factors",
+    "crc32_rows",
     "kernel_efficiency",
     "operand_access_eff",
     "op_efficiency",
@@ -212,31 +213,124 @@ def _shape_factors(
     )
 
 
-#: str(algorithm id) bytes, indexed by id (suffix operand of the rolling CRC).
-_ALGO_SUFFIXES = tuple(str(a).encode() for a in range(NUM_GEMM_ALGORITHMS))
+# ---------------------------------------------------------------------------
+# Batched keys: ``_unit`` for many rows at once
+# ---------------------------------------------------------------------------
+
+_ONES = 0xFFFFFFFF
+#: Row count up to which :func:`crc32_rows` hashes each row whole.
+_WHOLE_ROWS = 64
 
 
-def contraction_layout_units(op: OpSpec, triples) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _crc32_zeros_tables(n: int) -> np.ndarray:
+    """``(4, 256)`` byte tables of the CRC-32 register map "feed ``n`` zero bytes".
+
+    The map is linear over GF(2), so its value on any register is the XOR
+    of its values on the register's four bytes.  zlib's ``crc32(data, v)``
+    runs the register from ``v ^ 0xFFFFFFFF`` and returns it inverted.
+    """
+    basis = np.array(
+        [zlib.crc32(bytes(n), (1 << b) ^ _ONES) ^ _ONES for b in range(32)],
+        dtype=np.uint32,
+    )
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1 == 1
+    return np.stack(
+        [
+            np.bitwise_xor.reduce(np.where(bits, basis[8 * i: 8 * i + 8], 0), axis=1)
+            for i in range(4)
+        ]
+    ).astype(np.uint32)
+
+
+def crc32_rows(parts: list, n: int) -> np.ndarray:
+    """``zlib.crc32`` of ``n`` byte strings given as concatenated parts.
+
+    A part is a ``str`` shared by every row or a ``(choices, column)``
+    pair: row ``i`` continues with ``choices[column[i]]``.  Appending
+    ``data`` to a message moves the register from ``r`` to
+    ``Z(r) ^ R(data)``, where ``Z`` feeds ``len(data)`` zero bytes (one
+    table lookup per register byte) and ``R(data)`` is the register ``data``
+    alone leaves from zero — one zlib call per distinct string.  Up to
+    ``_WHOLE_ROWS`` rows (a selection's consistent-kernel grid), one zlib
+    call per whole row costs less than those table passes.
+    """
+    if n <= _WHOLE_ROWS:
+        rows = (
+            "".join(p if isinstance(p, str) else p[0][p[1][i]] for p in parts)
+            for i in range(n)
+        )
+        return np.array([zlib.crc32(r.encode()) for r in rows], dtype=np.uint32)
+    reg = np.full(n, _ONES, dtype=np.uint32)
+    shared = ""  # text every row continues with, folded into the next choice
+    for part in parts:
+        if isinstance(part, str):
+            shared += part
+        else:
+            choices, col = part
+            _append(reg, [shared + c for c in choices], col)
+            shared = ""
+    if shared:
+        _append(reg, [shared], np.zeros(n, dtype=np.intp))
+    return reg ^ _ONES
+
+
+def _append(reg: np.ndarray, choices: list[str], col: np.ndarray) -> None:
+    """Advance CRC-32 registers in place: row ``i`` appends ``choices[col[i]]``."""
+    data = [c.encode() for c in choices]
+    alone = np.array([zlib.crc32(d, _ONES) ^ _ONES for d in data], dtype=np.uint32)
+    lengths = [len(d) for d in data]
+    distinct = set(lengths)
+    for length in distinct:
+        # All rows when every choice has this length (layout choices do).
+        rows = slice(None) if len(distinct) == 1 else np.array(lengths)[col] == length
+        r = reg[rows]
+        t = _crc32_zeros_tables(length)
+        reg[rows] = (
+            t[0][r & 0xFF] ^ t[1][(r >> 8) & 0xFF] ^ t[2][(r >> 16) & 0xFF] ^ t[3][r >> 24]
+        ) ^ alone[col[rows]]
+
+
+def _triple_layout_parts(layouts, triple_layouts: np.ndarray) -> list:
+    """:func:`crc32_rows` parts spelling each triple's ``"{la}/{lb}/{lc}"``."""
+    (a, b, c), (ia, ib, ic) = layouts, triple_layouts
+    return [
+        ([str(l) for l in a], ia), "/", ([str(l) for l in b], ib), "/",
+        ([str(l) for l in c], ic),
+    ]
+
+
+def contraction_layout_units(
+    op: OpSpec, layouts, triple_layouts: np.ndarray, shapes, triple_shapes: np.ndarray
+) -> np.ndarray:
     """Per-triple layout-factor units in [0, 1), enumeration order.
 
-    ``triples`` is a ``(layout_a, layout_b, layout_c, shape)`` sequence.
-    The units depend on the einsum, the layout strings and the transpose
-    flags — never on dim *sizes* or the calibrated constants — so a delta
-    re-sweep reuses the persisted array instead of re-hashing every key.
+    The triples are given in structure-of-arrays form: ``layouts[s]`` are
+    operand slot ``s``'s distinct layouts and ``triple_layouts[s, t]``
+    triple ``t``'s id into them; ``shapes`` are the distinct GEMM shapes
+    and ``triple_shapes[t]`` triple ``t``'s id into them.  Each unit is
+    ``_unit("gemm-layout", einsum, "{la}/{lb}/{lc}", trans_a, trans_b)``,
+    hashed for every triple at once by :func:`crc32_rows`.  The units
+    depend on the einsum, the layout strings and the transpose flags —
+    never on dim *sizes* or the calibrated constants — so a delta re-sweep
+    reuses the persisted array instead of re-hashing every key.
     ``crc32 / 2**32`` is exact in float64, so the round trip through a
     stored payload is bit-identical.
     """
-    units = np.empty(len(triples))
-    for i, (la, lb, lc, shape) in enumerate(triples):
-        units[i] = _unit(
-            "gemm-layout", op.einsum, f"{la}/{lb}/{lc}", shape.trans_a, shape.trans_b
-        )
-    return units
+    flags = [f"{s.trans_a}|{s.trans_b}" for s in shapes]
+    parts = [
+        f"gemm-layout|{op.einsum}|", *_triple_layout_parts(layouts, triple_layouts),
+        "|", (flags, triple_shapes),
+    ]
+    return crc32_rows(parts, len(triple_shapes)) / 2**32
 
 
 def contraction_triple_factors(
     op: OpSpec,
-    triples,
+    layouts,
+    triple_layouts: np.ndarray,
+    shapes,
+    triple_shapes: np.ndarray,
     gpu: GPUSpec,
     params: EfficiencyParams,
     *,
@@ -244,18 +338,18 @@ def contraction_triple_factors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The per-triple factors of :func:`contraction_efficiency`, batched.
 
-    Returns ``(pre_tc, pre_fp16, wave, tc_divisible, algo_factors,
-    layout_units)`` arrays, where ``pre_* = BASE · sat(shape) ·
-    layout_factor`` are the partial products up to (but excluding) the
-    per-algorithm factor and ``algo_factors`` has shape
-    ``(len(triples), NUM_GEMM_ALGORITHMS)`` — bit-identical to the scalar
-    path's factors:
+    The triples are given as in :func:`contraction_layout_units`.  Returns
+    ``(pre_tc, pre_fp16, wave, tc_divisible, algo_factors, layout_units)``
+    arrays, where ``pre_* = BASE · sat(shape) · layout_factor`` are the
+    partial products up to (but excluding) the per-algorithm factor and
+    ``algo_factors`` has shape ``(len(triples), NUM_GEMM_ALGORITHMS)`` —
+    bit-identical to the scalar path's factors:
 
     * the size-only shape factors come from the same :func:`_shape_factors`
-      cache;
-    * the per-algorithm CRCs roll forward from a per-*label* base
-      (``crc32(p + s) == crc32(s, crc32(p))``), hashing each label once per
-      distinct GEMM shape instead of once per (triple, algorithm);
+      cache, once per distinct shape;
+    * the algorithm keys ``"algo|{label}|{la}/{lb}/{lc}|{a}"`` are hashed
+      by :func:`crc32_rows` up to the last ``|`` for every triple at once,
+      and each register then appends the eight algorithm ids;
     * the factor mixing (``lo + u·span``, ``(BASE · sat) · layout_factor``)
       runs element-wise in float64 with the scalar association order, and
       raw CRC values are exact in float64.
@@ -264,29 +358,27 @@ def contraction_triple_factors(
     :func:`contraction_layout_units` (e.g. from a stored payload on the
     delta re-sweep path); ``None`` computes them here.
     """
-    t = len(triples)
-    sat_tc = np.empty(t)
-    sat_fp16 = np.empty(t)
-    wave = np.empty(t)
-    div8 = np.empty(t, dtype=bool)
-    algo_crcs = np.empty((t, NUM_GEMM_ALGORITHMS))
+    t = len(triple_shapes)
+    factors = [_shape_factors(s, gpu, params) for s in shapes]
+    sat_tc, sat_fp16, wave = (
+        np.array([f[i] for f in factors], dtype=float)[triple_shapes] for i in range(3)
+    )
+    div8 = np.array([f[3] for f in factors], dtype=bool)[triple_shapes]
     if layout_units is None:
-        layout_units = contraction_layout_units(op, triples)
-    crc32 = zlib.crc32
-    label_base: dict[str, int] = {}
-    for i, (la, lb, lc, shape) in enumerate(triples):
-        s_tc, s_fp, w, d8, label = _shape_factors(shape, gpu, params)
-        sat_tc[i] = s_tc
-        sat_fp16[i] = s_fp
-        wave[i] = w
-        div8[i] = d8
-        base = label_base.get(label)
-        if base is None:
-            base = label_base[label] = crc32(f"algo|{label}|".encode())
-        mid = crc32(f"{la}/{lb}/{lc}|".encode(), base)
-        row = algo_crcs[i]
-        for a, suffix in enumerate(_ALGO_SUFFIXES):
-            row[a] = crc32(suffix, mid)
+        layout_units = contraction_layout_units(
+            op, layouts, triple_layouts, shapes, triple_shapes
+        )
+    parts = [
+        "algo|", ([f[4] for f in factors], triple_shapes), "|",
+        *_triple_layout_parts(layouts, triple_layouts), "|",
+    ]
+    reg = np.repeat(crc32_rows(parts, t) ^ _ONES, NUM_GEMM_ALGORITHMS)
+    _append(
+        reg,
+        [str(a) for a in range(NUM_GEMM_ALGORITHMS)],
+        np.tile(np.arange(NUM_GEMM_ALGORITHMS), t),
+    )
+    algo_crcs = (reg ^ _ONES).reshape(t, NUM_GEMM_ALGORITHMS)
     lo, hi = params.layout_factor_range
     layout_factor = lo + layout_units * (hi - lo)
     pre_tc = (params.gemm_tc_base * sat_tc) * layout_factor

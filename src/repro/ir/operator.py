@@ -13,7 +13,7 @@ our analysis") carrying enough structure for the paper's analyses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .dims import DimEnv
@@ -172,9 +172,6 @@ class OpSpec:
     @property
     def is_fused(self) -> bool:
         return bool(self.fused_from)
-
-    def with_stage(self, stage: Stage) -> "OpSpec":
-        return replace(self, stage=stage)
 
     # -- analytic counts -------------------------------------------------------
     def flops(self, env: DimEnv) -> float:

@@ -10,7 +10,8 @@ Full Cartesian products explode for wide fused kernels (BRD touches four 3-D
 tensors), so the generator supports deterministic subsampling to a size cap,
 which preserves the distributional picture Figs. 4/5 rely on while keeping
 sweeps tractable.  The cap and seed are explicit parameters; ``cap=None``
-enumerates exhaustively.
+enumerates exhaustively, and so does a space within :data:`WHOLE_SPACE_K`
+of a cap of at least :data:`WHOLE_SPACE_MIN_CAP` (:func:`sweeps_whole`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,40 @@ __all__ = [
     "kernel_configs",
     "op_configs",
     "default_config",
+    "sweeps_whole",
+    "WHOLE_SPACE_K",
+    "WHOLE_SPACE_MIN_CAP",
 ]
+
+#: ``(numerator, denominator)`` of ``k``: a kernel space of at most ``k``
+#: times its cap is swept whole (:func:`sweeps_whole`).  Keeping ``cap``
+#: distinct rows of a space only a little larger than the cap draws far
+#: more rows than the space has (a coupon-collector tail: about 45,000
+#: draws for 20,000 of 23,328 rows), so near the cap the sample costs more
+#: than the exhaustive sweep it stands in for, whose best time cannot be
+#: worse.  ``k = 1.2`` takes the fused encoder's 23,328-config spaces at
+#: the production cap of 20,000 and keeps its 62,208-config one sampled.
+WHOLE_SPACE_K = (6, 5)
+
+#: The least cap :data:`WHOLE_SPACE_K` applies at.  Below it a space is
+#: swept whole only when it fits under the cap, as before the rule, so
+#: the sweeps that tests and benchmarks pin at small caps (150-400 for
+#: the paper's claims, 2,000 in the fleet, 4,000 in the delta-sweep gate)
+#: do not change.  Without it, the unfused encoder's 4,608-config input
+#: biases (1.152 times a cap of 4,000) would be swept whole.
+WHOLE_SPACE_MIN_CAP = 10_000
+
+
+def sweeps_whole(total: int, cap: int | None) -> bool:
+    """Whether a kernel space of ``total`` configs is swept whole under
+    ``cap``: uncapped, fits under the cap, or, at a cap of at least
+    :data:`WHOLE_SPACE_MIN_CAP`, is at most ``k = WHOLE_SPACE_K`` times it
+    (integer-exact).  The scalar enumeration, the bulk sampler, the sweep
+    digest and the scheduler's size estimate all decide by this one rule."""
+    if cap is None or total <= cap:
+        return True
+    num, den = WHOLE_SPACE_K
+    return cap >= WHOLE_SPACE_MIN_CAP and den * total <= num * cap
 
 
 def contraction_triples(op: OpSpec, env: DimEnv):
@@ -110,9 +144,11 @@ def kernel_config_indices(
 ) -> Iterator[tuple[int, ...]]:
     """Flat knob-index tuples of a kernel config space, in enumeration order.
 
-    Exhaustive row-major enumeration when the product fits under ``cap``;
-    otherwise a deterministic uniform subsample of exactly ``cap`` distinct
-    tuples, always starting with the all-default point.  The scalar
+    Exhaustive row-major enumeration when :func:`sweeps_whole` says so (no
+    cap, a space that fits under it, or one within ``k`` times a large
+    cap); otherwise a deterministic
+    uniform subsample of exactly ``cap`` distinct tuples, always starting
+    with the all-default point.  The scalar
     reference sweep consumes this generator; the batched engine draws the
     same rows in bulk with :func:`repro.engine.sampling.kernel_index_array`,
     so their config ordering — and hence their stable-sorted results —
@@ -121,7 +157,7 @@ def kernel_config_indices(
     total = 1
     for s in sizes:
         total *= s
-    if cap is None or total <= cap:
+    if sweeps_whole(total, cap):
         yield from itertools.product(*(range(s) for s in sizes))
         return
     rng = random.Random(seed)
@@ -146,9 +182,10 @@ def kernel_configs(
     """Layout/vector/warp configurations of a non-contraction kernel.
 
     Operands of rank <= 1 (biases, per-dim scales) have a single layout and
-    are skipped in the product.  When the full product exceeds ``cap``,
-    a deterministic uniform subsample of exactly ``cap`` configurations is
-    produced (always including the all-default-layout point).
+    are skipped in the product.  Unless :func:`sweeps_whole` takes the
+    full product whole, a deterministic uniform subsample of exactly
+    ``cap`` configurations is produced (always including the
+    all-default-layout point).
     """
     layout_choices, vec_choices, warp_choices = kernel_space(op, env)
     sizes = [len(c) for c in layout_choices] + [len(vec_choices), len(warp_choices)]

@@ -52,10 +52,6 @@ class ModelDims:
         )
 
     @staticmethod
-    def bert_large() -> "ModelDims":
-        return ModelDims()
-
-    @staticmethod
     def tiny() -> "ModelDims":
         """Gradcheck-friendly sizes."""
         return ModelDims(batch=2, seq=5, heads=2, proj=3, ffn_mult=2)

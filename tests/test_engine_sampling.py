@@ -27,25 +27,34 @@ def _scalar_rows(sizes, cap, seed):
 @pytest.mark.parametrize(
     "sizes, cap, seed",
     [
-        # The fused encoder's BDRLN kernel: 23328 configs under a 20000 cap,
-        # a long coupon-collector tail spanning many stream blocks.
+        # The fused encoder's BDRLN kernel: 23328 configs, within k = 1.2
+        # of a 20000 cap, so swept whole.
         ([6, 1, 6, 1, 1, 6, 6, 6, 3, 1], 20000, 7),
         ([24, 24, 24, 24, 4, 1], 2000, 0x5EED),  # two distinct thresholds
         ([24, 6, 3], 100, 1),  # one threshold: no knob ever skips a word
         ([5, 7, 120, 2, 1], 500, 3),  # four distinct thresholds
-        # cap = total - 1; with these seeds the first count of distinct rows
-        # comes up short and the stream is read further.
+        # cap = total - 1, below the rule's least cap; with these seeds the
+        # first count of distinct rows comes up short and the stream is
+        # read further.
         ([3, 4], 11, 1),
         ([2, 2, 2, 2, 2, 2], 63, 0),
         ([6, 1, 2], 0, 5),  # only the default row
         ([6, 1, 2], 1, 5),
         ([6, 1, 2], 12, 5),  # exhaustive: the cap does not bind
         ([6, 1, 2], None, 5),
+        # BDRLN just past the whole-space band: a long coupon-collector
+        # tail spanning many stream blocks.
+        ([6, 1, 6, 1, 1, 6, 6, 6, 3, 1], 19000, 7),
+        ([24, 24, 24], 11520, 2),  # total == k * cap: swept whole
+        ([24, 24, 24], 11519, 2),  # one below: sampled
+        ([24, 24, 6, 3], 10000, 4),  # within k of the rule's least cap: whole
+        ([24, 24, 6, 3], 9999, 4),  # within k of a cap below it: sampled
     ],
 )
 def test_index_array_matches_scalar_sampler(sizes, cap, seed):
     got = kernel_index_array(sizes, cap=cap, seed=seed)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32
+    assert got.T.flags.c_contiguous  # one contiguous row per knob
     assert np.array_equal(got, _scalar_rows(sizes, cap, seed))
 
 

@@ -609,6 +609,15 @@ class TestContainer:
                 columns += list(payload["triple_layouts"])
             assert all(c.strides[0] == c.itemsize for c in columns)
 
+    def test_a_computed_kernel_payload_has_the_decoded_index_layout(self, tmp_path):
+        # The sampler draws knob-major int32 rows, the layout the store
+        # writes, so a fresh payload's idx columns are contiguous too.
+        _, kernel = _ops()
+        fresh = compute_payload(kernel, ENV, COST, cap=80, seed=0)["idx"]
+        for decoded in self._decoded(tmp_path, kernel, 80):
+            assert fresh.dtype == decoded["idx"].dtype == np.int32
+            assert fresh.strides == decoded["idx"].strides == (4, 4 * len(fresh))
+
     @pytest.mark.parametrize("which", ["contraction", "kernel"])
     def test_decoded_arrays_are_read_only(self, tmp_path, which):
         contraction, kernel = _ops()
@@ -644,6 +653,38 @@ class TestContainer:
             for s in (cold, warm)
         ]
         assert picks[0].chosen == picks[1].chosen
+
+
+class TestWholeSpaceRule:
+    """A kernel space within ``k`` times its cap is swept whole and keyed
+    as exhaustive, so the payload format did not change: the entry an
+    uncapped sweep wrote serves the capped one, byte for byte."""
+
+    def test_an_uncapped_entry_is_an_l2_hit_for_a_near_cap_sweep(self, tmp_path):
+        from math import prod
+
+        from repro.engine.space import kernel_knob_sizes
+        from repro.engine.store import pack_payload_bytes
+        from repro.fusion import apply_paper_fusion
+        from repro.transformer.graph_builder import build_encoder_graph
+
+        graph = build_encoder_graph(qkv_fusion="qkv", include_backward=True)
+        op = apply_paper_fusion(graph, ENV).op("BDRLN1")
+        assert prod(kernel_knob_sizes(op, ENV)) == 23328
+        store = SweepStore(tmp_path)
+        digest = sweep_digest(op, ENV, COST, cap=None, seed=0x5EED)
+        assert sweep_digest(op, ENV, COST, cap=20000, seed=0x5EED) == digest
+        _, tier = _resolve(op, ENV, store, cap=None, seed=0x5EED)
+        assert tier == "computed"
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert list(files) == [store.path_for(digest)]
+        payload, tier = _resolve(op, ENV, store, cap=20000, seed=0x5EED)
+        assert tier == "l2"
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+        capped = compute_payload(op, ENV, COST, cap=20000, seed=0x5EED)
+        assert len(capped["order"]) == 23328
+        assert pack_payload_bytes(digest, capped) == files[store.path_for(digest)]
+        assert pack_payload_bytes(digest, payload) == files[store.path_for(digest)]
 
 
 class TestTwinByPath:
